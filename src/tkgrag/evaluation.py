@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence
 
 from .client import PredictionList, rule_score_predict
+from .files import atomic_write
 from .kg import Dataset, TemporalKG
 from .prompts import Prompt, PromptConfig, build_prompt, select_history
 from .retrieval import (
@@ -183,21 +184,30 @@ def _score_one(
 
 
 def _load_journal(path: str, fingerprint: str) -> dict[int, EvalRecord]:
+    """Records of an earlier run. A record is complete once its newline is
+    written; a final line without one is what a killed append leaves behind,
+    so it is cut off the file (its query runs again) and the next append
+    starts on a fresh line. Any other bad line raises."""
     completed: dict[int, EvalRecord] = {}
     if not os.path.exists(path):
         return completed
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            payload = json.loads(line)
-            record = EvalRecord.from_dict(payload)
-            if record.fingerprint != fingerprint:
-                raise ValueError(
-                    f"journal {path} was written under fingerprint "
-                    f"{record.fingerprint!r}, current is {fingerprint!r}"
-                )
-            completed[payload["index"]] = record
+    with open(path, "rb") as fh:
+        data = fh.read()
+    complete = data[: data.rfind(b"\n") + 1]
+    for line in complete.splitlines():
+        if not line.strip():
+            continue
+        payload = json.loads(line)
+        record = EvalRecord.from_dict(payload)
+        if record.fingerprint != fingerprint:
+            raise ValueError(
+                f"journal {path} was written under fingerprint "
+                f"{record.fingerprint!r}, current is {fingerprint!r}"
+            )
+        completed[payload["index"]] = record
+    if len(complete) < len(data):
+        with open(path, "rb+") as fh:
+            fh.truncate(len(complete))
     return completed
 
 
@@ -256,7 +266,7 @@ def run_eval(
     records = [completed[i] for i in range(len(queries))]
     report = report_from_records(records, fingerprint)
     if out_dir:
-        with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
+        with atomic_write(os.path.join(out_dir, "report.json")) as fh:
             json.dump(report.as_dict(), fh, indent=2)
             fh.write("\n")
     return report, records

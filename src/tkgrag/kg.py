@@ -1,9 +1,11 @@
 """Quadruple dataset loading and the immutable, time-indexed event graph."""
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from itertools import pairwise
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -52,20 +54,25 @@ class TemporalKG:
     """Immutable store of quadruples with per-(subject,relation) and per-relation
     time-sorted indices.
 
-    Edges are deduplicated and kept in canonical order, sorted by
-    (t, subject, relation, object). Index entries are positions into the edge
-    arrays, so a position is ascending in time within any index bucket.
-    Instances never mutate after construction and are safe to share across
-    threads.
+    Edges are deduplicated and kept as numpy columns `sub`, `rel`, `obj`, `ts`
+    in canonical order, sorted by (t, subject, relation, object). Index entries
+    are positions into those columns, so a position is ascending in time within
+    any index bucket. Every index is one stable argsort of a packed id key split
+    at its runs; the per-(subject,object) index and the (subject,relation,object)
+    last-time table are built on first use. `last_time_of` takes ids or
+    equal-length id arrays. Instances never mutate after construction (beyond
+    those lazy builds) and are safe to share across threads.
     """
 
     def __init__(
         self,
         entities: Sequence[str],
         relations: Sequence[str],
-        quads: Iterable[tuple[int, int, int, int]],
+        quads: Union[Iterable[tuple[int, int, int, int]], np.ndarray],
         num_base_relations: Optional[int] = None,
     ):
+        """`quads` holds (subject, relation, object, t) rows: tuples, or an
+        (n, 4) integer array."""
         self.entities = list(entities)
         self.relations = list(relations)
         # With inverse augmentation the table doubles; base relations keep ids
@@ -74,33 +81,26 @@ class TemporalKG:
             len(relations) if num_base_relations is None else num_base_relations
         )
 
-        raw = [(t, s, r, o) for s, r, o, t in quads]
-        unique = sorted(set(raw))
-        self.num_duplicates_dropped = len(raw) - len(unique)
-        if unique:
-            arr = np.array([(s, r, o, t) for t, s, r, o in unique], dtype=np.int64)
-        else:
-            arr = np.empty((0, 4), dtype=np.int64)
-        self.sub = arr[:, 0]
-        self.rel = arr[:, 1]
-        self.obj = arr[:, 2]
-        self.ts = arr[:, 3]
+        if not isinstance(quads, np.ndarray):
+            quads = list(quads)
+        arr = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
+        arr = arr[np.lexsort((arr[:, 2], arr[:, 1], arr[:, 0], arr[:, 3]))]
+        fresh = np.ones(len(arr), dtype=bool)
+        fresh[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+        self.num_duplicates_dropped = len(arr) - int(np.count_nonzero(fresh))
+        arr = arr[fresh]
+        self.sub, self.rel, self.obj, self.ts = (np.ascontiguousarray(col) for col in arr.T)
         self._validate_bounds()
 
-        self.index_sr: dict[tuple[int, int], np.ndarray] = {}
-        self.index_r: dict[int, np.ndarray] = {}
-        sr_buckets: dict[tuple[int, int], list[int]] = {}
-        r_buckets: dict[int, list[int]] = {}
-        for pos in range(len(self.sub)):
-            sr_buckets.setdefault((int(self.sub[pos]), int(self.rel[pos])), []).append(pos)
-            r_buckets.setdefault(int(self.rel[pos]), []).append(pos)
-        for key, positions in sr_buckets.items():
-            self.index_sr[key] = np.array(positions, dtype=np.int64)
-        for key, positions in r_buckets.items():
-            self.index_r[key] = np.array(positions, dtype=np.int64)
+        n_ent, n_rel = len(self.entities), len(self.relations)
+        self.index_sr: dict[tuple[int, int], np.ndarray] = _bucket_index(
+            _pack((self.sub, self.rel), (n_ent, n_rel)), self.sub, self.rel
+        )
+        self.index_r: dict[int, np.ndarray] = _bucket_index(self.rel, self.rel)
 
         self._index_so: Optional[dict[tuple[int, int], np.ndarray]] = None
-        self._last_time_sro: Optional[dict[tuple[int, int, int], int]] = None
+        # sorted packed (relation, subject, object) keys and their latest t
+        self._last_time_sro: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._normalized_entity_ids: Optional[dict[str, int]] = None
 
     # -- basic accessors ----------------------------------------------------
@@ -169,25 +169,41 @@ class TemporalKG:
     def returning_positions(self, subject: int, obj: int, t_before: int) -> np.ndarray:
         """Positions of edges (subject, *, obj, t) with t strictly before t_before."""
         if self._index_so is None:
-            buckets: dict[tuple[int, int], list[int]] = {}
-            for pos in range(len(self.sub)):
-                buckets.setdefault((int(self.sub[pos]), int(self.obj[pos])), []).append(pos)
-            self._index_so = {k: np.array(v, dtype=np.int64) for k, v in buckets.items()}
+            n_ent = len(self.entities)
+            self._index_so = _bucket_index(
+                _pack((self.sub, self.obj), (n_ent, n_ent)), self.sub, self.obj
+            )
         positions = self._index_so.get((subject, obj))
         if positions is None:
             return np.empty(0, dtype=np.int64)
         ts = self.ts[positions]
         return positions[: int(np.searchsorted(ts, t_before, side="left"))]
 
-    def last_time_of(self, subject: int, relation: int, obj: int) -> int:
-        """Latest time step at which (subject, relation, obj) occurs, or -1."""
+    def last_time_of(self, subject, relation, obj):
+        """Latest time step at which (subject, relation, obj) occurs, or -1.
+
+        Takes ids, returning an int, or equal-length id arrays (a scalar
+        broadcasts), returning an int64 array.
+        """
+        sizes = (len(self.relations), len(self.entities), len(self.entities))
         if self._last_time_sro is None:
-            last: dict[tuple[int, int, int], int] = {}
-            for pos in range(len(self.sub)):
-                key = (int(self.sub[pos]), int(self.rel[pos]), int(self.obj[pos]))
-                last[key] = int(self.ts[pos])  # positions ascend in t
-            self._last_time_sro = last
-        return self._last_time_sro.get((subject, relation, obj), -1)
+            key = _pack((self.rel, self.sub, self.obj), sizes)
+            order, bounds = _sorted_runs(key)
+            # positions ascend in t, so each run's last position is its latest;
+            # a closing sentinel keeps every searchsorted index inside the table
+            self._last_time_sro = (
+                np.append(key[order[bounds[:-1]]], np.iinfo(np.int64).max),
+                np.append(self.ts[order[bounds[1:] - 1]], -1),
+            )
+        keys, last = self._last_time_sro
+        columns = np.broadcast_arrays(
+            *(np.asarray(c, dtype=np.int64) for c in (relation, subject, obj))
+        )
+        known = np.logical_and.reduce([(c >= 0) & (c < n) for c, n in zip(columns, sizes)])
+        wanted = np.where(known, _pack(columns, sizes), -1)
+        at = np.searchsorted(keys, wanted)
+        found = np.where(keys[at] == wanted, last[at], -1)
+        return int(found) if found.ndim == 0 else found
 
     def normalized_entity_ids(self) -> dict[str, int]:
         """Entity lookup keyed by name with spaces collapsed to underscores."""
@@ -265,14 +281,43 @@ class Dataset:
 
     def union_kg(self, splits: Sequence[str] = ("train", "valid", "test")) -> TemporalKG:
         """One merged view over the given splits (deduplicated)."""
-        quads: list[tuple[int, int, int, int]] = []
-        for name in splits:
-            kg = self.split(name)
-            for pos in range(len(kg)):
-                quads.append(
-                    (int(kg.sub[pos]), int(kg.rel[pos]), int(kg.obj[pos]), int(kg.ts[pos]))
-                )
+        parts = [self.split(name) for name in splits]
+        quads = np.concatenate(
+            [np.column_stack((kg.sub, kg.rel, kg.obj, kg.ts)) for kg in parts]
+            or [np.empty((0, 4), dtype=np.int64)]
+        )
         return TemporalKG(self.entities, self.relations, quads, self.num_base_relations)
+
+
+def _pack(columns: Sequence, sizes: Sequence[int]) -> np.ndarray:
+    """One int64 key per row of id columns, column i holding ids in
+    [0, sizes[i]); keys order like the rows' tuples."""
+    if math.prod(sizes) > 2**63:
+        raise ValueError(f"id ranges {tuple(sizes)} are too large to pack into int64 keys")
+    key = np.asarray(columns[0], dtype=np.int64)
+    for column, size in zip(columns[1:], sizes[1:]):
+        key = key * size + column
+    return key
+
+
+def _sorted_runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable argsort of `key` and the bounds of its equal-key runs: run i is
+    order[bounds[i]:bounds[i + 1]], positions ascending."""
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    change = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    bounds = np.concatenate(([0], change, [len(key)])) if len(key) else np.zeros(1, np.int64)
+    return order, bounds
+
+
+def _bucket_index(key: np.ndarray, *labels: np.ndarray) -> dict:
+    """Positions grouped by `key`, each bucket named by the label columns of
+    its rows (a tuple for several columns)."""
+    order, bounds = _sorted_runs(key)
+    firsts = order[bounds[:-1]]
+    names = [label[firsts].tolist() for label in labels]
+    names = list(zip(*names)) if len(names) > 1 else names[0]
+    return {name: order[lo:hi] for name, (lo, hi) in zip(names, pairwise(bounds.tolist()))}
 
 
 def _base_edge_count(kg: TemporalKG) -> int:

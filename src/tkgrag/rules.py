@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .files import atomic_write
 from .kg import Quadruple, TemporalKG
 
 
@@ -120,7 +121,7 @@ class RuleBank:
         return bank
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write(self.to_json())
             fh.write("\n")
 
@@ -216,11 +217,8 @@ def estimate_confidence(
             np.sort(rng.choice(positions.size, size=grounding_cap, replace=False))
         ]
     body_support = int(positions.size)
-    rule_support = 0
-    subs, objs, ts = kg.sub[positions], kg.obj[positions], kg.ts[positions]
-    for i in range(body_support):
-        if int(ts[i]) < kg.last_time_of(int(subs[i]), head_relation, int(objs[i])):
-            rule_support += 1
+    last = kg.last_time_of(kg.sub[positions], head_relation, kg.obj[positions])
+    rule_support = int(np.count_nonzero(kg.ts[positions] < last))
     confidence = rule_support / body_support
     return (body_support, rule_support, confidence)
 
@@ -242,7 +240,9 @@ def _mine_head(
             candidates.append(body)
     rules = []
     for body in candidates:
-        conf_rng = _derived_rng(params.seed, "confidence", head_relation, body)
+        # the stream only matters when the groundings get sampled
+        capped = len(kg.index_r.get(body, ())) > params.grounding_cap
+        conf_rng = _derived_rng(params.seed, "confidence", head_relation, body) if capped else None
         body_support, rule_support, confidence = estimate_confidence(
             kg, head_relation, body, params.grounding_cap, conf_rng
         )

@@ -2,9 +2,12 @@
 index-free reference implementations used as oracles."""
 from __future__ import annotations
 
+import errno
 from collections import defaultdict
 
 import pytest
+
+from tkgrag import files
 
 from tkgrag.kg import Dataset, DatasetSpec, Quadruple, TemporalKG, load_dataset
 from tkgrag.retrieval import Provenance, Query, RetrievalConfig, RetrievedHistory
@@ -40,6 +43,41 @@ def write_dataset_dir(tmp_path, train, valid=(), test=(), id_maps=None):
             for name, idx in relations:
                 fh.write(f"{name}\t{idx}\n")
     return tmp_path
+
+
+class FullDisk:
+    """File handle that takes `room` characters, then fails like a full disk."""
+
+    def __init__(self, fh, room: int):
+        self.fh, self.room = fh, room
+
+    def write(self, text: str) -> int:
+        if len(text) > self.room:
+            self.fh.write(text[: self.room])
+            self.room = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(text)
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+
+@pytest.fixture
+def disk_full(monkeypatch):
+    """`disk_full(room)` makes every artifact write through `tkgrag.files`
+    fail with ENOSPC once `room` characters have been written."""
+
+    def arm(room: int) -> None:
+        monkeypatch.setattr(
+            files, "open", lambda *args, **kwargs: FullDisk(open(*args, **kwargs), room),
+            raising=False,
+        )
+
+    return arm
 
 
 # -- index-free references ----------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 
 import pytest
@@ -130,6 +131,54 @@ class TestRunEval:
         )
         assert report_resumed == report_full
         assert json.loads((resumed_dir / "report.json").read_text()) == report_full.as_dict()
+
+    @pytest.mark.parametrize("cut", [1, 40])
+    def test_torn_final_line_is_cut_off_and_rerun(
+        self, synthetic_dataset, synthetic_bank, tmp_path, cut
+    ):
+        kg = synthetic_dataset.union_kg()
+        queries = queries_from_split(synthetic_dataset, "test")[:12]
+        index = build_filter_index(synthetic_dataset)
+        run_eval(kg, synthetic_bank, queries, OraclePredictor(synthetic_bank),
+                 filter_index=index, out_dir=str(tmp_path), fingerprint="fp1")
+        journal = tmp_path / "records.jsonl"
+        full = journal.read_bytes()
+        # a kill mid-append: only the newline (cut=1) or part of the record is lost
+        journal.write_bytes(full[:-cut])
+        report, _ = run_eval(kg, synthetic_bank, queries, OraclePredictor(synthetic_bank),
+                             filter_index=index, out_dir=str(tmp_path), fingerprint="fp1")
+        assert journal.read_bytes() == full
+        assert report.n_queries == 12
+
+    def test_bad_line_before_the_last_is_rejected(
+        self, synthetic_dataset, synthetic_bank, tmp_path
+    ):
+        kg = synthetic_dataset.union_kg()
+        queries = queries_from_split(synthetic_dataset, "test")[:6]
+        run_eval(kg, synthetic_bank, queries, OraclePredictor(synthetic_bank),
+                 out_dir=str(tmp_path), fingerprint="fp")
+        journal = tmp_path / "records.jsonl"
+        lines = journal.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2][:20] + b"\n"
+        damaged = b"".join(lines)[:-5]  # a torn tail as well: nothing is cut off
+        journal.write_bytes(damaged)
+        with pytest.raises(ValueError):
+            run_eval(kg, synthetic_bank, queries, OraclePredictor(synthetic_bank),
+                     out_dir=str(tmp_path), fingerprint="fp")
+        assert journal.read_bytes() == damaged
+
+    def test_failed_report_write_keeps_previous_report(
+        self, synthetic_dataset, synthetic_bank, tmp_path, disk_full
+    ):
+        kg = synthetic_dataset.union_kg()
+        queries = queries_from_split(synthetic_dataset, "test")[:4]
+        (tmp_path / "report.json").write_text("previous\n")
+        disk_full(30)
+        with pytest.raises(OSError):
+            run_eval(kg, synthetic_bank, queries, OraclePredictor(synthetic_bank),
+                     out_dir=str(tmp_path), fingerprint="fp")
+        assert (tmp_path / "report.json").read_text() == "previous\n"
+        assert sorted(os.listdir(tmp_path)) == ["records.jsonl", "report.json"]
 
     def test_rerun_skips_completed_queries(self, synthetic_dataset, synthetic_bank, tmp_path):
         kg = synthetic_dataset.union_kg()

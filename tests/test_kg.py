@@ -1,10 +1,15 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
 from tkgrag.kg import (
+    Dataset,
     DatasetFormatError,
     DatasetSpec,
     Quadruple,
+    TemporalKG,
+    _pack,
     load_dataset,
     save_dataset,
 )
@@ -208,3 +213,126 @@ class TestUnionAndStats:
         assert len(originals) * 2 == len(quads)
         for q in originals:
             assert Quadruple(q.object, q.relation + n_base, q.subject, q.t) in quads
+
+
+# -- array indices against a pure-Python reference ---------------------------
+
+
+def random_rows(rng, n_entities, n_relations, n_rows, t_max=6):
+    """(s, r, o, t) tuples over a small id space, so duplicates are common."""
+    return [
+        (int(rng.integers(n_entities)), int(rng.integers(n_relations)),
+         int(rng.integers(n_entities)), int(rng.integers(t_max)))
+        for _ in range(n_rows)
+    ]
+
+
+def reference_graph(rows):
+    """Canonical edges and every index, by sorting and dict-appending."""
+    edges = sorted(set(rows), key=lambda q: (q[3], q[0], q[1], q[2]))
+    by_sr, by_r, by_so, last = defaultdict(list), defaultdict(list), defaultdict(list), {}
+    for pos, (s, r, o, t) in enumerate(edges):
+        by_sr[(s, r)].append(pos)
+        by_r[r].append(pos)
+        by_so[(s, o)].append(pos)
+        last[(s, r, o)] = max(t, last.get((s, r, o), -1))
+    return edges, by_sr, by_r, by_so, last
+
+
+def random_graph(seed):
+    rng = np.random.default_rng(seed)
+    n_entities, n_base = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+    rows = random_rows(rng, n_entities, n_base, int(rng.integers(0, 40)))
+    inverse = bool(seed % 2)
+    kg = make_kg(rows, n_entities=n_entities, n_relations=n_base, inverse=inverse)
+    if inverse:
+        rows = rows + [(o, r + n_base, s, t) for s, r, o, t in rows]
+    return rng, kg, rows
+
+
+class TestIndicesAgainstReference:
+    SEEDS = range(200)
+
+    @pytest.mark.parametrize("seed", SEEDS[::20])
+    def test_tuple_and_array_input_agree(self, seed):
+        _rng, kg, rows = random_graph(seed)
+        from_array = TemporalKG(kg.entities, kg.relations,
+                                np.array(rows, dtype=np.int64).reshape(-1, 4),
+                                kg.num_base_relations)
+        assert from_array.all_quads() == kg.all_quads()
+        assert from_array.num_duplicates_dropped == kg.num_duplicates_dropped
+
+    def test_edges_and_bucket_indices(self):
+        for seed in self.SEEDS:
+            _rng, kg, rows = random_graph(seed)
+            edges, by_sr, by_r, _by_so, _last = reference_graph(rows)
+            assert [tuple(q) for q in kg.all_quads()] == edges
+            assert kg.num_duplicates_dropped == len(rows) - len(edges)
+            assert {k: v.tolist() for k, v in kg.index_sr.items()} == by_sr
+            assert {k: v.tolist() for k, v in kg.index_r.items()} == by_r
+            assert all(type(i) is int for key in kg.index_sr for i in key)
+            assert all(type(key) is int for key in kg.index_r)
+
+    def test_returning_positions(self):
+        for seed in self.SEEDS:
+            _rng, kg, rows = random_graph(seed)
+            edges, _by_sr, _by_r, by_so, _last = reference_graph(rows)
+            n = len(kg.entities)
+            for s in range(-1, n + 1):
+                for o in range(-1, n + 1):
+                    for t in range(-1, kg.t_max + 2):
+                        want = [p for p in by_so.get((s, o), []) if edges[p][3] < t]
+                        assert kg.returning_positions(s, o, t).tolist() == want
+
+    def test_last_time_of_scalar_and_array(self):
+        for seed in self.SEEDS:
+            rng, kg, rows = random_graph(seed)
+            *_, last = reference_graph(rows)
+            n_ent, n_rel = len(kg.entities), len(kg.relations)
+            triples = [(s, r, o) for s in range(-1, n_ent + 1)
+                       for r in range(-1, n_rel + 1) for o in range(-1, n_ent + 1)]
+            for s, r, o in triples:
+                got = kg.last_time_of(s, r, o)
+                assert type(got) is int and got == last.get((s, r, o), -1)
+            subs, rels, objs = (np.array(c, dtype=np.int64) for c in zip(*triples))
+            got = kg.last_time_of(subs, rels, objs)
+            assert got.dtype == np.int64
+            assert got.tolist() == [last.get(t, -1) for t in triples]
+            head = int(rng.integers(n_rel))
+            assert kg.last_time_of(subs, head, objs).tolist() == [
+                last.get((s, head, o), -1) for s, o in zip(subs.tolist(), objs.tolist())
+            ]
+            assert kg.last_time_of(subs[:0], head, objs[:0]).tolist() == []
+
+    def test_union_kg(self):
+        for seed in self.SEEDS:
+            rng, train, rows = random_graph(seed)
+            splits = {"train": train}
+            for name in ("valid", "test"):
+                extra = random_rows(rng, len(train.entities), len(train.relations),
+                                    int(rng.integers(0, 15)))
+                splits[name] = TemporalKG(train.entities, train.relations, extra,
+                                          train.num_base_relations)
+                rows = rows + extra
+            dataset = Dataset(train.entities, train.relations, train.num_base_relations,
+                              splits, time_gap=1, time_origin=0)
+            union = dataset.union_kg()
+            assert [tuple(q) for q in union.all_quads()] == reference_graph(rows)[0]
+            assert union.num_base_relations == train.num_base_relations
+            assert dataset.union_kg(("test",)).all_quads() == splits["test"].all_quads()
+            assert len(dataset.union_kg(())) == 0
+
+    def test_empty_graph(self):
+        kg = make_kg([], n_entities=3, n_relations=2)
+        assert len(kg) == 0 and kg.num_duplicates_dropped == 0
+        assert kg.index_sr == {} and kg.index_r == {}
+        assert kg.returning_positions(0, 1, 5).tolist() == []
+        assert kg.last_time_of(0, 1, 2) == -1
+        assert kg.last_time_of(np.array([0, 1]), 0, np.array([2, 2])).tolist() == [-1, -1]
+
+    def test_key_packing_guarded_against_overflow(self):
+        top = np.array([2**21 - 1])
+        # 2**63 distinct keys still fit: the largest one is the int64 maximum
+        assert _pack((top, top, top), (2**21, 2**21, 2**21)).tolist() == [2**63 - 1]
+        with pytest.raises(ValueError, match="too large"):
+            _pack((top, top, top), (2**21, 2**21, 2**21 + 1))

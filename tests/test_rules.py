@@ -1,4 +1,5 @@
 import json
+import os
 import time
 
 import mpmath as mp
@@ -10,6 +11,7 @@ from tkgrag.rules import (
     MiningParams,
     RuleBank,
     TemporalRule,
+    _derived_rng,
     estimate_confidence,
     learn_rules,
     sample_walk,
@@ -18,6 +20,27 @@ from tkgrag.rules import (
 from tkgrag.synthetic import BODY_RELATION, HEAD_RELATION
 
 from conftest import make_kg, reference_confidence
+
+
+def per_grounding_confidence(kg, head_relation, body_relation, grounding_cap, rng):
+    """The estimate one grounding at a time: the same capped draw, then a
+    latest-head-time lookup per grounding in a dict over all edges."""
+    positions = kg.index_r.get(body_relation)
+    if positions is None or positions.size == 0:
+        return (0, 0, 0.0)
+    if positions.size > grounding_cap:
+        positions = positions[
+            np.sort(rng.choice(positions.size, size=grounding_cap, replace=False))
+        ]
+    last = {}
+    for q in kg.all_quads():
+        last[(q.subject, q.relation, q.object)] = q.t  # edges ascend in t
+    rule_support = 0
+    for pos in positions.tolist():
+        q = kg.quad_at(pos)
+        if q.t < last.get((q.subject, head_relation, q.object), -1):
+            rule_support += 1
+    return (int(positions.size), rule_support, rule_support / positions.size)
 
 
 def highprecision_distribution(times, now):
@@ -147,6 +170,25 @@ class TestEstimateConfidence:
         with pytest.raises(ValueError):
             estimate_confidence(kg, 0, 0, 0)
 
+    def test_matches_per_grounding_loop(self):
+        rng = np.random.default_rng(23)
+        for graph in range(60):
+            quads = [
+                (int(rng.integers(6)), int(rng.integers(3)), int(rng.integers(6)),
+                 int(rng.integers(12)))
+                for _ in range(int(rng.integers(0, 60)))
+            ]
+            kg = make_kg(quads, n_entities=6, n_relations=3, inverse=graph % 2 == 1)
+            relations = range(len(kg.relations) + 1)  # one id the graph lacks
+            for head in relations:
+                for body in relations:
+                    for cap in (10**9, 4):
+                        got = estimate_confidence(
+                            kg, head, body, cap, np.random.default_rng(graph))
+                        want = per_grounding_confidence(
+                            kg, head, body, cap, np.random.default_rng(graph))
+                        assert got == want
+
 
 class TestLearnRules:
     def test_planted_rule_recovered(self, synthetic_dataset, synthetic_bank):
@@ -228,6 +270,20 @@ class TestLearnRules:
         with pytest.raises(ValueError, match="empty"):
             learn_rules(kg, MiningParams())
 
+    def test_capped_confidence_uses_the_seeded_stream(self, synthetic_dataset):
+        params = MiningParams(num_walks=30, grounding_cap=5, seed=6)
+        kg = synthetic_dataset.train
+        bank = learn_rules(kg, params)
+        capped = [r for rules in bank.rules_by_head.values() for r in rules
+                  if r.body_support == params.grounding_cap]
+        assert capped
+        for rule in capped:
+            rng = _derived_rng(params.seed, "confidence", rule.head_relation,
+                               rule.body_relation)
+            assert (rule.body_support, rule.rule_support, rule.confidence) == \
+                per_grounding_confidence(kg, rule.head_relation, rule.body_relation,
+                                         params.grounding_cap, rng)
+
     def test_worker_count_does_not_change_bank(self, synthetic_dataset):
         params = MiningParams(num_walks=30, seed=4)
         serial = learn_rules(synthetic_dataset.train, params, workers=1)
@@ -249,6 +305,21 @@ class TestParamsAndSerialization:
         synthetic_bank.save(str(path))
         loaded = RuleBank.load(str(path))
         assert loaded.to_json() == synthetic_bank.to_json()
+
+    def test_save_writes_the_json_and_a_newline(self, synthetic_bank, tmp_path):
+        path = tmp_path / "rules.json"
+        synthetic_bank.save(str(path))
+        assert path.read_text(encoding="utf-8") == synthetic_bank.to_json() + "\n"
+        assert os.listdir(tmp_path) == ["rules.json"]
+
+    def test_failed_save_keeps_previous_file(self, synthetic_bank, tmp_path, disk_full):
+        path = tmp_path / "rules.json"
+        path.write_text("previous\n")
+        disk_full(100)
+        with pytest.raises(OSError):
+            synthetic_bank.save(str(path))
+        assert path.read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["rules.json"]
 
     def test_tampered_confidence_rejected(self, synthetic_bank):
         payload = json.loads(synthetic_bank.to_json())
