@@ -6,22 +6,26 @@ failure, 2 runtime failure, 3 transport failure.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
+import hashlib
 import json
 import os
 import sys
+import typing
 from datetime import datetime, timezone
 
 import click
 
 from .client import (
     ClientError,
+    GenParams,
     TransportError,
     generate_batch,
     parse_predictions,
     resolve_endpoint,
 )
-from .config import ConfigError, RunConfig, build_run_config, load_config_file
+from .config import ConfigError, RunConfig, build_run_config, load_config_file, stable_hash
 from .evaluation import (
     LLMPredictor,
     OraclePredictor,
@@ -30,16 +34,17 @@ from .evaluation import (
     build_filter_index,
     run_eval,
 )
-from .kg import Dataset, DatasetFormatError, DatasetSpec, load_dataset
-from .prompts import Prompt, build_prompt, export_finetune_set
+from .kg import SPLIT_FILES, Dataset, DatasetSpec, load_dataset
+from .prompts import FORMATS, ORDERS, Prompt, PromptConfig, build_prompt, export_finetune_set
 from .retrieval import (
+    RetrievalConfig,
     history_from_dict,
-    history_to_dict,
     query_to_dict,
     queries_from_split,
     retrieve_batch,
+    write_histories,
 )
-from .rules import RuleBank, learn_rules
+from .rules import MiningParams, RuleBank, learn_rules
 from .synthetic import SyntheticSpec, write_synthetic_dataset
 
 
@@ -53,102 +58,95 @@ def guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ConfigError, DatasetFormatError) as exc:
-            _abort(1, str(exc))
-        except ValueError as exc:
+        except ValueError as exc:  # ConfigError and DatasetFormatError among them
             _abort(1, str(exc))
         except TransportError as exc:
             _abort(3, str(exc))
-        except ClientError as exc:
-            _abort(2, str(exc))
-        except OSError as exc:
+        except (ClientError, OSError) as exc:
             _abort(2, str(exc))
 
     return wrapper
 
 
-def _dataset_options(fn):
-    fn = click.option("--dataset-dir", default=None, help="Dataset directory.")(fn)
-    fn = click.option(
-        "--dataset", "dataset_name", default=None,
-        help="Dataset name resolved under --data-root.",
-    )(fn)
-    fn = click.option("--data-root", default="data", show_default=True)(fn)
-    fn = click.option("--time-gap", type=int, default=None)(fn)
-    fn = click.option("--inverse/--no-inverse", default=None)(fn)
-    return fn
+def _stack(*options):
+    """One decorator applying `options` so that --help lists them in order."""
+
+    def decorate(fn):
+        for option in reversed(options):
+            fn = option(fn)
+        return fn
+
+    return decorate
 
 
-def _retrieval_options(fn):
-    fn = click.option("--window", type=int, default=None)(fn)
-    fn = click.option("--top-rules", type=int, default=None)(fn)
-    fn = click.option("--history-len", type=int, default=None)(fn)
-    fn = click.option("--stepwise/--no-stepwise", default=None)(fn)
-    return fn
+_config_options = _stack(
+    click.option("--config", "config_path", default=None),
+    click.option("--inverse/--no-inverse", default=None),
+    click.option("--time-gap", type=int, default=None),
+    click.option("--data-root", default="data", show_default=True),
+    click.option("--dataset", "dataset_name", default=None,
+                 help="Dataset name resolved under --data-root."),
+    click.option("--dataset-dir", default=None, help="Dataset directory."),
+)
+
+_eval_options = _stack(
+    _config_options,
+    click.option("--rules", "rules_path", required=True),
+    click.option("--predictor", type=click.Choice(["oracle", "llm"]), default="oracle",
+                 show_default=True),
+    click.option("--split", default="test", show_default=True),
+    click.option("--retrieval-splits", default="train,valid,test", show_default=True),
+    click.option("--filter-splits", default="train,valid,test", show_default=True),
+    click.option("--endpoint", default=None),
+)
+
+_FLAG_NAMES = {"max_history": "--history-len"}
+_CHOICES = {"format": FORMATS, "order": ORDERS}
 
 
-def _prompt_options(fn):
-    fn = click.option("--format", "fmt", type=click.Choice(["index", "lexical"]), default=None)(fn)
-    fn = click.option(
-        "--order",
-        type=click.Choice(["ascending", "descending", "random", "timestamps-removed"]),
-        default=None,
-    )(fn)
-    fn = click.option("--order-seed", type=int, default=None)(fn)
-    fn = click.option("--max-facts", type=int, default=None)(fn)
-    fn = click.option("--instruction", default=None)(fn)
-    fn = click.option("--char-budget", type=int, default=None)(fn)
-    return fn
+def _section_options(cls):
+    """One override flag per field of a config section, named after the
+    field and defaulting to None (not set). Fields are applied in order, so
+    --help lists them last field first."""
+    hints = typing.get_type_hints(cls)
+
+    def decorate(fn):
+        for field in dataclasses.fields(cls):
+            flag = _FLAG_NAMES.get(field.name, "--" + field.name.replace("_", "-"))
+            kind = (typing.get_args(hints[field.name]) or (hints[field.name],))[0]
+            if kind is bool:
+                flag += f"/--no-{flag[2:]}"
+            elif field.name in _CHOICES:
+                kind = click.Choice(_CHOICES[field.name])
+            fn = click.option(flag, field.name, type=kind, default=None)(fn)
+        return fn
+
+    return decorate
 
 
-def _generation_options(fn):
-    fn = click.option("--max-new-tokens", type=int, default=None)(fn)
-    fn = click.option("--num-sequences", type=int, default=None)(fn)
-    fn = click.option("--temperature", type=float, default=None)(fn)
-    fn = click.option("--timeout", type=float, default=None)(fn)
-    fn = click.option("--retries", type=int, default=None)(fn)
-    fn = click.option("--backoff", type=float, default=None)(fn)
-    fn = click.option("--in-flight", type=int, default=None)(fn)
-    return fn
+def _split_names(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(","))
 
 
-def _resolve_dir(dataset_dir, dataset_name, data_root):
-    if dataset_dir:
-        return dataset_dir
-    if dataset_name:
-        return os.path.join(data_root, dataset_name)
-    return None
-
-
-def _config(
-    config_path,
-    dataset_dir=None,
-    dataset_name=None,
-    data_root="data",
-    time_gap=None,
-    inverse=None,
-    mining=None,
-    retrieval=None,
-    prompt=None,
-    generation=None,
-    endpoint=None,
-    seed=None,
-) -> RunConfig:
-    payload = load_config_file(config_path) if config_path else {}
+def _config(options: dict, endpoint=None, seed=None, **sections) -> RunConfig:
+    """The --config file overridden by the dataset options and by the flags
+    of each given section (name=config class). Every option used is popped
+    from the command's `options`."""
+    config_path = options.pop("config_path")
+    dataset_dir = options.pop("dataset_dir")
+    dataset_name = options.pop("dataset_name")
+    data_root = options.pop("data_root")
     overrides = {
-        "dataset": {
-            "dir": _resolve_dir(dataset_dir, dataset_name, data_root),
-            "time_gap": time_gap,
-            "inverse": inverse,
-        },
-        "mining": mining or {},
-        "retrieval": retrieval or {},
-        "prompt": prompt or {},
-        "generation": generation or {},
-        "endpoint": endpoint,
-        "seed": seed,
+        name: {field.name: options.pop(field.name, None) for field in dataclasses.fields(cls)}
+        for name, cls in sections.items()
     }
-    return build_run_config(payload, overrides)
+    overrides["dataset"] = {
+        "dir": dataset_dir or (os.path.join(data_root, dataset_name) if dataset_name else None),
+        "time_gap": options.pop("time_gap"),
+        "inverse": options.pop("inverse"),
+    }
+    payload = load_config_file(config_path) if config_path else {}
+    return build_run_config(payload, {**overrides, "endpoint": endpoint, "seed": seed})
 
 
 def _load_data(config: RunConfig) -> Dataset:
@@ -156,6 +154,53 @@ def _load_data(config: RunConfig) -> Dataset:
         raise ConfigError("dataset.dir: no dataset directory given")
     spec = DatasetSpec(time_gap=config.dataset.time_gap, inverse=config.dataset.inverse)
     return load_dataset(config.dataset.dir, spec)
+
+
+def _dataset_digest(dataset: Dataset) -> str:
+    """sha256 of the vocabularies and of every split's edges as loaded."""
+    sizes = [len(dataset.split(name)) for name in SPLIT_FILES]
+    digest = hashlib.sha256(json.dumps([dataset.entities, dataset.relations, sizes]).encode())
+    for name in SPLIT_FILES:
+        kg = dataset.split(name)
+        for column in (kg.sub, kg.rel, kg.obj, kg.ts):
+            digest.update(column.tobytes())
+    return digest.hexdigest()
+
+
+def _load_eval(options: dict, **sections):
+    """What an eval or ablate run loads once, from the shared eval options
+    (popped from `options`): the run config, the manifest entries, and the
+    retrieval graph, rule bank, queries, filter index and predictor. The
+    manifest entries hold content digests of the rule bank and the dataset,
+    which `_fingerprint` folds into the run's fingerprint."""
+    rules_path = options.pop("rules_path")
+    predictor = options.pop("predictor")
+    split = options.pop("split")
+    retrieval_splits = _split_names(options.pop("retrieval_splits"))
+    filter_splits = _split_names(options.pop("filter_splits"))
+    endpoint = options.pop("endpoint")
+    config = _config(options, endpoint=endpoint, retrieval=RetrievalConfig,
+                     generation=GenParams, **sections)
+    dataset = _load_data(config)
+    bank = RuleBank.load(rules_path)
+    kg = dataset.union_kg(retrieval_splits)
+    queries = queries_from_split(dataset, split)
+    filter_index = build_filter_index(dataset, filter_splits)
+    if predictor == "oracle":
+        engine = OraclePredictor(bank)
+    else:
+        engine = LLMPredictor(kg, resolve_endpoint(config.endpoint), config.generation)
+    inputs = {
+        "rules": hashlib.sha256(bank.to_json().encode()).hexdigest(),
+        "dataset": _dataset_digest(dataset),
+    }
+    manifest = {"inputs": inputs, "split": split, "predictor": predictor}
+    return config, manifest, kg, bank, queries, filter_index, engine
+
+
+def _fingerprint(config: RunConfig, inputs: dict) -> str:
+    """A journal resumes only under the same config and input contents."""
+    return stable_hash({"config": config.as_dict(), "inputs": inputs})
 
 
 def _write_manifest(path: str, command: str, config: RunConfig, extra: dict | None = None):
@@ -183,29 +228,18 @@ def main():
 
 @main.command()
 @click.option("--out", required=True, help="Directory to create the dataset in.")
-@click.option("--entities", type=int, default=None)
-@click.option("--noise-relations", type=int, default=None)
-@click.option("--body-events", type=int, default=None)
-@click.option("--noise-events", type=int, default=None)
+@click.option("--entities", "n_entities", type=int, default=None)
+@click.option("--noise-relations", "n_noise_relations", type=int, default=None)
+@click.option("--body-events", "n_body_events", type=int, default=None)
+@click.option("--noise-events", "n_noise_events", type=int, default=None)
 @click.option("--follow-prob", type=float, default=None)
 @click.option("--t-span", type=int, default=None)
 @click.option("--planted-entities", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @guarded
-def synth(out, entities, noise_relations, body_events, noise_events, follow_prob,
-          t_span, planted_entities, seed):
+def synth(out, **fields):
     """Generate a synthetic dataset with one planted temporal implication."""
-    kwargs = {
-        "n_entities": entities,
-        "n_noise_relations": noise_relations,
-        "n_body_events": body_events,
-        "n_noise_events": noise_events,
-        "follow_prob": follow_prob,
-        "t_span": t_span,
-        "planted_entities": planted_entities,
-        "seed": seed,
-    }
-    spec = SyntheticSpec(**{k: v for k, v in kwargs.items() if v is not None})
+    spec = SyntheticSpec(**{k: v for k, v in fields.items() if v is not None})
     truth = write_synthetic_dataset(out, spec)
     click.echo(
         f"wrote {truth['n_events']} events to {out} "
@@ -214,9 +248,8 @@ def synth(out, entities, noise_relations, body_events, noise_events, follow_prob
 
 
 @main.command()
-@click.option("--config", "config_path", default=None)
-@_dataset_options
-@click.option("--walks", type=int, default=None)
+@_config_options
+@click.option("--walks", "num_walks", type=int, default=None)
 @click.option("--min-body-support", type=int, default=None)
 @click.option("--grounding-cap", type=int, default=None)
 @click.option("--seed", type=int, default=None)
@@ -225,20 +258,11 @@ def synth(out, entities, noise_relations, body_events, noise_events, follow_prob
               help="Comma-separated splits the mining graph merges.")
 @click.option("--out", default="rules.json", show_default=True)
 @guarded
-def mine(config_path, dataset_dir, dataset_name, data_root, time_gap, inverse,
-         walks, min_body_support, grounding_cap, seed, workers, mine_splits, out):
+def mine(workers, mine_splits, out, **options):
     """Mine temporal rules from the training split."""
-    config = _config(
-        config_path, dataset_dir, dataset_name, data_root, time_gap, inverse,
-        mining={
-            "num_walks": walks,
-            "min_body_support": min_body_support,
-            "grounding_cap": grounding_cap,
-            "seed": seed,
-        },
-    )
+    config = _config(options, mining=MiningParams)
     dataset = _load_data(config)
-    kg = dataset.union_kg(tuple(s.strip() for s in mine_splits.split(",")))
+    kg = dataset.union_kg(_split_names(mine_splits))
     bank = learn_rules(kg, config.mining, workers=workers)
     _ensure_parent(out)
     bank.save(out)
@@ -247,64 +271,39 @@ def mine(config_path, dataset_dir, dataset_name, data_root, time_gap, inverse,
 
 
 @main.command()
-@click.option("--config", "config_path", default=None)
-@_dataset_options
+@_config_options
 @click.option("--rules", "rules_path", required=True)
 @click.option("--split", default="test", show_default=True)
 @click.option("--retrieval-splits", default="train,valid,test", show_default=True,
               help="Comma-separated splits the retrieval graph merges.")
-@_retrieval_options
+@_section_options(RetrievalConfig)
 @click.option("--out", default="histories.jsonl", show_default=True)
 @guarded
-def retrieve(config_path, dataset_dir, dataset_name, data_root, time_gap, inverse,
-             rules_path, split, retrieval_splits, window, top_rules, history_len,
-             stepwise, out):
+def retrieve(rules_path, split, retrieval_splits, out, **options):
     """Retrieve rule-guided histories for a split's queries."""
-    config = _config(
-        config_path, dataset_dir, dataset_name, data_root, time_gap, inverse,
-        retrieval={
-            "window": window,
-            "top_rules": top_rules,
-            "max_history": history_len,
-            "stepwise": stepwise,
-        },
-    )
+    config = _config(options, retrieval=RetrievalConfig)
     dataset = _load_data(config)
     bank = RuleBank.load(rules_path)
-    kg = dataset.union_kg(tuple(s.strip() for s in retrieval_splits.split(",")))
+    kg = dataset.union_kg(_split_names(retrieval_splits))
     queries = queries_from_split(dataset, split)
     histories = retrieve_batch(kg, bank, queries, config.retrieval)
     _ensure_parent(out)
     with open(out, "w", encoding="utf-8") as fh:
-        for history in histories:
-            fh.write(json.dumps(history_to_dict(history)) + "\n")
+        count = write_histories(histories, fh)
     _write_manifest(out + ".manifest.json", "retrieve", config,
                     {"split": split, "n_queries": len(queries)})
-    click.echo(f"retrieved {len(histories)} histories -> {out}")
+    click.echo(f"retrieved {count} histories -> {out}")
 
 
 @main.command(name="prompt")
-@click.option("--config", "config_path", default=None)
-@_dataset_options
+@_config_options
 @click.option("--histories", "histories_path", required=True)
-@_prompt_options
+@_section_options(PromptConfig)
 @click.option("--out", default="prompts.jsonl", show_default=True)
 @guarded
-def prompt_cmd(config_path, dataset_dir, dataset_name, data_root, time_gap, inverse,
-               histories_path, fmt, order, order_seed, max_facts, instruction,
-               char_budget, out):
+def prompt_cmd(histories_path, out, **options):
     """Render retrieved histories into prompts."""
-    config = _config(
-        config_path, dataset_dir, dataset_name, data_root, time_gap, inverse,
-        prompt={
-            "format": fmt,
-            "order": order,
-            "order_seed": order_seed,
-            "max_facts": max_facts,
-            "instruction": instruction,
-            "char_budget": char_budget,
-        },
-    )
+    config = _config(options, prompt=PromptConfig)
     dataset = _load_data(config)
     kg = dataset.train
     _ensure_parent(out)
@@ -333,37 +332,17 @@ def prompt_cmd(config_path, dataset_dir, dataset_name, data_root, time_gap, inve
 
 
 @main.command()
-@click.option("--config", "config_path", default=None)
-@_dataset_options
+@_config_options
 @click.option("--rules", "rules_path", required=True)
 @click.option("--k", type=int, required=True, help="Number of samples to export.")
 @click.option("--seed", type=int, default=None)
-@_retrieval_options
-@_prompt_options
+@_section_options(RetrievalConfig)
+@_section_options(PromptConfig)
 @click.option("--out", default="finetune.jsonl", show_default=True)
 @guarded
-def export(config_path, dataset_dir, dataset_name, data_root, time_gap, inverse,
-           rules_path, k, seed, window, top_rules, history_len, stepwise,
-           fmt, order, order_seed, max_facts, instruction, char_budget, out):
+def export(rules_path, k, seed, out, **options):
     """Export an instruction-tuning dataset sampled from the training split."""
-    config = _config(
-        config_path, dataset_dir, dataset_name, data_root, time_gap, inverse,
-        retrieval={
-            "window": window,
-            "top_rules": top_rules,
-            "max_history": history_len,
-            "stepwise": stepwise,
-        },
-        prompt={
-            "format": fmt,
-            "order": order,
-            "order_seed": order_seed,
-            "max_facts": max_facts,
-            "instruction": instruction,
-            "char_budget": char_budget,
-        },
-        seed=seed,
-    )
+    config = _config(options, seed=seed, retrieval=RetrievalConfig, prompt=PromptConfig)
     dataset = _load_data(config)
     bank = RuleBank.load(rules_path)
     _ensure_parent(out)
@@ -375,30 +354,15 @@ def export(config_path, dataset_dir, dataset_name, data_root, time_gap, inverse,
 
 
 @main.command()
-@click.option("--config", "config_path", default=None)
-@_dataset_options
+@_config_options
 @click.option("--prompts", "prompts_path", required=True)
 @click.option("--endpoint", default=None, help="Completion endpoint URL (or TKGRAG_ENDPOINT).")
-@_generation_options
+@_section_options(GenParams)
 @click.option("--out", default="predictions.jsonl", show_default=True)
 @guarded
-def infer(config_path, dataset_dir, dataset_name, data_root, time_gap, inverse,
-          prompts_path, endpoint, max_new_tokens, num_sequences, temperature,
-          timeout, retries, backoff, in_flight, out):
+def infer(prompts_path, endpoint, out, **options):
     """Send rendered prompts to the completion endpoint and parse predictions."""
-    config = _config(
-        config_path, dataset_dir, dataset_name, data_root, time_gap, inverse,
-        generation={
-            "max_new_tokens": max_new_tokens,
-            "num_sequences": num_sequences,
-            "temperature": temperature,
-            "timeout": timeout,
-            "retries": retries,
-            "backoff": backoff,
-            "in_flight": in_flight,
-        },
-        endpoint=endpoint,
-    )
+    config = _config(options, endpoint=endpoint, generation=GenParams)
     dataset = _load_data(config)
     kg = dataset.train
     url = resolve_endpoint(config.endpoint)
@@ -438,180 +402,78 @@ def infer(config_path, dataset_dir, dataset_name, data_root, time_gap, inverse,
 
 
 @main.command(name="eval")
-@click.option("--config", "config_path", default=None)
-@_dataset_options
-@click.option("--rules", "rules_path", required=True)
-@click.option("--predictor", type=click.Choice(["oracle", "llm"]), default="oracle",
-              show_default=True)
-@click.option("--split", default="test", show_default=True)
-@click.option("--retrieval-splits", default="train,valid,test", show_default=True)
-@click.option("--filter-splits", default="train,valid,test", show_default=True)
-@click.option("--endpoint", default=None)
+@_eval_options
 @click.option("--seeds", default=None,
               help="Comma-separated run seeds; multiple seeds report the "
                    "mean and half-range across runs.")
-@_retrieval_options
-@_prompt_options
-@_generation_options
+@_section_options(RetrievalConfig)
+@_section_options(PromptConfig)
+@_section_options(GenParams)
 @click.option("--out-dir", default="runs/eval", show_default=True)
 @guarded
-def eval_cmd(config_path, dataset_dir, dataset_name, data_root, time_gap, inverse,
-             rules_path, predictor, split, retrieval_splits, filter_splits, endpoint,
-             seeds, window, top_rules, history_len, stepwise,
-             fmt, order, order_seed, max_facts, instruction, char_budget,
-             max_new_tokens, num_sequences, temperature, timeout, retries, backoff,
-             in_flight, out_dir):
+def eval_cmd(seeds, out_dir, **options):
     """Run time-aware filtered Hits@1/3/10 evaluation on a split."""
     seed_list = [int(s) for s in seeds.split(",")] if seeds else [None]
+    config, manifest, kg, bank, queries, filter_index, engine = _load_eval(
+        options, prompt=PromptConfig
+    )
     reports = []
-    config = None
-    for run_seed in seed_list:
-        config = _config(
-            config_path, dataset_dir, dataset_name, data_root, time_gap, inverse,
-            retrieval={
-                "window": window,
-                "top_rules": top_rules,
-                "max_history": history_len,
-                "stepwise": stepwise,
-            },
-            prompt={
-                "format": fmt,
-                "order": order,
-                "order_seed": order_seed,
-                "max_facts": max_facts,
-                "instruction": instruction,
-                "char_budget": char_budget,
-            },
-            generation={
-                "max_new_tokens": max_new_tokens,
-                "num_sequences": num_sequences,
-                "temperature": temperature,
-                "timeout": timeout,
-                "retries": retries,
-                "backoff": backoff,
-                "in_flight": in_flight,
-            },
-            endpoint=endpoint,
-            seed=run_seed,
-        )
-        dataset = _load_data(config)
-        bank = RuleBank.load(rules_path)
-        kg = dataset.union_kg(tuple(s.strip() for s in retrieval_splits.split(",")))
-        queries = queries_from_split(dataset, split)
-        filter_index = build_filter_index(
-            dataset, tuple(s.strip() for s in filter_splits.split(","))
-        )
-        if predictor == "oracle":
-            engine = OraclePredictor(bank)
-        else:
-            engine = LLMPredictor(kg, resolve_endpoint(config.endpoint),
-                                  config.generation)
+    for seed in seed_list:
+        run_config = config if seed is None else dataclasses.replace(config, seed=seed)
         run_dir = out_dir if len(seed_list) == 1 else os.path.join(
-            out_dir, f"seed-{config.seed}"
+            out_dir, f"seed-{run_config.seed}"
         )
         os.makedirs(run_dir, exist_ok=True)
+        fingerprint = _fingerprint(run_config, manifest["inputs"])
         report, _records = run_eval(
-            kg, bank, queries, engine, config.retrieval, config.prompt, filter_index,
-            out_dir=run_dir, fingerprint=config.fingerprint,
+            kg, bank, queries, engine, run_config.retrieval, run_config.prompt, filter_index,
+            out_dir=run_dir, fingerprint=fingerprint,
         )
-        _write_manifest(os.path.join(run_dir, "manifest.json"), "eval", config,
-                        {"split": split, "predictor": predictor})
+        _write_manifest(os.path.join(run_dir, "manifest.json"), "eval", run_config,
+                        {"fingerprint": fingerprint, **manifest})
         reports.append(report)
 
-    for k, values in (("1", [r.hits1 for r in reports]),
-                      ("3", [r.hits3 for r in reports]),
-                      ("10", [r.hits10 for r in reports])):
-        mean = sum(values) / len(values)
-        if len(values) == 1:
-            click.echo(f"hits@{k}\t{mean:.4f}")
-        else:
-            half_range = (max(values) - min(values)) / 2
-            click.echo(f"hits@{k}\t{mean:.4f} ± {half_range:.4f}")
+    hits = {}
+    for k in ("1", "3", "10"):
+        values = [getattr(r, f"hits{k}") for r in reports]
+        hits[k] = {
+            "mean": sum(values) / len(values),
+            "half_range": (max(values) - min(values)) / 2,
+            "per_seed": values,
+        }
+        spread = f" ± {hits[k]['half_range']:.4f}" if len(reports) > 1 else ""
+        click.echo(f"hits@{k}\t{hits[k]['mean']:.4f}{spread}")
     click.echo(f"n_queries\t{reports[0].n_queries}\n"
                f"n_unparsed\t{reports[0].n_unparsed}")
     if len(reports) > 1:
-        summary = {
-            "seeds": [int(s) for s in seed_list],
-            "hits": {
-                k: {
-                    "mean": sum(v) / len(v),
-                    "half_range": (max(v) - min(v)) / 2,
-                    "per_seed": v,
-                }
-                for k, v in (("1", [r.hits1 for r in reports]),
-                             ("3", [r.hits3 for r in reports]),
-                             ("10", [r.hits10 for r in reports]))
-            },
-        }
-        os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2)
+            json.dump({"seeds": seed_list, "hits": hits}, fh, indent=2)
             fh.write("\n")
 
 
 @main.command()
-@click.option("--config", "config_path", default=None)
-@_dataset_options
-@click.option("--rules", "rules_path", required=True)
-@click.option("--predictor", type=click.Choice(["oracle", "llm"]), default="oracle",
-              show_default=True)
-@click.option("--split", default="test", show_default=True)
-@click.option("--retrieval-splits", default="train,valid,test", show_default=True)
-@click.option("--filter-splits", default="train,valid,test", show_default=True)
-@click.option("--endpoint", default=None)
+@_eval_options
 @click.option("--orders", default="ascending", show_default=True)
 @click.option("--lengths", default="50", show_default=True)
 @click.option("--formats", default="index", show_default=True)
-@_retrieval_options
-@_generation_options
+@_section_options(RetrievalConfig)
+@_section_options(GenParams)
 @click.option("--out-dir", default="runs/ablation", show_default=True)
 @guarded
-def ablate(config_path, dataset_dir, dataset_name, data_root, time_gap, inverse,
-           rules_path, predictor, split, retrieval_splits, filter_splits, endpoint,
-           orders, lengths, formats, window, top_rules, history_len, stepwise,
-           max_new_tokens, num_sequences, temperature, timeout, retries, backoff,
-           in_flight, out_dir):
+def ablate(orders, lengths, formats, out_dir, **options):
     """Evaluate a grid of prompt order, history length, and format configs."""
-    config = _config(
-        config_path, dataset_dir, dataset_name, data_root, time_gap, inverse,
-        retrieval={
-            "window": window,
-            "top_rules": top_rules,
-            "max_history": history_len,
-            "stepwise": stepwise,
-        },
-        generation={
-            "max_new_tokens": max_new_tokens,
-            "num_sequences": num_sequences,
-            "temperature": temperature,
-            "timeout": timeout,
-            "retries": retries,
-            "backoff": backoff,
-            "in_flight": in_flight,
-        },
-        endpoint=endpoint,
-    )
-    dataset = _load_data(config)
-    bank = RuleBank.load(rules_path)
-    kg = dataset.union_kg(tuple(s.strip() for s in retrieval_splits.split(",")))
-    queries = queries_from_split(dataset, split)
-    filter_index = build_filter_index(
-        dataset, tuple(s.strip() for s in filter_splits.split(","))
-    )
-    if predictor == "oracle":
-        engine = OraclePredictor(bank)
-    else:
-        engine = LLMPredictor(kg, resolve_endpoint(config.endpoint), config.generation)
+    config, manifest, kg, bank, queries, filter_index, engine = _load_eval(options)
+    fingerprint = _fingerprint(config, manifest["inputs"])
     cells = ablation_run(
         kg, bank, queries,
-        orders=[o.strip() for o in orders.split(",")],
+        orders=_split_names(orders),
         history_lengths=[int(n) for n in lengths.split(",")],
-        formats=[f.strip() for f in formats.split(",")],
+        formats=_split_names(formats),
         predictor=engine,
         retrieval_cfg=config.retrieval,
         filter_index=filter_index,
         base_prompt_cfg=config.prompt,
-        fingerprint=config.fingerprint,
+        fingerprint=fingerprint,
     )
     os.makedirs(out_dir, exist_ok=True)
     summary = ablation_summary(cells)
@@ -633,7 +495,7 @@ def ablate(config_path, dataset_dir, dataset_name, data_root, time_gap, inverse,
         )
         fh.write("\n")
     _write_manifest(os.path.join(out_dir, "manifest.json"), "ablate", config,
-                    {"split": split, "predictor": predictor, "n_cells": len(cells)})
+                    {"fingerprint": fingerprint, **manifest, "n_cells": len(cells)})
     click.echo(summary, nl=False)
 
 

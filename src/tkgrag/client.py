@@ -65,17 +65,6 @@ class GenParams:
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
 
-    def as_dict(self) -> dict:
-        return {
-            "max_new_tokens": self.max_new_tokens,
-            "num_sequences": self.num_sequences,
-            "temperature": self.temperature,
-            "timeout": self.timeout,
-            "retries": self.retries,
-            "backoff": self.backoff,
-            "in_flight": self.in_flight,
-        }
-
 
 @dataclass(frozen=True)
 class PredictionList:

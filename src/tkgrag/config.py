@@ -33,9 +33,6 @@ class DatasetConfig:
         if self.time_gap < 1:
             raise ValueError("time_gap must be >= 1")
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 _SECTIONS = {
     "dataset": DatasetConfig,
@@ -58,15 +55,7 @@ class RunConfig:
     seed: int = 1
 
     def as_dict(self) -> dict:
-        return {
-            "dataset": self.dataset.as_dict(),
-            "mining": self.mining.as_dict(),
-            "retrieval": self.retrieval.as_dict(),
-            "prompt": self.prompt.as_dict(),
-            "generation": self.generation.as_dict(),
-            "endpoint": self.endpoint,
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
     @property
     def fingerprint(self) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Protocol, Sequence
 
 from .client import PredictionList, rule_score_predict
@@ -183,6 +183,26 @@ def _score_one(
     )
 
 
+def _score_histories(
+    histories: Sequence[RetrievedHistory],
+    predictor: Predictor,
+    prompt_cfg: PromptConfig,
+    filter_index: FilterIndex,
+    kg: TemporalKG,
+    fingerprint: str,
+) -> list[EvalRecord]:
+    """Prompt, predict (one batch), filter and rank each retrieved history."""
+    items = []
+    for history in histories:
+        selected = select_history(history, prompt_cfg)
+        items.append((history.query, selected, build_prompt(selected, prompt_cfg, kg)))
+    predictions = predictor.predict_batch(items)
+    return [
+        _score_one(history.query, prediction, filter_index, fingerprint)
+        for history, prediction in zip(histories, predictions)
+    ]
+
+
 def _load_journal(path: str, fingerprint: str) -> dict[int, EvalRecord]:
     """Records of an earlier run. A record is complete once its newline is
     written; a final line without one is what a killed append leaves behind,
@@ -245,15 +265,11 @@ def run_eval(
     try:
         for start in range(0, len(pending), chunk_size):
             chunk = pending[start : start + chunk_size]
-            items = []
-            for i in chunk:
-                history = retrieve(kg, bank, queries[i], retrieval_cfg)
-                selected = select_history(history, prompt_cfg)
-                prompt = build_prompt(selected, prompt_cfg, kg)
-                items.append((queries[i], selected, prompt))
-            predictions = predictor.predict_batch(items)
-            for i, (query, _history, _prompt), prediction in zip(chunk, items, predictions):
-                record = _score_one(query, prediction, filter_index or {}, fingerprint)
+            histories = [retrieve(kg, bank, queries[i], retrieval_cfg) for i in chunk]
+            records = _score_histories(
+                histories, predictor, prompt_cfg, filter_index or {}, kg, fingerprint
+            )
+            for i, record in zip(chunk, records):
                 completed[i] = record
                 if journal:
                     journal.write(json.dumps({"index": i, **record.as_dict()}) + "\n")
@@ -270,29 +286,6 @@ def run_eval(
             json.dump(report.as_dict(), fh, indent=2)
             fh.write("\n")
     return report, records
-
-
-def evaluate_histories(
-    histories: Sequence[RetrievedHistory],
-    predictor: Predictor,
-    prompt_cfg: PromptConfig,
-    filter_index: FilterIndex,
-    kg: TemporalKG,
-    fingerprint: str = "",
-) -> tuple[EvalReport, list[EvalRecord]]:
-    """Evaluation core over pre-retrieved histories (shared by ablation cells)."""
-    if not histories:
-        raise ValueError("empty evaluation set")
-    items = []
-    for history in histories:
-        selected = select_history(history, prompt_cfg)
-        items.append((history.query, selected, build_prompt(selected, prompt_cfg, kg)))
-    predictions = predictor.predict_batch(items)
-    records = [
-        _score_one(query, prediction, filter_index, fingerprint)
-        for (query, _history, _prompt), prediction in zip(items, predictions)
-    ]
-    return report_from_records(records, fingerprint), records
 
 
 @dataclass(frozen=True)
@@ -318,6 +311,8 @@ def ablation_run(
 ) -> list[AblationCell]:
     """One report per (order, history length, format) cell. Retrieval runs
     once per query and is shared across all cells."""
+    if not queries:
+        raise ValueError("empty evaluation set")
     if not orders or not history_lengths or not formats:
         raise ValueError("empty ablation grid")
     bad = [n for n in history_lengths if n not in ABLATION_HISTORY_LENGTHS]
@@ -333,18 +328,12 @@ def ablation_run(
     for order in orders:
         for length in history_lengths:
             for fmt in formats:
-                cfg = PromptConfig(
-                    format=fmt,
-                    order=order,
-                    order_seed=base_prompt_cfg.order_seed,
-                    max_facts=length,
-                    instruction=base_prompt_cfg.instruction,
-                    char_budget=base_prompt_cfg.char_budget,
-                )
+                cfg = replace(base_prompt_cfg, format=fmt, order=order, max_facts=length)
                 cell_tag = f"{fingerprint}/{order}/{length}/{fmt}" if fingerprint else ""
-                report, _ = evaluate_histories(
+                records = _score_histories(
                     histories, predictor, cfg, filter_index or {}, kg, cell_tag
                 )
+                report = report_from_records(records, cell_tag)
                 cells.append(AblationCell(order, length, fmt, report))
     return cells
 

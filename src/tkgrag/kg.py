@@ -39,16 +39,6 @@ class DatasetStats:
     n_relations: int
     time_gap: int
 
-    def as_dict(self) -> dict:
-        return {
-            "n_train": self.n_train,
-            "n_valid": self.n_valid,
-            "n_test": self.n_test,
-            "n_entities": self.n_entities,
-            "n_relations": self.n_relations,
-            "time_gap": self.time_gap,
-        }
-
 
 class TemporalKG:
     """Immutable store of quadruples with per-(subject,relation) and per-relation
@@ -435,14 +425,16 @@ def load_dataset(directory: str, spec: DatasetSpec = DatasetSpec()) -> Dataset:
         entities = list(interned_entities)
         relations = list(interned_relations)
 
-    all_raw_ts = [t for rows in raw_rows.values() for (_, _, _, t) in rows]
-    origin = min(all_raw_ts)
-    for rows in raw_rows.values():
-        for (_, _, _, raw_t) in rows:
-            if raw_t % spec.time_gap != 0:
-                raise DatasetFormatError(
-                    f"timestamp {raw_t} is not divisible by time gap {spec.time_gap}"
-                )
+    arrays = {
+        split: np.array(rows, dtype=np.int64).reshape(-1, 4) for split, rows in raw_rows.items()
+    }
+    all_raw_ts = np.concatenate([arr[:, 3] for arr in arrays.values()])
+    origin = int(all_raw_ts.min())
+    off_gap = np.flatnonzero(all_raw_ts % spec.time_gap)
+    if len(off_gap):
+        raise DatasetFormatError(
+            f"timestamp {all_raw_ts[off_gap[0]]} is not divisible by time gap {spec.time_gap}"
+        )
 
     num_base = len(relations)
     if spec.inverse:
@@ -450,19 +442,14 @@ def load_dataset(directory: str, spec: DatasetSpec = DatasetSpec()) -> Dataset:
 
     splits: dict[str, TemporalKG] = {}
     duplicates = 0
-    for split, rows in raw_rows.items():
-        normalized = {(s, r, o, (raw_t - origin) // spec.time_gap) for s, r, o, raw_t in rows}
-        duplicates += len(rows) - len(normalized)
-        quads = set(normalized)
+    for split, quads in arrays.items():
+        quads[:, 3] = (quads[:, 3] - origin) // spec.time_gap
         if spec.inverse:
-            quads |= {(o, r + num_base, s, t) for s, r, o, t in normalized}
-        kg = TemporalKG(entities, relations, quads, num_base)
-        splits[split] = kg
+            quads = np.concatenate((quads, quads[:, [2, 1, 0, 3]] + (0, num_base, 0, 0)))
+        splits[split] = TemporalKG(entities, relations, quads, num_base)
+        duplicates += len(raw_rows[split]) - _base_edge_count(splits[split])
 
-    dataset = Dataset(
-        entities, relations, num_base, splits, spec.time_gap, origin, duplicates
-    )
-    return dataset
+    return Dataset(entities, relations, num_base, splits, spec.time_gap, origin, duplicates)
 
 
 def save_dataset(dataset: Dataset, directory: str) -> None:

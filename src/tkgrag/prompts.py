@@ -53,9 +53,6 @@ class PromptConfig:
         if self.char_budget < 1:
             raise ValueError("char_budget must be >= 1")
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass(frozen=True)
 class Prompt:
@@ -218,10 +215,10 @@ def export_finetune_set(
         "k": k,
         "seed": seed,
         "n_samples": len(indices),
-        "retrieval": retrieval_cfg.as_dict(),
-        "prompt": prompt_cfg.as_dict(),
-        "mining_params": bank.params.as_dict(),
-        "dataset_stats": dataset.stats().as_dict(),
+        "retrieval": dataclasses.asdict(retrieval_cfg),
+        "prompt": dataclasses.asdict(prompt_cfg),
+        "mining_params": dataclasses.asdict(bank.params),
+        "dataset_stats": dataclasses.asdict(dataset.stats()),
         "over_char_budget": over_budget,
         "output": os.path.basename(out_path),
     }

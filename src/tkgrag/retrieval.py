@@ -46,14 +46,6 @@ class RetrievalConfig:
         if self.max_history < 1:
             raise ValueError("max_history must be >= 1")
 
-    def as_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "top_rules": self.top_rules,
-            "max_history": self.max_history,
-            "stepwise": self.stepwise,
-        }
-
 
 @dataclass(frozen=True)
 class Provenance:

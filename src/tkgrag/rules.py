@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,15 +36,6 @@ class MiningParams:
             raise ValueError("min_body_support must be >= 1")
         if self.grounding_cap < 1:
             raise ValueError("grounding_cap must be >= 1")
-
-    def as_dict(self) -> dict:
-        return {
-            "num_walks": self.num_walks,
-            "rule_length": self.rule_length,
-            "min_body_support": self.min_body_support,
-            "grounding_cap": self.grounding_cap,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -84,7 +75,7 @@ class RuleBank:
 
     def to_json(self) -> str:
         payload = {
-            "params": self.params.as_dict(),
+            "params": asdict(self.params),
             "rules": [
                 {
                     "head": rule.head_relation,

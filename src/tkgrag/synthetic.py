@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,18 +53,6 @@ class SyntheticSpec:
     @property
     def train_boundary(self) -> int:
         return (self.body_horizon * 4) // 5
-
-    def as_dict(self) -> dict:
-        return {
-            "n_entities": self.n_entities,
-            "n_noise_relations": self.n_noise_relations,
-            "n_body_events": self.n_body_events,
-            "n_noise_events": self.n_noise_events,
-            "follow_prob": self.follow_prob,
-            "t_span": self.t_span,
-            "planted_entities": self.planted_entities,
-            "seed": self.seed,
-        }
 
 
 def generate_events(spec: SyntheticSpec) -> list[tuple[int, int, int, int]]:
@@ -180,7 +168,7 @@ def write_synthetic_dataset(directory: str, spec: SyntheticSpec = SyntheticSpec(
                 fh.write(f"{s}\t{r}\t{o}\t{t}\n")
 
     ground_truth = {
-        "spec": spec.as_dict(),
+        "spec": asdict(spec),
         "body_relation": BODY_RELATION,
         "head_relation": HEAD_RELATION,
         "n_events": len(events),

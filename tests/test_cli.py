@@ -1,9 +1,13 @@
 import json
+import shutil
 
+import click
 import pytest
 from click.testing import CliRunner
 
 from tkgrag.cli import main
+from tkgrag.config import build_run_config
+from tkgrag.prompts import DEFAULT_INSTRUCTION
 
 from test_client import StubEndpoint
 
@@ -254,3 +258,222 @@ class TestValidationAndExitCodes:
             "--out", str(tmp_path / "x.jsonl"),
         ])
         assert result.exit_code == 3
+
+
+def describe_option(param) -> str:
+    """One line per option: names, type or choices, default, required, help."""
+    kind = param.type
+    line = "/".join(param.opts + param.secondary_opts) + " " + (
+        "|".join(kind.choices) if isinstance(kind, click.Choice) else kind.name
+    )
+    if param.required:
+        line += " required"
+    elif param.default is not None:
+        line += f" default={param.default!r}"
+    if param.show_default:
+        line += " (shown)"
+    if param.help:
+        line += f" help={param.help!r}"
+    return line
+
+
+DATASET_OPTIONS = [
+    "--config text",
+    "--inverse/--no-inverse boolean",
+    "--time-gap integer",
+    "--data-root text default='data' (shown)",
+    "--dataset text help='Dataset name resolved under --data-root.'",
+    "--dataset-dir text help='Dataset directory.'",
+]
+RETRIEVAL_OPTIONS = [
+    "--stepwise/--no-stepwise boolean",
+    "--history-len integer",
+    "--top-rules integer",
+    "--window integer",
+]
+PROMPT_OPTIONS = [
+    "--char-budget integer",
+    "--instruction text",
+    "--max-facts integer",
+    "--order-seed integer",
+    "--order ascending|descending|random|timestamps-removed",
+    "--format index|lexical",
+]
+GENERATION_OPTIONS = [
+    "--in-flight integer",
+    "--backoff float",
+    "--retries integer",
+    "--timeout float",
+    "--temperature float",
+    "--num-sequences integer",
+    "--max-new-tokens integer",
+]
+EVAL_INPUT_OPTIONS = DATASET_OPTIONS + [
+    "--rules text required",
+    "--predictor oracle|llm default='oracle' (shown)",
+    "--split text default='test' (shown)",
+    "--retrieval-splits text default='train,valid,test' (shown)",
+    "--filter-splits text default='train,valid,test' (shown)",
+    "--endpoint text",
+]
+
+CLI_SURFACE = {
+    "synth": [
+        "--out text required help='Directory to create the dataset in.'",
+        "--entities integer",
+        "--noise-relations integer",
+        "--body-events integer",
+        "--noise-events integer",
+        "--follow-prob float",
+        "--t-span integer",
+        "--planted-entities integer",
+        "--seed integer",
+    ],
+    "mine": DATASET_OPTIONS + [
+        "--walks integer",
+        "--min-body-support integer",
+        "--grounding-cap integer",
+        "--seed integer",
+        "--workers integer default=1 (shown)",
+        "--mine-splits text default='train' (shown)"
+        " help='Comma-separated splits the mining graph merges.'",
+        "--out text default='rules.json' (shown)",
+    ],
+    "retrieve": DATASET_OPTIONS + [
+        "--rules text required",
+        "--split text default='test' (shown)",
+        "--retrieval-splits text default='train,valid,test' (shown)"
+        " help='Comma-separated splits the retrieval graph merges.'",
+    ] + RETRIEVAL_OPTIONS + ["--out text default='histories.jsonl' (shown)"],
+    "prompt": DATASET_OPTIONS + ["--histories text required"] + PROMPT_OPTIONS
+    + ["--out text default='prompts.jsonl' (shown)"],
+    "export": DATASET_OPTIONS + [
+        "--rules text required",
+        "--k integer required help='Number of samples to export.'",
+        "--seed integer",
+    ] + RETRIEVAL_OPTIONS + PROMPT_OPTIONS
+    + ["--out text default='finetune.jsonl' (shown)"],
+    "infer": DATASET_OPTIONS + [
+        "--prompts text required",
+        "--endpoint text help='Completion endpoint URL (or TKGRAG_ENDPOINT).'",
+    ] + GENERATION_OPTIONS + ["--out text default='predictions.jsonl' (shown)"],
+    "eval": EVAL_INPUT_OPTIONS + [
+        "--seeds text help='Comma-separated run seeds; multiple seeds report the "
+        "mean and half-range across runs.'",
+    ] + RETRIEVAL_OPTIONS + PROMPT_OPTIONS + GENERATION_OPTIONS
+    + ["--out-dir text default='runs/eval' (shown)"],
+    "ablate": EVAL_INPUT_OPTIONS + [
+        "--orders text default='ascending' (shown)",
+        "--lengths text default='50' (shown)",
+        "--formats text default='index' (shown)",
+    ] + RETRIEVAL_OPTIONS + GENERATION_OPTIONS
+    + ["--out-dir text default='runs/ablation' (shown)"],
+}
+
+
+class TestSurface:
+    """The command line, run config and export manifest that scripts and
+    earlier runs depend on."""
+
+    def test_every_subcommand_keeps_its_options_in_order(self):
+        assert list(main.commands) == list(CLI_SURFACE)
+        for name, expected in CLI_SURFACE.items():
+            got = [describe_option(p) for p in main.commands[name].params]
+            assert got == expected, name
+
+    def test_section_flags_reach_the_config(self, runner, synthetic_dir, mined_rules,
+                                            tmp_path):
+        out_dir = tmp_path / "run"
+        run_ok(runner, [
+            "eval", "--dataset-dir", str(synthetic_dir), "--rules", str(mined_rules),
+            "--out-dir", str(out_dir),
+            "--window", "30", "--top-rules", "2", "--history-len", "40", "--stepwise",
+            "--format", "lexical", "--order", "descending", "--order-seed", "3",
+            "--max-facts", "20", "--instruction", "Answer.", "--char-budget", "5000",
+            "--max-new-tokens", "16", "--num-sequences", "3", "--temperature", "0.5",
+            "--timeout", "2.5", "--retries", "1", "--backoff", "0.5", "--in-flight", "2",
+        ])
+        config = strip_created_at(out_dir / "manifest.json")["config"]
+        assert config["retrieval"] == {"window": 30, "top_rules": 2, "max_history": 40,
+                                       "stepwise": True}
+        assert config["prompt"] == {"format": "lexical", "order": "descending",
+                                    "order_seed": 3, "max_facts": 20,
+                                    "instruction": "Answer.", "char_budget": 5000}
+        assert config["generation"] == {"max_new_tokens": 16, "num_sequences": 3,
+                                        "temperature": 0.5, "timeout": 2.5, "retries": 1,
+                                        "backoff": 0.5, "in_flight": 2}
+
+    def test_default_run_config_json(self):
+        expected = {
+            "dataset": {"dir": "", "time_gap": 1, "inverse": True},
+            "mining": {"num_walks": 200, "rule_length": 1, "min_body_support": 2,
+                       "grounding_cap": 100000, "seed": 0},
+            "retrieval": {"window": None, "top_rules": None, "max_history": 50,
+                          "stepwise": False},
+            "prompt": {"format": "index", "order": "ascending", "order_seed": 0,
+                       "max_facts": None, "instruction": DEFAULT_INSTRUCTION,
+                       "char_budget": 12000},
+            "generation": {"max_new_tokens": 128, "num_sequences": 10,
+                           "temperature": 0.0, "timeout": 30.0, "retries": 2,
+                           "backoff": 0.25, "in_flight": 8},
+            "endpoint": None,
+            "seed": 1,
+        }
+        config = build_run_config()
+        assert json.dumps(config.as_dict(), indent=2) == json.dumps(expected, indent=2)
+        assert config.fingerprint == "9900658f9a97"
+
+    def test_export_manifest_keys(self, runner, synthetic_dir, mined_rules, tmp_path):
+        out = tmp_path / "finetune.jsonl"
+        run_ok(runner, ["export", "--dataset-dir", str(synthetic_dir), "--rules",
+                        str(mined_rules), "--k", "4", "--seed", "1", "--out", str(out)])
+        manifest = json.loads((tmp_path / "finetune.jsonl.manifest.json").read_text())
+        assert list(manifest) == ["k", "seed", "n_samples", "retrieval", "prompt",
+                                  "mining_params", "dataset_stats", "over_char_budget",
+                                  "output", "fingerprint"]
+        assert list(manifest["retrieval"]) == ["window", "top_rules", "max_history",
+                                               "stepwise"]
+        assert list(manifest["prompt"]) == ["format", "order", "order_seed", "max_facts",
+                                            "instruction", "char_budget"]
+        assert list(manifest["mining_params"]) == ["num_walks", "rule_length",
+                                                   "min_body_support", "grounding_cap",
+                                                   "seed"]
+        assert list(manifest["dataset_stats"]) == ["n_train", "n_valid", "n_test",
+                                                   "n_entities", "n_relations", "time_gap"]
+
+
+class TestResumeInputs:
+    """A journal is only resumed by a run over the same inputs: the eval
+    fingerprint covers the contents of the rule bank and of the dataset."""
+
+    @staticmethod
+    def change_rules(dataset, rules):
+        run_ok(CliRunner(), ["mine", "--dataset-dir", str(dataset),
+                             "--min-body-support", "100000", "--out", str(rules)])
+
+    @staticmethod
+    def change_dataset(dataset, _rules):
+        train = dataset / "train.txt"
+        lines = train.read_text().splitlines(keepends=True)
+        train.write_text("".join(lines[:-1]))
+
+    @pytest.mark.parametrize("change", ["change_rules", "change_dataset"])
+    def test_changed_input_refuses_stale_journal(
+        self, runner, synthetic_dir, mined_rules, tmp_path, change
+    ):
+        dataset = tmp_path / "data"
+        shutil.copytree(synthetic_dir, dataset)
+        rules = tmp_path / "rules.json"
+        shutil.copy(mined_rules, rules)
+        out_dir = tmp_path / "run"
+        args = ["eval", "--dataset-dir", str(dataset), "--rules", str(rules),
+                "--out-dir", str(out_dir)]
+        first = run_ok(runner, args).output
+        manifest = strip_created_at(out_dir / "manifest.json")
+        assert set(manifest["inputs"]) == {"rules", "dataset"}
+        assert run_ok(runner, args).output == first  # same inputs resume
+
+        getattr(self, change)(dataset, rules)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert "was written under fingerprint" in result.output

@@ -11,7 +11,6 @@ from tkgrag.evaluation import (
     ablation_run,
     ablation_summary,
     build_filter_index,
-    evaluate_histories,
     hits_at_k,
     report_from_records,
     run_eval,
@@ -19,7 +18,7 @@ from tkgrag.evaluation import (
 )
 from tkgrag.client import GenParams
 from tkgrag.prompts import PromptConfig
-from tkgrag.retrieval import Query, RetrievalConfig, queries_from_split, retrieve_batch
+from tkgrag.retrieval import Query, RetrievalConfig, queries_from_split
 
 from test_client import StubEndpoint
 
@@ -230,6 +229,12 @@ class TestRunEval:
 
 
 class TestAblation:
+    def test_empty_queries_rejected(self, synthetic_dataset, synthetic_bank):
+        with pytest.raises(ValueError, match="empty evaluation set"):
+            ablation_run(synthetic_dataset.union_kg(), synthetic_bank, [],
+                         orders=["ascending"], history_lengths=[50], formats=["index"],
+                         predictor=OraclePredictor(synthetic_bank))
+
     def test_empty_grid_rejected(self, synthetic_dataset, synthetic_bank):
         with pytest.raises(ValueError, match="empty ablation grid"):
             ablation_run(synthetic_dataset.union_kg(), synthetic_bank,
@@ -275,11 +280,10 @@ class TestAblation:
             orders=["ascending"], history_lengths=[10, 50], formats=["index"],
             predictor=OraclePredictor(synthetic_bank), filter_index=index,
         )
-        # cross-check one cell against a direct evaluation at that cap
-        histories = retrieve_batch(kg, synthetic_bank, queries, RetrievalConfig())
-        direct, _ = evaluate_histories(
-            histories, OraclePredictor(synthetic_bank),
-            PromptConfig(max_facts=10), index, kg,
+        # cross-check one cell against a plain evaluation at that cap
+        direct, _ = run_eval(
+            kg, synthetic_bank, queries, OraclePredictor(synthetic_bank),
+            RetrievalConfig(), PromptConfig(max_facts=10), index,
         )
         ten = next(c for c in cells if c.history_length == 10)
         assert (ten.report.hits1, ten.report.hits3, ten.report.hits10) == (
