@@ -34,6 +34,7 @@ from .evaluation import (
     build_filter_index,
     run_eval,
 )
+from .files import atomic_write
 from .kg import SPLIT_FILES, Dataset, DatasetSpec, load_dataset
 from .prompts import FORMATS, ORDERS, Prompt, PromptConfig, build_prompt, export_finetune_set
 from .retrieval import (
@@ -211,14 +212,9 @@ def _write_manifest(path: str, command: str, config: RunConfig, extra: dict | No
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
     payload.update(extra or {})
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-
-
-def _ensure_parent(path: str) -> None:
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
 
 
 @click.group()
@@ -264,7 +260,6 @@ def mine(workers, mine_splits, out, **options):
     dataset = _load_data(config)
     kg = dataset.union_kg(_split_names(mine_splits))
     bank = learn_rules(kg, config.mining, workers=workers)
-    _ensure_parent(out)
     bank.save(out)
     _write_manifest(out + ".manifest.json", "mine", config, {"n_rules": len(bank)})
     click.echo(f"mined {len(bank)} rules -> {out}")
@@ -287,8 +282,7 @@ def retrieve(rules_path, split, retrieval_splits, out, **options):
     kg = dataset.union_kg(_split_names(retrieval_splits))
     queries = queries_from_split(dataset, split)
     histories = retrieve_batch(kg, bank, queries, config.retrieval)
-    _ensure_parent(out)
-    with open(out, "w", encoding="utf-8") as fh:
+    with atomic_write(out) as fh:
         count = write_histories(histories, fh)
     _write_manifest(out + ".manifest.json", "retrieve", config,
                     {"split": split, "n_queries": len(queries)})
@@ -306,9 +300,8 @@ def prompt_cmd(histories_path, out, **options):
     config = _config(options, prompt=PromptConfig)
     dataset = _load_data(config)
     kg = dataset.train
-    _ensure_parent(out)
     count = 0
-    with open(histories_path, encoding="utf-8") as src, open(out, "w", encoding="utf-8") as dst:
+    with open(histories_path, encoding="utf-8") as src, atomic_write(out) as dst:
         for line in src:
             if not line.strip():
                 continue
@@ -345,7 +338,6 @@ def export(rules_path, k, seed, out, **options):
     config = _config(options, seed=seed, retrieval=RetrievalConfig, prompt=PromptConfig)
     dataset = _load_data(config)
     bank = RuleBank.load(rules_path)
-    _ensure_parent(out)
     manifest = export_finetune_set(
         dataset, bank, k, config.retrieval, config.prompt, config.seed, out,
         fingerprint=config.fingerprint,
@@ -382,8 +374,7 @@ def infer(prompts_path, endpoint, out, **options):
         for row in rows
     ]
     completions = generate_batch(prompts, config.generation, url)
-    _ensure_parent(out)
-    with open(out, "w", encoding="utf-8") as fh:
+    with atomic_write(out) as fh:
         for row, prompt, seqs in zip(rows, prompts, completions):
             parsed = parse_predictions(seqs, prompt, kg)
             fh.write(
@@ -423,7 +414,6 @@ def eval_cmd(seeds, out_dir, **options):
         run_dir = out_dir if len(seed_list) == 1 else os.path.join(
             out_dir, f"seed-{run_config.seed}"
         )
-        os.makedirs(run_dir, exist_ok=True)
         fingerprint = _fingerprint(run_config, manifest["inputs"])
         report, _records = run_eval(
             kg, bank, queries, engine, run_config.retrieval, run_config.prompt, filter_index,
@@ -446,7 +436,7 @@ def eval_cmd(seeds, out_dir, **options):
     click.echo(f"n_queries\t{reports[0].n_queries}\n"
                f"n_unparsed\t{reports[0].n_unparsed}")
     if len(reports) > 1:
-        with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
+        with atomic_write(os.path.join(out_dir, "summary.json")) as fh:
             json.dump({"seeds": seed_list, "hits": hits}, fh, indent=2)
             fh.write("\n")
 
@@ -475,11 +465,10 @@ def ablate(orders, lengths, formats, out_dir, **options):
         base_prompt_cfg=config.prompt,
         fingerprint=fingerprint,
     )
-    os.makedirs(out_dir, exist_ok=True)
     summary = ablation_summary(cells)
-    with open(os.path.join(out_dir, "summary.tsv"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "summary.tsv")) as fh:
         fh.write(summary)
-    with open(os.path.join(out_dir, "reports.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "reports.json")) as fh:
         json.dump(
             [
                 {

@@ -40,13 +40,9 @@ def build_filter_index(
     splits, original-direction edges only."""
     index: FilterIndex = {}
     for split in splits:
-        kg = dataset.split(split)
-        for pos in range(len(kg)):
-            relation = int(kg.rel[pos])
-            if relation >= dataset.num_base_relations:
-                continue
-            key = (int(kg.sub[pos]), relation, int(kg.ts[pos]))
-            index.setdefault(key, set()).add(int(kg.obj[pos]))
+        subjects, relations, objects, times = dataset.split(split).base_quads().T.tolist()
+        for key, obj in zip(zip(subjects, relations, times), objects):
+            index.setdefault(key, set()).add(obj)
     return index
 
 
@@ -190,11 +186,12 @@ def _score_histories(
     filter_index: FilterIndex,
     kg: TemporalKG,
     fingerprint: str,
+    retrieval_cfg: RetrievalConfig,
 ) -> list[EvalRecord]:
     """Prompt, predict (one batch), filter and rank each retrieved history."""
     items = []
     for history in histories:
-        selected = select_history(history, prompt_cfg)
+        selected = select_history(history, prompt_cfg, retrieval_cfg)
         items.append((history.query, selected, build_prompt(selected, prompt_cfg, kg)))
     predictions = predictor.predict_batch(items)
     return [
@@ -267,7 +264,8 @@ def run_eval(
             chunk = pending[start : start + chunk_size]
             histories = [retrieve(kg, bank, queries[i], retrieval_cfg) for i in chunk]
             records = _score_histories(
-                histories, predictor, prompt_cfg, filter_index or {}, kg, fingerprint
+                histories, predictor, prompt_cfg, filter_index or {}, kg, fingerprint,
+                retrieval_cfg,
             )
             for i, record in zip(chunk, records):
                 completed[i] = record
@@ -331,7 +329,7 @@ def ablation_run(
                 cfg = replace(base_prompt_cfg, format=fmt, order=order, max_facts=length)
                 cell_tag = f"{fingerprint}/{order}/{length}/{fmt}" if fingerprint else ""
                 records = _score_histories(
-                    histories, predictor, cfg, filter_index or {}, kg, cell_tag
+                    histories, predictor, cfg, filter_index or {}, kg, cell_tag, retrieval_cfg
                 )
                 report = report_from_records(records, cell_tag)
                 cells.append(AblationCell(order, length, fmt, report))

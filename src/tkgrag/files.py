@@ -11,7 +11,9 @@ def atomic_write(path: str) -> Iterator[TextIO]:
     """Text file handle whose contents replace `path` only when the block
     completes. It writes a temp file in the same directory and moves it into
     place with os.replace; on any failure the temp file is removed and `path`
-    keeps its previous contents."""
+    keeps its previous contents. The parent directory is created if
+    missing."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:

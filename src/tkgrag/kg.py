@@ -111,8 +111,21 @@ class TemporalKG:
             int(self.sub[pos]), int(self.rel[pos]), int(self.obj[pos]), int(self.ts[pos])
         )
 
+    def quads_at(self, positions) -> list[Quadruple]:
+        """The edges at `positions` (an index array or a slice), in that order."""
+        columns = (col[positions].tolist() for col in (self.sub, self.rel, self.obj, self.ts))
+        return list(map(Quadruple, *columns))
+
     def all_quads(self) -> list[Quadruple]:
-        return [self.quad_at(p) for p in range(len(self))]
+        return self.quads_at(slice(None))
+
+    def base_quads(self) -> np.ndarray:
+        """Original-direction edges (relation id < num_base_relations) as the
+        (subject, relation, object, t) rows of one (n, 4) int64 array, in
+        canonical order. Inverse edges, which augmentation gives ids from
+        num_base_relations up, are left out."""
+        base = self.rel < self.num_base_relations
+        return np.column_stack((self.sub[base], self.rel[base], self.obj[base], self.ts[base]))
 
     def entity_name(self, entity_id: int) -> str:
         return self.entities[entity_id]
@@ -154,7 +167,7 @@ class TemporalKG:
     def edges_for(self, subject: int, relation: int, t_lo: int, t_hi: int) -> list[Quadruple]:
         """Edges with that subject and relation in [t_lo, t_hi), ascending by t,
         ties by object id. Unknown subject/relation yields an empty list."""
-        return [self.quad_at(int(p)) for p in self.positions_for(subject, relation, t_lo, t_hi)]
+        return self.quads_at(self.positions_for(subject, relation, t_lo, t_hi))
 
     def returning_positions(self, subject: int, obj: int, t_before: int) -> np.ndarray:
         """Positions of edges (subject, *, obj, t) with t strictly before t_before."""
@@ -261,9 +274,9 @@ class Dataset:
 
     def stats(self) -> DatasetStats:
         return DatasetStats(
-            n_train=_base_edge_count(self.train),
-            n_valid=_base_edge_count(self.valid),
-            n_test=_base_edge_count(self.test),
+            n_train=len(self.train.base_quads()),
+            n_valid=len(self.valid.base_quads()),
+            n_test=len(self.test.base_quads()),
             n_entities=len(self.entities),
             n_relations=self.num_base_relations,
             time_gap=self.time_gap,
@@ -308,12 +321,6 @@ def _bucket_index(key: np.ndarray, *labels: np.ndarray) -> dict:
     names = [label[firsts].tolist() for label in labels]
     names = list(zip(*names)) if len(names) > 1 else names[0]
     return {name: order[lo:hi] for name, (lo, hi) in zip(names, pairwise(bounds.tolist()))}
-
-
-def _base_edge_count(kg: TemporalKG) -> int:
-    if kg.has_inverses:
-        return int(np.count_nonzero(kg.rel < kg.num_base_relations))
-    return len(kg)
 
 
 def _read_id_map(path: str) -> dict[str, int]:
@@ -447,7 +454,7 @@ def load_dataset(directory: str, spec: DatasetSpec = DatasetSpec()) -> Dataset:
         if spec.inverse:
             quads = np.concatenate((quads, quads[:, [2, 1, 0, 3]] + (0, num_base, 0, 0)))
         splits[split] = TemporalKG(entities, relations, quads, num_base)
-        duplicates += len(raw_rows[split]) - _base_edge_count(splits[split])
+        duplicates += len(raw_rows[split]) - len(splits[split].base_quads())
 
     return Dataset(entities, relations, num_base, splits, spec.time_gap, origin, duplicates)
 
@@ -463,11 +470,7 @@ def save_dataset(dataset: Dataset, directory: str) -> None:
         for idx, name in enumerate(dataset.relations[: dataset.num_base_relations]):
             fh.write(f"{name}\t{idx}\n")
     for split, filename in SPLIT_FILES.items():
-        kg = dataset.split(split)
+        quads = dataset.split(split).base_quads()
+        quads[:, 3] = quads[:, 3] * dataset.time_gap + dataset.time_origin
         with open(os.path.join(directory, filename), "w", encoding="utf-8") as fh:
-            for pos in range(len(kg)):
-                r = int(kg.rel[pos])
-                if r >= dataset.num_base_relations:
-                    continue
-                raw_t = int(kg.ts[pos]) * dataset.time_gap + dataset.time_origin
-                fh.write(f"{int(kg.sub[pos])}\t{r}\t{int(kg.obj[pos])}\t{raw_t}\n")
+            fh.writelines(f"{s}\t{r}\t{o}\t{t}\n" for s, r, o, t in quads.tolist())

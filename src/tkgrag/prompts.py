@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from .files import atomic_write
 from .kg import Dataset, TemporalKG
 from .retrieval import (
     RetrievalConfig,
@@ -76,15 +77,25 @@ def display_name(name: str) -> str:
     return name.replace(" ", "_")
 
 
-def select_history(history: RetrievedHistory, cfg: PromptConfig) -> RetrievedHistory:
+def select_history(
+    history: RetrievedHistory, cfg: PromptConfig, retrieval_cfg: Optional[RetrievalConfig] = None
+) -> RetrievedHistory:
     """Apply the prompt-level fact cap, replaying the retriever's selection
     priority (query-relation facts, then rule groups by confidence, most
-    recent first within a group), then restore canonical ascending order."""
+    recent first within a group; with a stepwise `retrieval_cfg`, nearer
+    window spans before all of that), then restore canonical ascending order.
+    Without `retrieval_cfg` the cap follows the non-stepwise priority."""
     if cfg.max_facts is None or len(history) <= cfg.max_facts:
         return history
+    query_t = history.query.t
+    if retrieval_cfg is not None and retrieval_cfg.stepwise:
+        window = retrieval_cfg.window or max(query_t, 1)
+    else:
+        window = None
     paired = sorted(
         zip(history.facts, history.provenance),
-        key=lambda fp: (fp[1].rank, -fp[0].t, -fp[0].object),
+        key=lambda fp: ((query_t - 1 - fp[0].t) // window if window else 0,
+                        fp[1].rank, -fp[0].t, -fp[0].object),
     )[: cfg.max_facts]
     paired.sort(key=lambda fp: (fp[0].t, fp[1].rank, fp[0].object))
     return RetrievedHistory(
@@ -192,11 +203,10 @@ def export_finetune_set(
     indices = sample_fewshot(len(queries), k, seed)
 
     over_budget = 0
-    out_dir = os.path.dirname(os.path.abspath(out_path))
-    os.makedirs(out_dir, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with atomic_write(out_path) as fh:
         for index in indices:
             history = retrieve(train_kg, bank, queries[index], retrieval_cfg)
+            history = select_history(history, prompt_cfg, retrieval_cfg)
             sample = make_instruction_sample(history, prompt_cfg, train_kg)
             if len(sample.instruction) + len(sample.input) + len(sample.output) > prompt_cfg.char_budget:
                 over_budget += 1
@@ -224,8 +234,7 @@ def export_finetune_set(
     }
     if fingerprint is not None:
         manifest["fingerprint"] = fingerprint
-    manifest_path = out_path + ".manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
+    with atomic_write(out_path + ".manifest.json") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     return manifest

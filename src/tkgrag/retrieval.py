@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Optional, Sequence, TextIO
+
+import numpy as np
 
 from .kg import Dataset, Quadruple, TemporalKG
 from .rules import RuleBank
@@ -84,15 +87,6 @@ class RetrievedHistory:
         return len(self.facts)
 
 
-def _canonical_order(
-    selected: list[tuple[Quadruple, Provenance]]
-) -> tuple[tuple[Quadruple, ...], tuple[Provenance, ...]]:
-    selected.sort(key=lambda fp: (fp[0].t, fp[1].rank, fp[0].object))
-    facts = tuple(fact for fact, _ in selected)
-    provenance = tuple(prov for _, prov in selected)
-    return facts, provenance
-
-
 def retrieve(
     kg: TemporalKG, bank: RuleBank, query: Query, cfg: RetrievalConfig = RetrievalConfig()
 ) -> RetrievedHistory:
@@ -104,53 +98,46 @@ def retrieve(
     span at a time, exhausting all groups in a nearer window before moving to
     an older one.
     """
-    window = cfg.window if cfg.window is not None else query.t
+    window = cfg.window or max(query.t, 1)  # None: the whole strict past
     rules = bank.rules_for(query.relation)
     if cfg.top_rules is not None:
         rules = rules[: cfg.top_rules]
-    groups: list[tuple[int, int, Provenance]] = [
-        (0, query.relation, Provenance(rank=0))
+    provenance = [Provenance(rank=0)] + [
+        Provenance(rank=i, body_relation=rule.body_relation, confidence=rule.confidence)
+        for i, rule in enumerate(rules, start=1)
     ]
-    for i, rule in enumerate(rules, start=1):
-        groups.append(
-            (i, rule.body_relation,
-             Provenance(rank=i, body_relation=rule.body_relation,
-                        confidence=rule.confidence))
-        )
-
+    # A body equal to the query relation would only repeat the rank-0 group,
+    # and a relation the subject never carries yields nothing.
+    relations = [query.relation] + [rule.body_relation for rule in rules]
+    groups = [
+        (rank, relation)
+        for rank, relation in enumerate(relations)
+        if (rank == 0 or relation != query.relation)
+        and (query.subject, relation) in kg.index_sr
+    ]
     if cfg.stepwise:
-        spans = []
-        hi = query.t
-        while hi > 0:
-            lo = max(0, hi - window)
-            spans.append((lo, hi))
-            if lo == 0 or window == 0:
-                break
-            hi = lo
+        spans = [(max(0, hi - window), hi) for hi in range(query.t, 0, -window)]
     else:
         spans = [(max(0, query.t - window), query.t)]
 
-    selected: list[tuple[Quadruple, Provenance]] = []
-    taken: set[int] = set()
-    budget = cfg.max_history
-    for span_lo, span_hi in spans:
-        if len(selected) >= budget:
+    picked, ranks = [np.empty(0, dtype=np.int64)], []
+    room = cfg.max_history
+    for (lo, hi), (rank, relation) in product(spans, groups):
+        if room == 0:
             break
-        for _, relation, prov in groups:
-            positions = kg.positions_for(query.subject, relation, span_lo, span_hi)
-            for pos in positions[::-1]:  # most recent first within the group
-                pos = int(pos)
-                if pos in taken:
-                    continue
-                taken.add(pos)
-                selected.append((kg.quad_at(pos), prov))
-                if len(selected) >= budget:
-                    break
-            if len(selected) >= budget:
-                break
+        # most recent first within the group
+        positions = kg.positions_for(query.subject, relation, lo, hi)[::-1][:room]
+        picked.append(positions)
+        ranks += [rank] * len(positions)
+        room -= len(positions)
 
-    facts, provenance = _canonical_order(selected)
-    return RetrievedHistory(query=query, facts=facts, provenance=provenance)
+    positions, ranks = np.concatenate(picked), np.array(ranks, dtype=np.int64)
+    order = np.lexsort((kg.obj[positions], ranks, kg.ts[positions]))
+    return RetrievedHistory(
+        query=query,
+        facts=tuple(kg.quads_at(positions[order])),
+        provenance=tuple(provenance[rank] for rank in ranks[order].tolist()),
+    )
 
 
 def retrieve_batch(
@@ -165,21 +152,7 @@ def retrieve_batch(
 def queries_from_split(dataset: Dataset, split: str) -> list[Query]:
     """Object-prediction queries, one per original-direction edge of a split,
     in canonical (t, subject, relation, object) order."""
-    kg = dataset.split(split)
-    queries = []
-    for pos in range(len(kg)):
-        relation = int(kg.rel[pos])
-        if relation >= dataset.num_base_relations:
-            continue
-        queries.append(
-            Query(
-                subject=int(kg.sub[pos]),
-                relation=relation,
-                t=int(kg.ts[pos]),
-                gold_object=int(kg.obj[pos]),
-            )
-        )
-    return queries
+    return [Query(s, r, t, o) for s, r, o, t in dataset.split(split).base_quads().tolist()]
 
 
 # -- JSON-lines interchange ---------------------------------------------------

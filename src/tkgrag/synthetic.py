@@ -21,6 +21,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .kg import Dataset, TemporalKG, save_dataset
+
 BODY_RELATION = 0  # "precursor"
 HEAD_RELATION = 1  # "outcome"
 LAST_SLOT_GAP = 6  # extra precursors in a subject's most recent episode
@@ -152,20 +154,15 @@ def write_synthetic_dataset(directory: str, spec: SyntheticSpec = SyntheticSpec(
     if not splits["train"] or not splits["test"]:
         raise ValueError("degenerate split; enlarge t_span or event counts")
 
-    os.makedirs(directory, exist_ok=True)
+    entities = [f"e{idx:02d}" for idx in range(spec.n_entities)]
     relations = ["precursor", "outcome"] + [
         f"noise_{i}" for i in range(spec.n_noise_relations)
     ]
-    with open(os.path.join(directory, "entity2id.txt"), "w", encoding="utf-8") as fh:
-        for idx in range(spec.n_entities):
-            fh.write(f"e{idx:02d}\t{idx}\n")
-    with open(os.path.join(directory, "relation2id.txt"), "w", encoding="utf-8") as fh:
-        for idx, name in enumerate(relations):
-            fh.write(f"{name}\t{idx}\n")
-    for split, rows in splits.items():
-        with open(os.path.join(directory, f"{split}.txt"), "w", encoding="utf-8") as fh:
-            for s, r, o, t in rows:
-                fh.write(f"{s}\t{r}\t{o}\t{t}\n")
+    graphs = {name: TemporalKG(entities, relations, rows) for name, rows in splits.items()}
+    save_dataset(
+        Dataset(entities, relations, len(relations), graphs, time_gap=1, time_origin=0),
+        directory,
+    )
 
     ground_truth = {
         "spec": asdict(spec),

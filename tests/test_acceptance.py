@@ -430,3 +430,33 @@ def test_11_interrupted_writes_recover(synthetic_dir, tmp_path, disk_full):
             assert result.exit_code == 2, result.output
             assert path.read_bytes() == before
             assert not [name for name in os.listdir(path.parent) if name.endswith(".tmp")]
+
+
+def test_11_failed_artifact_writes_keep_old_files(synthetic_dir, tmp_path, disk_full):
+    with criterion(11, "a failed histories or export write keeps the old file"):
+        runner = CliRunner()
+        data = ["--dataset-dir", str(synthetic_dir)]
+        rules = tmp_path / "rules.json"
+        mine = ["mine", *data, "--walks", "50", "--out", str(rules)]
+        assert runner.invoke(main, mine).exit_code == 0
+
+        # the first runs also create the missing output directory
+        histories = tmp_path / "out" / "histories.jsonl"
+        finetune = tmp_path / "out" / "finetune.jsonl"
+        commands = (
+            (["retrieve", *data, "--rules", str(rules), "--out", str(histories)], histories),
+            (["export", *data, "--rules", str(rules), "--k", "8", "--seed", "1",
+              "--out", str(finetune)], finetune),
+        )
+        before = {}
+        for command, path in commands:
+            result = runner.invoke(main, command)
+            assert result.exit_code == 0, result.output
+            before[path] = path.read_bytes()
+
+        disk_full(64)
+        for command, path in commands:
+            result = runner.invoke(main, command)
+            assert result.exit_code == 2, result.output
+            assert path.read_bytes() == before[path]
+            assert not [name for name in os.listdir(path.parent) if name.endswith(".tmp")]

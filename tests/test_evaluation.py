@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -289,3 +290,26 @@ class TestAblation:
         assert (ten.report.hits1, ten.report.hits3, ten.report.hits10) == (
             direct.hits1, direct.hits3, direct.hits10
         )
+
+    def test_stepwise_fact_cap_scores_the_stepwise_history(
+        self, synthetic_dataset, synthetic_bank
+    ):
+        kg = synthetic_dataset.union_kg()
+        queries = queries_from_split(synthetic_dataset, "test")[:40]
+        index = build_filter_index(synthetic_dataset)
+        predictor = OraclePredictor(synthetic_bank)
+        stepwise = RetrievalConfig(window=5, stepwise=True)
+        # a cap of 10 facts scores what stepwise retrieval of 10 facts finds
+        narrow_report, narrow = run_eval(
+            kg, synthetic_bank, queries, predictor, replace(stepwise, max_history=10),
+            PromptConfig(), index,
+        )
+        _, capped = run_eval(
+            kg, synthetic_bank, queries, predictor, stepwise, PromptConfig(max_facts=10), index,
+        )
+        assert capped == narrow
+        [cell] = ablation_run(
+            kg, synthetic_bank, queries, orders=["ascending"], history_lengths=[10],
+            formats=["index"], predictor=predictor, retrieval_cfg=stepwise, filter_index=index,
+        )
+        assert cell.report == narrow_report

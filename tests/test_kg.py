@@ -273,6 +273,17 @@ class TestIndicesAgainstReference:
             assert all(type(i) is int for key in kg.index_sr for i in key)
             assert all(type(key) is int for key in kg.index_r)
 
+    def test_base_quads(self):
+        for seed in self.SEEDS:
+            _rng, kg, rows = random_graph(seed)
+            edges = reference_graph(rows)[0]
+            want = [list(e) for e in edges if e[1] < kg.num_base_relations]
+            got = kg.base_quads()
+            assert got.dtype == np.int64 and got.shape == (len(want), 4)
+            assert got.tolist() == want
+            if kg.has_inverses:
+                assert 2 * len(got) == len(kg)
+
     def test_returning_positions(self):
         for seed in self.SEEDS:
             _rng, kg, rows = random_graph(seed)
@@ -329,6 +340,9 @@ class TestIndicesAgainstReference:
         assert kg.returning_positions(0, 1, 5).tolist() == []
         assert kg.last_time_of(0, 1, 2) == -1
         assert kg.last_time_of(np.array([0, 1]), 0, np.array([2, 2])).tolist() == [-1, -1]
+        for graph in (kg, make_kg([], n_entities=3, n_relations=2, inverse=True)):
+            assert graph.base_quads().shape == (0, 4)
+            assert graph.base_quads().dtype == np.int64
 
     def test_key_packing_guarded_against_overflow(self):
         top = np.array([2**21 - 1])

@@ -26,5 +26,9 @@ def test_traced_mine_fires_every_span():
     assert traced_tiny_run("desk-mine")["rules.confidence_calls"]["value"] > 0
 
 
+def test_traced_desk_forecast_fires_every_span():
+    assert traced_tiny_run("desk-forecast")["retrieval.calls"]["value"] > 0
+
+
 def test_traced_cli_files_fires_every_span():
     assert traced_tiny_run("cli-files")["evaluation.cells"]["value"] > 0

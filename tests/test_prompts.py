@@ -1,6 +1,8 @@
+import itertools
 import json
 import os
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -113,12 +115,25 @@ class TestSelectHistory:
         self, synthetic_dataset, synthetic_bank
     ):
         kg = synthetic_dataset.union_kg()
+        queries = queries_from_split(synthetic_dataset, "test")[:40]
+        configs = [RetrievalConfig()] + [
+            RetrievalConfig(window=window, stepwise=True) for window in (5, 20, 60, None)
+        ]
+        for cfg, query, cap in itertools.product(configs, queries, (3, 10)):
+            wide = retrieve(kg, synthetic_bank, query, replace(cfg, max_history=50))
+            narrow = retrieve(kg, synthetic_bank, query, replace(cfg, max_history=cap))
+            clipped = select_history(wide, PromptConfig(max_facts=cap), cfg)
+            assert clipped.facts == narrow.facts, (cfg, query, cap)
+            assert clipped.provenance == narrow.provenance
+
+    def test_without_retrieval_config_the_cap_is_not_stepwise(
+        self, synthetic_dataset, synthetic_bank
+    ):
+        kg = synthetic_dataset.union_kg()
         for query in queries_from_split(synthetic_dataset, "test")[:40]:
             wide = retrieve(kg, synthetic_bank, query, RetrievalConfig(max_history=50))
-            narrow = retrieve(kg, synthetic_bank, query, RetrievalConfig(max_history=10))
-            clipped = select_history(wide, PromptConfig(max_facts=10))
-            assert clipped.facts == narrow.facts
-            assert clipped.provenance == narrow.provenance
+            cfg = PromptConfig(max_facts=10)
+            assert select_history(wide, cfg) == select_history(wide, cfg, RetrievalConfig())
 
     def test_no_cap_returns_input(self):
         history = golden_history()

@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,7 +127,9 @@ class TestBruteForceEquivalence:
     @pytest.mark.parametrize("stepwise", [False, True])
     def test_random_graphs_match_reference(self, stepwise):
         rng = np.random.default_rng(42)
-        for trial in range(60):
+        # a second stream for the edge cases, so the graphs stay as drawn by rng
+        edge_cases = np.random.default_rng(43)
+        for trial in range(120):
             n_edges = int(rng.integers(10, 500))
             quads = sorted({
                 (int(rng.integers(6)), int(rng.integers(5)), int(rng.integers(6)),
@@ -137,20 +140,28 @@ class TestBruteForceEquivalence:
             rules = []
             heads = rng.permutation(5)[: int(rng.integers(1, 4))]
             for head in heads:
-                bodies = rng.permutation(5)[: int(rng.integers(1, 4))]
+                bodies = [int(b) for b in rng.permutation(5)[: int(rng.integers(1, 4))]]
+                if head not in bodies and edge_cases.random() < 0.4:
+                    # a rule whose body is its own head relation
+                    bodies.insert(int(edge_cases.integers(len(bodies) + 1)), int(head))
                 for rank, body in enumerate(bodies):
-                    rules.append((int(head), int(body), round(0.9 - 0.2 * rank, 2)))
+                    rules.append((int(head), body, round(0.9 - 0.2 * rank, 2)))
             bank = bank_of(*rules)
             cfg = RetrievalConfig(
                 window=int(rng.integers(1, 45)) if rng.random() < 0.7 else None,
                 max_history=int(rng.integers(1, 20)),
                 stepwise=stepwise,
+                top_rules=[None, None, 0, 1, 2, 3][int(edge_cases.integers(6))],
             )
             query = Query(
                 subject=int(rng.integers(6)),
                 relation=int(rng.integers(5)),
                 t=int(rng.integers(0, 45)),
             )
+            if edge_cases.random() < 0.5:  # a relation the bank has rules for
+                query = replace(query, relation=int(heads[0]))
+            if edge_cases.random() < 0.1:
+                query = replace(query, t=0)
             got = retrieve(kg, bank, query, cfg)
             want = reference_retrieve(quads, bank, query, cfg)
             assert got.facts == want.facts, (trial, cfg, query)
