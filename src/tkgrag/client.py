@@ -199,7 +199,7 @@ def _resolve(
         normalized = name.replace(" ", "_")
         if index in reverse_map:
             entity = reverse_map[index]
-            if kg.entity_name(entity).replace(" ", "_") == normalized:
+            if kg.display_names()[0][entity] == normalized:
                 return entity
         # fresh or mismatched index: the explicit name decides
         return by_name.get(normalized)
@@ -219,9 +219,7 @@ def rule_score_predict(
     query relation itself. Ties break toward the candidate with the most
     recent supporting fact, then the lower entity id.
     """
-    confidence_by_body = {
-        rule.body_relation: rule.confidence for rule in bank.rules_for(query.relation)
-    }
+    confidence_by_body = bank.plan_for(query.relation).confidence_by_body
     scores: dict[int, float] = {}
     last_support: dict[int, int] = {}
     for fact in history.facts:

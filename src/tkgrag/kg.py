@@ -48,10 +48,13 @@ class TemporalKG:
     in canonical order, sorted by (t, subject, relation, object). Index entries
     are positions into those columns, so a position is ascending in time within
     any index bucket. Every index is one stable argsort of a packed id key split
-    at its runs; the per-(subject,object) index and the (subject,relation,object)
-    last-time table are built on first use. `last_time_of` takes ids or
-    equal-length id arrays. Instances never mutate after construction (beyond
-    those lazy builds) and are safe to share across threads.
+    at its runs. Built on first use: the per-(subject,object) index, the
+    (subject,relation,object) last-time table, the display names, and the
+    sorted (subject, relation, t) key table behind `window_ranges`, which lays
+    the `index_sr` permutation out as one searchable column so that all the
+    windows of one query take one `np.searchsorted`. `last_time_of` takes ids
+    or equal-length id arrays. Instances never mutate after construction
+    (beyond those lazy builds) and are safe to share across threads.
     """
 
     def __init__(
@@ -83,15 +86,23 @@ class TemporalKG:
         self._validate_bounds()
 
         n_ent, n_rel = len(self.entities), len(self.relations)
+        # index_sr's buckets are slices of this permutation, which the key
+        # table of window_ranges reuses
+        self._sr_order, sr_bounds = _sorted_runs(_pack((self.sub, self.rel), (n_ent, n_rel)))
         self.index_sr: dict[tuple[int, int], np.ndarray] = _bucket_index(
-            _pack((self.sub, self.rel), (n_ent, n_rel)), self.sub, self.rel
+            self._sr_order, sr_bounds, self.sub, self.rel
         )
-        self.index_r: dict[int, np.ndarray] = _bucket_index(self.rel, self.rel)
+        self.index_r: dict[int, np.ndarray] = _bucket_index(
+            *_sorted_runs(self.rel), self.rel
+        )
 
         self._index_so: Optional[dict[tuple[int, int], np.ndarray]] = None
         # sorted packed (relation, subject, object) keys and their latest t
         self._last_time_sro: Optional[tuple[np.ndarray, np.ndarray]] = None
+        # packed (subject, relation, t) keys in _sr_order, and their id ranges
+        self._sr_keys: Optional[tuple[np.ndarray, tuple[int, int, int]]] = None
         self._normalized_entity_ids: Optional[dict[str, int]] = None
+        self._display_names: Optional[tuple[list[str], list[str]]] = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -114,7 +125,7 @@ class TemporalKG:
     def quads_at(self, positions) -> list[Quadruple]:
         """The edges at `positions` (an index array or a slice), in that order."""
         columns = (col[positions].tolist() for col in (self.sub, self.rel, self.obj, self.ts))
-        return list(map(Quadruple, *columns))
+        return list(map(Quadruple._make, zip(*columns)))
 
     def all_quads(self) -> list[Quadruple]:
         return self.quads_at(slice(None))
@@ -152,17 +163,49 @@ class TemporalKG:
 
     # -- windowed lookups ---------------------------------------------------
 
+    def window_ranges(
+        self, subject: int, relations, t_lo, t_hi
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Edges (subject, relation, *, t) with lo <= t < hi for one subject,
+        every relation of `relations` and every window [lo, hi) of the
+        equal-length `t_lo`/`t_hi` arrays.
+
+        Returns (order, starts, ends), `starts` and `ends` shaped (windows,
+        relations): the positions of window i and relation j are
+        order[starts[i, j]:ends[i, j]], ascending in t. `order` is the
+        (subject, relation) permutation behind `index_sr`; the bounds are
+        found in the sorted (subject, relation, t) key table with one
+        `np.searchsorted`. Window bounds are clipped to [0, t_max + 1], and
+        ids outside the vocabulary give empty ranges.
+        """
+        bounds = np.array((t_lo, t_hi), dtype=np.int64)
+        malformed = np.greater(*bounds)
+        if malformed.any():
+            lo, hi = bounds[:, malformed.argmax()].tolist()
+            raise ValueError(f"malformed window [{lo}, {hi})")
+        if self._sr_keys is None:
+            order = self._sr_order
+            # t ids run to t_max + 1 so that every clipped bound packs
+            sizes = (len(self.entities), len(self.relations), self.t_max + 2)
+            columns = (self.sub[order], self.rel[order], self.ts[order])
+            self._sr_keys = (_pack(columns, sizes), sizes)
+        keys, sizes = self._sr_keys
+        n_ent, n_rel, n_t = sizes
+        relations = np.asarray(relations, dtype=np.int64)
+        if not 0 <= subject < n_ent:
+            starts, ends = np.zeros((2, bounds.shape[1], len(relations)), dtype=np.int64)
+            return self._sr_order, starts, ends
+        np.minimum(np.maximum(bounds, 0, out=bounds), n_t - 1, out=bounds)
+        # (subject, relation, bound) keys, packed as _pack packed the table; a
+        # relation id outside the vocabulary lands in another bucket
+        wanted = (subject * n_rel + relations) * n_t + bounds[:, :, None]
+        starts, ends = keys.searchsorted(wanted) * ((relations >= 0) & (relations < n_rel))
+        return self._sr_order, starts, ends
+
     def positions_for(self, subject: int, relation: int, t_lo: int, t_hi: int) -> np.ndarray:
         """Positions of edges (subject, relation, *, t) with t_lo <= t < t_hi."""
-        if t_lo > t_hi:
-            raise ValueError(f"malformed window [{t_lo}, {t_hi})")
-        positions = self.index_sr.get((subject, relation))
-        if positions is None:
-            return np.empty(0, dtype=np.int64)
-        ts = self.ts[positions]
-        lo = int(np.searchsorted(ts, t_lo, side="left"))
-        hi = int(np.searchsorted(ts, t_hi, side="left"))
-        return positions[lo:hi]
+        order, starts, ends = self.window_ranges(subject, [relation], [t_lo], [t_hi])
+        return order[starts[0, 0]:ends[0, 0]]
 
     def edges_for(self, subject: int, relation: int, t_lo: int, t_hi: int) -> list[Quadruple]:
         """Edges with that subject and relation in [t_lo, t_hi), ascending by t,
@@ -174,7 +217,7 @@ class TemporalKG:
         if self._index_so is None:
             n_ent = len(self.entities)
             self._index_so = _bucket_index(
-                _pack((self.sub, self.obj), (n_ent, n_ent)), self.sub, self.obj
+                *_sorted_runs(_pack((self.sub, self.obj), (n_ent, n_ent))), self.sub, self.obj
             )
         positions = self._index_so.get((subject, obj))
         if positions is None:
@@ -208,11 +251,21 @@ class TemporalKG:
         found = np.where(keys[at] == wanted, last[at], -1)
         return int(found) if found.ndim == 0 else found
 
+    def display_names(self) -> tuple[list[str], list[str]]:
+        """Entity and relation names with spaces replaced by underscores, as
+        prompts show them, indexed by id."""
+        if self._display_names is None:
+            self._display_names = tuple(
+                [name.replace(" ", "_") for name in names]
+                for names in (self.entities, self.relations)
+            )
+        return self._display_names
+
     def normalized_entity_ids(self) -> dict[str, int]:
         """Entity lookup keyed by name with spaces collapsed to underscores."""
         if self._normalized_entity_ids is None:
             self._normalized_entity_ids = {
-                name.replace(" ", "_"): eid for eid, name in enumerate(self.entities)
+                name: eid for eid, name in enumerate(self.display_names()[0])
             }
         return self._normalized_entity_ids
 
@@ -313,10 +366,9 @@ def _sorted_runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, bounds
 
 
-def _bucket_index(key: np.ndarray, *labels: np.ndarray) -> dict:
-    """Positions grouped by `key`, each bucket named by the label columns of
-    its rows (a tuple for several columns)."""
-    order, bounds = _sorted_runs(key)
+def _bucket_index(order: np.ndarray, bounds: np.ndarray, *labels: np.ndarray) -> dict:
+    """Positions grouped into the runs that `_sorted_runs` gives, each bucket
+    named by the label columns of its rows (a tuple for several columns)."""
     firsts = order[bounds[:-1]]
     names = [label[firsts].tolist() for label in labels]
     names = list(zip(*names)) if len(names) > 1 else names[0]

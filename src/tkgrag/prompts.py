@@ -73,10 +73,6 @@ class InstructionSample:
     output: str
 
 
-def display_name(name: str) -> str:
-    return name.replace(" ", "_")
-
-
 def select_history(
     history: RetrievedHistory, cfg: PromptConfig, retrieval_cfg: Optional[RetrievalConfig] = None
 ) -> RetrievedHistory:
@@ -127,12 +123,13 @@ def build_prompt(history: RetrievedHistory, cfg: PromptConfig, kg: TemporalKG) -
     pairs = _rendered_sequence(selected, cfg)
     with_time = cfg.order != "timestamps-removed"
 
+    entities, relations = kg.display_names()
     index_map: dict[int, int] = {}
     lines: list[str] = []
     for fact, _ in pairs:
-        subject = display_name(kg.entity_name(fact.subject))
-        relation = display_name(kg.relation_name(fact.relation))
-        obj = display_name(kg.entity_name(fact.object))
+        subject = entities[fact.subject]
+        relation = relations[fact.relation]
+        obj = entities[fact.object]
         if cfg.format == "index":
             if fact.object not in index_map:
                 index_map[fact.object] = len(index_map)
@@ -141,8 +138,8 @@ def build_prompt(history: RetrievedHistory, cfg: PromptConfig, kg: TemporalKG) -
         lines.append(f"{prefix}[{subject}, {relation}, {obj}]")
 
     query = selected.query
-    q_subject = display_name(kg.entity_name(query.subject))
-    q_relation = display_name(kg.relation_name(query.relation))
+    q_subject = entities[query.subject]
+    q_relation = relations[query.relation]
     q_prefix = f"{query.t}:" if with_time else ""
     query_line = f"{q_prefix}[{q_subject}, {q_relation},"
 
@@ -159,7 +156,7 @@ def make_instruction_sample(
     if gold is None:
         raise ValueError("query has no gold object")
     prompt = build_prompt(history, cfg, kg)
-    gold_name = display_name(kg.entity_name(gold))
+    gold_name = kg.display_names()[0][gold]
     if cfg.format == "index":
         index = prompt.index_map.get(gold, len(prompt.index_map))
         output = f"{index}.{gold_name}]"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
@@ -97,46 +96,46 @@ def retrieve(
     recent facts win. cfg.stepwise instead walks the window backwards one
     span at a time, exhausting all groups in a nearer window before moving to
     an older one.
+
+    One search per query: the rule groups come from the bank's per-head
+    plan (`RuleBank.plan_for`), and the position ranges of every (span,
+    group) pair from one `kg.window_ranges` call on the graph's (subject,
+    relation, t) key table. Taken in span-major order, each range gives its
+    newest facts to the room the ranges before it left; provenance is built
+    only for the ranks that yield facts.
     """
     window = cfg.window or max(query.t, 1)  # None: the whole strict past
-    rules = bank.rules_for(query.relation)
+    plan = bank.plan_for(query.relation)
+    groups = len(plan.ranks)
     if cfg.top_rules is not None:
-        rules = rules[: cfg.top_rules]
-    provenance = [Provenance(rank=0)] + [
-        Provenance(rank=i, body_relation=rule.body_relation, confidence=rule.confidence)
-        for i, rule in enumerate(rules, start=1)
-    ]
-    # A body equal to the query relation would only repeat the rank-0 group,
-    # and a relation the subject never carries yields nothing.
-    relations = [query.relation] + [rule.body_relation for rule in rules]
-    groups = [
-        (rank, relation)
-        for rank, relation in enumerate(relations)
-        if (rank == 0 or relation != query.relation)
-        and (query.subject, relation) in kg.index_sr
-    ]
+        groups = int(plan.ranks.searchsorted(cfg.top_rules, side="right"))
     if cfg.stepwise:
-        spans = [(max(0, hi - window), hi) for hi in range(query.t, 0, -window)]
+        t_hi = np.arange(query.t, 0, -window)
+        t_lo = np.maximum(t_hi - window, 0)
     else:
-        spans = [(max(0, query.t - window), query.t)]
+        t_hi, t_lo = [query.t], [max(0, query.t - window)]
+    order, starts, ends = kg.window_ranges(query.subject, plan.relations[:groups], t_lo, t_hi)
 
-    picked, ranks = [np.empty(0, dtype=np.int64)], []
-    room = cfg.max_history
-    for (lo, hi), (rank, relation) in product(spans, groups):
-        if room == 0:
-            break
-        # most recent first within the group
-        positions = kg.positions_for(query.subject, relation, lo, hi)[::-1][:room]
-        picked.append(positions)
-        ranks += [rank] * len(positions)
-        room -= len(positions)
-
-    positions, ranks = np.concatenate(picked), np.array(ranks, dtype=np.int64)
-    order = np.lexsort((kg.obj[positions], ranks, kg.ts[positions]))
+    counts = (ends - starts).ravel()
+    room = cfg.max_history - (counts.cumsum() - counts)
+    take = np.minimum(counts, np.maximum(room, 0))
+    # the newest `take` entries of each range, concatenated
+    taken = take.cumsum()
+    at = np.arange(taken[-1] if len(taken) else 0) + (ends.ravel() - taken).repeat(take)
+    positions = order[at]
+    ranks = plan.ranks[None, :groups].repeat(len(starts), axis=0).ravel().repeat(take)
+    canonical = np.lexsort((kg.obj[positions], ranks, kg.ts[positions]))
+    ranks = ranks[canonical].tolist()
+    rules = bank.rules_for(query.relation)
+    provenance = {
+        rank: Provenance(rank, rules[rank - 1].body_relation, rules[rank - 1].confidence)
+        if rank else Provenance(rank=0)
+        for rank in set(ranks)
+    }
     return RetrievedHistory(
         query=query,
-        facts=tuple(kg.quads_at(positions[order])),
-        provenance=tuple(provenance[rank] for rank in ranks[order].tolist()),
+        facts=tuple(kg.quads_at(positions[canonical])),
+        provenance=tuple(map(provenance.__getitem__, ranks)),
     )
 
 

@@ -11,7 +11,7 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -53,9 +53,26 @@ class TemporalRule:
             raise ValueError("confidence must equal rule_support / body_support")
 
 
+class HeadPlan(NamedTuple):
+    """One head relation's rules in the form retrieval and the oracle read.
+
+    `relations` is the head, then every body relation other than the head
+    (which would only repeat the head's facts), in bank order; `ranks` holds
+    0 for the head and each body's 1-based rank in the bank. Since ranks
+    ascend, the first `searchsorted(ranks, k, "right")` entries are the head
+    and the bodies of the top k rules. `confidence_by_body` maps every body,
+    the head included when it is one, to its rule's confidence.
+    """
+
+    relations: np.ndarray
+    ranks: np.ndarray
+    confidence_by_body: dict[int, float]
+
+
 class RuleBank:
     """Rules grouped per head relation, sorted by descending confidence
-    (ties: higher rule_support, then lower body relation id)."""
+    (ties: higher rule_support, then lower body relation id). Each head's
+    `HeadPlan` is built on first use and kept with the bank."""
 
     def __init__(self, rules_by_head: dict[int, list[TemporalRule]], params: MiningParams):
         self.params = params
@@ -66,9 +83,24 @@ class RuleBank:
                 raise ValueError(f"duplicate body relation under head {head}")
             ordered = sorted(rules, key=_rule_sort_key)
             self.rules_by_head[head] = tuple(ordered)
+        self._plans: dict[int, HeadPlan] = {}
 
     def rules_for(self, head_relation: int) -> tuple[TemporalRule, ...]:
         return self.rules_by_head.get(head_relation, ())
+
+    def plan_for(self, head_relation: int) -> HeadPlan:
+        """The head's rules as retrieval and the oracle read them."""
+        plan = self._plans.get(head_relation)
+        if plan is None:
+            rules = self.rules_for(head_relation)
+            ranked = [(rank, rule.body_relation) for rank, rule in enumerate(rules, start=1)
+                      if rule.body_relation != head_relation]
+            plan = self._plans[head_relation] = HeadPlan(
+                relations=np.array([head_relation] + [body for _, body in ranked], dtype=np.int64),
+                ranks=np.array([0] + [rank for rank, _ in ranked], dtype=np.int64),
+                confidence_by_body={rule.body_relation: rule.confidence for rule in rules},
+            )
+        return plan
 
     def __len__(self) -> int:
         return sum(len(rules) for rules in self.rules_by_head.values())

@@ -315,6 +315,28 @@ class TestIndicesAgainstReference:
             ]
             assert kg.last_time_of(subs[:0], head, objs[:0]).tolist() == []
 
+    def test_window_ranges(self):
+        for seed in self.SEEDS:
+            rng, kg, rows = random_graph(seed)
+            edges, by_sr, *_ = reference_graph(rows)
+            n_ent, n_rel = len(kg.entities), len(kg.relations)
+            relations = list(range(-2, n_rel + 2)) + [n_rel + 10**6, 2**40]
+            n_windows = int(rng.integers(0, 8))
+            t_lo = rng.integers(-3, kg.t_max + 4, n_windows)
+            t_hi = t_lo + rng.integers(0, kg.t_max + 4, n_windows)
+            if n_windows:
+                t_hi[-1] = 10**9
+            for subject in range(-1, n_ent + 2):
+                order, starts, ends = kg.window_ranges(subject, relations, t_lo, t_hi)
+                assert starts.shape == ends.shape == (n_windows, len(relations))
+                for i, (lo, hi) in enumerate(zip(t_lo.tolist(), t_hi.tolist())):
+                    for j, r in enumerate(relations):
+                        want = [p for p in by_sr.get((subject, r), [])
+                                if lo <= edges[p][3] < hi]
+                        assert order[starts[i, j]:ends[i, j]].tolist() == want
+                        if j % 3 == 0:
+                            assert kg.positions_for(subject, r, lo, hi).tolist() == want
+
     def test_union_kg(self):
         for seed in self.SEEDS:
             rng, train, rows = random_graph(seed)
@@ -338,6 +360,11 @@ class TestIndicesAgainstReference:
         assert len(kg) == 0 and kg.num_duplicates_dropped == 0
         assert kg.index_sr == {} and kg.index_r == {}
         assert kg.returning_positions(0, 1, 5).tolist() == []
+        order, starts, ends = kg.window_ranges(0, [0, 1, 2, -1], [0, 3, -5], [10**9, 4, 0])
+        assert order.tolist() == [] and starts.shape == ends.shape == (3, 4)
+        assert (starts == ends).all()
+        with pytest.raises(ValueError, match="malformed"):
+            kg.window_ranges(0, [0], [0, 5], [1, 4])
         assert kg.last_time_of(0, 1, 2) == -1
         assert kg.last_time_of(np.array([0, 1]), 0, np.array([2, 2])).tolist() == [-1, -1]
         for graph in (kg, make_kg([], n_entities=3, n_relations=2, inverse=True)):

@@ -27,7 +27,11 @@ def test_traced_mine_fires_every_span():
 
 
 def test_traced_desk_forecast_fires_every_span():
-    assert traced_tiny_run("desk-forecast")["retrieval.calls"]["value"] > 0
+    metrics = traced_tiny_run("desk-forecast")
+    calls = metrics["retrieval.calls"]["value"]
+    assert calls > 0
+    # one traced `retrieve` per query: no batch path around it
+    assert calls == metrics["prompts.calls"]["value"] == metrics["client.predictions"]["value"]
 
 
 def test_traced_cli_files_fires_every_span():

@@ -1,10 +1,12 @@
 import io
 import json
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 
+from tkgrag.client import rule_score_predict
 from tkgrag.kg import Quadruple
 from tkgrag.retrieval import (
     Query,
@@ -17,7 +19,7 @@ from tkgrag.retrieval import (
 )
 from tkgrag.rules import MiningParams, RuleBank, TemporalRule
 
-from conftest import make_kg, reference_retrieve
+from conftest import make_kg, reference_retrieve, reference_rule_scores
 
 
 def bank_of(*rules: tuple[int, int, float]) -> RuleBank:
@@ -191,6 +193,41 @@ class TestBruteForceEquivalence:
                                  RetrievalConfig(window=window)).facts)
             assert previous <= facts
             previous = facts
+
+
+class TestHeadPlan:
+    def test_plans_stay_with_their_bank(self):
+        # Banks with different rules for head 0 are created and dropped in
+        # turn on one graph. A plan cache keyed by id(bank) hands a new bank
+        # the plan of a freed one whose id it reuses.
+        rng = np.random.default_rng(11)
+        quads = sorted({
+            (int(rng.integers(4)), int(rng.integers(5)), int(rng.integers(4)),
+             int(rng.integers(30)))
+            for _ in range(300)
+        })
+        kg = make_kg(quads, n_entities=4, n_relations=5)
+        rule_sets = [((0, 1, 0.9), (0, 2, 0.5)), ((0, 3, 0.8), (0, 0, 0.6), (0, 4, 0.3))]
+        cfgs = [RetrievalConfig(max_history=6), RetrievalConfig(window=4, stepwise=True),
+                RetrievalConfig(top_rules=1)]
+        for round_ in range(60):
+            bank = bank_of(*rule_sets[round_ % 2])
+            for subject, cfg in product(range(4), cfgs):
+                query = Query(subject, 0, int(rng.integers(10, 31)))
+                got = retrieve(kg, bank, query, cfg)
+                assert got == reference_retrieve(quads, bank, query, cfg), (round_, query, cfg)
+                assert list(rule_score_predict(got, bank, query).ranked) == \
+                    reference_rule_scores(got, bank, query)
+            del bank
+
+    def test_plan_skips_a_body_equal_to_its_head(self):
+        bank = bank_of((0, 2, 0.9), (0, 0, 0.7), (0, 1, 0.5))
+        plan = bank.plan_for(0)
+        assert plan.relations.tolist() == [0, 2, 1]
+        assert plan.ranks.tolist() == [0, 1, 3]
+        assert plan.confidence_by_body == {2: 0.9, 0: 0.7, 1: 0.5}
+        assert bank.plan_for(0) is plan
+        assert bank.plan_for(4).relations.tolist() == [4]
 
 
 class TestQueriesAndIO:
