@@ -55,7 +55,6 @@ from .retrieval import (
     RetrievedHistory,
     queries_from_split,
     retrieve,
-    retrieve_batch,
 )
 from .rules import (
     MiningParams,

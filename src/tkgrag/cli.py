@@ -17,6 +17,7 @@ from datetime import datetime, timezone
 
 import click
 
+from . import retrieval
 from .client import (
     ClientError,
     GenParams,
@@ -42,7 +43,6 @@ from .retrieval import (
     history_from_dict,
     query_to_dict,
     queries_from_split,
-    retrieve_batch,
     write_histories,
 )
 from .rules import MiningParams, RuleBank, learn_rules
@@ -265,7 +265,7 @@ def mine(workers, mine_splits, out, **options):
     click.echo(f"mined {len(bank)} rules -> {out}")
 
 
-@main.command()
+@main.command(name="retrieve")
 @_config_options
 @click.option("--rules", "rules_path", required=True)
 @click.option("--split", default="test", show_default=True)
@@ -274,14 +274,14 @@ def mine(workers, mine_splits, out, **options):
 @_section_options(RetrievalConfig)
 @click.option("--out", default="histories.jsonl", show_default=True)
 @guarded
-def retrieve(rules_path, split, retrieval_splits, out, **options):
+def retrieve_cmd(rules_path, split, retrieval_splits, out, **options):
     """Retrieve rule-guided histories for a split's queries."""
     config = _config(options, retrieval=RetrievalConfig)
     dataset = _load_data(config)
     bank = RuleBank.load(rules_path)
     kg = dataset.union_kg(_split_names(retrieval_splits))
     queries = queries_from_split(dataset, split)
-    histories = retrieve_batch(kg, bank, queries, config.retrieval)
+    histories = (retrieval.retrieve(kg, bank, query, config.retrieval) for query in queries)
     with atomic_write(out) as fh:
         count = write_histories(histories, fh)
     _write_manifest(out + ".manifest.json", "retrieve", config,
@@ -411,12 +411,15 @@ def eval_cmd(seeds, out_dir, **options):
     reports = []
     for seed in seed_list:
         run_config = config if seed is None else dataclasses.replace(config, seed=seed)
+        run_engine = engine
+        if isinstance(engine, LLMPredictor):
+            run_engine = dataclasses.replace(engine, seed=seed)
         run_dir = out_dir if len(seed_list) == 1 else os.path.join(
             out_dir, f"seed-{run_config.seed}"
         )
         fingerprint = _fingerprint(run_config, manifest["inputs"])
         report, _records = run_eval(
-            kg, bank, queries, engine, run_config.retrieval, run_config.prompt, filter_index,
+            kg, bank, queries, run_engine, run_config.retrieval, run_config.prompt, filter_index,
             out_dir=run_dir, fingerprint=fingerprint,
         )
         _write_manifest(os.path.join(run_dir, "manifest.json"), "eval", run_config,

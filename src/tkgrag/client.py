@@ -1,11 +1,11 @@
 """Completion-endpoint client, generation parsing, and the rule-score oracle.
 
 Wire contract: POST JSON {"prompt", "max_new_tokens", "num_sequences",
-"temperature"} to the endpoint; it answers {"sequences": [...]} in rank order
-or {"error": "..."}. Transport failures (connection errors, timeouts) are
-retried with exponential backoff up to the retry budget; endpoint-reported
-errors and malformed responses are surfaced immediately as distinct
-exceptions.
+"temperature"} to the endpoint, plus an integer "seed" when the run has one;
+it answers {"sequences": [...]} in rank order or {"error": "..."}. Transport
+failures (connection errors, timeouts) are retried with exponential backoff
+up to the retry budget; endpoint-reported errors and malformed responses are
+surfaced immediately as distinct exceptions.
 """
 from __future__ import annotations
 
@@ -15,8 +15,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import requests
 
 from .kg import TemporalKG
 from .prompts import Prompt
@@ -85,10 +83,17 @@ def resolve_endpoint(explicit: Optional[str] = None) -> str:
 
 
 def generate(
-    prompt: Prompt | str, params: GenParams, endpoint: str, session=None
+    prompt: Prompt | str,
+    params: GenParams,
+    endpoint: str,
+    session=None,
+    seed: Optional[int] = None,
 ) -> list[str]:
     """Request up to params.num_sequences completions, preserving the
-    endpoint's rank order. Performs at most 1 + params.retries attempts."""
+    endpoint's rank order. Performs at most 1 + params.retries attempts.
+    A `seed` is sent along for endpoints that sample."""
+    import requests  # only requests to an endpoint pay for loading it
+
     text = prompt.text if isinstance(prompt, Prompt) else prompt
     payload = {
         "prompt": text,
@@ -96,6 +101,8 @@ def generate(
         "num_sequences": params.num_sequences,
         "temperature": params.temperature,
     }
+    if seed is not None:
+        payload["seed"] = seed
     post = (session or requests).post
     last_exc: Optional[Exception] = None
     for attempt in range(1 + params.retries):
@@ -136,14 +143,17 @@ def _try_json(response):
 
 
 def generate_batch(
-    prompts: Sequence[Prompt | str], params: GenParams, endpoint: str
+    prompts: Sequence[Prompt | str],
+    params: GenParams,
+    endpoint: str,
+    seed: Optional[int] = None,
 ) -> list[list[str]]:
     """Dispatch requests with at most params.in_flight concurrently; results
     come back in prompt order regardless of completion order."""
     if not prompts:
         return []
     with ThreadPoolExecutor(max_workers=params.in_flight) as pool:
-        return list(pool.map(lambda p: generate(p, params, endpoint), prompts))
+        return list(pool.map(lambda p: generate(p, params, endpoint, seed=seed), prompts))
 
 
 _INDEXED_RE = re.compile(r"(\d+)\.(.+)", re.DOTALL)
@@ -218,18 +228,26 @@ def rule_score_predict(
     linking its relation to the query relation, plus 1.0 when it carries the
     query relation itself. Ties break toward the candidate with the most
     recent supporting fact, then the lower entity id.
+
+    Reads the history's `rel`, `obj` and `ts` columns; each object's weights
+    are summed in history order.
     """
     confidence_by_body = bank.plan_for(query.relation).confidence_by_body
+    relations = history.rel.tolist()
+    weight_of = {}
+    for relation in set(relations):
+        weight_of[relation] = confidence_by_body.get(relation, 0.0)
+        if relation == query.relation:
+            weight_of[relation] += 1.0
     scores: dict[int, float] = {}
     last_support: dict[int, int] = {}
-    for fact in history.facts:
-        weight = confidence_by_body.get(fact.relation, 0.0)
-        if fact.relation == query.relation:
-            weight += 1.0
+    for relation, obj, t in zip(relations, history.obj.tolist(), history.ts.tolist()):
+        weight = weight_of[relation]
         if weight <= 0.0:
             continue
-        scores[fact.object] = scores.get(fact.object, 0.0) + weight
-        last_support[fact.object] = max(last_support.get(fact.object, -1), fact.t)
+        scores[obj] = scores.get(obj, 0.0) + weight
+        if last_support.get(obj, -1) < t:
+            last_support[obj] = t
     ranked = sorted(
         scores, key=lambda obj: (-scores[obj], -last_support[obj], obj)
     )[:MAX_RANKED]

@@ -12,7 +12,13 @@ import os
 from dataclasses import dataclass, replace
 from typing import Optional, Protocol, Sequence
 
-from .client import PredictionList, rule_score_predict
+from .client import (
+    GenParams,
+    PredictionList,
+    generate_batch,
+    parse_predictions,
+    rule_score_predict,
+)
 from .files import atomic_write
 from .kg import Dataset, TemporalKG
 from .prompts import Prompt, PromptConfig, build_prompt, select_history
@@ -23,7 +29,6 @@ from .retrieval import (
     query_from_dict,
     query_to_dict,
     retrieve,
-    retrieve_batch,
 )
 from .rules import RuleBank
 
@@ -141,23 +146,21 @@ class OraclePredictor:
         ]
 
 
+@dataclass(frozen=True)
 class LLMPredictor:
-    """Predictor backed by a completion endpoint speaking the wire contract."""
+    """Predictor backed by a completion endpoint speaking the wire contract;
+    `seed`, when set, goes out with every request."""
 
-    def __init__(self, kg: TemporalKG, endpoint: str, params):
-        from .client import GenParams, generate_batch, parse_predictions
-
-        self.kg = kg
-        self.endpoint = endpoint
-        self.params = params if params is not None else GenParams()
-        self._generate_batch = generate_batch
-        self._parse = parse_predictions
+    kg: TemporalKG
+    endpoint: str
+    params: GenParams = GenParams()
+    seed: Optional[int] = None
 
     def predict_batch(self, items) -> list[PredictionList]:
         prompts = [prompt for _query, _history, prompt in items]
-        completions = self._generate_batch(prompts, self.params, self.endpoint)
+        completions = generate_batch(prompts, self.params, self.endpoint, seed=self.seed)
         return [
-            self._parse(seqs, prompt, self.kg)
+            parse_predictions(seqs, prompt, self.kg)
             for seqs, prompt in zip(completions, prompts)
         ]
 
@@ -321,7 +324,7 @@ def ablation_run(
     if max(history_lengths) > retrieval_cfg.max_history:
         raise ValueError("history length exceeds retrieval max_history")
 
-    histories = retrieve_batch(kg, bank, queries, retrieval_cfg)
+    histories = [retrieve(kg, bank, query, retrieval_cfg) for query in queries]
     cells = []
     for order in orders:
         for length in history_lengths:

@@ -50,11 +50,12 @@ class TemporalKG:
     any index bucket. Every index is one stable argsort of a packed id key split
     at its runs. Built on first use: the per-(subject,object) index, the
     (subject,relation,object) last-time table, the display names, and the
-    sorted (subject, relation, t) key table behind `window_ranges`, which lays
-    the `index_sr` permutation out as one searchable column so that all the
-    windows of one query take one `np.searchsorted`. `last_time_of` takes ids
-    or equal-length id arrays. Instances never mutate after construction
-    (beyond those lazy builds) and are safe to share across threads.
+    sorted (subject, relation, t) key table behind `key_search` and
+    `window_ranges`, which lays the `index_sr` permutation out as one
+    searchable column so that all the windows of one query take one
+    `np.searchsorted`. `last_time_of` takes ids or equal-length id arrays.
+    Instances never mutate after construction (beyond those lazy builds) and
+    are safe to share across threads.
     """
 
     def __init__(
@@ -87,7 +88,7 @@ class TemporalKG:
 
         n_ent, n_rel = len(self.entities), len(self.relations)
         # index_sr's buckets are slices of this permutation, which the key
-        # table of window_ranges reuses
+        # table of key_search reuses
         self._sr_order, sr_bounds = _sorted_runs(_pack((self.sub, self.rel), (n_ent, n_rel)))
         self.index_sr: dict[tuple[int, int], np.ndarray] = _bucket_index(
             self._sr_order, sr_bounds, self.sub, self.rel
@@ -172,35 +173,47 @@ class TemporalKG:
 
         Returns (order, starts, ends), `starts` and `ends` shaped (windows,
         relations): the positions of window i and relation j are
-        order[starts[i, j]:ends[i, j]], ascending in t. `order` is the
-        (subject, relation) permutation behind `index_sr`; the bounds are
-        found in the sorted (subject, relation, t) key table with one
-        `np.searchsorted`. Window bounds are clipped to [0, t_max + 1], and
-        ids outside the vocabulary give empty ranges.
+        order[starts[i, j]:ends[i, j]], ascending in t. One `key_search` of
+        every window's two bounds.
         """
         bounds = np.array((t_lo, t_hi), dtype=np.int64)
         malformed = np.greater(*bounds)
         if malformed.any():
             lo, hi = bounds[:, malformed.argmax()].tolist()
             raise ValueError(f"malformed window [{lo}, {hi})")
+        order, found = self.key_search(subject, relations, bounds.ravel())
+        starts, ends = found.reshape(len(found), 2, -1).transpose(1, 2, 0)
+        return order, starts, ends
+
+    def key_search(self, subject: int, relations, bounds) -> tuple[np.ndarray, np.ndarray]:
+        """Where each (subject, relation, bound) key falls in the sorted
+        (subject, relation, t) key table, for every relation of `relations`
+        and every time bound of `bounds`.
+
+        Returns (order, found), `found` shaped (relations, bounds): the edges
+        (subject, relations[j], *, t) with bounds[k] <= t < bounds[l] are at
+        positions order[found[j, k]:found[j, l]], ascending in t. `order` is
+        the (subject, relation) permutation behind `index_sr`; all the keys
+        take one `np.searchsorted`. Bounds are clipped to [0, t_max + 1],
+        and ids outside the vocabulary give empty ranges.
+        """
         if self._sr_keys is None:
             order = self._sr_order
             # t ids run to t_max + 1 so that every clipped bound packs
             sizes = (len(self.entities), len(self.relations), self.t_max + 2)
             columns = (self.sub[order], self.rel[order], self.ts[order])
             self._sr_keys = (_pack(columns, sizes), sizes)
-        keys, sizes = self._sr_keys
-        n_ent, n_rel, n_t = sizes
+        keys, (n_ent, n_rel, n_t) = self._sr_keys
         relations = np.asarray(relations, dtype=np.int64)
+        bounds = np.minimum(np.maximum(bounds, 0), n_t - 1)
         if not 0 <= subject < n_ent:
-            starts, ends = np.zeros((2, bounds.shape[1], len(relations)), dtype=np.int64)
-            return self._sr_order, starts, ends
-        np.minimum(np.maximum(bounds, 0, out=bounds), n_t - 1, out=bounds)
+            return self._sr_order, np.zeros((len(relations), len(bounds)), dtype=np.int64)
         # (subject, relation, bound) keys, packed as _pack packed the table; a
         # relation id outside the vocabulary lands in another bucket
-        wanted = (subject * n_rel + relations) * n_t + bounds[:, :, None]
-        starts, ends = keys.searchsorted(wanted) * ((relations >= 0) & (relations < n_rel))
-        return self._sr_order, starts, ends
+        wanted = ((subject * n_rel + relations) * n_t)[:, None] + bounds
+        found = keys.searchsorted(wanted)
+        found *= ((relations >= 0) & (relations < n_rel))[:, None]
+        return self._sr_order, found
 
     def positions_for(self, subject: int, relation: int, t_lo: int, t_hi: int) -> np.ndarray:
         """Positions of edges (subject, relation, *, t) with t_lo <= t < t_hi."""

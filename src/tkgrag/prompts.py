@@ -15,6 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .files import atomic_write
 from .kg import Dataset, TemporalKG
 from .retrieval import (
@@ -80,36 +82,32 @@ def select_history(
     priority (query-relation facts, then rule groups by confidence, most
     recent first within a group; with a stepwise `retrieval_cfg`, nearer
     window spans before all of that), then restore canonical ascending order.
-    Without `retrieval_cfg` the cap follows the non-stepwise priority."""
+    Without `retrieval_cfg` the cap follows the non-stepwise priority.
+
+    Both orders are one stable `np.lexsort` over the history's columns: the
+    priority sorts by (span, rank, -t, -object), the canonical order of the
+    kept facts by (t, rank, object)."""
     if cfg.max_facts is None or len(history) <= cfg.max_facts:
         return history
-    query_t = history.query.t
+    ts, obj = history.ts, history.obj
+    ranks = np.array([prov.rank for prov in history.sources], dtype=np.int64)[history.codes]
+    keys = [-obj, -ts, ranks]
     if retrieval_cfg is not None and retrieval_cfg.stepwise:
-        window = retrieval_cfg.window or max(query_t, 1)
-    else:
-        window = None
-    paired = sorted(
-        zip(history.facts, history.provenance),
-        key=lambda fp: ((query_t - 1 - fp[0].t) // window if window else 0,
-                        fp[1].rank, -fp[0].t, -fp[0].object),
-    )[: cfg.max_facts]
-    paired.sort(key=lambda fp: (fp[0].t, fp[1].rank, fp[0].object))
-    return RetrievedHistory(
-        query=history.query,
-        facts=tuple(fact for fact, _ in paired),
-        provenance=tuple(prov for _, prov in paired),
-    )
+        window = retrieval_cfg.window or max(history.query.t, 1)
+        keys.append((history.query.t - 1 - ts) // window)
+    kept = np.lexsort(keys)[: cfg.max_facts]
+    return history.take(kept[np.lexsort((obj[kept], ranks[kept], ts[kept]))])
 
 
-def _rendered_sequence(
-    history: RetrievedHistory, cfg: PromptConfig
-) -> list[tuple]:
-    pairs = list(zip(history.facts, history.provenance))
+def _rendered_sequence(history: RetrievedHistory, cfg: PromptConfig) -> list[tuple]:
+    """The history's (subject, relation, object, t) rows in prompt order."""
+    columns = (history.sub, history.rel, history.obj, history.ts)
+    rows = list(zip(*(column.tolist() for column in columns)))
     if cfg.order == "descending":
-        pairs.reverse()
+        rows.reverse()
     elif cfg.order == "random":
-        random.Random(cfg.order_seed).shuffle(pairs)
-    return pairs
+        random.Random(cfg.order_seed).shuffle(rows)
+    return rows
 
 
 def build_prompt(history: RetrievedHistory, cfg: PromptConfig, kg: TemporalKG) -> Prompt:
@@ -120,30 +118,23 @@ def build_prompt(history: RetrievedHistory, cfg: PromptConfig, kg: TemporalKG) -
     `334:[Abdul, Make_an_appeal_or_request,`.
     """
     selected = select_history(history, cfg)
-    pairs = _rendered_sequence(selected, cfg)
     with_time = cfg.order != "timestamps-removed"
 
     entities, relations = kg.display_names()
     index_map: dict[int, int] = {}
     lines: list[str] = []
-    for fact, _ in pairs:
-        subject = entities[fact.subject]
-        relation = relations[fact.relation]
-        obj = entities[fact.object]
+    for subject, relation, obj, t in _rendered_sequence(selected, cfg):
+        name = entities[obj]
         if cfg.format == "index":
-            if fact.object not in index_map:
-                index_map[fact.object] = len(index_map)
-            obj = f"{index_map[fact.object]}.{obj}"
-        prefix = f"{fact.t}:" if with_time else ""
-        lines.append(f"{prefix}[{subject}, {relation}, {obj}]")
+            name = f"{index_map.setdefault(obj, len(index_map))}.{name}"
+        prefix = f"{t}:" if with_time else ""
+        lines.append(f"{prefix}[{entities[subject]}, {relations[relation]}, {name}]\n")
 
     query = selected.query
-    q_subject = entities[query.subject]
-    q_relation = relations[query.relation]
     q_prefix = f"{query.t}:" if with_time else ""
-    query_line = f"{q_prefix}[{q_subject}, {q_relation},"
+    query_line = f"{q_prefix}[{entities[query.subject]}, {relations[query.relation]},"
 
-    text = cfg.instruction + "\n" + "".join(line + "\n" for line in lines) + query_line
+    text = cfg.instruction + "\n" + "".join(lines) + query_line
     return Prompt(text=text, index_map=index_map, query_prefix=query_line, format=cfg.format)
 
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
 from .kg import Dataset, Quadruple, TemporalKG
-from .rules import RuleBank
+from .rules import Provenance, RuleBank
 
 
 @dataclass(frozen=True)
@@ -49,41 +50,75 @@ class RetrievalConfig:
             raise ValueError("max_history must be >= 1")
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """Why a fact was retrieved: rank 0 is a query-relation (rule-head) fact,
-    rank i >= 1 is the i-th rule body in bank order."""
-
-    rank: int
-    body_relation: Optional[int] = None
-    confidence: Optional[float] = None
-
-    @property
-    def kind(self) -> str:
-        return "rule-head" if self.rank == 0 else "rule-body"
-
-    def as_dict(self) -> dict:
-        if self.rank == 0:
-            return {"kind": "rule-head", "rank": 0}
-        return {
-            "kind": "rule-body",
-            "rank": self.rank,
-            "body_relation": self.body_relation,
-            "confidence": self.confidence,
-        }
-
-
-@dataclass(frozen=True)
 class RetrievedHistory:
     """Facts in canonical prompt order: ascending t, ties broken by provenance
-    rank then object id. `provenance` is parallel to `facts`."""
+    rank then object id.
 
-    query: Query
-    facts: tuple[Quadruple, ...]
-    provenance: tuple[Provenance, ...]
+    Stored as columns: the int64 arrays `sub`, `rel`, `obj` and `ts`, one
+    entry per fact, and `codes`, each fact's index into `sources`, a tuple of
+    distinct `Provenance` objects. `facts` (`Quadruple`s) and `provenance`
+    (parallel to `facts`) are built from the columns on first access, for
+    callers outside the forecast path; the constructor takes those two
+    tuples, and equality compares (query, facts, provenance). Treat
+    instances as immutable.
+    """
+
+    def __init__(
+        self, query: Query, facts: Sequence[Quadruple], provenance: Sequence[Provenance]
+    ):
+        if len(facts) != len(provenance):
+            raise ValueError("facts and provenance differ in length")
+        sources = tuple(dict.fromkeys(provenance))
+        code_of = {prov: code for code, prov in enumerate(sources)}
+        columns = np.array(facts, dtype=np.int64).reshape(-1, 4).T
+        codes = np.array([code_of[prov] for prov in provenance], dtype=np.int64)
+        self._fill(query, *columns, codes, sources)
+
+    @classmethod
+    def from_columns(cls, query: Query, sub, rel, obj, ts, codes, sources) -> "RetrievedHistory":
+        """A history over the given columns, taken as they are."""
+        history = cls.__new__(cls)
+        history._fill(query, sub, rel, obj, ts, codes, sources)
+        return history
+
+    def _fill(self, query, sub, rel, obj, ts, codes, sources) -> None:
+        self.query = query
+        self.sub, self.rel, self.obj, self.ts = sub, rel, obj, ts
+        self.codes = codes
+        self.sources: tuple[Provenance, ...] = tuple(sources)
+
+    def take(self, rows) -> "RetrievedHistory":
+        """The facts at `rows` (an index array), in that order."""
+        return RetrievedHistory.from_columns(
+            self.query, self.sub[rows], self.rel[rows], self.obj[rows], self.ts[rows],
+            self.codes[rows], self.sources,
+        )
+
+    @cached_property
+    def facts(self) -> tuple[Quadruple, ...]:
+        columns = (column.tolist() for column in (self.sub, self.rel, self.obj, self.ts))
+        return tuple(map(Quadruple._make, zip(*columns)))
+
+    @cached_property
+    def provenance(self) -> tuple[Provenance, ...]:
+        return tuple(map(self.sources.__getitem__, self.codes.tolist()))
 
     def __len__(self) -> int:
-        return len(self.facts)
+        return len(self.ts)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RetrievedHistory):
+            return NotImplemented
+        return (self.query, self.facts, self.provenance) == (
+            other.query, other.facts, other.provenance
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.query, self.facts, self.provenance))
+
+    def __repr__(self) -> str:
+        return (f"RetrievedHistory(query={self.query!r}, facts={self.facts!r}, "
+                f"provenance={self.provenance!r})")
 
 
 def retrieve(
@@ -99,53 +134,52 @@ def retrieve(
 
     One search per query: the rule groups come from the bank's per-head
     plan (`RuleBank.plan_for`), and the position ranges of every (span,
-    group) pair from one `kg.window_ranges` call on the graph's (subject,
-    relation, t) key table. Taken in span-major order, each range gives its
-    newest facts to the room the ranges before it left; provenance is built
-    only for the ranks that yield facts.
+    group) pair from one `kg.key_search` of the spans' distinct bounds
+    (contiguous spans share their inner bounds). Taken in span-major order,
+    each range gives its newest facts to the room the ranges before it left.
+    The history's columns are gathered from the graph's at the chosen
+    positions; its sources hold one `Provenance` per rank that yields facts.
     """
-    window = cfg.window or max(query.t, 1)  # None: the whole strict past
+    t = query.t
+    window = cfg.window or max(t, 1)  # None: the whole strict past
     plan = bank.plan_for(query.relation)
-    groups = len(plan.ranks)
+    relations = plan.relations
     if cfg.top_rules is not None:
-        groups = int(plan.ranks.searchsorted(cfg.top_rules, side="right"))
+        relations = relations[: plan.ranks.searchsorted(cfg.top_rules, side="right")]
     if cfg.stepwise:
-        t_hi = np.arange(query.t, 0, -window)
-        t_lo = np.maximum(t_hi - window, 0)
+        # span i is [bounds[i + 1], bounds[i]), nearest first
+        bounds = np.append(np.arange(t, 0, -window), 0)
     else:
-        t_hi, t_lo = [query.t], [max(0, query.t - window)]
-    order, starts, ends = kg.window_ranges(query.subject, plan.relations[:groups], t_lo, t_hi)
-
-    counts = (ends - starts).ravel()
-    room = cfg.max_history - (counts.cumsum() - counts)
-    take = np.minimum(counts, np.maximum(room, 0))
-    # the newest `take` entries of each range, concatenated
-    taken = take.cumsum()
-    at = np.arange(taken[-1] if len(taken) else 0) + (ends.ravel() - taken).repeat(take)
-    positions = order[at]
-    ranks = plan.ranks[None, :groups].repeat(len(starts), axis=0).ravel().repeat(take)
-    canonical = np.lexsort((kg.obj[positions], ranks, kg.ts[positions]))
-    ranks = ranks[canonical].tolist()
-    rules = bank.rules_for(query.relation)
-    provenance = {
-        rank: Provenance(rank, rules[rank - 1].body_relation, rules[rank - 1].confidence)
-        if rank else Provenance(rank=0)
-        for rank in set(ranks)
-    }
-    return RetrievedHistory(
-        query=query,
-        facts=tuple(kg.quads_at(positions[canonical])),
-        provenance=tuple(map(provenance.__getitem__, ranks)),
+        bounds = (t, max(0, t - window))
+    order, found = kg.key_search(query.subject, relations, bounds)
+    # (span, group) range sizes in span-major order, each capped by the room
+    # the ranges before it left
+    ends = found[:, :-1].T.ravel()
+    counts = ends - found[:, 1:].T.ravel()
+    taken = np.minimum(counts.cumsum(), cfg.max_history)
+    total = int(taken[-1]) if len(taken) else 0
+    if not total:
+        return RetrievedHistory.from_columns(query, *_EMPTY_COLUMNS, ())
+    # fact j of the concatenated output comes from range i, where it is the
+    # entry ends[i] - taken[i] + j: the newest entries of each range
+    at = np.arange(total)
+    ranges = taken.searchsorted(at, side="right")
+    positions = order[at + (ends - taken)[ranges]]
+    groups = ranges % len(relations)
+    ts, obj = kg.ts[positions], kg.obj[positions]
+    canonical = np.lexsort((obj, groups, ts))
+    groups = groups[canonical]
+    # the groups that yield facts, ascending, and each fact's index among them
+    present = np.bincount(groups).nonzero()[0]
+    return RetrievedHistory.from_columns(
+        query, kg.sub[positions[canonical]], relations[groups], obj[canonical], ts[canonical],
+        present.searchsorted(groups), [plan.provenance[group] for group in present.tolist()],
     )
 
 
-def retrieve_batch(
-    kg: TemporalKG,
-    bank: RuleBank,
-    queries: Sequence[Query],
-    cfg: RetrievalConfig = RetrievalConfig(),
-) -> list[RetrievedHistory]:
-    return [retrieve(kg, bank, query, cfg) for query in queries]
+_EMPTY_COLUMNS = tuple(np.empty(0, dtype=np.int64) for _ in range(5))
+for _column in _EMPTY_COLUMNS:
+    _column.flags.writeable = False
 
 
 def queries_from_split(dataset: Dataset, split: str) -> list[Query]:
@@ -174,37 +208,31 @@ def query_from_dict(payload: dict) -> Query:
 
 
 def history_to_dict(history: RetrievedHistory) -> dict:
-    facts = []
-    for fact, prov in zip(history.facts, history.provenance):
-        facts.append(
-            {
-                "s": fact.subject,
-                "r": fact.relation,
-                "o": fact.object,
-                "t": fact.t,
-                "provenance": prov.as_dict(),
-            }
-        )
+    """The history as JSON-ready rows; facts with one provenance share its
+    dict."""
+    sources = [prov.as_dict() for prov in history.sources]
+    columns = (history.sub, history.rel, history.obj, history.ts, history.codes)
+    facts = [
+        {"s": s, "r": r, "o": o, "t": t, "provenance": sources[code]}
+        for s, r, o, t, code in zip(*(column.tolist() for column in columns))
+    ]
     return {"query": query_to_dict(history.query), "facts": facts}
 
 
 def history_from_dict(payload: dict) -> RetrievedHistory:
-    facts = []
-    provenance = []
-    for row in payload["facts"]:
-        facts.append(Quadruple(row["s"], row["r"], row["o"], row["t"]))
+    rows = payload["facts"]
+    code_of: dict[tuple, int] = {}
+    codes = []
+    for row in rows:
         prov = row["provenance"]
-        provenance.append(
-            Provenance(
-                rank=prov["rank"],
-                body_relation=prov.get("body_relation"),
-                confidence=prov.get("confidence"),
-            )
-        )
-    return RetrievedHistory(
-        query=query_from_dict(payload["query"]),
-        facts=tuple(facts),
-        provenance=tuple(provenance),
+        key = (prov["rank"], prov.get("body_relation"), prov.get("confidence"))
+        codes.append(code_of.setdefault(key, len(code_of)))
+    columns = np.array(
+        [(row["s"], row["r"], row["o"], row["t"]) for row in rows], dtype=np.int64
+    ).reshape(-1, 4).T
+    return RetrievedHistory.from_columns(
+        query_from_dict(payload["query"]), *columns, np.array(codes, dtype=np.int64),
+        tuple(Provenance(*key) for key in code_of),
     )
 
 

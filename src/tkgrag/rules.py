@@ -53,6 +53,30 @@ class TemporalRule:
             raise ValueError("confidence must equal rule_support / body_support")
 
 
+@dataclass(frozen=True)
+class Provenance:
+    """Why a fact was retrieved: rank 0 is a query-relation (rule-head) fact,
+    rank i >= 1 is the i-th rule body in bank order."""
+
+    rank: int
+    body_relation: Optional[int] = None
+    confidence: Optional[float] = None
+
+    @property
+    def kind(self) -> str:
+        return "rule-head" if self.rank == 0 else "rule-body"
+
+    def as_dict(self) -> dict:
+        if self.rank == 0:
+            return {"kind": "rule-head", "rank": 0}
+        return {
+            "kind": "rule-body",
+            "rank": self.rank,
+            "body_relation": self.body_relation,
+            "confidence": self.confidence,
+        }
+
+
 class HeadPlan(NamedTuple):
     """One head relation's rules in the form retrieval and the oracle read.
 
@@ -60,12 +84,15 @@ class HeadPlan(NamedTuple):
     (which would only repeat the head's facts), in bank order; `ranks` holds
     0 for the head and each body's 1-based rank in the bank. Since ranks
     ascend, the first `searchsorted(ranks, k, "right")` entries are the head
-    and the bodies of the top k rules. `confidence_by_body` maps every body,
-    the head included when it is one, to its rule's confidence.
+    and the bodies of the top k rules. `provenance` holds, parallel to them,
+    the `Provenance` that retrieval gives their facts. `confidence_by_body`
+    maps every body, the head included when it is one, to its rule's
+    confidence.
     """
 
     relations: np.ndarray
     ranks: np.ndarray
+    provenance: tuple[Provenance, ...]
     confidence_by_body: dict[int, float]
 
 
@@ -93,11 +120,15 @@ class RuleBank:
         plan = self._plans.get(head_relation)
         if plan is None:
             rules = self.rules_for(head_relation)
-            ranked = [(rank, rule.body_relation) for rank, rule in enumerate(rules, start=1)
+            ranked = [Provenance(rank, rule.body_relation, rule.confidence)
+                      for rank, rule in enumerate(rules, start=1)
                       if rule.body_relation != head_relation]
+            provenance = (Provenance(rank=0), *ranked)
             plan = self._plans[head_relation] = HeadPlan(
-                relations=np.array([head_relation] + [body for _, body in ranked], dtype=np.int64),
-                ranks=np.array([0] + [rank for rank, _ in ranked], dtype=np.int64),
+                relations=np.array([head_relation] + [p.body_relation for p in ranked],
+                                   dtype=np.int64),
+                ranks=np.array([p.rank for p in provenance], dtype=np.int64),
+                provenance=provenance,
                 confidence_by_body={rule.body_relation: rule.confidence for rule in rules},
             )
         return plan

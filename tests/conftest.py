@@ -3,6 +3,7 @@ index-free reference implementations used as oracles."""
 from __future__ import annotations
 
 import errno
+import random
 from collections import defaultdict
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from tkgrag import files
 
 from tkgrag.kg import Dataset, DatasetSpec, Quadruple, TemporalKG, load_dataset
+from tkgrag.prompts import Prompt
 from tkgrag.retrieval import Provenance, Query, RetrievalConfig, RetrievedHistory
 from tkgrag.rules import MiningParams, learn_rules
 from tkgrag.synthetic import SyntheticSpec, write_synthetic_dataset
@@ -143,7 +145,8 @@ def reference_retrieve(quads, bank, query: Query, cfg: RetrievalConfig) -> Retri
 
 
 def reference_rule_scores(history: RetrievedHistory, bank, query: Query):
-    """Straight-line recomputation of the oracle predictor's ranking."""
+    """Straight-line recomputation of the oracle predictor's ranking, one
+    `Quadruple` at a time."""
     conf = {r.body_relation: r.confidence for r in bank.rules_for(query.relation)}
     totals, latest = {}, {}
     for fact in history.facts:
@@ -152,6 +155,57 @@ def reference_rule_scores(history: RetrievedHistory, bank, query: Query):
             totals[fact.object] = totals.get(fact.object, 0.0) + w
             latest[fact.object] = max(latest.get(fact.object, -1), fact.t)
     return sorted(totals, key=lambda o: (-totals[o], -latest[o], o))[:10]
+
+
+def reference_select_history(history: RetrievedHistory, cfg, retrieval_cfg=None):
+    """The prompt-level fact cap as one Python sort over (fact, provenance)
+    pairs: (span, rank, -t, -object) priority, then canonical order."""
+    if cfg.max_facts is None or len(history) <= cfg.max_facts:
+        return history
+    query_t = history.query.t
+    if retrieval_cfg is not None and retrieval_cfg.stepwise:
+        window = retrieval_cfg.window or max(query_t, 1)
+    else:
+        window = None
+    paired = sorted(
+        zip(history.facts, history.provenance),
+        key=lambda fp: ((query_t - 1 - fp[0].t) // window if window else 0,
+                        fp[1].rank, -fp[0].t, -fp[0].object),
+    )[: cfg.max_facts]
+    paired.sort(key=lambda fp: (fp[0].t, fp[1].rank, fp[0].object))
+    return RetrievedHistory(
+        query=history.query,
+        facts=tuple(fact for fact, _ in paired),
+        provenance=tuple(prov for _, prov in paired),
+    )
+
+
+def reference_build_prompt(history: RetrievedHistory, cfg, kg: TemporalKG) -> Prompt:
+    """Prompt rendering one `Quadruple` at a time."""
+    selected = reference_select_history(history, cfg)
+    pairs = list(zip(selected.facts, selected.provenance))
+    if cfg.order == "descending":
+        pairs.reverse()
+    elif cfg.order == "random":
+        random.Random(cfg.order_seed).shuffle(pairs)
+    with_time = cfg.order != "timestamps-removed"
+    entities = [name.replace(" ", "_") for name in kg.entities]
+    relations = [name.replace(" ", "_") for name in kg.relations]
+    index_map: dict[int, int] = {}
+    lines = []
+    for fact, _ in pairs:
+        obj = entities[fact.object]
+        if cfg.format == "index":
+            if fact.object not in index_map:
+                index_map[fact.object] = len(index_map)
+            obj = f"{index_map[fact.object]}.{obj}"
+        prefix = f"{fact.t}:" if with_time else ""
+        lines.append(f"{prefix}[{entities[fact.subject]}, {relations[fact.relation]}, {obj}]")
+    query = selected.query
+    q_prefix = f"{query.t}:" if with_time else ""
+    query_line = f"{q_prefix}[{entities[query.subject]}, {relations[query.relation]},"
+    text = cfg.instruction + "\n" + "".join(line + "\n" for line in lines) + query_line
+    return Prompt(text=text, index_map=index_map, query_prefix=query_line, format=cfg.format)
 
 
 # -- the planted synthetic, shared session-wide -------------------------------

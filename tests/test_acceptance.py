@@ -36,7 +36,6 @@ from tkgrag.retrieval import (
     RetrievalConfig,
     queries_from_split,
     retrieve,
-    retrieve_batch,
 )
 from tkgrag.rules import MiningParams, learn_rules, transition_distribution
 from tkgrag.synthetic import BODY_RELATION, HEAD_RELATION
@@ -338,7 +337,8 @@ def test_09_mining_and_retrieval_performance():
             for p in positions
         ]
         start = time.perf_counter()
-        histories = retrieve_batch(kg, bank, queries, RetrievalConfig(max_history=50))
+        cfg = RetrievalConfig(max_history=50)
+        histories = [retrieve(kg, bank, query, cfg) for query in queries]
         retrieval_elapsed = time.perf_counter() - start
         assert retrieval_elapsed < 30.0, f"retrieval took {retrieval_elapsed:.1f}s"
         assert len(histories) == 7371

@@ -1,10 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import click
 import pytest
 from click.testing import CliRunner
 
+import tkgrag
 from tkgrag.cli import main
 from tkgrag.config import build_run_config
 from tkgrag.prompts import DEFAULT_INSTRUCTION
@@ -181,6 +185,26 @@ class TestPipelineCommands:
         assert summary["hits"]["1"]["half_range"] == 0.0
         assert (out_dir / "seed-1" / "report.json").exists()
         assert (out_dir / "seed-2" / "report.json").exists()
+
+    def test_eval_seeds_reach_the_endpoint(self, runner, synthetic_dir, mined_rules, tmp_path):
+        stub = StubEndpoint(sequences=["0.e01]"])
+        try:
+            run_ok(runner, [
+                "eval", "--dataset-dir", str(synthetic_dir), "--rules", str(mined_rules),
+                "--predictor", "llm", "--endpoint", stub.url, "--num-sequences", "1",
+                "--seeds", "1,2", "--out-dir", str(tmp_path / "multi"),
+            ])
+            run_ok(runner, [
+                "eval", "--dataset-dir", str(synthetic_dir), "--rules", str(mined_rules),
+                "--predictor", "llm", "--endpoint", stub.url, "--num-sequences", "1",
+                "--out-dir", str(tmp_path / "single"),
+            ])
+        finally:
+            stub.close()
+        n_queries = json.loads((tmp_path / "single" / "report.json").read_text())["n_queries"]
+        seeds = [payload.get("seed") for payload in stub.payloads]
+        # one run per seed, each sending its own; a run without --seeds sends none
+        assert seeds == [1] * n_queries + [2] * n_queries + [None] * n_queries
 
     def test_ablate_writes_summary(self, runner, synthetic_dir, mined_rules, tmp_path):
         out_dir = tmp_path / "ablation"
@@ -369,6 +393,16 @@ CLI_SURFACE = {
     ] + RETRIEVAL_OPTIONS + GENERATION_OPTIONS
     + ["--out-dir text default='runs/ablation' (shown)"],
 }
+
+
+class TestImport:
+    def test_cli_import_does_not_load_requests(self):
+        # only a request to an endpoint loads the HTTP client
+        code = "import sys, tkgrag.cli; print('requests' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(tkgrag.__file__))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                check=True, env={**os.environ, "PYTHONPATH": src})
+        assert result.stdout.strip() == "False"
 
 
 class TestSurface:

@@ -29,7 +29,7 @@ class StubEndpoint:
 
     `script` maps request ordinal (per server, 0-based) to one of:
     ok | drop | delay | malformed | error-payload | http-500. Anything beyond
-    the script acts as "ok".
+    the script acts as "ok". Every request payload is kept in `payloads`.
     """
 
     def __init__(self, script=(), sequences=("0.France]",), delay=1.0, hold=0.0):
@@ -40,6 +40,7 @@ class StubEndpoint:
         self.attempts = 0
         self.active = 0
         self.peak_active = 0
+        self.payloads = []
         self._lock = threading.Lock()
         stub = self
 
@@ -57,6 +58,8 @@ class StubEndpoint:
                     behavior = stub.script[index] if index < len(stub.script) else "ok"
                     length = int(self.headers.get("Content-Length", 0))
                     payload = json.loads(self.rfile.read(length)) if length else {}
+                    with stub._lock:
+                        stub.payloads.append(payload)
                     if stub.hold:
                         time.sleep(stub.hold)
                     if behavior == "drop":

@@ -8,18 +8,27 @@ import pytest
 
 from tkgrag.client import rule_score_predict
 from tkgrag.kg import Quadruple
+from tkgrag.prompts import FORMATS, ORDERS, PromptConfig, build_prompt, select_history
 from tkgrag.retrieval import (
     Query,
     RetrievalConfig,
+    RetrievedHistory,
+    history_from_dict,
+    history_to_dict,
     queries_from_split,
     read_histories,
     retrieve,
-    retrieve_batch,
     write_histories,
 )
 from tkgrag.rules import MiningParams, RuleBank, TemporalRule
 
-from conftest import make_kg, reference_retrieve, reference_rule_scores
+from conftest import (
+    make_kg,
+    reference_build_prompt,
+    reference_retrieve,
+    reference_rule_scores,
+    reference_select_history,
+)
 
 
 def bank_of(*rules: tuple[int, int, float]) -> RuleBank:
@@ -125,49 +134,90 @@ class TestRetrieve:
         assert set(history.facts) == {Quadruple(0, 0, 2, 8), Quadruple(0, 1, 3, 9)}
 
 
+def random_cases(stepwise: bool):
+    """120 (trial, quads, graph, bank, config, query) cases on random graphs of
+    6 entities, 5 relations and 40 time steps."""
+    rng = np.random.default_rng(42)
+    # a second stream for the edge cases, so the graphs stay as drawn by rng
+    edge_cases = np.random.default_rng(43)
+    for trial in range(120):
+        n_edges = int(rng.integers(10, 500))
+        quads = sorted({
+            (int(rng.integers(6)), int(rng.integers(5)), int(rng.integers(6)),
+             int(rng.integers(40)))
+            for _ in range(n_edges)
+        })
+        kg = make_kg(quads, n_entities=6, n_relations=5)
+        rules = []
+        heads = rng.permutation(5)[: int(rng.integers(1, 4))]
+        for head in heads:
+            bodies = [int(b) for b in rng.permutation(5)[: int(rng.integers(1, 4))]]
+            if head not in bodies and edge_cases.random() < 0.4:
+                # a rule whose body is its own head relation
+                bodies.insert(int(edge_cases.integers(len(bodies) + 1)), int(head))
+            for rank, body in enumerate(bodies):
+                rules.append((int(head), body, round(0.9 - 0.2 * rank, 2)))
+        bank = bank_of(*rules)
+        cfg = RetrievalConfig(
+            window=int(rng.integers(1, 45)) if rng.random() < 0.7 else None,
+            max_history=int(rng.integers(1, 20)),
+            stepwise=stepwise,
+            top_rules=[None, None, 0, 1, 2, 3][int(edge_cases.integers(6))],
+        )
+        query = Query(
+            subject=int(rng.integers(6)),
+            relation=int(rng.integers(5)),
+            t=int(rng.integers(0, 45)),
+        )
+        if edge_cases.random() < 0.5:  # a relation the bank has rules for
+            query = replace(query, relation=int(heads[0]))
+        if edge_cases.random() < 0.1:
+            query = replace(query, t=0)
+        yield trial, quads, kg, bank, cfg, query
+
+
 class TestBruteForceEquivalence:
     @pytest.mark.parametrize("stepwise", [False, True])
     def test_random_graphs_match_reference(self, stepwise):
-        rng = np.random.default_rng(42)
-        # a second stream for the edge cases, so the graphs stay as drawn by rng
-        edge_cases = np.random.default_rng(43)
-        for trial in range(120):
-            n_edges = int(rng.integers(10, 500))
-            quads = sorted({
-                (int(rng.integers(6)), int(rng.integers(5)), int(rng.integers(6)),
-                 int(rng.integers(40)))
-                for _ in range(n_edges)
-            })
-            kg = make_kg(quads, n_entities=6, n_relations=5)
-            rules = []
-            heads = rng.permutation(5)[: int(rng.integers(1, 4))]
-            for head in heads:
-                bodies = [int(b) for b in rng.permutation(5)[: int(rng.integers(1, 4))]]
-                if head not in bodies and edge_cases.random() < 0.4:
-                    # a rule whose body is its own head relation
-                    bodies.insert(int(edge_cases.integers(len(bodies) + 1)), int(head))
-                for rank, body in enumerate(bodies):
-                    rules.append((int(head), body, round(0.9 - 0.2 * rank, 2)))
-            bank = bank_of(*rules)
-            cfg = RetrievalConfig(
-                window=int(rng.integers(1, 45)) if rng.random() < 0.7 else None,
-                max_history=int(rng.integers(1, 20)),
-                stepwise=stepwise,
-                top_rules=[None, None, 0, 1, 2, 3][int(edge_cases.integers(6))],
-            )
-            query = Query(
-                subject=int(rng.integers(6)),
-                relation=int(rng.integers(5)),
-                t=int(rng.integers(0, 45)),
-            )
-            if edge_cases.random() < 0.5:  # a relation the bank has rules for
-                query = replace(query, relation=int(heads[0]))
-            if edge_cases.random() < 0.1:
-                query = replace(query, t=0)
+        for trial, quads, kg, bank, cfg, query in random_cases(stepwise):
             got = retrieve(kg, bank, query, cfg)
             want = reference_retrieve(quads, bank, query, cfg)
             assert got.facts == want.facts, (trial, cfg, query)
             assert got.provenance == want.provenance
+
+    @pytest.mark.parametrize("stepwise", [False, True])
+    def test_column_readers_match_fact_tuple_references(self, stepwise):
+        """The fact cap, prompt rendering, the oracle and the JSON round trip
+        read a history's columns; they agree with references that read its
+        `Quadruple`s, on histories from `retrieve` and from the (facts,
+        provenance) constructor, in canonical and in shuffled order."""
+        shuffle = np.random.default_rng(44)
+        for trial, quads, kg, bank, cfg, query in random_cases(stepwise):
+            got = retrieve(kg, bank, query, cfg)
+            rows = shuffle.permutation(len(got)).tolist()
+            histories = [
+                got,
+                RetrievedHistory(query, got.facts, got.provenance),
+                RetrievedHistory(query, [got.facts[i] for i in rows],
+                                 [got.provenance[i] for i in rows]),
+                RetrievedHistory(query, (), ()),
+            ]
+            for history in histories:
+                case = (trial, cfg, query, history)
+                assert history_from_dict(json.loads(json.dumps(history_to_dict(history)))) \
+                    == history, case
+                assert list(rule_score_predict(history, bank, query).ranked) == \
+                    reference_rule_scores(history, bank, query), case
+                for cap in {0, 1, max(len(history) - 1, 0), len(history), len(history) + 3}:
+                    for retrieval_cfg in (cfg, None):
+                        prompt_cfg = PromptConfig(max_facts=cap)
+                        assert select_history(history, prompt_cfg, retrieval_cfg) == \
+                            reference_select_history(history, prompt_cfg, retrieval_cfg), case
+                    for fmt, order in product(FORMATS, ORDERS):
+                        prompt_cfg = PromptConfig(format=fmt, order=order, order_seed=trial,
+                                                  max_facts=cap)
+                        assert build_prompt(history, prompt_cfg, kg) == \
+                            reference_build_prompt(history, prompt_cfg, kg), case
 
     def test_monotone_in_max_history(self):
         rng = np.random.default_rng(8)
@@ -243,7 +293,7 @@ class TestQueriesAndIO:
     def test_history_jsonl_roundtrip(self, synthetic_dataset, synthetic_bank):
         kg = synthetic_dataset.union_kg()
         queries = queries_from_split(synthetic_dataset, "test")[:10]
-        histories = retrieve_batch(kg, synthetic_bank, queries)
+        histories = [retrieve(kg, synthetic_bank, query) for query in queries]
         buffer = io.StringIO()
         assert write_histories(histories, buffer) == len(histories)
         buffer.seek(0)
