@@ -168,6 +168,20 @@ def _dataset_digest(dataset: Dataset) -> str:
     return digest.hexdigest()
 
 
+def _input_digests(dataset: Dataset, bank: RuleBank | None = None, **paths: str) -> dict:
+    """Content digests of a command's inputs, as its manifest records them
+    under "inputs": the rule bank's canonical JSON, the dataset as loaded
+    and the bytes of each input file of `paths` (name=path)."""
+    inputs = {}
+    if bank is not None:
+        inputs["rules"] = hashlib.sha256(bank.to_json().encode()).hexdigest()
+    inputs["dataset"] = _dataset_digest(dataset)
+    for name, path in paths.items():
+        with open(path, "rb") as fh:
+            inputs[name] = hashlib.sha256(fh.read()).hexdigest()
+    return inputs
+
+
 def _load_eval(options: dict, **sections):
     """What an eval or ablate run loads once, from the shared eval options
     (popped from `options`): the run config, the manifest entries, and the
@@ -191,11 +205,8 @@ def _load_eval(options: dict, **sections):
         engine = OraclePredictor(bank)
     else:
         engine = LLMPredictor(kg, resolve_endpoint(config.endpoint), config.generation)
-    inputs = {
-        "rules": hashlib.sha256(bank.to_json().encode()).hexdigest(),
-        "dataset": _dataset_digest(dataset),
-    }
-    manifest = {"inputs": inputs, "split": split, "predictor": predictor}
+    manifest = {"inputs": _input_digests(dataset, bank), "split": split,
+                "predictor": predictor}
     return config, manifest, kg, bank, queries, filter_index, engine
 
 
@@ -261,7 +272,8 @@ def mine(workers, mine_splits, out, **options):
     kg = dataset.union_kg(_split_names(mine_splits))
     bank = learn_rules(kg, config.mining, workers=workers)
     bank.save(out)
-    _write_manifest(out + ".manifest.json", "mine", config, {"n_rules": len(bank)})
+    _write_manifest(out + ".manifest.json", "mine", config,
+                    {"inputs": _input_digests(dataset), "n_rules": len(bank)})
     click.echo(f"mined {len(bank)} rules -> {out}")
 
 
@@ -285,7 +297,8 @@ def retrieve_cmd(rules_path, split, retrieval_splits, out, **options):
     with atomic_write(out) as fh:
         count = write_histories(histories, fh)
     _write_manifest(out + ".manifest.json", "retrieve", config,
-                    {"split": split, "n_queries": len(queries)})
+                    {"inputs": _input_digests(dataset, bank), "split": split,
+                     "n_queries": len(queries)})
     click.echo(f"retrieved {count} histories -> {out}")
 
 
@@ -320,7 +333,9 @@ def prompt_cmd(histories_path, out, **options):
                 + "\n"
             )
             count += 1
-    _write_manifest(out + ".manifest.json", "prompt", config, {"n_prompts": count})
+    _write_manifest(out + ".manifest.json", "prompt", config,
+                    {"inputs": _input_digests(dataset, histories=histories_path),
+                     "n_prompts": count})
     click.echo(f"rendered {count} prompts -> {out}")
 
 
@@ -340,7 +355,7 @@ def export(rules_path, k, seed, out, **options):
     bank = RuleBank.load(rules_path)
     manifest = export_finetune_set(
         dataset, bank, k, config.retrieval, config.prompt, config.seed, out,
-        fingerprint=config.fingerprint,
+        fingerprint=config.fingerprint, inputs=_input_digests(dataset, bank),
     )
     click.echo(f"exported {manifest['n_samples']} samples -> {out}")
 
@@ -388,7 +403,9 @@ def infer(prompts_path, endpoint, out, **options):
                 )
                 + "\n"
             )
-    _write_manifest(out + ".manifest.json", "infer", config, {"n_prompts": len(prompts)})
+    _write_manifest(out + ".manifest.json", "infer", config,
+                    {"inputs": _input_digests(dataset, prompts=prompts_path),
+                     "n_prompts": len(prompts)})
     click.echo(f"parsed predictions for {len(prompts)} prompts -> {out}")
 
 

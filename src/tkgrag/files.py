@@ -1,7 +1,9 @@
-"""Artifact files that are either the old version or the whole new one."""
+"""Artifact files and directories that are either the old version or the
+whole new one."""
 from __future__ import annotations
 
 import os
+import shutil
 from contextlib import contextmanager, suppress
 from typing import Iterator, TextIO
 
@@ -23,3 +25,36 @@ def atomic_write(path: str) -> Iterator[TextIO]:
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+@contextmanager
+def atomic_directory(path: str) -> Iterator[str]:
+    """Path of an empty directory to fill in the block, which replaces the
+    directory `path` only when the block completes.
+
+    The block fills a sibling temp directory. Then an existing `path` is
+    moved aside, the temp directory renamed into place and the old one
+    removed last, with any other files it held. On any failure the temp
+    directory is removed and `path` keeps its previous contents, or stays
+    absent.
+    """
+    path = os.path.abspath(path)
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise NotADirectoryError(f"not a directory: {path}")
+    tmp, old = f"{path}.{os.getpid()}.tmp", f"{path}.{os.getpid()}.old"
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    os.mkdir(tmp)
+    moved = False
+    try:
+        yield tmp
+        if os.path.exists(path):
+            os.rename(path, old)
+            moved = True
+        os.rename(tmp, path)
+    except BaseException:
+        if moved and not os.path.exists(path):
+            os.rename(old, path)
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    if moved:
+        shutil.rmtree(old)

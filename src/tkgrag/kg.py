@@ -9,6 +9,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from .files import atomic_directory, atomic_write
+
 INVERSE_PREFIX = "inv_"
 SPLIT_FILES = {"train": "train.txt", "valid": "valid.txt", "test": "test.txt"}
 ENTITY_MAP_FILE = "entity2id.txt"
@@ -48,12 +50,13 @@ class TemporalKG:
     in canonical order, sorted by (t, subject, relation, object). Index entries
     are positions into those columns, so a position is ascending in time within
     any index bucket. Every index is one stable argsort of a packed id key split
-    at its runs. Built on first use: the per-(subject,object) index, the
-    (subject,relation,object) last-time table, the display names, and the
-    sorted (subject, relation, t) key table behind `key_search` and
-    `window_ranges`, which lays the `index_sr` permutation out as one
-    searchable column so that all the windows of one query take one
-    `np.searchsorted`. `last_time_of` takes ids or equal-length id arrays.
+    at its runs. Built on first use: the `index_sr` and `index_r` bucket
+    dicts (only mining reads them), the per-(subject,object) index with its
+    pair id column, the (subject,relation,object) last-time table, the
+    display names, and the sorted (subject, relation, t) key table behind
+    `key_search` and `window_ranges`, which lays the `index_sr` permutation
+    out as one searchable column so that all the windows of one query take
+    one `np.searchsorted`. `last_time_of` takes ids or equal-length id arrays.
     Instances never mutate after construction (beyond those lazy builds) and
     are safe to share across threads.
     """
@@ -89,15 +92,13 @@ class TemporalKG:
         n_ent, n_rel = len(self.entities), len(self.relations)
         # index_sr's buckets are slices of this permutation, which the key
         # table of key_search reuses
-        self._sr_order, sr_bounds = _sorted_runs(_pack((self.sub, self.rel), (n_ent, n_rel)))
-        self.index_sr: dict[tuple[int, int], np.ndarray] = _bucket_index(
-            self._sr_order, sr_bounds, self.sub, self.rel
+        self._sr_order, self._sr_bounds = _sorted_runs(
+            _pack((self.sub, self.rel), (n_ent, n_rel))
         )
-        self.index_r: dict[int, np.ndarray] = _bucket_index(
-            *_sorted_runs(self.rel), self.rel
-        )
-
-        self._index_so: Optional[dict[tuple[int, int], np.ndarray]] = None
+        self._index_sr: Optional[dict[tuple[int, int], np.ndarray]] = None
+        self._index_r: Optional[dict[int, np.ndarray]] = None
+        # the (subject, object) buckets and each edge's pair id
+        self._index_so: Optional[tuple[dict[tuple[int, int], np.ndarray], np.ndarray]] = None
         # sorted packed (relation, subject, object) keys and their latest t
         self._last_time_sro: Optional[tuple[np.ndarray, np.ndarray]] = None
         # packed (subject, relation, t) keys in _sr_order, and their id ranges
@@ -117,6 +118,20 @@ class TemporalKG:
     @property
     def has_inverses(self) -> bool:
         return len(self.relations) == 2 * self.num_base_relations and self.num_base_relations > 0
+
+    @property
+    def index_sr(self) -> dict[tuple[int, int], np.ndarray]:
+        """Positions per (subject, relation), ascending in t."""
+        if self._index_sr is None:
+            self._index_sr = _bucket_index(self._sr_order, self._sr_bounds, self.sub, self.rel)
+        return self._index_sr
+
+    @property
+    def index_r(self) -> dict[int, np.ndarray]:
+        """Positions per relation, ascending in t."""
+        if self._index_r is None:
+            self._index_r = _bucket_index(*_sorted_runs(self.rel), self.rel)
+        return self._index_r
 
     def quad_at(self, pos: int) -> Quadruple:
         return Quadruple(
@@ -158,9 +173,9 @@ class TemporalKG:
         if positions is None:
             return False
         ts = self.ts[positions]
-        lo = int(np.searchsorted(ts, quad.t, side="left"))
-        hi = int(np.searchsorted(ts, quad.t, side="right"))
-        return any(int(self.obj[positions[i]]) == quad.object for i in range(lo, hi))
+        lo = ts.searchsorted(quad.t, side="left")
+        hi = ts.searchsorted(quad.t, side="right")
+        return quad.object in self.obj[positions[lo:hi]].tolist()
 
     # -- windowed lookups ---------------------------------------------------
 
@@ -227,16 +242,16 @@ class TemporalKG:
 
     def returning_positions(self, subject: int, obj: int, t_before: int) -> np.ndarray:
         """Positions of edges (subject, *, obj, t) with t strictly before t_before."""
-        if self._index_so is None:
-            n_ent = len(self.entities)
-            self._index_so = _bucket_index(
-                *_sorted_runs(_pack((self.sub, self.obj), (n_ent, n_ent))), self.sub, self.obj
-            )
-        positions = self._index_so.get((subject, obj))
+        positions = self._so_index()[0].get((subject, obj))
         if positions is None:
             return np.empty(0, dtype=np.int64)
-        ts = self.ts[positions]
-        return positions[: int(np.searchsorted(ts, t_before, side="left"))]
+        return positions[: self.ts[positions].searchsorted(t_before)]
+
+    def pair_ids(self) -> np.ndarray:
+        """Per edge, the id of its (subject, object) pair. Ids number the
+        pairs from 0 in (subject, object) order, so each is below the edge
+        count."""
+        return self._so_index()[1]
 
     def last_time_of(self, subject, relation, obj):
         """Latest time step at which (subject, relation, obj) occurs, or -1.
@@ -283,6 +298,17 @@ class TemporalKG:
         return self._normalized_entity_ids
 
     # -- internal -----------------------------------------------------------
+
+    def _so_index(self) -> tuple[dict[tuple[int, int], np.ndarray], np.ndarray]:
+        """The per-(subject, object) buckets and the pair id column, both
+        from one sort of the packed (subject, object) keys."""
+        if self._index_so is None:
+            n_ent = len(self.entities)
+            order, bounds = _sorted_runs(_pack((self.sub, self.obj), (n_ent, n_ent)))
+            pair_ids = np.empty(len(order), dtype=np.int64)
+            pair_ids[order] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+            self._index_so = (_bucket_index(order, bounds, self.sub, self.obj), pair_ids)
+        return self._index_so
 
     def _validate_bounds(self) -> None:
         if len(self.sub) == 0:
@@ -526,16 +552,22 @@ def load_dataset(directory: str, spec: DatasetSpec = DatasetSpec()) -> Dataset:
 
 def save_dataset(dataset: Dataset, directory: str) -> None:
     """Write the canonical on-disk layout: id-form split files (original edges
-    only, canonical order, raw timestamps restored) plus both id-map files."""
-    os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, ENTITY_MAP_FILE), "w", encoding="utf-8") as fh:
-        for idx, name in enumerate(dataset.entities):
-            fh.write(f"{name}\t{idx}\n")
-    with open(os.path.join(directory, RELATION_MAP_FILE), "w", encoding="utf-8") as fh:
-        for idx, name in enumerate(dataset.relations[: dataset.num_base_relations]):
-            fh.write(f"{name}\t{idx}\n")
+    only, canonical order, raw timestamps restored) plus both id-map files.
+    The directory is replaced as a whole (`files.atomic_directory`), so a
+    failed save leaves the previous dataset in place."""
+    with atomic_directory(directory) as staging:
+        write_dataset_files(dataset, staging)
+
+
+def write_dataset_files(dataset: Dataset, directory: str) -> None:
+    """The files of `save_dataset`, written into an existing directory."""
+    with atomic_write(os.path.join(directory, ENTITY_MAP_FILE)) as fh:
+        fh.write("".join(f"{name}\t{idx}\n" for idx, name in enumerate(dataset.entities)))
+    with atomic_write(os.path.join(directory, RELATION_MAP_FILE)) as fh:
+        base_relations = dataset.relations[: dataset.num_base_relations]
+        fh.write("".join(f"{name}\t{idx}\n" for idx, name in enumerate(base_relations)))
     for split, filename in SPLIT_FILES.items():
         quads = dataset.split(split).base_quads()
         quads[:, 3] = quads[:, 3] * dataset.time_gap + dataset.time_origin
-        with open(os.path.join(directory, filename), "w", encoding="utf-8") as fh:
-            fh.writelines(f"{s}\t{r}\t{o}\t{t}\n" for s, r, o, t in quads.tolist())
+        with atomic_write(os.path.join(directory, filename)) as fh:
+            fh.write("".join(f"{s}\t{r}\t{o}\t{t}\n" for s, r, o, t in quads.tolist()))

@@ -179,9 +179,11 @@ def export_finetune_set(
     seed: int,
     out_path: str,
     fingerprint: Optional[str] = None,
+    inputs: Optional[dict] = None,
 ) -> dict:
     """Write k instruction samples drawn from the training split as JSON lines
-    plus a manifest recording every knob that shaped them.
+    plus a manifest recording every knob that shaped them, and the run's
+    `fingerprint` and input digests (`inputs`) when given.
 
     Retrieval for each sampled query runs against the training split only and
     sees nothing at or after the query's own time step.
@@ -222,6 +224,8 @@ def export_finetune_set(
     }
     if fingerprint is not None:
         manifest["fingerprint"] = fingerprint
+    if inputs is not None:
+        manifest["inputs"] = inputs
     with atomic_write(out_path + ".manifest.json") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -189,13 +188,83 @@ def _rule_sort_key(rule: TemporalRule):
     return (-rule.confidence, -rule.rule_support, rule.body_relation)
 
 
+def _derived_seed(*material) -> int:
+    token = "/".join(map(str, material)).encode()
+    return int.from_bytes(hashlib.blake2b(token, digest_size=8).digest(), "big")
+
+
 def _derived_rng(*material) -> np.random.Generator:
     """Independent, reproducible stream per (seed, ...) tuple. Streams do not
     depend on how many other streams exist, so adding walks never perturbs
     earlier ones."""
-    token = "/".join(str(m) for m in material).encode()
-    digest = hashlib.blake2b(token, digest_size=8).digest()
-    return np.random.default_rng(int.from_bytes(digest, "big"))
+    return np.random.default_rng(_derived_seed(*material))
+
+
+# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) that `np.random.default_rng(seed)` starts
+    from, for every seed in [0, 2**64).
+
+    SeedSequence hashes a seed's little-endian 32-bit words into a pool of
+    four and draws four 64-bit words from the pool. That runs here on all
+    seeds at once in uint32 arrays; a seed below 2**32 has one word, and
+    the words it lacks hash as zeros would. PCG64 then seeds its 128-bit
+    LCG from the words, in Python ints: inc = (stream << 1) | 1, one step
+    from state 0, add the initial state, one more step.
+    """
+    u32 = np.uint32
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ u32(hash_const)
+        hash_const = hash_const * _MULT_A & 0xFFFFFFFF
+        value = value * u32(hash_const)
+        return value ^ (value >> u32(16))
+
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    low, high = seeds.astype(u32), (seeds >> np.uint64(32)).astype(u32)
+    pool = [hashmix(word) for word in (low, high, 0 * low, 0 * low)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = u32(_MIX_MULT_L) * pool[dst] - u32(_MIX_MULT_R) * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> u32(16))
+    hash_const = _INIT_B
+    state_words = []
+    for i in range(8):
+        value = pool[i % 4] ^ u32(hash_const)
+        hash_const = hash_const * _MULT_B & 0xFFFFFFFF
+        value = value * u32(hash_const)
+        state_words.append(value ^ (value >> u32(16)))
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in np.stack(state_words, axis=1).astype("<u4").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def _walk_streams(seed: int, head_relation: int, num_walks: int) -> Iterator[np.random.Generator]:
+    """The generator of each of a head's walks in turn, drawing the stream
+    `_derived_rng(seed, "walk", head_relation, walk_index)` would. It is one
+    generator, set to the next walk's start state when the next is asked
+    for."""
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    seeds = [_derived_seed(seed, "walk", head_relation, walk_index)
+             for walk_index in range(num_walks)]
+    for state, inc in _pcg64_states(seeds):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def transition_weights(candidate_ts: np.ndarray, t: int) -> np.ndarray:
@@ -238,10 +307,26 @@ def sample_walk(
     if positions.size == 0:
         return None
     probs = transition_weights(kg.ts[positions], head_edge.t)
-    pick = int(rng.choice(positions.size, p=probs))
+    # the float operations of rng.choice(positions.size, p=probs), unchecked
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    pick = int(cdf.searchsorted(rng.random(), side="right"))
     walked = int(kg.rel[positions[pick]])
     inverse = kg.inverse_of(walked)
     return walked if inverse is None else inverse
+
+
+def last_head_times(kg: TemporalKG, head_relation: int) -> np.ndarray:
+    """Per (subject, object) pair id of `kg.pair_ids()`, the latest time step
+    at which the pair carries the head relation, or -1. Sized to the edge
+    count, which bounds the pair ids."""
+    last = np.full(len(kg), -1, dtype=np.int64)
+    positions = kg.index_r.get(head_relation)
+    if positions is not None and positions.size:
+        last[kg.pair_ids()[positions]] = kg.last_time_of(
+            kg.sub[positions], head_relation, kg.obj[positions]
+        )
+    return last
 
 
 def estimate_confidence(
@@ -250,6 +335,7 @@ def estimate_confidence(
     body_relation: int,
     grounding_cap: int,
     rng: Optional[np.random.Generator] = None,
+    head_last: Optional[np.ndarray] = None,
 ) -> tuple[int, int, float]:
     """(body_support, rule_support, confidence) for one head/body pair.
 
@@ -257,7 +343,8 @@ def estimate_confidence(
     the cap a uniform sample of grounding_cap groundings is scored instead,
     making the confidence an unbiased estimate. A grounding counts toward rule
     support when the same (subject, object) pair carries the head relation at
-    any strictly later time step.
+    any strictly later time step. `head_last` is the head's
+    `last_head_times` table, built here when not given.
     """
     if grounding_cap < 1:
         raise ValueError("grounding_cap must be >= 1")
@@ -270,8 +357,10 @@ def estimate_confidence(
         positions = positions[
             np.sort(rng.choice(positions.size, size=grounding_cap, replace=False))
         ]
+    if head_last is None:
+        head_last = last_head_times(kg, head_relation)
     body_support = int(positions.size)
-    last = kg.last_time_of(kg.sub[positions], head_relation, kg.obj[positions])
+    last = head_last[kg.pair_ids()[positions]]
     rule_support = int(np.count_nonzero(kg.ts[positions] < last))
     confidence = rule_support / body_support
     return (body_support, rule_support, confidence)
@@ -283,22 +372,26 @@ def _mine_head(
     positions = kg.index_r.get(head_relation)
     if positions is None or positions.size == 0:
         return []
+    subjects, objects, times = (column[positions].tolist() for column in (kg.sub, kg.obj, kg.ts))
     candidates: list[int] = []
     seen: set[int] = set()
-    for walk_index in range(params.num_walks):
-        rng = _derived_rng(params.seed, "walk", head_relation, walk_index)
-        head_edge = kg.quad_at(int(positions[int(rng.integers(positions.size))]))
+    for rng in _walk_streams(params.seed, head_relation, params.num_walks):
+        pick = rng.integers(positions.size)
+        head_edge = Quadruple(subjects[pick], head_relation, objects[pick], times[pick])
         body = sample_walk(kg, head_edge, rng)
         if body is not None and body not in seen:
             seen.add(body)
             candidates.append(body)
+    if not candidates:
+        return []
+    head_last = last_head_times(kg, head_relation)
     rules = []
     for body in candidates:
         # the stream only matters when the groundings get sampled
         capped = len(kg.index_r.get(body, ())) > params.grounding_cap
         conf_rng = _derived_rng(params.seed, "confidence", head_relation, body) if capped else None
         body_support, rule_support, confidence = estimate_confidence(
-            kg, head_relation, body, params.grounding_cap, conf_rng
+            kg, head_relation, body, params.grounding_cap, conf_rng, head_last
         )
         if body_support < params.min_body_support or rule_support < 1:
             continue
@@ -335,6 +428,8 @@ def learn_rules(kg: TemporalKG, params: MiningParams, workers: int = 1) -> RuleB
         raise ValueError("cannot mine rules from an empty graph")
     heads = sorted(r for r, positions in kg.index_r.items() if positions.size)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only pools load multiprocessing
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_worker_init, initargs=(kg, params)
         ) as pool:

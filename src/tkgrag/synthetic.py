@@ -21,7 +21,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .kg import Dataset, TemporalKG, save_dataset
+from .files import atomic_directory, atomic_write
+from .kg import Dataset, TemporalKG, write_dataset_files
 
 BODY_RELATION = 0  # "precursor"
 HEAD_RELATION = 1  # "outcome"
@@ -148,7 +149,8 @@ def split_by_time(
 
 def write_synthetic_dataset(directory: str, spec: SyntheticSpec = SyntheticSpec()) -> dict:
     """Write the canonical dataset layout plus a ground-truth sidecar, and
-    return the sidecar payload."""
+    return the sidecar payload. The directory is replaced as a whole, as
+    `save_dataset` replaces it."""
     events = generate_events(spec)
     splits = split_by_time(events, spec.train_boundary, spec.body_horizon)
     if not splits["train"] or not splits["test"]:
@@ -159,11 +161,6 @@ def write_synthetic_dataset(directory: str, spec: SyntheticSpec = SyntheticSpec(
         f"noise_{i}" for i in range(spec.n_noise_relations)
     ]
     graphs = {name: TemporalKG(entities, relations, rows) for name, rows in splits.items()}
-    save_dataset(
-        Dataset(entities, relations, len(relations), graphs, time_gap=1, time_origin=0),
-        directory,
-    )
-
     ground_truth = {
         "spec": asdict(spec),
         "body_relation": BODY_RELATION,
@@ -171,7 +168,12 @@ def write_synthetic_dataset(directory: str, spec: SyntheticSpec = SyntheticSpec(
         "n_events": len(events),
         "split_sizes": {name: len(rows) for name, rows in splits.items()},
     }
-    with open(os.path.join(directory, "ground_truth.json"), "w", encoding="utf-8") as fh:
-        json.dump(ground_truth, fh, indent=2)
-        fh.write("\n")
+    with atomic_directory(directory) as staging:
+        write_dataset_files(
+            Dataset(entities, relations, len(relations), graphs, time_gap=1, time_origin=0),
+            staging,
+        )
+        with atomic_write(os.path.join(staging, "ground_truth.json")) as fh:
+            json.dump(ground_truth, fh, indent=2)
+            fh.write("\n")
     return ground_truth

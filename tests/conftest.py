@@ -6,6 +6,7 @@ import errno
 import random
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
 from tkgrag import files
@@ -13,7 +14,14 @@ from tkgrag import files
 from tkgrag.kg import Dataset, DatasetSpec, Quadruple, TemporalKG, load_dataset
 from tkgrag.prompts import Prompt
 from tkgrag.retrieval import Provenance, Query, RetrievalConfig, RetrievedHistory
-from tkgrag.rules import MiningParams, learn_rules
+from tkgrag.rules import (
+    MiningParams,
+    RuleBank,
+    TemporalRule,
+    _derived_rng,
+    learn_rules,
+    transition_weights,
+)
 from tkgrag.synthetic import SyntheticSpec, write_synthetic_dataset
 
 
@@ -98,6 +106,59 @@ def reference_confidence(quads, head_relation, body_relation):
     )
     confidence = rule_support / body_support if body_support else 0.0
     return body_support, rule_support, confidence
+
+
+def reference_sample_walk(kg: TemporalKG, head_edge: Quadruple, rng):
+    """One walk step drawn with `Generator.choice` over the transition law."""
+    if not kg.contains(head_edge):
+        raise ValueError(f"head edge {head_edge} not present in graph")
+    positions = kg.returning_positions(head_edge.object, head_edge.subject, head_edge.t)
+    if positions.size == 0:
+        return None
+    probs = transition_weights(kg.ts[positions], head_edge.t)
+    pick = int(rng.choice(positions.size, p=probs))
+    walked = int(kg.rel[positions[pick]])
+    inverse = kg.inverse_of(walked)
+    return walked if inverse is None else inverse
+
+
+def reference_estimate_confidence(kg: TemporalKG, head_relation, body_relation,
+                                  grounding_cap, rng):
+    """The confidence estimate with one latest-head-time search per grounding."""
+    positions = kg.index_r.get(body_relation)
+    if positions is None or positions.size == 0:
+        return (0, 0, 0.0)
+    if positions.size > grounding_cap:
+        positions = positions[
+            np.sort(rng.choice(positions.size, size=grounding_cap, replace=False))
+        ]
+    last = kg.last_time_of(kg.sub[positions], head_relation, kg.obj[positions])
+    rule_support = int(np.count_nonzero(kg.ts[positions] < last))
+    return (int(positions.size), rule_support, rule_support / positions.size)
+
+
+def reference_learn_rules(kg: TemporalKG, params: MiningParams) -> RuleBank:
+    """Rule mining with a fresh `_derived_rng` generator per walk and per
+    capped confidence, heads one after another."""
+    rules_by_head = {}
+    for head, positions in sorted(kg.index_r.items()):
+        candidates = []
+        for walk_index in range(params.num_walks):
+            rng = _derived_rng(params.seed, "walk", head, walk_index)
+            head_edge = kg.quad_at(int(positions[int(rng.integers(positions.size))]))
+            body = reference_sample_walk(kg, head_edge, rng)
+            if body is not None and body not in candidates:
+                candidates.append(body)
+        rules = []
+        for body in candidates:
+            rng = _derived_rng(params.seed, "confidence", head, body)
+            body_support, rule_support, confidence = reference_estimate_confidence(
+                kg, head, body, params.grounding_cap, rng)
+            if body_support >= params.min_body_support and rule_support >= 1:
+                rules.append(TemporalRule(head, body, body_support, rule_support, confidence))
+        if rules:
+            rules_by_head[head] = rules
+    return RuleBank(rules_by_head, params)
 
 
 def reference_retrieve(quads, bank, query: Query, cfg: RetrievalConfig) -> RetrievedHistory:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -41,6 +42,16 @@ class TestSynthAndMine:
         for name in ("train.txt", "valid.txt", "test.txt",
                       "entity2id.txt", "relation2id.txt", "ground_truth.json"):
             assert (out / name).exists()
+
+    def test_failed_synth_keeps_previous_dataset(self, runner, tmp_path, disk_full):
+        out = tmp_path / "data"
+        run_ok(runner, ["synth", "--out", str(out), "--seed", "3"])
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        disk_full(1000)
+        result = runner.invoke(main, ["synth", "--out", str(out), "--seed", "4"])
+        assert result.exit_code == 2, result.output
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert os.listdir(tmp_path) == ["data"]
 
     def test_mine_writes_rules_and_manifest(self, runner, synthetic_dir, tmp_path):
         rules = tmp_path / "rules.json"
@@ -404,6 +415,15 @@ class TestImport:
                                 check=True, env={**os.environ, "PYTHONPATH": src})
         assert result.stdout.strip() == "False"
 
+    def test_cli_import_does_not_load_process_pools(self):
+        # only mining with more than one worker starts a process pool
+        code = ("import sys, tkgrag.cli; "
+                "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+        src = os.path.dirname(os.path.dirname(tkgrag.__file__))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                check=True, env={**os.environ, "PYTHONPATH": src})
+        assert result.stdout.strip() == "[]"
+
 
 class TestSurface:
     """The command line, run config and export manifest that scripts and
@@ -464,7 +484,7 @@ class TestSurface:
         manifest = json.loads((tmp_path / "finetune.jsonl.manifest.json").read_text())
         assert list(manifest) == ["k", "seed", "n_samples", "retrieval", "prompt",
                                   "mining_params", "dataset_stats", "over_char_budget",
-                                  "output", "fingerprint"]
+                                  "output", "fingerprint", "inputs"]
         assert list(manifest["retrieval"]) == ["window", "top_rules", "max_history",
                                                "stepwise"]
         assert list(manifest["prompt"]) == ["format", "order", "order_seed", "max_facts",
@@ -474,6 +494,40 @@ class TestSurface:
                                                    "seed"]
         assert list(manifest["dataset_stats"]) == ["n_train", "n_valid", "n_test",
                                                    "n_entities", "n_relations", "time_gap"]
+
+
+class TestManifestInputs:
+    def test_every_manifest_records_its_input_digests(self, runner, synthetic_dir,
+                                                      mined_rules, tmp_path):
+        data = ["--dataset-dir", str(synthetic_dir)]
+        bank = ["--rules", str(mined_rules)]
+        histories, prompts = tmp_path / "h.jsonl", tmp_path / "p.jsonl"
+        run_ok(runner, ["mine", *data, "--walks", "10", "--out", str(tmp_path / "r.json")])
+        run_ok(runner, ["retrieve", *data, *bank, "--out", str(histories)])
+        run_ok(runner, ["prompt", *data, "--histories", str(histories), "--out", str(prompts)])
+        run_ok(runner, ["export", *data, *bank, "--k", "4", "--out",
+                        str(tmp_path / "f.jsonl")])
+        run_ok(runner, ["eval", *data, *bank, "--out-dir", str(tmp_path / "eval")])
+        stub = StubEndpoint(sequences=["0.e01]"])
+        try:
+            run_ok(runner, ["infer", *data, "--prompts", str(prompts), "--endpoint", stub.url,
+                            "--retries", "1", "--out", str(tmp_path / "i.jsonl")])
+        finally:
+            stub.close()
+        inputs = {name: strip_created_at(tmp_path / path)["inputs"] for name, path in (
+            ("mine", "r.json.manifest.json"), ("retrieve", "h.jsonl.manifest.json"),
+            ("prompt", "p.jsonl.manifest.json"), ("export", "f.jsonl.manifest.json"),
+            ("eval", "eval/manifest.json"), ("infer", "i.jsonl.manifest.json"))}
+        assert {name: list(digests) for name, digests in inputs.items()} == {
+            "mine": ["dataset"], "retrieve": ["rules", "dataset"],
+            "prompt": ["dataset", "histories"], "export": ["rules", "dataset"],
+            "eval": ["rules", "dataset"], "infer": ["dataset", "prompts"]}
+        # one input, one digest, whichever command reads it
+        assert len({digests["dataset"] for digests in inputs.values()}) == 1
+        assert inputs["retrieve"]["rules"] == inputs["export"]["rules"] == \
+            inputs["eval"]["rules"]
+        assert inputs["prompt"]["histories"] == hashlib.sha256(histories.read_bytes()).hexdigest()
+        assert inputs["infer"]["prompts"] == hashlib.sha256(prompts.read_bytes()).hexdigest()
 
 
 class TestResumeInputs:

@@ -1,3 +1,5 @@
+import errno
+import os
 from collections import defaultdict
 
 import numpy as np
@@ -181,6 +183,58 @@ class TestRoundTrip:
             assert (second / name).read_bytes() == (third / name).read_bytes()
 
 
+class TestAtomicDatasetDirectory:
+    """A dataset directory is replaced as a whole: a save that fails part-way
+    leaves the previous dataset, or no directory, and no temp directory."""
+
+    def test_failed_save_keeps_previous_dataset(self, tmp_path, disk_full):
+        out = tmp_path / "data"
+        save_dataset(load_dataset_from_rows(tmp_path / "a", [("0", "0", "1", "0")]), str(out))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        bigger = load_dataset_from_rows(tmp_path / "b", [("1", "0", "0", t) for t in "123"])
+        disk_full(10)
+        with pytest.raises(OSError):
+            save_dataset(bigger, str(out))
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert sorted(os.listdir(tmp_path)) == ["a", "b", "data"]
+
+    def test_failed_swap_puts_the_previous_dataset_back(self, tmp_path, monkeypatch):
+        out = tmp_path / "data"
+        save_dataset(load_dataset_from_rows(tmp_path / "a", [("0", "0", "1", "0")]), str(out))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        rename = os.rename
+
+        def failing_rename(src, dst):
+            # the new directory cannot move into place once the old one is aside
+            if str(src).endswith(".tmp") and os.path.isdir(src):
+                raise OSError(errno.EXDEV, "Invalid cross-device link")
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "rename", failing_rename)
+        bigger = load_dataset_from_rows(tmp_path / "b", [("1", "0", "0", t) for t in "123"])
+        with pytest.raises(OSError):
+            save_dataset(bigger, str(out))
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert sorted(os.listdir(tmp_path)) == ["a", "b", "data"]
+
+    def test_failed_first_save_leaves_nothing(self, tmp_path, disk_full):
+        dataset = load_dataset_from_rows(tmp_path / "a", [("0", "0", "1", "0")])
+        disk_full(4)
+        with pytest.raises(OSError):
+            save_dataset(dataset, str(tmp_path / "data"))
+        assert os.listdir(tmp_path) == ["a"]
+
+    def test_save_replaces_the_whole_directory(self, tmp_path):
+        out = tmp_path / "data"
+        out.mkdir()
+        (out / "stale.txt").write_text("old\n")
+        save_dataset(load_dataset_from_rows(tmp_path / "a", [("0", "0", "1", "0")]),
+                     str(out) + "/")
+        assert sorted(os.listdir(out)) == sorted(
+            ["train.txt", "valid.txt", "test.txt", "entity2id.txt", "relation2id.txt"])
+        assert sorted(os.listdir(tmp_path)) == ["a", "data"]
+
+
 def load_dataset_from_rows(path, rows):
     path.mkdir()
     write_dataset_dir(path, train=rows,
@@ -294,6 +348,28 @@ class TestIndicesAgainstReference:
                     for t in range(-1, kg.t_max + 2):
                         want = [p for p in by_so.get((s, o), []) if edges[p][3] < t]
                         assert kg.returning_positions(s, o, t).tolist() == want
+
+    def test_pair_ids(self):
+        for seed in self.SEEDS:
+            _rng, kg, rows = random_graph(seed)
+            edges, _by_sr, _by_r, by_so, _last = reference_graph(rows)
+            want = [0] * len(edges)
+            for pair_id, key in enumerate(sorted(by_so)):
+                for pos in by_so[key]:
+                    want[pos] = pair_id
+            got = kg.pair_ids()
+            assert got.dtype == np.int64 and got.tolist() == want
+
+    def test_contains(self):
+        for seed in self.SEEDS:
+            _rng, kg, rows = random_graph(seed)
+            edges = set(reference_graph(rows)[0])
+            n_ent, n_rel = len(kg.entities), len(kg.relations)
+            for s in range(-1, n_ent + 1):
+                for r in range(-1, n_rel + 1):
+                    for o in range(-1, n_ent + 1):
+                        for t in range(-1, kg.t_max + 2):
+                            assert kg.contains(Quadruple(s, r, o, t)) == ((s, r, o, t) in edges)
 
     def test_last_time_of_scalar_and_array(self):
         for seed in self.SEEDS:

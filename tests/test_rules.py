@@ -12,14 +12,18 @@ from tkgrag.rules import (
     RuleBank,
     TemporalRule,
     _derived_rng,
+    _derived_seed,
+    _pcg64_states,
+    _walk_streams,
     estimate_confidence,
     learn_rules,
     sample_walk,
     transition_distribution,
+    transition_weights,
 )
 from tkgrag.synthetic import BODY_RELATION, HEAD_RELATION
 
-from conftest import make_kg, reference_confidence
+from conftest import make_kg, reference_confidence, reference_learn_rules
 
 
 def per_grounding_confidence(kg, head_relation, body_relation, grounding_cap, rng):
@@ -134,6 +138,53 @@ class TestSampleWalk:
         hits = sum(1 for _ in range(100_000) if sample_walk(kg, head, rng) == 1)
         expected = np.exp(-1) / (np.exp(-1) + np.exp(-4))
         assert hits / 100_000 == pytest.approx(expected, abs=0.01)
+
+
+class TestWalkStreams:
+    """Mining seeds each head's walks in one pass and replays every walk's
+    `_derived_rng` stream on one reused generator."""
+
+    def test_states_match_default_rng(self):
+        rng = np.random.default_rng(31)
+        seeds = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+        seeds += rng.integers(0, 2**64, size=1000, dtype=np.uint64).tolist()
+        seeds += rng.integers(0, 2**32, size=200, dtype=np.uint64).tolist()
+        seeds += [_derived_seed(7, "walk", head, i) for head in range(3) for i in range(100)]
+        states = _pcg64_states(seeds)
+        assert len(states) == len(seeds)
+        for seed, state in zip(seeds, states):
+            want = np.random.default_rng(seed).bit_generator.state["state"]
+            assert state == (want["state"], want["inc"]), seed
+        assert _pcg64_states([]) == []
+
+    def test_reused_generator_replays_each_walk(self):
+        # a float32 draw leaves half a 64-bit output buffered in the bit
+        # generator, which must not leak into the next walk
+        for walk_index, rng in enumerate(_walk_streams(7, 3, 50)):
+            want = _derived_rng(7, "walk", 3, walk_index)
+            bound = walk_index + 1
+            assert rng.random(dtype=np.float32) == want.random(dtype=np.float32)
+            assert rng.integers(bound) == want.integers(bound)
+            assert rng.random() == want.random()
+            assert rng.integers(2**20, size=3).tolist() == want.integers(2**20, size=3).tolist()
+            assert rng.random(dtype=np.float32) == want.random(dtype=np.float32)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 9, 16, 127, 128, 129, 130, 500, 3000])
+    def test_step_matches_generator_choice(self, size):
+        # candidate i is the only returning edge with relation i + 1; timestamps
+        # tie often, and sums above 8 (and 128) terms turn pairwise
+        rng = np.random.default_rng(size)
+        head = Quadruple(0, 0, 1, 100)
+        times = rng.integers(head.t - 8, head.t, size).tolist()
+        kg = make_kg([tuple(head)] + [(1, i + 1, 0, t) for i, t in enumerate(times)],
+                     n_entities=2, n_relations=size + 1)
+        positions = kg.returning_positions(head.object, head.subject, head.t)
+        probs = transition_weights(kg.ts[positions], head.t)
+        for seed in range(40):
+            walked, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
+            pick = chosen.choice(size, p=probs)
+            assert sample_walk(kg, head, walked) == kg.rel[positions[pick]]
+            assert walked.random() == chosen.random()  # the same draws consumed
 
 
 class TestEstimateConfidence:
@@ -289,6 +340,42 @@ class TestLearnRules:
         serial = learn_rules(synthetic_dataset.train, params, workers=1)
         parallel = learn_rules(synthetic_dataset.train, params, workers=2)
         assert serial.to_json() == parallel.to_json()
+
+
+class TestMiningAgainstReference:
+    """`learn_rules` against the miner that seeds a fresh `_derived_rng` per
+    walk, steps with `Generator.choice` and searches the latest head time of
+    every grounding (`reference_learn_rules`)."""
+
+    @staticmethod
+    def random_case(seed):
+        rng = np.random.default_rng(seed)
+        n_entities, n_relations = int(rng.integers(2, 8)), int(rng.integers(1, 5))
+        quads = [(int(rng.integers(n_entities)), int(rng.integers(n_relations)),
+                  int(rng.integers(n_entities)), int(rng.integers(15)))
+                 for _ in range(int(rng.integers(1, 70)))]
+        kg = make_kg(quads, n_entities, n_relations, inverse=seed % 2 == 1)
+        params = MiningParams(num_walks=int(rng.integers(1, 25)),
+                              min_body_support=int(rng.integers(1, 3)),
+                              grounding_cap=int(rng.choice([2, 3, 10**6])),
+                              seed=int(rng.integers(2**31)))
+        return kg, params
+
+    def test_learn_rules_matches_reference(self):
+        capped = closed_nothing = 0
+        for seed in range(200):
+            kg, params = self.random_case(seed)
+            want = reference_learn_rules(kg, params)
+            for workers in (1, 2) if seed % 25 == 0 else (1,):
+                assert learn_rules(kg, params, workers=workers).to_json() == want.to_json()
+            capped += any(r.body_support == params.grounding_cap < len(kg.index_r[r.body_relation])
+                          for rules in want.rules_by_head.values() for r in rules)
+            closed_nothing += any(
+                not any(kg.returning_positions(q.object, q.subject, q.t).size
+                        for q in kg.quads_at(positions))
+                for positions in kg.index_r.values())
+        # both the capped confidence path and heads whose walks never close ran
+        assert capped >= 10 and closed_nothing >= 10
 
 
 class TestParamsAndSerialization:
