@@ -272,8 +272,7 @@ def mine(workers, mine_splits, out, **options):
     kg = dataset.union_kg(_split_names(mine_splits))
     bank = learn_rules(kg, config.mining, workers=workers)
     bank.save(out)
-    _write_manifest(out + ".manifest.json", "mine", config,
-                    {"inputs": _input_digests(dataset), "n_rules": len(bank)})
+    _write_manifest(out + ".manifest.json", "mine", config, {"n_rules": len(bank)})
     click.echo(f"mined {len(bank)} rules -> {out}")
 
 
@@ -403,9 +402,7 @@ def infer(prompts_path, endpoint, out, **options):
                 )
                 + "\n"
             )
-    _write_manifest(out + ".manifest.json", "infer", config,
-                    {"inputs": _input_digests(dataset, prompts=prompts_path),
-                     "n_prompts": len(prompts)})
+    _write_manifest(out + ".manifest.json", "infer", config, {"n_prompts": len(prompts)})
     click.echo(f"parsed predictions for {len(prompts)} prompts -> {out}")
 
 

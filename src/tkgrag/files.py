@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 import shutil
 from contextlib import contextmanager, suppress
-from typing import Iterator, TextIO
+from typing import Collection, Iterator, TextIO
 
 
 @contextmanager
@@ -27,20 +27,39 @@ def atomic_write(path: str) -> Iterator[TextIO]:
         raise
 
 
+def create_text(path: str) -> TextIO:
+    """A new text file at `path`, for filling the directory that
+    `atomic_directory` hands out (which makes the whole set atomic)."""
+    return open(path, "w", encoding="utf-8")
+
+
 @contextmanager
-def atomic_directory(path: str) -> Iterator[str]:
+def atomic_directory(path: str, replaceable: Collection[str]) -> Iterator[str]:
     """Path of an empty directory to fill in the block, which replaces the
     directory `path` only when the block completes.
 
-    The block fills a sibling temp directory. Then an existing `path` is
-    moved aside, the temp directory renamed into place and the old one
-    removed last, with any other files it held. On any failure the temp
-    directory is removed and `path` keeps its previous contents, or stays
-    absent.
+    `path` may be absent, empty, or hold only files named in `replaceable`;
+    anything else raises ValueError before any work, and the directory is
+    left as it is. A symlink is resolved, so its target is replaced and the
+    link stays. The block fills a sibling temp directory. Then an existing
+    `path` is moved aside, the temp directory renamed into place and the old
+    one removed last. On any failure the temp directory is removed and
+    `path` keeps its previous contents, or stays absent.
     """
-    path = os.path.abspath(path)
-    if os.path.exists(path) and not os.path.isdir(path):
-        raise NotADirectoryError(f"not a directory: {path}")
+    path = os.path.realpath(path)
+    if os.path.exists(path):
+        if not os.path.isdir(path):
+            raise NotADirectoryError(f"not a directory: {path}")
+        foreign = sorted(
+            entry.name for entry in os.scandir(path)
+            if entry.name not in replaceable or not entry.is_file(follow_symlinks=False)
+        )
+        if foreign:
+            raise ValueError(
+                f"{path} holds files that are not part of a dataset "
+                f"({', '.join(foreign[:5])}{', ...' if len(foreign) > 5 else ''}); "
+                "not replacing it"
+            )
     tmp, old = f"{path}.{os.getpid()}.tmp", f"{path}.{os.getpid()}.old"
     os.makedirs(os.path.dirname(path), exist_ok=True)
     os.mkdir(tmp)
@@ -48,7 +67,12 @@ def atomic_directory(path: str) -> Iterator[str]:
     try:
         yield tmp
         if os.path.exists(path):
-            os.rename(path, old)
+            try:
+                os.rename(path, old)
+            except OSError as exc:
+                raise OSError(
+                    exc.errno, f"cannot move {path} aside to replace it: {exc.strerror}"
+                ) from exc
             moved = True
         os.rename(tmp, path)
     except BaseException:

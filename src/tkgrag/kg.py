@@ -9,12 +9,18 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .files import atomic_directory, atomic_write
+from .files import atomic_directory, create_text
 
 INVERSE_PREFIX = "inv_"
 SPLIT_FILES = {"train": "train.txt", "valid": "valid.txt", "test": "test.txt"}
 ENTITY_MAP_FILE = "entity2id.txt"
 RELATION_MAP_FILE = "relation2id.txt"
+GROUND_TRUTH_FILE = "ground_truth.json"  # the sidecar of synthetic datasets
+# what `save_dataset` and `synth` may replace: a directory holding anything
+# else is refused
+DATASET_FILES = frozenset(
+    [*SPLIT_FILES.values(), ENTITY_MAP_FILE, RELATION_MAP_FILE, GROUND_TRUTH_FILE]
+)
 
 
 class DatasetFormatError(ValueError):
@@ -554,20 +560,23 @@ def save_dataset(dataset: Dataset, directory: str) -> None:
     """Write the canonical on-disk layout: id-form split files (original edges
     only, canonical order, raw timestamps restored) plus both id-map files.
     The directory is replaced as a whole (`files.atomic_directory`), so a
-    failed save leaves the previous dataset in place."""
-    with atomic_directory(directory) as staging:
+    failed save leaves the previous dataset in place; a directory holding
+    anything but dataset files (`DATASET_FILES`) is refused with ValueError."""
+    with atomic_directory(directory, DATASET_FILES) as staging:
         write_dataset_files(dataset, staging)
 
 
 def write_dataset_files(dataset: Dataset, directory: str) -> None:
-    """The files of `save_dataset`, written into an existing directory."""
-    with atomic_write(os.path.join(directory, ENTITY_MAP_FILE)) as fh:
-        fh.write("".join(f"{name}\t{idx}\n" for idx, name in enumerate(dataset.entities)))
-    with atomic_write(os.path.join(directory, RELATION_MAP_FILE)) as fh:
-        base_relations = dataset.relations[: dataset.num_base_relations]
-        fh.write("".join(f"{name}\t{idx}\n" for idx, name in enumerate(base_relations)))
+    """The files of `save_dataset`, written into the staging directory of
+    `files.atomic_directory`."""
+    with create_text(os.path.join(directory, ENTITY_MAP_FILE)) as fh:
+        for idx, name in enumerate(dataset.entities):
+            fh.write(f"{name}\t{idx}\n")
+    with create_text(os.path.join(directory, RELATION_MAP_FILE)) as fh:
+        for idx, name in enumerate(dataset.relations[: dataset.num_base_relations]):
+            fh.write(f"{name}\t{idx}\n")
     for split, filename in SPLIT_FILES.items():
         quads = dataset.split(split).base_quads()
         quads[:, 3] = quads[:, 3] * dataset.time_gap + dataset.time_origin
-        with atomic_write(os.path.join(directory, filename)) as fh:
-            fh.write("".join(f"{s}\t{r}\t{o}\t{t}\n" for s, r, o, t in quads.tolist()))
+        with create_text(os.path.join(directory, filename)) as fh:
+            fh.writelines(f"{s}\t{r}\t{o}\t{t}\n" for s, r, o, t in quads.tolist())

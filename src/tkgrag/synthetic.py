@@ -21,8 +21,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .files import atomic_directory, atomic_write
-from .kg import Dataset, TemporalKG, write_dataset_files
+from .files import atomic_directory, create_text
+from .kg import DATASET_FILES, GROUND_TRUTH_FILE, Dataset, TemporalKG, write_dataset_files
 
 BODY_RELATION = 0  # "precursor"
 HEAD_RELATION = 1  # "outcome"
@@ -168,12 +168,12 @@ def write_synthetic_dataset(directory: str, spec: SyntheticSpec = SyntheticSpec(
         "n_events": len(events),
         "split_sizes": {name: len(rows) for name, rows in splits.items()},
     }
-    with atomic_directory(directory) as staging:
+    with atomic_directory(directory, DATASET_FILES) as staging:
         write_dataset_files(
             Dataset(entities, relations, len(relations), graphs, time_gap=1, time_origin=0),
             staging,
         )
-        with atomic_write(os.path.join(staging, "ground_truth.json")) as fh:
+        with create_text(os.path.join(staging, GROUND_TRUTH_FILE)) as fh:
             json.dump(ground_truth, fh, indent=2)
             fh.write("\n")
     return ground_truth

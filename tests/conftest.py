@@ -69,6 +69,10 @@ class FullDisk:
         self.room -= len(text)
         return self.fh.write(text)
 
+    def writelines(self, lines) -> None:
+        for line in lines:
+            self.write(line)
+
     def __enter__(self):
         return self
 

@@ -53,6 +53,17 @@ class TestSynthAndMine:
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
         assert os.listdir(tmp_path) == ["data"]
 
+    def test_synth_refuses_a_directory_with_other_files(self, runner, tmp_path):
+        out = tmp_path / "work"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep me\n")
+        result = runner.invoke(main, ["synth", "--out", str(out), "--seed", "3"])
+        assert result.exit_code == 1, result.output
+        assert "notes.txt" in result.output
+        assert os.listdir(out) == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "keep me\n"
+        assert os.listdir(tmp_path) == ["work"]
+
     def test_mine_writes_rules_and_manifest(self, runner, synthetic_dir, tmp_path):
         rules = tmp_path / "rules.json"
         result = run_ok(runner, [
@@ -502,32 +513,22 @@ class TestManifestInputs:
         data = ["--dataset-dir", str(synthetic_dir)]
         bank = ["--rules", str(mined_rules)]
         histories, prompts = tmp_path / "h.jsonl", tmp_path / "p.jsonl"
-        run_ok(runner, ["mine", *data, "--walks", "10", "--out", str(tmp_path / "r.json")])
         run_ok(runner, ["retrieve", *data, *bank, "--out", str(histories)])
         run_ok(runner, ["prompt", *data, "--histories", str(histories), "--out", str(prompts)])
         run_ok(runner, ["export", *data, *bank, "--k", "4", "--out",
                         str(tmp_path / "f.jsonl")])
         run_ok(runner, ["eval", *data, *bank, "--out-dir", str(tmp_path / "eval")])
-        stub = StubEndpoint(sequences=["0.e01]"])
-        try:
-            run_ok(runner, ["infer", *data, "--prompts", str(prompts), "--endpoint", stub.url,
-                            "--retries", "1", "--out", str(tmp_path / "i.jsonl")])
-        finally:
-            stub.close()
         inputs = {name: strip_created_at(tmp_path / path)["inputs"] for name, path in (
-            ("mine", "r.json.manifest.json"), ("retrieve", "h.jsonl.manifest.json"),
-            ("prompt", "p.jsonl.manifest.json"), ("export", "f.jsonl.manifest.json"),
-            ("eval", "eval/manifest.json"), ("infer", "i.jsonl.manifest.json"))}
+            ("retrieve", "h.jsonl.manifest.json"), ("prompt", "p.jsonl.manifest.json"),
+            ("export", "f.jsonl.manifest.json"), ("eval", "eval/manifest.json"))}
         assert {name: list(digests) for name, digests in inputs.items()} == {
-            "mine": ["dataset"], "retrieve": ["rules", "dataset"],
-            "prompt": ["dataset", "histories"], "export": ["rules", "dataset"],
-            "eval": ["rules", "dataset"], "infer": ["dataset", "prompts"]}
+            "retrieve": ["rules", "dataset"], "prompt": ["dataset", "histories"],
+            "export": ["rules", "dataset"], "eval": ["rules", "dataset"]}
         # one input, one digest, whichever command reads it
         assert len({digests["dataset"] for digests in inputs.values()}) == 1
         assert inputs["retrieve"]["rules"] == inputs["export"]["rules"] == \
             inputs["eval"]["rules"]
         assert inputs["prompt"]["histories"] == hashlib.sha256(histories.read_bytes()).hexdigest()
-        assert inputs["infer"]["prompts"] == hashlib.sha256(prompts.read_bytes()).hexdigest()
 
 
 class TestResumeInputs:

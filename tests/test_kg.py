@@ -224,15 +224,61 @@ class TestAtomicDatasetDirectory:
             save_dataset(dataset, str(tmp_path / "data"))
         assert os.listdir(tmp_path) == ["a"]
 
-    def test_save_replaces_the_whole_directory(self, tmp_path):
+    def test_save_replaces_a_dataset_directory(self, tmp_path):
         out = tmp_path / "data"
-        out.mkdir()
-        (out / "stale.txt").write_text("old\n")
-        save_dataset(load_dataset_from_rows(tmp_path / "a", [("0", "0", "1", "0")]),
-                     str(out) + "/")
+        save_dataset(load_dataset_from_rows(tmp_path / "a", [("0", "0", "1", "0")]), str(out))
+        (out / "ground_truth.json").write_text("{}\n")
+        bigger = load_dataset_from_rows(tmp_path / "b", [("1", "0", "0", t) for t in "123"])
+        save_dataset(bigger, str(out) + "/")
         assert sorted(os.listdir(out)) == sorted(
             ["train.txt", "valid.txt", "test.txt", "entity2id.txt", "relation2id.txt"])
-        assert sorted(os.listdir(tmp_path)) == ["a", "data"]
+        assert (out / "train.txt").read_text() == "1\t0\t0\t1\n1\t0\t0\t2\n1\t0\t0\t3\n"
+        assert sorted(os.listdir(tmp_path)) == ["a", "b", "data"]
+
+    @pytest.mark.parametrize("foreign", ["notes.txt", "runs/"])
+    def test_save_refuses_a_directory_with_other_files(self, tmp_path, foreign):
+        out = tmp_path / "data"
+        save_dataset(load_dataset_from_rows(tmp_path / "a", [("0", "0", "1", "0")]), str(out))
+        if foreign.endswith("/"):
+            (out / foreign).mkdir()
+        else:
+            (out / foreign).write_text("keep me\n")
+        before = sorted(os.listdir(out))
+        bigger = load_dataset_from_rows(tmp_path / "b", [("1", "0", "0", t) for t in "123"])
+        with pytest.raises(ValueError, match=foreign.rstrip("/")):
+            save_dataset(bigger, str(out))
+        assert sorted(os.listdir(out)) == before
+        assert (out / "train.txt").read_text() == "0\t0\t1\t0\n"
+        assert sorted(os.listdir(tmp_path)) == ["a", "b", "data"]
+
+    def test_save_through_a_symlink_replaces_its_target(self, tmp_path):
+        real, link = tmp_path / "real", tmp_path / "data"
+        save_dataset(load_dataset_from_rows(tmp_path / "a", [("0", "0", "1", "0")]), str(real))
+        link.symlink_to(real, target_is_directory=True)
+        bigger = load_dataset_from_rows(tmp_path / "b", [("1", "0", "0", t) for t in "123"])
+        save_dataset(bigger, str(link))
+        assert link.is_symlink() and os.path.realpath(link) == str(real)
+        assert (real / "train.txt").read_text() == "1\t0\t0\t1\n1\t0\t0\t2\n1\t0\t0\t3\n"
+        assert sorted(os.listdir(tmp_path)) == ["a", "b", "data", "real"]
+
+    def test_failed_move_aside_leaves_the_directory(self, tmp_path, monkeypatch):
+        out = tmp_path / "data"
+        save_dataset(load_dataset_from_rows(tmp_path / "a", [("0", "0", "1", "0")]), str(out))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        rename = os.rename
+
+        def busy_rename(src, dst):
+            # the old directory cannot be moved, as with a mount point
+            if str(src) == str(out):
+                raise OSError(errno.EBUSY, "Device or resource busy")
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "rename", busy_rename)
+        bigger = load_dataset_from_rows(tmp_path / "b", [("1", "0", "0", t) for t in "123"])
+        with pytest.raises(OSError, match=f"cannot move {out} aside"):
+            save_dataset(bigger, str(out))
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert sorted(os.listdir(tmp_path)) == ["a", "b", "data"]
 
 
 def load_dataset_from_rows(path, rows):
