@@ -168,14 +168,11 @@ def _dataset_digest(dataset: Dataset) -> str:
     return digest.hexdigest()
 
 
-def _input_digests(dataset: Dataset, bank: RuleBank | None = None, **paths: str) -> dict:
+def _input_digests(dataset: Dataset, **paths: str) -> dict:
     """Content digests of a command's inputs, as its manifest records them
-    under "inputs": the rule bank's canonical JSON, the dataset as loaded
-    and the bytes of each input file of `paths` (name=path)."""
-    inputs = {}
-    if bank is not None:
-        inputs["rules"] = hashlib.sha256(bank.to_json().encode()).hexdigest()
-    inputs["dataset"] = _dataset_digest(dataset)
+    under "inputs": the dataset as loaded and the bytes of each input file
+    of `paths` (name=path), such as the rule bank's."""
+    inputs = {"dataset": _dataset_digest(dataset)}
     for name, path in paths.items():
         with open(path, "rb") as fh:
             inputs[name] = hashlib.sha256(fh.read()).hexdigest()
@@ -205,7 +202,7 @@ def _load_eval(options: dict, **sections):
         engine = OraclePredictor(bank)
     else:
         engine = LLMPredictor(kg, resolve_endpoint(config.endpoint), config.generation)
-    manifest = {"inputs": _input_digests(dataset, bank), "split": split,
+    manifest = {"inputs": _input_digests(dataset, rules=rules_path), "split": split,
                 "predictor": predictor}
     return config, manifest, kg, bank, queries, filter_index, engine
 
@@ -296,7 +293,7 @@ def retrieve_cmd(rules_path, split, retrieval_splits, out, **options):
     with atomic_write(out) as fh:
         count = write_histories(histories, fh)
     _write_manifest(out + ".manifest.json", "retrieve", config,
-                    {"inputs": _input_digests(dataset, bank), "split": split,
+                    {"inputs": _input_digests(dataset, rules=rules_path), "split": split,
                      "n_queries": len(queries)})
     click.echo(f"retrieved {count} histories -> {out}")
 
@@ -354,7 +351,7 @@ def export(rules_path, k, seed, out, **options):
     bank = RuleBank.load(rules_path)
     manifest = export_finetune_set(
         dataset, bank, k, config.retrieval, config.prompt, config.seed, out,
-        fingerprint=config.fingerprint, inputs=_input_digests(dataset, bank),
+        fingerprint=config.fingerprint, inputs=_input_digests(dataset, rules=rules_path),
     )
     click.echo(f"exported {manifest['n_samples']} samples -> {out}")
 

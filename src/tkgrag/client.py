@@ -179,7 +179,7 @@ def parse_predictions(
     normalization. Unresolvable completions are skipped and counted.
     """
     reverse_map = {index: entity for entity, index in prompt.index_map.items()}
-    by_name = kg.normalized_entity_ids()
+    by_name = kg.normalized_entity_ids
     ranked: list[int] = []
     skipped = 0
     for completion in completions:
@@ -209,7 +209,7 @@ def _resolve(
         normalized = name.replace(" ", "_")
         if index in reverse_map:
             entity = reverse_map[index]
-            if kg.display_names()[0][entity] == normalized:
+            if kg.display_names[0][entity] == normalized:
                 return entity
         # fresh or mismatched index: the explicit name decides
         return by_name.get(normalized)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import pairwise
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -49,22 +49,20 @@ class DatasetStats:
 
 
 class TemporalKG:
-    """Immutable store of quadruples with per-(subject,relation) and per-relation
-    time-sorted indices.
+    """Immutable store of quadruples, looked up through sorted key tables.
 
     Edges are deduplicated and kept as numpy columns `sub`, `rel`, `obj`, `ts`
-    in canonical order, sorted by (t, subject, relation, object). Index entries
-    are positions into those columns, so a position is ascending in time within
-    any index bucket. Every index is one stable argsort of a packed id key split
-    at its runs. Built on first use: the `index_sr` and `index_r` bucket
-    dicts (only mining reads them), the per-(subject,object) index with its
-    pair id column, the (subject,relation,object) last-time table, the
-    display names, and the sorted (subject, relation, t) key table behind
-    `key_search` and `window_ranges`, which lays the `index_sr` permutation
-    out as one searchable column so that all the windows of one query take
-    one `np.searchsorted`. `last_time_of` takes ids or equal-length id arrays.
-    Instances never mutate after construction (beyond those lazy builds) and
-    are safe to share across threads.
+    in canonical order, sorted by (t, subject, relation, object). Every
+    lookup is a `np.searchsorted` into a key table built on first use by
+    `_key_table`: the stable argsort of packed id keys and the keys in that
+    order, so the positions of a run of equal ids ascend in t. There are
+    four: (subject, relation, t) for `key_search`, `positions_for` and
+    `contains`; (subject, object, t) for `returning_positions` and
+    `pair_ids`; relation runs for `relation_positions`; and the latest t of
+    each (relation, subject, object) for `last_time_of`, which takes ids or
+    equal-length id arrays. A graph that is only retrieved from builds only
+    the first. Instances never mutate after construction (beyond those lazy
+    builds) and are safe to share across threads.
     """
 
     def __init__(
@@ -95,23 +93,6 @@ class TemporalKG:
         self.sub, self.rel, self.obj, self.ts = (np.ascontiguousarray(col) for col in arr.T)
         self._validate_bounds()
 
-        n_ent, n_rel = len(self.entities), len(self.relations)
-        # index_sr's buckets are slices of this permutation, which the key
-        # table of key_search reuses
-        self._sr_order, self._sr_bounds = _sorted_runs(
-            _pack((self.sub, self.rel), (n_ent, n_rel))
-        )
-        self._index_sr: Optional[dict[tuple[int, int], np.ndarray]] = None
-        self._index_r: Optional[dict[int, np.ndarray]] = None
-        # the (subject, object) buckets and each edge's pair id
-        self._index_so: Optional[tuple[dict[tuple[int, int], np.ndarray], np.ndarray]] = None
-        # sorted packed (relation, subject, object) keys and their latest t
-        self._last_time_sro: Optional[tuple[np.ndarray, np.ndarray]] = None
-        # packed (subject, relation, t) keys in _sr_order, and their id ranges
-        self._sr_keys: Optional[tuple[np.ndarray, tuple[int, int, int]]] = None
-        self._normalized_entity_ids: Optional[dict[str, int]] = None
-        self._display_names: Optional[tuple[list[str], list[str]]] = None
-
     # -- basic accessors ----------------------------------------------------
 
     def __len__(self) -> int:
@@ -124,25 +105,6 @@ class TemporalKG:
     @property
     def has_inverses(self) -> bool:
         return len(self.relations) == 2 * self.num_base_relations and self.num_base_relations > 0
-
-    @property
-    def index_sr(self) -> dict[tuple[int, int], np.ndarray]:
-        """Positions per (subject, relation), ascending in t."""
-        if self._index_sr is None:
-            self._index_sr = _bucket_index(self._sr_order, self._sr_bounds, self.sub, self.rel)
-        return self._index_sr
-
-    @property
-    def index_r(self) -> dict[int, np.ndarray]:
-        """Positions per relation, ascending in t."""
-        if self._index_r is None:
-            self._index_r = _bucket_index(*_sorted_runs(self.rel), self.rel)
-        return self._index_r
-
-    def quad_at(self, pos: int) -> Quadruple:
-        return Quadruple(
-            int(self.sub[pos]), int(self.rel[pos]), int(self.obj[pos]), int(self.ts[pos])
-        )
 
     def quads_at(self, positions) -> list[Quadruple]:
         """The edges at `positions` (an index array or a slice), in that order."""
@@ -174,37 +136,28 @@ class TemporalKG:
             return relation_id + self.num_base_relations
         return relation_id - self.num_base_relations
 
+    @cached_property
+    def display_names(self) -> tuple[list[str], list[str]]:
+        """Entity and relation names with spaces replaced by underscores, as
+        prompts show them, indexed by id."""
+        return tuple(
+            [name.replace(" ", "_") for name in names] for names in (self.entities, self.relations)
+        )
+
+    @cached_property
+    def normalized_entity_ids(self) -> dict[str, int]:
+        """Entity lookup keyed by name with spaces collapsed to underscores."""
+        return {name: eid for eid, name in enumerate(self.display_names[0])}
+
+    # -- lookups ------------------------------------------------------------
+
     def contains(self, quad: Quadruple) -> bool:
-        positions = self.index_sr.get((quad.subject, quad.relation))
-        if positions is None:
+        order, keys, (n_ent, n_rel, n_t) = self._sr_keys
+        s, r, o, t = quad
+        if not (0 <= s < n_ent and 0 <= r < n_rel and 0 <= t < n_t):
             return False
-        ts = self.ts[positions]
-        lo = ts.searchsorted(quad.t, side="left")
-        hi = ts.searchsorted(quad.t, side="right")
-        return quad.object in self.obj[positions[lo:hi]].tolist()
-
-    # -- windowed lookups ---------------------------------------------------
-
-    def window_ranges(
-        self, subject: int, relations, t_lo, t_hi
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edges (subject, relation, *, t) with lo <= t < hi for one subject,
-        every relation of `relations` and every window [lo, hi) of the
-        equal-length `t_lo`/`t_hi` arrays.
-
-        Returns (order, starts, ends), `starts` and `ends` shaped (windows,
-        relations): the positions of window i and relation j are
-        order[starts[i, j]:ends[i, j]], ascending in t. One `key_search` of
-        every window's two bounds.
-        """
-        bounds = np.array((t_lo, t_hi), dtype=np.int64)
-        malformed = np.greater(*bounds)
-        if malformed.any():
-            lo, hi = bounds[:, malformed.argmax()].tolist()
-            raise ValueError(f"malformed window [{lo}, {hi})")
-        order, found = self.key_search(subject, relations, bounds.ravel())
-        starts, ends = found.reshape(len(found), 2, -1).transpose(1, 2, 0)
-        return order, starts, ends
+        key = (s * n_rel + r) * n_t + t
+        return o in self.obj[order[keys.searchsorted(key):keys.searchsorted(key + 1)]].tolist()
 
     def key_search(self, subject: int, relations, bounds) -> tuple[np.ndarray, np.ndarray]:
         """Where each (subject, relation, bound) key falls in the sorted
@@ -213,51 +166,56 @@ class TemporalKG:
 
         Returns (order, found), `found` shaped (relations, bounds): the edges
         (subject, relations[j], *, t) with bounds[k] <= t < bounds[l] are at
-        positions order[found[j, k]:found[j, l]], ascending in t. `order` is
-        the (subject, relation) permutation behind `index_sr`; all the keys
+        positions order[found[j, k]:found[j, l]], ascending in t. All the keys
         take one `np.searchsorted`. Bounds are clipped to [0, t_max + 1],
         and ids outside the vocabulary give empty ranges.
         """
-        if self._sr_keys is None:
-            order = self._sr_order
-            # t ids run to t_max + 1 so that every clipped bound packs
-            sizes = (len(self.entities), len(self.relations), self.t_max + 2)
-            columns = (self.sub[order], self.rel[order], self.ts[order])
-            self._sr_keys = (_pack(columns, sizes), sizes)
-        keys, (n_ent, n_rel, n_t) = self._sr_keys
+        order, keys, (n_ent, n_rel, n_t) = self._sr_keys
         relations = np.asarray(relations, dtype=np.int64)
         bounds = np.minimum(np.maximum(bounds, 0), n_t - 1)
         if not 0 <= subject < n_ent:
-            return self._sr_order, np.zeros((len(relations), len(bounds)), dtype=np.int64)
+            return order, np.zeros((len(relations), len(bounds)), dtype=np.int64)
         # (subject, relation, bound) keys, packed as _pack packed the table; a
         # relation id outside the vocabulary lands in another bucket
         wanted = ((subject * n_rel + relations) * n_t)[:, None] + bounds
         found = keys.searchsorted(wanted)
         found *= ((relations >= 0) & (relations < n_rel))[:, None]
-        return self._sr_order, found
+        return order, found
 
     def positions_for(self, subject: int, relation: int, t_lo: int, t_hi: int) -> np.ndarray:
-        """Positions of edges (subject, relation, *, t) with t_lo <= t < t_hi."""
-        order, starts, ends = self.window_ranges(subject, [relation], [t_lo], [t_hi])
-        return order[starts[0, 0]:ends[0, 0]]
+        """Positions of edges (subject, relation, *, t) with t_lo <= t < t_hi,
+        ascending in t."""
+        if t_lo > t_hi:
+            raise ValueError(f"malformed window [{t_lo}, {t_hi})")
+        order, ((lo, hi),) = self.key_search(subject, [relation], [t_lo, t_hi])
+        return order[lo:hi]
 
     def edges_for(self, subject: int, relation: int, t_lo: int, t_hi: int) -> list[Quadruple]:
         """Edges with that subject and relation in [t_lo, t_hi), ascending by t,
         ties by object id. Unknown subject/relation yields an empty list."""
         return self.quads_at(self.positions_for(subject, relation, t_lo, t_hi))
 
+    def relation_positions(self, relation: int) -> np.ndarray:
+        """Positions of edges with `relation`, ascending in t; empty for an id
+        outside the vocabulary."""
+        order, keys = self._relation_runs
+        return order[keys.searchsorted(relation):keys.searchsorted(relation + 1)]
+
     def returning_positions(self, subject: int, obj: int, t_before: int) -> np.ndarray:
         """Positions of edges (subject, *, obj, t) with t strictly before t_before."""
-        positions = self._so_index()[0].get((subject, obj))
-        if positions is None:
-            return np.empty(0, dtype=np.int64)
-        return positions[: self.ts[positions].searchsorted(t_before)]
+        order, keys, n_t, _pair_ids = self._index_so
+        n_ent = len(self.entities)
+        if not (0 <= subject < n_ent and 0 <= obj < n_ent):
+            return order[:0]
+        start = (subject * n_ent + obj) * n_t
+        end = start + min(max(t_before, 0), n_t - 1)
+        return order[keys.searchsorted(start):keys.searchsorted(end)]
 
     def pair_ids(self) -> np.ndarray:
         """Per edge, the id of its (subject, object) pair. Ids number the
         pairs from 0 in (subject, object) order, so each is below the edge
         count."""
-        return self._so_index()[1]
+        return self._index_so[-1]
 
     def last_time_of(self, subject, relation, obj):
         """Latest time step at which (subject, relation, obj) occurs, or -1.
@@ -265,17 +223,8 @@ class TemporalKG:
         Takes ids, returning an int, or equal-length id arrays (a scalar
         broadcasts), returning an int64 array.
         """
-        sizes = (len(self.relations), len(self.entities), len(self.entities))
-        if self._last_time_sro is None:
-            key = _pack((self.rel, self.sub, self.obj), sizes)
-            order, bounds = _sorted_runs(key)
-            # positions ascend in t, so each run's last position is its latest;
-            # a closing sentinel keeps every searchsorted index inside the table
-            self._last_time_sro = (
-                np.append(key[order[bounds[:-1]]], np.iinfo(np.int64).max),
-                np.append(self.ts[order[bounds[1:] - 1]], -1),
-            )
         keys, last = self._last_time_sro
+        sizes = (len(self.relations), len(self.entities), len(self.entities))
         columns = np.broadcast_arrays(
             *(np.asarray(c, dtype=np.int64) for c in (relation, subject, obj))
         )
@@ -285,36 +234,44 @@ class TemporalKG:
         found = np.where(keys[at] == wanted, last[at], -1)
         return int(found) if found.ndim == 0 else found
 
-    def display_names(self) -> tuple[list[str], list[str]]:
-        """Entity and relation names with spaces replaced by underscores, as
-        prompts show them, indexed by id."""
-        if self._display_names is None:
-            self._display_names = tuple(
-                [name.replace(" ", "_") for name in names]
-                for names in (self.entities, self.relations)
-            )
-        return self._display_names
+    # -- key tables, built on first use -------------------------------------
 
-    def normalized_entity_ids(self) -> dict[str, int]:
-        """Entity lookup keyed by name with spaces collapsed to underscores."""
-        if self._normalized_entity_ids is None:
-            self._normalized_entity_ids = {
-                name: eid for eid, name in enumerate(self.display_names()[0])
-            }
-        return self._normalized_entity_ids
+    @cached_property
+    def _sr_keys(self) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
+        """The (subject, relation, t) key table and its id ranges; t ids run
+        to t_max + 1 so that every clipped bound packs."""
+        sizes = (len(self.entities), len(self.relations), self.t_max + 2)
+        return (*_key_table((self.sub, self.rel, self.ts), sizes), sizes)
 
-    # -- internal -----------------------------------------------------------
+    @cached_property
+    def _index_so(self) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+        """The (subject, object, t) key table, its t id range and the pair id
+        column."""
+        n_ent, n_t = len(self.entities), self.t_max + 2
+        order, keys = _key_table((self.sub, self.obj, self.ts), (n_ent, n_ent, n_t))
+        pairs = keys // n_t
+        pair_ids = np.empty(len(order), dtype=np.int64)
+        pair_ids[order] = np.cumsum(np.diff(pairs, prepend=-1) != 0) - 1
+        return order, keys, n_t, pair_ids
 
-    def _so_index(self) -> tuple[dict[tuple[int, int], np.ndarray], np.ndarray]:
-        """The per-(subject, object) buckets and the pair id column, both
-        from one sort of the packed (subject, object) keys."""
-        if self._index_so is None:
-            n_ent = len(self.entities)
-            order, bounds = _sorted_runs(_pack((self.sub, self.obj), (n_ent, n_ent)))
-            pair_ids = np.empty(len(order), dtype=np.int64)
-            pair_ids[order] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-            self._index_so = (_bucket_index(order, bounds, self.sub, self.obj), pair_ids)
-        return self._index_so
+    @cached_property
+    def _relation_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        return _key_table((self.rel,), (len(self.relations),))
+
+    @cached_property
+    def _last_time_sro(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted packed (relation, subject, object) keys, each once, and
+        their latest t, closed by a sentinel that keeps every searchsorted
+        index inside the table."""
+        sizes = (len(self.relations), len(self.entities), len(self.entities))
+        order, keys = _key_table((self.rel, self.sub, self.obj), sizes)
+        # positions ascend in t within a run, so its last one is its latest
+        run_end = np.ones(len(keys), dtype=bool)
+        run_end[:-1] = keys[1:] != keys[:-1]
+        return (
+            np.append(keys[run_end], np.iinfo(np.int64).max),
+            np.append(self.ts[order[run_end]], -1),
+        )
 
     def _validate_bounds(self) -> None:
         if len(self.sub) == 0:
@@ -401,23 +358,12 @@ def _pack(columns: Sequence, sizes: Sequence[int]) -> np.ndarray:
     return key
 
 
-def _sorted_runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable argsort of `key` and the bounds of its equal-key runs: run i is
-    order[bounds[i]:bounds[i + 1]], positions ascending."""
+def _key_table(columns: Sequence, sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The stable argsort of the packed keys of id columns (see `_pack`) and
+    the keys in that order: the positions of one key ascend."""
+    key = _pack(columns, sizes)
     order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    change = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
-    bounds = np.concatenate(([0], change, [len(key)])) if len(key) else np.zeros(1, np.int64)
-    return order, bounds
-
-
-def _bucket_index(order: np.ndarray, bounds: np.ndarray, *labels: np.ndarray) -> dict:
-    """Positions grouped into the runs that `_sorted_runs` gives, each bucket
-    named by the label columns of its rows (a tuple for several columns)."""
-    firsts = order[bounds[:-1]]
-    names = [label[firsts].tolist() for label in labels]
-    names = list(zip(*names)) if len(names) > 1 else names[0]
-    return {name: order[lo:hi] for name, (lo, hi) in zip(names, pairwise(bounds.tolist()))}
+    return order, key[order]
 
 
 def _read_id_map(path: str) -> dict[str, int]:

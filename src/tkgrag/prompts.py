@@ -120,7 +120,7 @@ def build_prompt(history: RetrievedHistory, cfg: PromptConfig, kg: TemporalKG) -
     selected = select_history(history, cfg)
     with_time = cfg.order != "timestamps-removed"
 
-    entities, relations = kg.display_names()
+    entities, relations = kg.display_names
     index_map: dict[int, int] = {}
     lines: list[str] = []
     for subject, relation, obj, t in _rendered_sequence(selected, cfg):
@@ -147,7 +147,7 @@ def make_instruction_sample(
     if gold is None:
         raise ValueError("query has no gold object")
     prompt = build_prompt(history, cfg, kg)
-    gold_name = kg.display_names()[0][gold]
+    gold_name = kg.display_names[0][gold]
     if cfg.format == "index":
         index = prompt.index_map.get(gold, len(prompt.index_map))
         output = f"{index}.{gold_name}]"

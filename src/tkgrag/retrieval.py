@@ -220,18 +220,26 @@ def history_to_dict(history: RetrievedHistory) -> dict:
 
 
 def history_from_dict(payload: dict) -> RetrievedHistory:
-    rows = payload["facts"]
-    code_of: dict[tuple, int] = {}
-    codes = []
-    for row in rows:
-        prov = row["provenance"]
-        key = (prov["rank"], prov.get("body_relation"), prov.get("confidence"))
-        codes.append(code_of.setdefault(key, len(code_of)))
-    columns = np.array(
-        [(row["s"], row["r"], row["o"], row["t"]) for row in rows], dtype=np.int64
-    ).reshape(-1, 4).T
+    """The history `history_to_dict` wrote. A missing or malformed field
+    raises ValueError naming it."""
+    try:
+        rows = payload["facts"]
+        code_of: dict[tuple, int] = {}
+        codes = []
+        for row in rows:
+            prov = row["provenance"]
+            key = (prov["rank"], prov.get("body_relation"), prov.get("confidence"))
+            codes.append(code_of.setdefault(key, len(code_of)))
+        columns = np.array(
+            [(row["s"], row["r"], row["o"], row["t"]) for row in rows], dtype=np.int64
+        ).reshape(-1, 4).T
+        query = query_from_dict(payload["query"])
+    except KeyError as exc:
+        raise ValueError(f"history: missing field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed history: {exc}") from None
     return RetrievedHistory.from_columns(
-        query_from_dict(payload["query"]), *columns, np.array(codes, dtype=np.int64),
+        query, *columns, np.array(codes, dtype=np.int64),
         tuple(Provenance(*key) for key in code_of),
     )
 

@@ -154,19 +154,28 @@ class RuleBank:
 
     @classmethod
     def from_json(cls, text: str) -> "RuleBank":
+        """The bank `to_json` wrote. A missing or malformed field raises
+        ValueError naming it."""
         payload = json.loads(text)
-        params = MiningParams(**payload["params"])
+        if not isinstance(payload, dict):
+            raise ValueError('a rule bank is a JSON object with "params" and "rules"')
         by_head: dict[int, list[TemporalRule]] = {}
-        for row in payload["rules"]:
-            rule = TemporalRule(
-                head_relation=row["head"],
-                body_relation=row["body"],
-                body_support=row["body_support"],
-                rule_support=row["rule_support"],
-                confidence=row["confidence"],
-            )
-            by_head.setdefault(rule.head_relation, []).append(rule)
-        bank = cls(by_head, params)
+        try:
+            params = MiningParams(**payload["params"])
+            for row in payload["rules"]:
+                rule = TemporalRule(
+                    head_relation=row["head"],
+                    body_relation=row["body"],
+                    body_support=row["body_support"],
+                    rule_support=row["rule_support"],
+                    confidence=row["confidence"],
+                )
+                by_head.setdefault(rule.head_relation, []).append(rule)
+            bank = cls(by_head, params)
+        except KeyError as exc:
+            raise ValueError(f"rule bank: missing field {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed rule bank: {exc}") from None
         # reject files whose rule order was tampered with
         for head, rules in by_head.items():
             if tuple(rules) != bank.rules_by_head[head]:
@@ -181,7 +190,11 @@ class RuleBank:
     @classmethod
     def load(cls, path: str) -> "RuleBank":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+            text = fh.read()
+        try:
+            return cls.from_json(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def _rule_sort_key(rule: TemporalRule):
@@ -321,8 +334,8 @@ def last_head_times(kg: TemporalKG, head_relation: int) -> np.ndarray:
     at which the pair carries the head relation, or -1. Sized to the edge
     count, which bounds the pair ids."""
     last = np.full(len(kg), -1, dtype=np.int64)
-    positions = kg.index_r.get(head_relation)
-    if positions is not None and positions.size:
+    positions = kg.relation_positions(head_relation)
+    if positions.size:
         last[kg.pair_ids()[positions]] = kg.last_time_of(
             kg.sub[positions], head_relation, kg.obj[positions]
         )
@@ -348,8 +361,8 @@ def estimate_confidence(
     """
     if grounding_cap < 1:
         raise ValueError("grounding_cap must be >= 1")
-    positions = kg.index_r.get(body_relation)
-    if positions is None or positions.size == 0:
+    positions = kg.relation_positions(body_relation)
+    if positions.size == 0:
         return (0, 0, 0.0)
     if positions.size > grounding_cap:
         if rng is None:
@@ -369,8 +382,8 @@ def estimate_confidence(
 def _mine_head(
     kg: TemporalKG, head_relation: int, params: MiningParams
 ) -> list[TemporalRule]:
-    positions = kg.index_r.get(head_relation)
-    if positions is None or positions.size == 0:
+    positions = kg.relation_positions(head_relation)
+    if positions.size == 0:
         return []
     subjects, objects, times = (column[positions].tolist() for column in (kg.sub, kg.obj, kg.ts))
     candidates: list[int] = []
@@ -388,7 +401,7 @@ def _mine_head(
     rules = []
     for body in candidates:
         # the stream only matters when the groundings get sampled
-        capped = len(kg.index_r.get(body, ())) > params.grounding_cap
+        capped = kg.relation_positions(body).size > params.grounding_cap
         conf_rng = _derived_rng(params.seed, "confidence", head_relation, body) if capped else None
         body_support, rule_support, confidence = estimate_confidence(
             kg, head_relation, body, params.grounding_cap, conf_rng, head_last
@@ -426,7 +439,7 @@ def learn_rules(kg: TemporalKG, params: MiningParams, workers: int = 1) -> RuleB
     """
     if len(kg) == 0:
         raise ValueError("cannot mine rules from an empty graph")
-    heads = sorted(r for r, positions in kg.index_r.items() if positions.size)
+    heads = np.unique(kg.rel).tolist()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pools load multiprocessing
 

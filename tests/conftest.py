@@ -129,8 +129,8 @@ def reference_sample_walk(kg: TemporalKG, head_edge: Quadruple, rng):
 def reference_estimate_confidence(kg: TemporalKG, head_relation, body_relation,
                                   grounding_cap, rng):
     """The confidence estimate with one latest-head-time search per grounding."""
-    positions = kg.index_r.get(body_relation)
-    if positions is None or positions.size == 0:
+    positions = np.flatnonzero(kg.rel == body_relation)
+    if positions.size == 0:
         return (0, 0, 0.0)
     if positions.size > grounding_cap:
         positions = positions[
@@ -145,11 +145,12 @@ def reference_learn_rules(kg: TemporalKG, params: MiningParams) -> RuleBank:
     """Rule mining with a fresh `_derived_rng` generator per walk and per
     capped confidence, heads one after another."""
     rules_by_head = {}
-    for head, positions in sorted(kg.index_r.items()):
+    for head in np.unique(kg.rel).tolist():
+        positions = np.flatnonzero(kg.rel == head)
         candidates = []
         for walk_index in range(params.num_walks):
             rng = _derived_rng(params.seed, "walk", head, walk_index)
-            head_edge = kg.quad_at(int(positions[int(rng.integers(positions.size))]))
+            head_edge = kg.quads_at([positions[int(rng.integers(positions.size))]])[0]
             body = reference_sample_walk(kg, head_edge, rng)
             if body is not None and body not in candidates:
                 candidates.append(body)

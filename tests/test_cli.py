@@ -291,6 +291,51 @@ class TestValidationAndExitCodes:
         assert result.exit_code == 1
         assert "empty evaluation set" in result.output
 
+    @pytest.mark.parametrize("damage, named", [
+        pytest.param("rule without confidence", "missing field 'confidence'",
+                     id="no-confidence"),
+        pytest.param("unknown params key", "unexpected keyword argument 'walk_count'",
+                     id="unknown-param"),
+        pytest.param("rule not an object", "malformed rule bank", id="rule-as-list"),
+        pytest.param("top-level list", "JSON object", id="top-level-list"),
+    ])
+    def test_malformed_rule_bank_is_validation_error(
+        self, runner, synthetic_dir, mined_rules, tmp_path, damage, named
+    ):
+        bank = json.loads(mined_rules.read_text())
+        if damage == "rule without confidence":
+            del bank["rules"][0]["confidence"]
+        elif damage == "unknown params key":
+            bank["params"]["walk_count"] = 3
+        elif damage == "rule not an object":
+            bank["rules"][0] = list(bank["rules"][0].values())
+        else:
+            bank = [bank]
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps(bank))
+        result = runner.invoke(main, ["eval", "--dataset-dir", str(synthetic_dir),
+                                      "--rules", str(rules), "--out-dir", str(tmp_path / "run")])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith(f"error: {rules}: ")
+        assert named in result.output
+
+    @pytest.mark.parametrize("field", ["provenance", "query"])
+    def test_malformed_history_is_validation_error(
+        self, runner, synthetic_dir, mined_rules, tmp_path, field
+    ):
+        histories = tmp_path / "h.jsonl"
+        run_ok(runner, ["retrieve", "--dataset-dir", str(synthetic_dir),
+                        "--rules", str(mined_rules), "--out", str(histories)])
+        rows = [json.loads(line) for line in histories.read_text().splitlines()]
+        row = next(row for row in rows if row["facts"])
+        (row["facts"][0] if field == "provenance" else row).pop(field)
+        histories.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        result = runner.invoke(main, ["prompt", "--dataset-dir", str(synthetic_dir),
+                                      "--histories", str(histories),
+                                      "--out", str(tmp_path / "p.jsonl")])
+        assert result.exit_code == 1, result.output
+        assert result.output == f"error: history: missing field '{field}'\n"
+
     def test_transport_failure_exit_code(self, runner, synthetic_dir, mined_rules, tmp_path):
         histories = tmp_path / "h.jsonl"
         run_ok(runner, ["retrieve", "--dataset-dir", str(synthetic_dir),
@@ -522,12 +567,12 @@ class TestManifestInputs:
             ("retrieve", "h.jsonl.manifest.json"), ("prompt", "p.jsonl.manifest.json"),
             ("export", "f.jsonl.manifest.json"), ("eval", "eval/manifest.json"))}
         assert {name: list(digests) for name, digests in inputs.items()} == {
-            "retrieve": ["rules", "dataset"], "prompt": ["dataset", "histories"],
-            "export": ["rules", "dataset"], "eval": ["rules", "dataset"]}
+            "retrieve": ["dataset", "rules"], "prompt": ["dataset", "histories"],
+            "export": ["dataset", "rules"], "eval": ["dataset", "rules"]}
         # one input, one digest, whichever command reads it
         assert len({digests["dataset"] for digests in inputs.values()}) == 1
         assert inputs["retrieve"]["rules"] == inputs["export"]["rules"] == \
-            inputs["eval"]["rules"]
+            inputs["eval"]["rules"] == hashlib.sha256(mined_rules.read_bytes()).hexdigest()
         assert inputs["prompt"]["histories"] == hashlib.sha256(histories.read_bytes()).hexdigest()
 
 

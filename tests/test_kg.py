@@ -362,16 +362,19 @@ class TestIndicesAgainstReference:
         assert from_array.all_quads() == kg.all_quads()
         assert from_array.num_duplicates_dropped == kg.num_duplicates_dropped
 
-    def test_edges_and_bucket_indices(self):
+    def test_edges_and_position_lookups(self):
         for seed in self.SEEDS:
             _rng, kg, rows = random_graph(seed)
             edges, by_sr, by_r, _by_so, _last = reference_graph(rows)
             assert [tuple(q) for q in kg.all_quads()] == edges
             assert kg.num_duplicates_dropped == len(rows) - len(edges)
-            assert {k: v.tolist() for k, v in kg.index_sr.items()} == by_sr
-            assert {k: v.tolist() for k, v in kg.index_r.items()} == by_r
-            assert all(type(i) is int for key in kg.index_sr for i in key)
-            assert all(type(key) is int for key in kg.index_r)
+            n_ent, n_rel = len(kg.entities), len(kg.relations)
+            relations = list(range(-2, n_rel + 2)) + [n_rel + 10**6, 2**40]
+            for r in relations:
+                assert kg.relation_positions(r).tolist() == by_r.get(r, [])
+                for s in range(-1, n_ent + 2):
+                    got = kg.positions_for(s, r, 0, kg.t_max + 1)
+                    assert got.tolist() == by_sr.get((s, r), [])
 
     def test_base_quads(self):
         for seed in self.SEEDS:
@@ -437,7 +440,7 @@ class TestIndicesAgainstReference:
             ]
             assert kg.last_time_of(subs[:0], head, objs[:0]).tolist() == []
 
-    def test_window_ranges(self):
+    def test_key_search(self):
         for seed in self.SEEDS:
             rng, kg, rows = random_graph(seed)
             edges, by_sr, *_ = reference_graph(rows)
@@ -449,13 +452,13 @@ class TestIndicesAgainstReference:
             if n_windows:
                 t_hi[-1] = 10**9
             for subject in range(-1, n_ent + 2):
-                order, starts, ends = kg.window_ranges(subject, relations, t_lo, t_hi)
-                assert starts.shape == ends.shape == (n_windows, len(relations))
+                order, found = kg.key_search(subject, relations, np.append(t_lo, t_hi))
+                assert found.shape == (len(relations), 2 * n_windows)
                 for i, (lo, hi) in enumerate(zip(t_lo.tolist(), t_hi.tolist())):
                     for j, r in enumerate(relations):
                         want = [p for p in by_sr.get((subject, r), [])
                                 if lo <= edges[p][3] < hi]
-                        assert order[starts[i, j]:ends[i, j]].tolist() == want
+                        assert order[found[j, i]:found[j, n_windows + i]].tolist() == want
                         if j % 3 == 0:
                             assert kg.positions_for(subject, r, lo, hi).tolist() == want
 
@@ -480,13 +483,15 @@ class TestIndicesAgainstReference:
     def test_empty_graph(self):
         kg = make_kg([], n_entities=3, n_relations=2)
         assert len(kg) == 0 and kg.num_duplicates_dropped == 0
-        assert kg.index_sr == {} and kg.index_r == {}
+        assert kg.positions_for(0, 0, 0, 10**9).tolist() == []
+        assert kg.relation_positions(0).tolist() == []
         assert kg.returning_positions(0, 1, 5).tolist() == []
-        order, starts, ends = kg.window_ranges(0, [0, 1, 2, -1], [0, 3, -5], [10**9, 4, 0])
-        assert order.tolist() == [] and starts.shape == ends.shape == (3, 4)
-        assert (starts == ends).all()
+        assert kg.pair_ids().tolist() == []
+        order, found = kg.key_search(0, [0, 1, 2, -1], [0, 3, -5, 10**9, 4, 0])
+        assert order.tolist() == [] and found.shape == (4, 6)
+        assert not found.any()
         with pytest.raises(ValueError, match="malformed"):
-            kg.window_ranges(0, [0], [0, 5], [1, 4])
+            kg.positions_for(0, 0, 5, 4)
         assert kg.last_time_of(0, 1, 2) == -1
         assert kg.last_time_of(np.array([0, 1]), 0, np.array([2, 2])).tolist() == [-1, -1]
         for graph in (kg, make_kg([], n_entities=3, n_relations=2, inverse=True)):

@@ -29,8 +29,8 @@ from conftest import make_kg, reference_confidence, reference_learn_rules
 def per_grounding_confidence(kg, head_relation, body_relation, grounding_cap, rng):
     """The estimate one grounding at a time: the same capped draw, then a
     latest-head-time lookup per grounding in a dict over all edges."""
-    positions = kg.index_r.get(body_relation)
-    if positions is None or positions.size == 0:
+    positions = np.flatnonzero(kg.rel == body_relation)
+    if positions.size == 0:
         return (0, 0, 0.0)
     if positions.size > grounding_cap:
         positions = positions[
@@ -40,8 +40,7 @@ def per_grounding_confidence(kg, head_relation, body_relation, grounding_cap, rn
     for q in kg.all_quads():
         last[(q.subject, q.relation, q.object)] = q.t  # edges ascend in t
     rule_support = 0
-    for pos in positions.tolist():
-        q = kg.quad_at(pos)
+    for q in kg.quads_at(positions):
         if q.t < last.get((q.subject, head_relation, q.object), -1):
             rule_support += 1
     return (int(positions.size), rule_support, rule_support / positions.size)
@@ -368,12 +367,13 @@ class TestMiningAgainstReference:
             want = reference_learn_rules(kg, params)
             for workers in (1, 2) if seed % 25 == 0 else (1,):
                 assert learn_rules(kg, params, workers=workers).to_json() == want.to_json()
-            capped += any(r.body_support == params.grounding_cap < len(kg.index_r[r.body_relation])
+            capped += any(r.body_support == params.grounding_cap
+                          < np.count_nonzero(kg.rel == r.body_relation)
                           for rules in want.rules_by_head.values() for r in rules)
             closed_nothing += any(
                 not any(kg.returning_positions(q.object, q.subject, q.t).size
-                        for q in kg.quads_at(positions))
-                for positions in kg.index_r.values())
+                        for q in kg.quads_at(kg.rel == r))
+                for r in np.unique(kg.rel))
         # both the capped confidence path and heads whose walks never close ran
         assert capped >= 10 and closed_nothing >= 10
 
