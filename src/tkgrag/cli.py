@@ -18,14 +18,7 @@ from datetime import datetime, timezone
 import click
 
 from . import retrieval
-from .client import (
-    ClientError,
-    GenParams,
-    TransportError,
-    generate_batch,
-    parse_predictions,
-    resolve_endpoint,
-)
+from .client import ClientError, GenParams, TransportError, resolve_endpoint
 from .config import ConfigError, RunConfig, build_run_config, load_config_file, stable_hash
 from .evaluation import (
     LLMPredictor,
@@ -35,15 +28,23 @@ from .evaluation import (
     build_filter_index,
     run_eval,
 )
-from .files import atomic_write
-from .kg import SPLIT_FILES, Dataset, DatasetSpec, load_dataset
-from .prompts import FORMATS, ORDERS, Prompt, PromptConfig, build_prompt, export_finetune_set
+from .files import atomic_write, read_jsonl, write_json, write_jsonl
+from .kg import SPLIT_FILES, Dataset, load_dataset
+from .prompts import (
+    FORMATS,
+    ORDERS,
+    PromptConfig,
+    build_prompt,
+    export_finetune_set,
+    prompt_from_dict,
+    prompt_to_dict,
+)
 from .retrieval import (
     RetrievalConfig,
     history_from_dict,
+    history_to_dict,
     query_to_dict,
     queries_from_split,
-    write_histories,
 )
 from .rules import MiningParams, RuleBank, learn_rules
 from .synthetic import SyntheticSpec, write_synthetic_dataset
@@ -153,8 +154,7 @@ def _config(options: dict, endpoint=None, seed=None, **sections) -> RunConfig:
 def _load_data(config: RunConfig) -> Dataset:
     if not config.dataset.dir:
         raise ConfigError("dataset.dir: no dataset directory given")
-    spec = DatasetSpec(time_gap=config.dataset.time_gap, inverse=config.dataset.inverse)
-    return load_dataset(config.dataset.dir, spec)
+    return load_dataset(config.dataset.dir, config.dataset)
 
 
 def _dataset_digest(dataset: Dataset) -> str:
@@ -220,9 +220,7 @@ def _write_manifest(path: str, command: str, config: RunConfig, extra: dict | No
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
     payload.update(extra or {})
-    with atomic_write(path) as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 @click.group()
@@ -289,9 +287,10 @@ def retrieve_cmd(rules_path, split, retrieval_splits, out, **options):
     bank = RuleBank.load(rules_path)
     kg = dataset.union_kg(_split_names(retrieval_splits))
     queries = queries_from_split(dataset, split)
-    histories = (retrieval.retrieve(kg, bank, query, config.retrieval) for query in queries)
-    with atomic_write(out) as fh:
-        count = write_histories(histories, fh)
+    count = write_jsonl(out, (
+        history_to_dict(retrieval.retrieve(kg, bank, query, config.retrieval))
+        for query in queries
+    ))
     _write_manifest(out + ".manifest.json", "retrieve", config,
                     {"inputs": _input_digests(dataset, rules=rules_path), "split": split,
                      "n_queries": len(queries)})
@@ -309,26 +308,11 @@ def prompt_cmd(histories_path, out, **options):
     config = _config(options, prompt=PromptConfig)
     dataset = _load_data(config)
     kg = dataset.train
-    count = 0
-    with open(histories_path, encoding="utf-8") as src, atomic_write(out) as dst:
-        for line in src:
-            if not line.strip():
-                continue
-            history = history_from_dict(json.loads(line))
-            rendered = build_prompt(history, config.prompt, kg)
-            dst.write(
-                json.dumps(
-                    {
-                        "query": query_to_dict(history.query),
-                        "text": rendered.text,
-                        "index_map": {str(k): v for k, v in rendered.index_map.items()},
-                        "query_prefix": rendered.query_prefix,
-                        "format": rendered.format,
-                    }
-                )
-                + "\n"
-            )
-            count += 1
+    count = write_jsonl(out, (
+        {"query": query_to_dict(history.query),
+         **prompt_to_dict(build_prompt(history, config.prompt, kg))}
+        for history in read_jsonl(histories_path, history_from_dict)
+    ))
     _write_manifest(out + ".manifest.json", "prompt", config,
                     {"inputs": _input_digests(dataset, histories=histories_path),
                      "n_prompts": count})
@@ -367,40 +351,16 @@ def infer(prompts_path, endpoint, out, **options):
     """Send rendered prompts to the completion endpoint and parse predictions."""
     config = _config(options, endpoint=endpoint, generation=GenParams)
     dataset = _load_data(config)
-    kg = dataset.train
-    url = resolve_endpoint(config.endpoint)
-
-    rows = []
-    with open(prompts_path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rows.append(json.loads(line))
-    prompts = [
-        Prompt(
-            text=row["text"],
-            index_map={int(k): v for k, v in row.get("index_map", {}).items()},
-            query_prefix=row.get("query_prefix", ""),
-            format=row.get("format", "index"),
-        )
-        for row in rows
-    ]
-    completions = generate_batch(prompts, config.generation, url)
-    with atomic_write(out) as fh:
-        for row, prompt, seqs in zip(rows, prompts, completions):
-            parsed = parse_predictions(seqs, prompt, kg)
-            fh.write(
-                json.dumps(
-                    {
-                        "query": row.get("query"),
-                        "ranked": list(parsed.ranked),
-                        "raw": list(parsed.raw_texts),
-                        "n_skipped": parsed.n_skipped,
-                    }
-                )
-                + "\n"
-            )
-    _write_manifest(out + ".manifest.json", "infer", config, {"n_prompts": len(prompts)})
-    click.echo(f"parsed predictions for {len(prompts)} prompts -> {out}")
+    predictor = LLMPredictor(dataset.train, resolve_endpoint(config.endpoint), config.generation)
+    rows = list(read_jsonl(prompts_path, lambda row: (row.get("query"), prompt_from_dict(row))))
+    predictions = predictor.predict_prompts([prompt for _query, prompt in rows])
+    write_jsonl(out, (
+        {"query": query, "ranked": list(parsed.ranked), "raw": list(parsed.raw_texts),
+         "n_skipped": parsed.n_skipped}
+        for (query, _prompt), parsed in zip(rows, predictions)
+    ))
+    _write_manifest(out + ".manifest.json", "infer", config, {"n_prompts": len(rows)})
+    click.echo(f"parsed predictions for {len(rows)} prompts -> {out}")
 
 
 @main.command(name="eval")
@@ -450,9 +410,7 @@ def eval_cmd(seeds, out_dir, **options):
     click.echo(f"n_queries\t{reports[0].n_queries}\n"
                f"n_unparsed\t{reports[0].n_unparsed}")
     if len(reports) > 1:
-        with atomic_write(os.path.join(out_dir, "summary.json")) as fh:
-            json.dump({"seeds": seed_list, "hits": hits}, fh, indent=2)
-            fh.write("\n")
+        write_json(os.path.join(out_dir, "summary.json"), {"seeds": seed_list, "hits": hits})
 
 
 @main.command()
@@ -482,21 +440,11 @@ def ablate(orders, lengths, formats, out_dir, **options):
     summary = ablation_summary(cells)
     with atomic_write(os.path.join(out_dir, "summary.tsv")) as fh:
         fh.write(summary)
-    with atomic_write(os.path.join(out_dir, "reports.json")) as fh:
-        json.dump(
-            [
-                {
-                    "order": c.order,
-                    "history_length": c.history_length,
-                    "format": c.format,
-                    "report": c.report.as_dict(),
-                }
-                for c in cells
-            ],
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "reports.json"), [
+        {"order": c.order, "history_length": c.history_length, "format": c.format,
+         "report": c.report.as_dict()}
+        for c in cells
+    ])
     _write_manifest(os.path.join(out_dir, "manifest.json"), "ablate", config,
                     {"fingerprint": fingerprint, **manifest, "n_cells": len(cells)})
     click.echo(summary, nl=False)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .client import GenParams
+from .kg import DatasetSpec
 from .prompts import PromptConfig
 from .retrieval import RetrievalConfig
 from .rules import MiningParams
@@ -23,19 +24,8 @@ class ConfigError(ValueError):
     """Invalid run configuration; message starts with the offending path."""
 
 
-@dataclass(frozen=True)
-class DatasetConfig:
-    dir: str = ""
-    time_gap: int = 1
-    inverse: bool = True
-
-    def __post_init__(self):
-        if self.time_gap < 1:
-            raise ValueError("time_gap must be >= 1")
-
-
 _SECTIONS = {
-    "dataset": DatasetConfig,
+    "dataset": DatasetSpec,
     "mining": MiningParams,
     "retrieval": RetrievalConfig,
     "prompt": PromptConfig,
@@ -46,7 +36,7 @@ _SCALARS = ("endpoint", "seed")
 
 @dataclass(frozen=True)
 class RunConfig:
-    dataset: DatasetConfig
+    dataset: DatasetSpec
     mining: MiningParams
     retrieval: RetrievalConfig
     prompt: PromptConfig
@@ -72,9 +62,7 @@ def _build_section(name: str, cls, file_values: dict, overrides: dict):
     merged.update({k: v for k, v in overrides.items() if v is not None})
     try:
         return cls(**merged)
-    except TypeError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
 

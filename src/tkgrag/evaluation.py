@@ -19,7 +19,7 @@ from .client import (
     parse_predictions,
     rule_score_predict,
 )
-from .files import atomic_write
+from .files import jsonl_rows, write_json
 from .kg import Dataset, TemporalKG
 from .prompts import Prompt, PromptConfig, build_prompt, select_history
 from .retrieval import (
@@ -157,7 +157,11 @@ class LLMPredictor:
     seed: Optional[int] = None
 
     def predict_batch(self, items) -> list[PredictionList]:
-        prompts = [prompt for _query, _history, prompt in items]
+        return self.predict_prompts([prompt for _query, _history, prompt in items])
+
+    def predict_prompts(self, prompts: Sequence[Prompt]) -> list[PredictionList]:
+        """One request per prompt, each generation parsed against its
+        prompt."""
         completions = generate_batch(prompts, self.params, self.endpoint, seed=self.seed)
         return [
             parse_predictions(seqs, prompt, self.kg)
@@ -214,17 +218,15 @@ def _load_journal(path: str, fingerprint: str) -> dict[int, EvalRecord]:
     with open(path, "rb") as fh:
         data = fh.read()
     complete = data[: data.rfind(b"\n") + 1]
-    for line in complete.splitlines():
-        if not line.strip():
-            continue
-        payload = json.loads(line)
-        record = EvalRecord.from_dict(payload)
+    records = jsonl_rows(complete.splitlines(), path,
+                         lambda payload: (payload["index"], EvalRecord.from_dict(payload)))
+    for index, record in records:
         if record.fingerprint != fingerprint:
             raise ValueError(
                 f"journal {path} was written under fingerprint "
                 f"{record.fingerprint!r}, current is {fingerprint!r}"
             )
-        completed[payload["index"]] = record
+        completed[index] = record
     if len(complete) < len(data):
         with open(path, "rb+") as fh:
             fh.truncate(len(complete))
@@ -283,9 +285,7 @@ def run_eval(
     records = [completed[i] for i in range(len(queries))]
     report = report_from_records(records, fingerprint)
     if out_dir:
-        with atomic_write(os.path.join(out_dir, "report.json")) as fh:
-            json.dump(report.as_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(os.path.join(out_dir, "report.json"), report.as_dict())
     return report, records
 
 

@@ -1,11 +1,14 @@
 """Artifact files and directories that are either the old version or the
-whole new one."""
+whole new one, and the one reader and writer of every JSON artifact."""
 from __future__ import annotations
 
+import json
 import os
 import shutil
 from contextlib import contextmanager, suppress
-from typing import Collection, Iterator, TextIO
+from typing import Callable, Collection, Iterable, Iterator, TextIO, TypeVar
+
+T = TypeVar("T")
 
 
 @contextmanager
@@ -25,6 +28,53 @@ def atomic_write(path: str) -> Iterator[TextIO]:
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write_json(path: str, payload) -> None:
+    """`payload` as indented JSON plus a newline, written atomically."""
+    with atomic_write(path) as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def write_jsonl(path: str, rows: Iterable[dict]) -> int:
+    """One JSON object per row and line, written atomically as the rows
+    arrive; returns the number of rows."""
+    count = 0
+    with atomic_write(path) as fh:
+        for row in rows:
+            fh.write(json.dumps(row) + "\n")
+            count += 1
+    return count
+
+
+def jsonl_rows(lines: Iterable, path: str, parse: Callable[[dict], T]) -> Iterator[T]:
+    """`parse` of each JSON object in `lines` (str or bytes), skipping blank
+    lines. A line that is not JSON, a value that is not an object, and a
+    KeyError, TypeError or ValueError from `parse` raise ValueError
+    "<path>:<line>: ...", counting lines from 1, blank ones included."""
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            payload = json.loads(line)
+            if not isinstance(payload, dict):
+                raise TypeError("expected a JSON object")
+            item = parse(payload)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{number}: not JSON ({exc.msg}, column {exc.colno})") from None
+        except KeyError as exc:
+            raise ValueError(f"{path}:{number}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from None
+        yield item
+
+
+def read_jsonl(path: str, parse: Callable[[dict], T]) -> Iterator[T]:
+    """The rows of the JSON-lines file at `path`, parsed one at a time as
+    `jsonl_rows` does."""
+    with open(path, encoding="utf-8") as fh:
+        yield from jsonl_rows(fh, path, parse)
 
 
 def create_text(path: str) -> TextIO:

@@ -289,8 +289,9 @@ class TemporalKG:
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """How to interpret a dataset directory."""
+    """A dataset directory and how to interpret it."""
 
+    dir: str = ""
     time_gap: int = 1
     inverse: bool = True
 

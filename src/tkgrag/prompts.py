@@ -9,7 +9,6 @@ appearance over the rendered lines.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import random
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .files import atomic_write
+from .files import write_json, write_jsonl
 from .kg import Dataset, TemporalKG
 from .retrieval import (
     RetrievalConfig,
@@ -66,6 +65,26 @@ class Prompt:
     index_map: dict[int, int]
     query_prefix: str
     format: str
+
+
+def prompt_to_dict(prompt: Prompt) -> dict:
+    """The prompt as a JSON-ready row; index map keys become strings."""
+    return {
+        "text": prompt.text,
+        "index_map": {str(k): v for k, v in prompt.index_map.items()},
+        "query_prefix": prompt.query_prefix,
+        "format": prompt.format,
+    }
+
+
+def prompt_from_dict(payload: dict) -> Prompt:
+    """The prompt `prompt_to_dict` wrote; only "text" is required."""
+    return Prompt(
+        text=payload["text"],
+        index_map={int(k): v for k, v in dict(payload.get("index_map", {})).items()},
+        query_prefix=payload.get("query_prefix", ""),
+        format=payload.get("format", "index"),
+    )
 
 
 @dataclass(frozen=True)
@@ -193,24 +212,18 @@ def export_finetune_set(
     indices = sample_fewshot(len(queries), k, seed)
 
     over_budget = 0
-    with atomic_write(out_path) as fh:
+
+    def samples():
+        nonlocal over_budget
         for index in indices:
             history = retrieve(train_kg, bank, queries[index], retrieval_cfg)
             history = select_history(history, prompt_cfg, retrieval_cfg)
             sample = make_instruction_sample(history, prompt_cfg, train_kg)
             if len(sample.instruction) + len(sample.input) + len(sample.output) > prompt_cfg.char_budget:
                 over_budget += 1
-            fh.write(
-                json.dumps(
-                    {
-                        "instruction": sample.instruction,
-                        "input": sample.input,
-                        "output": sample.output,
-                    }
-                )
-                + "\n"
-            )
+            yield dataclasses.asdict(sample)
 
+    write_jsonl(out_path, samples())
     manifest = {
         "k": k,
         "seed": seed,
@@ -226,7 +239,5 @@ def export_finetune_set(
         manifest["fingerprint"] = fingerprint
     if inputs is not None:
         manifest["inputs"] = inputs
-    with atomic_write(out_path + ".manifest.json") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(out_path + ".manifest.json", manifest)
     return manifest

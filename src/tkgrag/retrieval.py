@@ -8,10 +8,9 @@ ascending time order for prompting.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -220,37 +219,19 @@ def history_to_dict(history: RetrievedHistory) -> dict:
 
 
 def history_from_dict(payload: dict) -> RetrievedHistory:
-    """The history `history_to_dict` wrote. A missing or malformed field
-    raises ValueError naming it."""
-    try:
-        rows = payload["facts"]
-        code_of: dict[tuple, int] = {}
-        codes = []
-        for row in rows:
-            prov = row["provenance"]
-            key = (prov["rank"], prov.get("body_relation"), prov.get("confidence"))
-            codes.append(code_of.setdefault(key, len(code_of)))
-        columns = np.array(
-            [(row["s"], row["r"], row["o"], row["t"]) for row in rows], dtype=np.int64
-        ).reshape(-1, 4).T
-        query = query_from_dict(payload["query"])
-    except KeyError as exc:
-        raise ValueError(f"history: missing field {exc}") from None
-    except TypeError as exc:
-        raise ValueError(f"malformed history: {exc}") from None
+    """The history `history_to_dict` wrote. A missing field raises KeyError,
+    a malformed one TypeError or ValueError."""
+    rows = payload["facts"]
+    code_of: dict[tuple, int] = {}
+    codes = []
+    for row in rows:
+        prov = row["provenance"]
+        key = (prov["rank"], prov.get("body_relation"), prov.get("confidence"))
+        codes.append(code_of.setdefault(key, len(code_of)))
+    columns = np.array(
+        [(row["s"], row["r"], row["o"], row["t"]) for row in rows], dtype=np.int64
+    ).reshape(-1, 4).T
     return RetrievedHistory.from_columns(
-        query, *columns, np.array(codes, dtype=np.int64),
+        query_from_dict(payload["query"]), *columns, np.array(codes, dtype=np.int64),
         tuple(Provenance(*key) for key in code_of),
     )
-
-
-def write_histories(histories: Iterable[RetrievedHistory], fh: TextIO) -> int:
-    count = 0
-    for history in histories:
-        fh.write(json.dumps(history_to_dict(history)) + "\n")
-        count += 1
-    return count
-
-
-def read_histories(fh: TextIO) -> list[RetrievedHistory]:
-    return [history_from_dict(json.loads(line)) for line in fh if line.strip()]

@@ -139,6 +139,10 @@ class TestPipelineCommands:
             parsed = [json.loads(line) for line in open(predictions)]
             assert len(parsed) == n_queries
             assert all("ranked" in row for row in parsed)
+            assert [row["query"] for row in parsed] == [row["query"] for row in rows]
+            # infer runs without a seed, so no request carries one
+            assert len(stub.payloads) == n_queries
+            assert not [payload for payload in stub.payloads if "seed" in payload]
         finally:
             stub.close()
 
@@ -327,14 +331,63 @@ class TestValidationAndExitCodes:
         run_ok(runner, ["retrieve", "--dataset-dir", str(synthetic_dir),
                         "--rules", str(mined_rules), "--out", str(histories)])
         rows = [json.loads(line) for line in histories.read_text().splitlines()]
-        row = next(row for row in rows if row["facts"])
+        number, row = next((n, row) for n, row in enumerate(rows, 1) if row["facts"])
         (row["facts"][0] if field == "provenance" else row).pop(field)
         histories.write_text("".join(json.dumps(row) + "\n" for row in rows))
         result = runner.invoke(main, ["prompt", "--dataset-dir", str(synthetic_dir),
                                       "--histories", str(histories),
                                       "--out", str(tmp_path / "p.jsonl")])
         assert result.exit_code == 1, result.output
-        assert result.output == f"error: history: missing field '{field}'\n"
+        assert result.output == f"error: {histories}:{number}: missing field '{field}'\n"
+
+    @pytest.mark.parametrize("command, damage, message", [
+        ("prompt", "not JSON",
+         "not JSON (Expecting property name enclosed in double quotes, column 2)"),
+        ("prompt", "facts", "missing field 'facts'"),
+        ("prompt", "list", "expected a JSON object"),
+        ("infer", "text", "missing field 'text'"),
+        ("infer", "list", "expected a JSON object"),
+        ("infer", "index_map",
+         "cannot convert dictionary update sequence element #0 to a sequence"),
+        ("eval", "rank", "missing field 'rank'"),
+    ], ids=["prompt-not-json", "prompt-no-facts", "prompt-list", "infer-no-text", "infer-list",
+            "infer-bad-index-map", "eval-no-rank"])
+    def test_malformed_jsonl_row_names_path_and_line(
+        self, runner, synthetic_dir, mined_rules, tmp_path, command, damage, message
+    ):
+        """Every JSON-lines input: the second row is damaged (not JSON, a
+        list, an index map that is a list, or a field dropped) behind a blank
+        first line, which counts."""
+        data = ["--dataset-dir", str(synthetic_dir)]
+        histories, prompts, run = tmp_path / "h.jsonl", tmp_path / "p.jsonl", tmp_path / "run"
+        retrieve = ["retrieve", *data, "--rules", str(mined_rules), "--out", str(histories)]
+        prompt = ["prompt", *data, "--histories", str(histories), "--out", str(prompts)]
+        infer = ["infer", *data, "--prompts", str(prompts), "--endpoint", "http://127.0.0.1:9/",
+                 "--retries", "0", "--out", str(tmp_path / "x.jsonl")]
+        evaluate = ["eval", *data, "--rules", str(mined_rules), "--out-dir", str(run)]
+        # (the input the command reads, the command, the commands that write that input)
+        path, args, writers = {
+            "prompt": (histories, prompt, [retrieve]),
+            "infer": (prompts, infer, [retrieve, prompt]),
+            "eval": (run / "records.jsonl", evaluate, [evaluate]),
+        }[command]
+        for writer in writers:
+            run_ok(runner, writer)
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[1])
+        if damage == "not JSON":
+            lines[1] = "{not json"
+        elif damage == "list":
+            lines[1] = json.dumps(list(row.values()))
+        elif damage == "index_map":
+            lines[1] = json.dumps({**row, "index_map": [1]})
+        else:
+            del row[damage]
+            lines[1] = json.dumps(row)
+        path.write_text("\n" + "".join(line + "\n" for line in lines))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert result.output == f"error: {path}:3: {message}\n"
 
     def test_transport_failure_exit_code(self, runner, synthetic_dir, mined_rules, tmp_path):
         histories = tmp_path / "h.jsonl"
@@ -550,6 +603,43 @@ class TestSurface:
                                                    "seed"]
         assert list(manifest["dataset_stats"]) == ["n_train", "n_valid", "n_test",
                                                    "n_entities", "n_relations", "time_gap"]
+
+
+class TestArtifactBytes:
+    # sha256 of each artifact the pipeline below writes; report.json is hashed
+    # with its fingerprint value blanked, since that folds in the dataset path
+    PINNED = {
+        "histories.jsonl": "9aedcad15b889425075bcab9fc8d6114d8ab8fb7e5353306e08e827e7ccd967f",
+        "prompts.jsonl": "ed300543470679b9be162f6e474f121dd54c6e004a6953c19051851832a782ad",
+        "finetune.jsonl": "450d0f1f42818c812cfa7289a5a76278807fd7efbf6e1f880981ea9a3f7a8a5b",
+        "eval/report.json": "37023747edbc2675f7d2368c14bf07d9e414f20470cd8ec12c94c4f2b3ff2051",
+        "ablation/summary.tsv":
+            "3938a631a2dd93c61cae1381c98e732130d053a551d1b6fd3cfbae1e711ba140",
+    }
+
+    def test_pipeline_artifacts_are_pinned(self, runner, tmp_path):
+        data = tmp_path / "data"
+        run_ok(runner, ["synth", "--out", str(data), "--seed", "7"])
+        dataset = ["--dataset-dir", str(data)]
+        rules = ["--rules", str(tmp_path / "rules.json")]
+        for args in (
+            ["mine", *dataset, "--seed", "1", "--out", str(tmp_path / "rules.json")],
+            ["retrieve", *dataset, *rules, "--out", str(tmp_path / "histories.jsonl")],
+            ["prompt", *dataset, "--histories", str(tmp_path / "histories.jsonl"),
+             "--out", str(tmp_path / "prompts.jsonl")],
+            ["export", *dataset, *rules, "--k", "16", "--seed", "1",
+             "--out", str(tmp_path / "finetune.jsonl")],
+            ["eval", *dataset, *rules, "--out-dir", str(tmp_path / "eval")],
+            ["ablate", *dataset, *rules, "--lengths", "10,50",
+             "--out-dir", str(tmp_path / "ablation")],
+        ):
+            run_ok(runner, args)
+        report = tmp_path / "eval" / "report.json"
+        text = report.read_text()
+        report.write_text(text.replace(json.loads(text)["fingerprint"], ""))
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.PINNED}
+        assert digests == self.PINNED
 
 
 class TestManifestInputs:

@@ -1,4 +1,3 @@
-import io
 import json
 from dataclasses import replace
 from itertools import product
@@ -7,6 +6,7 @@ import numpy as np
 import pytest
 
 from tkgrag.client import rule_score_predict
+from tkgrag.files import read_jsonl, write_jsonl
 from tkgrag.kg import Quadruple
 from tkgrag.prompts import FORMATS, ORDERS, PromptConfig, build_prompt, select_history
 from tkgrag.retrieval import (
@@ -16,9 +16,7 @@ from tkgrag.retrieval import (
     history_from_dict,
     history_to_dict,
     queries_from_split,
-    read_histories,
     retrieve,
-    write_histories,
 )
 from tkgrag.rules import MiningParams, RuleBank, TemporalRule
 
@@ -290,21 +288,20 @@ class TestQueriesAndIO:
         keys = [(q.t, q.subject, q.relation, q.gold_object) for q in queries]
         assert keys == sorted(keys)
 
-    def test_history_jsonl_roundtrip(self, synthetic_dataset, synthetic_bank):
+    def test_history_jsonl_roundtrip(self, synthetic_dataset, synthetic_bank, tmp_path):
         kg = synthetic_dataset.union_kg()
         queries = queries_from_split(synthetic_dataset, "test")[:10]
         histories = [retrieve(kg, synthetic_bank, query) for query in queries]
-        buffer = io.StringIO()
-        assert write_histories(histories, buffer) == len(histories)
-        buffer.seek(0)
-        assert read_histories(buffer) == histories
+        path = str(tmp_path / "histories.jsonl")
+        assert write_jsonl(path, map(history_to_dict, histories)) == len(histories)
+        assert list(read_jsonl(path, history_from_dict)) == histories
 
-    def test_history_jsonl_carries_provenance(self, synthetic_dataset, synthetic_bank):
+    def test_history_jsonl_carries_provenance(self, synthetic_dataset, synthetic_bank, tmp_path):
         kg = synthetic_dataset.union_kg()
         query = queries_from_split(synthetic_dataset, "test")[0]
-        buffer = io.StringIO()
-        write_histories([retrieve(kg, synthetic_bank, query)], buffer)
-        row = json.loads(buffer.getvalue())
+        path = tmp_path / "histories.jsonl"
+        write_jsonl(str(path), [history_to_dict(retrieve(kg, synthetic_bank, query))])
+        row = json.loads(path.read_text())
         assert {"query", "facts"} <= set(row)
         for fact in row["facts"]:
             assert fact["provenance"]["kind"] in ("rule-head", "rule-body")
