@@ -63,7 +63,6 @@ from .rules import (
     estimate_confidence,
     learn_rules,
     sample_walk,
-    transition_distribution,
 )
 from .synthetic import SyntheticSpec, generate_events, write_synthetic_dataset
 

@@ -311,7 +311,7 @@ def prompt_cmd(histories_path, out, **options):
     count = write_jsonl(out, (
         {"query": query_to_dict(history.query),
          **prompt_to_dict(build_prompt(history, config.prompt, kg))}
-        for history in read_jsonl(histories_path, history_from_dict)
+        for history in read_jsonl(histories_path, lambda row: history_from_dict(row, kg))
     ))
     _write_manifest(out + ".manifest.json", "prompt", config,
                     {"inputs": _input_digests(dataset, histories=histories_path),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,12 +59,30 @@ def stable_hash(payload: dict) -> str:
 
 
 def _build_section(name: str, cls, file_values: dict, overrides: dict):
+    """The section's dataclass from file values overridden by flags. Each
+    value must fit its field's annotation: an int field takes no bool, a
+    float field also takes an int, an Optional field also takes None."""
     merged = dict(file_values)
     merged.update({k: v for k, v in overrides.items() if v is not None})
+    hints = typing.get_type_hints(cls)
+    for field, value in merged.items():
+        if field not in hints:
+            continue  # the constructor names it
+        kinds = typing.get_args(hints[field]) or (hints[field],)
+        if not any(_fits(value, kind) for kind in kinds):
+            wanted = " or ".join("None" if kind is type(None) else kind.__name__ for kind in kinds)
+            raise ConfigError(f"{name}.{field}: expected {wanted}, got {value!r}")
     try:
         return cls(**merged)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _fits(value, kind: type) -> bool:
+    """Whether a JSON value is of `kind`; an int is a float, a bool is not an int."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def build_run_config(
@@ -92,7 +111,7 @@ def build_run_config(
     seed = overrides.get("seed")
     if seed is None:
         seed = payload.get("seed", 1)
-    if not isinstance(seed, int):
+    if not _fits(seed, int):
         raise ConfigError("seed: expected an integer")
     return RunConfig(endpoint=endpoint, seed=seed, **sections)
 

@@ -12,6 +12,8 @@ import os
 from dataclasses import dataclass, replace
 from typing import Optional, Protocol, Sequence
 
+import numpy as np
+
 from .client import (
     GenParams,
     PredictionList,
@@ -35,27 +37,26 @@ from .rules import RuleBank
 HITS_LEVELS = (1, 3, 10)
 ABLATION_HISTORY_LENGTHS = (10, 20, 30, 40, 50)
 
-FilterIndex = dict[tuple[int, int, int], set[int]]
-
-
 def build_filter_index(
     dataset: Dataset, splits: Sequence[str] = ("train", "valid", "test")
-) -> FilterIndex:
-    """All true objects per (subject, relation, time step) over the given
-    splits, original-direction edges only."""
-    index: FilterIndex = {}
-    for split in splits:
-        subjects, relations, objects, times = dataset.split(split).base_quads().T.tolist()
-        for key, obj in zip(zip(subjects, relations, times), objects):
-            index.setdefault(key, set()).add(obj)
-    return index
+) -> TemporalKG:
+    """One graph of the original-direction edges of the given splits, whose
+    (subject, relation, t) key table gives every true object of a query."""
+    quads = [dataset.split(split).base_quads() for split in splits]
+    return TemporalKG(dataset.entities, dataset.relations,
+                      np.concatenate(quads or [np.empty((0, 4), dtype=np.int64)]),
+                      dataset.num_base_relations)
 
 
 def time_aware_filter(
-    ranked: Sequence[int], query: Query, gold: int, filter_index: FilterIndex
+    ranked: Sequence[int], query: Query, gold: int, filter_index: Optional[TemporalKG]
 ) -> list[int]:
-    """Drop co-true objects at the query's own time step, never the gold."""
-    others = filter_index.get((query.subject, query.relation, query.t), frozenset())
+    """Drop co-true objects at the query's own time step, never the gold;
+    without a filter index nothing is dropped."""
+    if filter_index is None:
+        return list(ranked)
+    at = filter_index.positions_for(query.subject, query.relation, query.t, query.t + 1)
+    others = filter_index.obj[at].tolist()
     return [obj for obj in ranked if obj == gold or obj not in others]
 
 
@@ -172,7 +173,7 @@ class LLMPredictor:
 def _score_one(
     query: Query,
     prediction: PredictionList,
-    filter_index: FilterIndex,
+    filter_index: Optional[TemporalKG],
     fingerprint: str,
 ) -> EvalRecord:
     filtered = time_aware_filter(prediction.ranked, query, query.gold_object, filter_index)
@@ -190,7 +191,7 @@ def _score_histories(
     histories: Sequence[RetrievedHistory],
     predictor: Predictor,
     prompt_cfg: PromptConfig,
-    filter_index: FilterIndex,
+    filter_index: Optional[TemporalKG],
     kg: TemporalKG,
     fingerprint: str,
     retrieval_cfg: RetrievalConfig,
@@ -240,7 +241,7 @@ def run_eval(
     predictor: Predictor,
     retrieval_cfg: RetrievalConfig = RetrievalConfig(),
     prompt_cfg: PromptConfig = PromptConfig(),
-    filter_index: Optional[FilterIndex] = None,
+    filter_index: Optional[TemporalKG] = None,
     out_dir: Optional[str] = None,
     fingerprint: str = "",
     chunk_size: int = 32,
@@ -269,7 +270,7 @@ def run_eval(
             chunk = pending[start : start + chunk_size]
             histories = [retrieve(kg, bank, queries[i], retrieval_cfg) for i in chunk]
             records = _score_histories(
-                histories, predictor, prompt_cfg, filter_index or {}, kg, fingerprint,
+                histories, predictor, prompt_cfg, filter_index, kg, fingerprint,
                 retrieval_cfg,
             )
             for i, record in zip(chunk, records):
@@ -306,7 +307,7 @@ def ablation_run(
     formats: Sequence[str],
     predictor: Predictor,
     retrieval_cfg: RetrievalConfig = RetrievalConfig(),
-    filter_index: Optional[FilterIndex] = None,
+    filter_index: Optional[TemporalKG] = None,
     base_prompt_cfg: PromptConfig = PromptConfig(),
     fingerprint: str = "",
 ) -> list[AblationCell]:
@@ -332,7 +333,7 @@ def ablation_run(
                 cfg = replace(base_prompt_cfg, format=fmt, order=order, max_facts=length)
                 cell_tag = f"{fingerprint}/{order}/{length}/{fmt}" if fingerprint else ""
                 records = _score_histories(
-                    histories, predictor, cfg, filter_index or {}, kg, cell_tag, retrieval_cfg
+                    histories, predictor, cfg, filter_index, kg, cell_tag, retrieval_cfg
                 )
                 report = report_from_records(records, cell_tag)
                 cells.append(AblationCell(order, length, fmt, report))

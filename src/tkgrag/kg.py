@@ -60,9 +60,10 @@ class TemporalKG:
     `contains`; (subject, object, t) for `returning_positions` and
     `pair_ids`; relation runs for `relation_positions`; and the latest t of
     each (relation, subject, object) for `last_time_of`, which takes ids or
-    equal-length id arrays. A graph that is only retrieved from builds only
-    the first. Instances never mutate after construction (beyond those lazy
-    builds) and are safe to share across threads.
+    equal-length id arrays. A graph that is only retrieved from or filtered
+    against builds only the first. Instances never mutate after
+    construction (beyond those lazy builds) and are safe to share across
+    threads.
     """
 
     def __init__(
@@ -88,7 +89,6 @@ class TemporalKG:
         arr = arr[np.lexsort((arr[:, 2], arr[:, 1], arr[:, 0], arr[:, 3]))]
         fresh = np.ones(len(arr), dtype=bool)
         fresh[1:] = (arr[1:] != arr[:-1]).any(axis=1)
-        self.num_duplicates_dropped = len(arr) - int(np.count_nonzero(fresh))
         arr = arr[fresh]
         self.sub, self.rel, self.obj, self.ts = (np.ascontiguousarray(col) for col in arr.T)
         self._validate_bounds()
@@ -106,14 +106,6 @@ class TemporalKG:
     def has_inverses(self) -> bool:
         return len(self.relations) == 2 * self.num_base_relations and self.num_base_relations > 0
 
-    def quads_at(self, positions) -> list[Quadruple]:
-        """The edges at `positions` (an index array or a slice), in that order."""
-        columns = (col[positions].tolist() for col in (self.sub, self.rel, self.obj, self.ts))
-        return list(map(Quadruple._make, zip(*columns)))
-
-    def all_quads(self) -> list[Quadruple]:
-        return self.quads_at(slice(None))
-
     def base_quads(self) -> np.ndarray:
         """Original-direction edges (relation id < num_base_relations) as the
         (subject, relation, object, t) rows of one (n, 4) int64 array, in
@@ -121,12 +113,6 @@ class TemporalKG:
         num_base_relations up, are left out."""
         base = self.rel < self.num_base_relations
         return np.column_stack((self.sub[base], self.rel[base], self.obj[base], self.ts[base]))
-
-    def entity_name(self, entity_id: int) -> str:
-        return self.entities[entity_id]
-
-    def relation_name(self, relation_id: int) -> str:
-        return self.relations[relation_id]
 
     def inverse_of(self, relation_id: int) -> Optional[int]:
         """Id of the opposite-direction relation, or None without augmentation."""
@@ -152,12 +138,21 @@ class TemporalKG:
     # -- lookups ------------------------------------------------------------
 
     def contains(self, quad: Quadruple) -> bool:
-        order, keys, (n_ent, n_rel, n_t) = self._sr_keys
         s, r, o, t = quad
-        if not (0 <= s < n_ent and 0 <= r < n_rel and 0 <= t < n_t):
-            return False
-        key = (s * n_rel + r) * n_t + t
-        return o in self.obj[order[keys.searchsorted(key):keys.searchsorted(key + 1)]].tolist()
+        return o in self.obj[self.positions_for(s, r, t, t + 1)].tolist()
+
+    def positions_for(self, subject: int, relation: int, t_lo: int, t_hi: int) -> np.ndarray:
+        """Positions of edges (subject, relation, *, t) with t_lo <= t < t_hi,
+        ascending in t: `key_search` for one key, with its clipping and its
+        empty range for ids outside the vocabulary."""
+        if t_lo > t_hi:
+            raise ValueError(f"malformed window [{t_lo}, {t_hi})")
+        order, keys, (n_ent, n_rel, n_t) = self._sr_keys
+        if not (0 <= subject < n_ent and 0 <= relation < n_rel):
+            return order[:0]
+        key = (subject * n_rel + relation) * n_t
+        lo = keys.searchsorted(key + min(max(t_lo, 0), n_t - 1))
+        return order[lo:keys.searchsorted(key + min(max(t_hi, 0), n_t - 1))]
 
     def key_search(self, subject: int, relations, bounds) -> tuple[np.ndarray, np.ndarray]:
         """Where each (subject, relation, bound) key falls in the sorted
@@ -181,19 +176,6 @@ class TemporalKG:
         found = keys.searchsorted(wanted)
         found *= ((relations >= 0) & (relations < n_rel))[:, None]
         return order, found
-
-    def positions_for(self, subject: int, relation: int, t_lo: int, t_hi: int) -> np.ndarray:
-        """Positions of edges (subject, relation, *, t) with t_lo <= t < t_hi,
-        ascending in t."""
-        if t_lo > t_hi:
-            raise ValueError(f"malformed window [{t_lo}, {t_hi})")
-        order, ((lo, hi),) = self.key_search(subject, [relation], [t_lo, t_hi])
-        return order[lo:hi]
-
-    def edges_for(self, subject: int, relation: int, t_lo: int, t_hi: int) -> list[Quadruple]:
-        """Edges with that subject and relation in [t_lo, t_hi), ascending by t,
-        ties by object id. Unknown subject/relation yields an empty list."""
-        return self.quads_at(self.positions_for(subject, relation, t_lo, t_hi))
 
     def relation_positions(self, relation: int) -> np.ndarray:
         """Positions of edges with `relation`, ascending in t; empty for an id

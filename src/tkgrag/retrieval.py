@@ -198,12 +198,12 @@ def query_to_dict(query: Query) -> dict:
 
 
 def query_from_dict(payload: dict) -> Query:
-    return Query(
-        subject=payload["s"],
-        relation=payload["r"],
-        t=payload["t"],
-        gold_object=payload.get("gold"),
-    )
+    """The query `query_to_dict` wrote; its ids and t must be JSON integers."""
+    fields = (payload["s"], payload["r"], payload["t"], payload.get("gold"))
+    for name, value in zip(("s", "r", "t", "gold"), fields):
+        if type(value) is not int and (name != "gold" or value is not None):
+            raise ValueError(f"query.{name}: expected an integer, got {value!r}")
+    return Query(*fields)
 
 
 def history_to_dict(history: RetrievedHistory) -> dict:
@@ -218,9 +218,11 @@ def history_to_dict(history: RetrievedHistory) -> dict:
     return {"query": query_to_dict(history.query), "facts": facts}
 
 
-def history_from_dict(payload: dict) -> RetrievedHistory:
+def history_from_dict(payload: dict, kg: Optional[TemporalKG] = None) -> RetrievedHistory:
     """The history `history_to_dict` wrote. A missing field raises KeyError,
-    a malformed one TypeError or ValueError."""
+    a malformed one TypeError or ValueError: ids and time steps must be JSON
+    integers and, when `kg` is given, entity and relation ids must lie in
+    its vocabulary."""
     rows = payload["facts"]
     code_of: dict[tuple, int] = {}
     codes = []
@@ -228,10 +230,30 @@ def history_from_dict(payload: dict) -> RetrievedHistory:
         prov = row["provenance"]
         key = (prov["rank"], prov.get("body_relation"), prov.get("confidence"))
         codes.append(code_of.setdefault(key, len(code_of)))
-    columns = np.array(
-        [(row["s"], row["r"], row["o"], row["t"]) for row in rows], dtype=np.int64
-    ).reshape(-1, 4).T
+    query = query_from_dict(payload["query"])
+    sub, rel, obj, ts = (_id_column([row[name] for row in rows], f"facts.{name}")
+                         for name in "srot")
+    if kg is not None:
+        n_ent, n_rel = len(kg.entities), len(kg.relations)
+        for field, ids, size in (
+            ("query.s", np.array([query.subject]), n_ent),
+            ("query.r", np.array([query.relation]), n_rel),
+            ("facts.s", sub, n_ent), ("facts.r", rel, n_rel), ("facts.o", obj, n_ent),
+        ):
+            outside = ids[(ids < 0) | (ids >= size)]
+            if outside.size:
+                raise ValueError(f"{field}: id {outside[0]} is outside the vocabulary of {size}")
     return RetrievedHistory.from_columns(
-        query_from_dict(payload["query"]), *columns, np.array(codes, dtype=np.int64),
+        query, sub, rel, obj, ts, np.array(codes, dtype=np.int64),
         tuple(Provenance(*key) for key in code_of),
     )
+
+
+def _id_column(values: list, field: str) -> np.ndarray:
+    """JSON integers as an int64 column. Any other value, a bool included,
+    raises ValueError naming `field`."""
+    column = np.array(values)
+    if values and (column.dtype.kind != "i" or bool in set(map(type, values))):
+        bad = next(v for v in values if type(v) is not int or not -2**63 <= v < 2**63)
+        raise ValueError(f"{field}: expected a 64-bit integer, got {bad!r}")
+    return column.astype(np.int64, copy=False) if values else np.empty(0, dtype=np.int64)

@@ -61,10 +61,6 @@ class Provenance:
     body_relation: Optional[int] = None
     confidence: Optional[float] = None
 
-    @property
-    def kind(self) -> str:
-        return "rule-head" if self.rank == 0 else "rule-body"
-
     def as_dict(self) -> dict:
         if self.rank == 0:
             return {"kind": "rule-head", "rank": 0}
@@ -155,14 +151,22 @@ class RuleBank:
     @classmethod
     def from_json(cls, text: str) -> "RuleBank":
         """The bank `to_json` wrote. A missing or malformed field raises
-        ValueError naming it."""
+        ValueError naming it: ids and supports must be non-negative ints and
+        a confidence a number, none of them a bool."""
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError('a rule bank is a JSON object with "params" and "rules"')
         by_head: dict[int, list[TemporalRule]] = {}
         try:
             params = MiningParams(**payload["params"])
-            for row in payload["rules"]:
+            for number, row in enumerate(payload["rules"]):
+                for field in ("head", "body", "body_support", "rule_support"):
+                    if type(row[field]) is not int or row[field] < 0:
+                        raise ValueError(f"rules[{number}].{field}: expected a non-negative "
+                                         f"integer, got {row[field]!r}")
+                if type(row["confidence"]) not in (int, float):
+                    raise ValueError(f"rules[{number}].confidence: expected a number, "
+                                     f"got {row['confidence']!r}")
                 rule = TemporalRule(
                     head_relation=row["head"],
                     body_relation=row["body"],
@@ -295,12 +299,6 @@ def transition_weights(candidate_ts: np.ndarray, t: int) -> np.ndarray:
     z -= z.max()
     w = np.exp(z)
     return w / w.sum()
-
-
-def transition_distribution(candidates: Sequence[Quadruple], t: int) -> list[float]:
-    """Probability of stepping to each candidate edge, prioritizing recency."""
-    ts = np.array([q.t for q in candidates], dtype=np.int64)
-    return transition_weights(ts, t).tolist()
 
 
 def sample_walk(

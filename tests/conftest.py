@@ -38,6 +38,13 @@ def make_kg(quads, n_entities=None, n_relations=None, inverse=False) -> Temporal
     return TemporalKG(entities, relations, quads, n_relations)
 
 
+def edges_of(kg: TemporalKG, positions=slice(None)) -> list[Quadruple]:
+    """The graph's edges at `positions` (an index array, a mask or a slice;
+    all of them by default), read from its columns in that order."""
+    columns = (column[positions].tolist() for column in (kg.sub, kg.rel, kg.obj, kg.ts))
+    return list(map(Quadruple._make, zip(*columns)))
+
+
 def write_dataset_dir(tmp_path, train, valid=(), test=(), id_maps=None):
     """Write raw rows (tab-separated, 4 columns) into a dataset directory."""
     for name, rows in (("train", train), ("valid", valid), ("test", test)):
@@ -150,7 +157,7 @@ def reference_learn_rules(kg: TemporalKG, params: MiningParams) -> RuleBank:
         candidates = []
         for walk_index in range(params.num_walks):
             rng = _derived_rng(params.seed, "walk", head, walk_index)
-            head_edge = kg.quads_at([positions[int(rng.integers(positions.size))]])[0]
+            head_edge = edges_of(kg, [positions[int(rng.integers(positions.size))]])[0]
             body = reference_sample_walk(kg, head_edge, rng)
             if body is not None and body not in candidates:
                 candidates.append(body)
@@ -208,6 +215,14 @@ def reference_retrieve(quads, bank, query: Query, cfg: RetrievalConfig) -> Retri
         facts=tuple(q for q, _ in chosen),
         provenance=tuple(p for _, p in chosen),
     )
+
+
+def reference_filter(ranked, query: Query, gold: int, true_quads: set) -> list[int]:
+    """The time-aware filter as one membership test per ranked object: an
+    object other than the gold goes when (subject, relation, object, t) of
+    the query is in `true_quads`, a set of (s, r, o, t) tuples."""
+    s, r, t = query.subject, query.relation, query.t
+    return [obj for obj in ranked if obj == gold or (s, r, obj, t) not in true_quads]
 
 
 def reference_rule_scores(history: RetrievedHistory, bank, query: Query):

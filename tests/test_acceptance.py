@@ -29,7 +29,7 @@ from tkgrag.evaluation import (
     run_eval,
     time_aware_filter,
 )
-from tkgrag.kg import DatasetSpec, Quadruple, load_dataset
+from tkgrag.kg import DatasetSpec, load_dataset
 from tkgrag.prompts import PromptConfig, build_prompt, export_finetune_set
 from tkgrag.retrieval import (
     Query,
@@ -37,12 +37,14 @@ from tkgrag.retrieval import (
     queries_from_split,
     retrieve,
 )
-from tkgrag.rules import MiningParams, learn_rules, transition_distribution
+from tkgrag.rules import MiningParams, learn_rules, transition_weights
 from tkgrag.synthetic import BODY_RELATION, HEAD_RELATION
 
 from conftest import (
+    edges_of,
     make_kg,
     reference_confidence,
+    reference_filter,
     reference_retrieve,
     reference_rule_scores,
 )
@@ -72,16 +74,14 @@ def test_01_transition_distribution_oracle():
             offset = int(rng.integers(-10**7, 10**7))
             now = offset + int(rng.integers(1, 1000))
             times = [int(rng.integers(offset - 1000, now)) for _ in range(size)]
-            got = transition_distribution([Quadruple(0, 0, 1, t) for t in times], now)
+            got = transition_weights(np.array(times), now).tolist()
             weights = [mp.e ** (mp.mpf(t) - now) for t in times]
             total = sum(weights)
             for g, w in zip(got, weights):
                 assert abs(g - float(w / total)) <= 1e-12
             assert abs(sum(got) - 1.0) <= 1e-12
             shift = int(rng.integers(-10**6, 10**6))
-            shifted = transition_distribution(
-                [Quadruple(0, 0, 1, t + shift) for t in times], now + shift
-            )
+            shifted = transition_weights(np.array(times) + shift, now + shift).tolist()
             assert shifted == got  # shift invariance, bit-exact
         assert time.perf_counter() - start < 1.0
 
@@ -94,7 +94,7 @@ def test_02_planted_rule_recovery(synthetic_dataset, synthetic_bank):
         rules = bank.rules_for(HEAD_RELATION)
         planted = [r for r in rules if r.body_relation == BODY_RELATION]
         assert planted, "planted rule missing from the mined bank"
-        quads = [tuple(q) for q in synthetic_dataset.train.all_quads()]
+        quads = [tuple(q) for q in edges_of(synthetic_dataset.train)]
         _, _, enumerated = reference_confidence(quads, HEAD_RELATION, BODY_RELATION)
         assert abs(planted[0].confidence - enumerated) <= 0.05
         for rule in rules:
@@ -168,7 +168,8 @@ def test_04_metric_oracle():
         records = []
         for ranked, others, want_filtered, want_rank in cases:
             query = Query(0, 0, 7, gold_object=gold)
-            got = time_aware_filter(ranked, query, gold, {(0, 0, 7): others})
+            index = make_kg([(0, 0, o, 7) for o in others], n_entities=gold + 1)
+            got = time_aware_filter(ranked, query, gold, index)
             assert got == want_filtered
             rank = got.index(gold) + 1 if gold in got else None
             assert rank == want_rank
@@ -202,14 +203,15 @@ def test_05_end_to_end_oracle_run(synthetic_dataset, synthetic_bank):
         )
 
         # independent scorer: list-filter retrieval + dict scoring + direct rank
-        raw = [tuple(q) for q in union.all_quads()]
+        raw = [tuple(q) for q in edges_of(union)]
+        true_quads = {tuple(q) for name in ("train", "valid", "test")
+                      for q in synthetic_dataset.split(name).base_quads().tolist()}
         hits1 = 0
         for query in queries:
             history = reference_retrieve(raw, synthetic_bank, query,
                                          RetrievalConfig(max_history=50))
             ranked = reference_rule_scores(history, synthetic_bank, query)
-            others = filter_index.get((query.subject, query.relation, query.t), set())
-            survivors = [o for o in ranked if o == query.gold_object or o not in others]
+            survivors = reference_filter(ranked, query, query.gold_object, true_quads)
             if survivors and survivors[0] == query.gold_object:
                 hits1 += 1
         assert abs(report.hits1 - hits1 / len(queries)) <= 0.02

@@ -302,6 +302,8 @@ class TestValidationAndExitCodes:
                      id="unknown-param"),
         pytest.param("rule not an object", "malformed rule bank", id="rule-as-list"),
         pytest.param("top-level list", "JSON object", id="top-level-list"),
+        pytest.param("string rule body", "rules[0].body: expected a non-negative integer, "
+                     "got '0'", id="string-body"),
     ])
     def test_malformed_rule_bank_is_validation_error(
         self, runner, synthetic_dir, mined_rules, tmp_path, damage, named
@@ -313,6 +315,8 @@ class TestValidationAndExitCodes:
             bank["params"]["walk_count"] = 3
         elif damage == "rule not an object":
             bank["rules"][0] = list(bank["rules"][0].values())
+        elif damage == "string rule body":
+            bank["rules"][0]["body"] = "0"
         else:
             bank = [bank]
         rules = tmp_path / "rules.json"
@@ -339,6 +343,69 @@ class TestValidationAndExitCodes:
                                       "--out", str(tmp_path / "p.jsonl")])
         assert result.exit_code == 1, result.output
         assert result.output == f"error: {histories}:{number}: missing field '{field}'\n"
+
+    @pytest.mark.parametrize("where, field, value, message", [
+        ("fact", "o", 1.7, "facts.o: expected a 64-bit integer, got 1.7"),
+        ("fact", "s", "x", "facts.s: expected a 64-bit integer, got 'x'"),
+        ("fact", "r", True, "facts.r: expected a 64-bit integer, got True"),
+        ("fact", "t", 2**64, f"facts.t: expected a 64-bit integer, got {2**64}"),
+        ("fact", "s", 1000000, "facts.s: id 1000000 is outside the vocabulary of 20"),
+        ("fact", "o", -1, "facts.o: id -1 is outside the vocabulary of 20"),
+        ("fact", "r", 10, "facts.r: id 10 is outside the vocabulary of 10"),
+        ("query", "s", "3", "query.s: expected an integer, got '3'"),
+        ("query", "r", 1000000, "query.r: id 1000000 is outside the vocabulary of 10"),
+    ], ids=["float-object", "string-subject", "bool-relation", "huge-time", "subject-past-vocab",
+            "negative-object", "relation-past-vocab", "string-query-subject",
+            "query-relation-past-vocab"])
+    def test_bad_history_ids_are_validation_errors(
+        self, runner, synthetic_dir, mined_rules, tmp_path, where, field, value, message
+    ):
+        """A history id of the wrong JSON type, or outside the dataset's
+        vocabulary (20 entities, 10 relation ids with inverses), exits 1
+        naming the file, the line and the field."""
+        histories = tmp_path / "h.jsonl"
+        run_ok(runner, ["retrieve", "--dataset-dir", str(synthetic_dir),
+                        "--rules", str(mined_rules), "--out", str(histories)])
+        rows = [json.loads(line) for line in histories.read_text().splitlines()]
+        number, row = next((n, row) for n, row in enumerate(rows, 1) if row["facts"])
+        (row["facts"][-1] if where == "fact" else row["query"])[field] = value
+        histories.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        result = runner.invoke(main, ["prompt", "--dataset-dir", str(synthetic_dir),
+                                      "--histories", str(histories),
+                                      "--out", str(tmp_path / "p.jsonl")])
+        assert result.exit_code == 1, result.output
+        assert result.output == f"error: {histories}:{number}: {message}\n"
+
+    @pytest.mark.parametrize("section, values, message", [
+        ("retrieval", {"max_history": 5.5}, "retrieval.max_history: expected int, got 5.5"),
+        ("retrieval", {"max_history": "50"}, "retrieval.max_history: expected int, got '50'"),
+        ("mining", {"num_walks": True}, "mining.num_walks: expected int, got True"),
+        ("retrieval", {"stepwise": 1}, "retrieval.stepwise: expected bool, got 1"),
+        ("prompt", {"max_facts": 2.0}, "prompt.max_facts: expected int or None, got 2.0"),
+        ("generation", {"temperature": "0"}, "generation.temperature: expected float, got '0'"),
+        ("dataset", {"time_gap": None}, "dataset.time_gap: expected int, got None"),
+    ], ids=["float-int", "string-int", "bool-int", "int-bool", "float-optional", "string-float",
+            "null-int"])
+    def test_config_value_of_wrong_type_named(self, runner, tmp_path, synthetic_dir,
+                                              mined_rules, section, values, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({section: values}))
+        result = runner.invoke(main, [
+            "eval", "--config", str(config), "--dataset-dir", str(synthetic_dir),
+            "--rules", str(mined_rules), "--out-dir", str(tmp_path / "run"),
+        ])
+        assert result.exit_code == 1, result.output
+        assert result.output == f"error: {message}\n"
+
+    def test_config_types_that_fit(self):
+        """A float field takes an int, an Optional field None, and flags left
+        unset (None) keep the file's value."""
+        config = build_run_config(
+            {"generation": {"temperature": 1}, "retrieval": {"window": None, "top_rules": 3}},
+            {"retrieval": {"top_rules": None}},
+        )
+        assert config.generation.temperature == 1
+        assert (config.retrieval.window, config.retrieval.top_rules) == (None, 3)
 
     @pytest.mark.parametrize("command, damage, message", [
         ("prompt", "not JSON",

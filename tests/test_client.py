@@ -275,7 +275,7 @@ class TestParsePredictions:
         prompt = prompt_with_map({1: 0, 2: 1})
         first = parse_predictions(["1.Germany]", "0.France]"], prompt, golden_kg())
         rendered = [
-            f"{prompt.index_map[e]}.{golden_kg().entity_name(e)}]" for e in first.ranked
+            f"{prompt.index_map[e]}.{golden_kg().entities[e]}]" for e in first.ranked
         ]
         second = parse_predictions(rendered, prompt, golden_kg())
         assert second.ranked == first.ranked

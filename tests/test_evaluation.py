@@ -3,6 +3,7 @@ import os
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from tkgrag.evaluation import (
@@ -18,29 +19,38 @@ from tkgrag.evaluation import (
     time_aware_filter,
 )
 from tkgrag.client import GenParams
+from tkgrag.kg import Dataset
 from tkgrag.prompts import PromptConfig
 from tkgrag.retrieval import Query, RetrievalConfig, queries_from_split
 
+from conftest import make_kg, reference_filter
 from test_client import StubEndpoint
+from test_kg import random_rows
 
 
 def record(rank, n_skipped=0):
     return EvalRecord(Query(0, 0, 1, gold_object=1), (), rank, n_skipped)
 
 
+def co_true(objects, n_entities=20, subject=0, relation=0, t=7):
+    """A filter graph whose (subject, relation, t) key holds `objects`."""
+    return make_kg([(subject, relation, o, t) for o in objects], n_entities, relation + 1)
+
+
 class TestTimeAwareFilter:
     def test_co_true_answers_removed(self):
-        index = {(0, 0, 7): {2, 3}}
-        got = time_aware_filter([2, 3, 5], Query(0, 0, 7, gold_object=5), 5, index)
+        got = time_aware_filter([2, 3, 5], Query(0, 0, 7, gold_object=5), 5, co_true([2, 3]))
         assert got == [5]
 
     def test_identity_without_co_true(self):
-        got = time_aware_filter([2, 3, 5], Query(0, 0, 7, gold_object=5), 5, {})
-        assert got == [2, 3, 5]
+        # true objects under other keys, or no filter at all, drop nothing
+        index = make_kg([(0, 0, 2, 6), (0, 1, 3, 7), (1, 0, 3, 7)], n_entities=6)
+        for filter_index in (index, None):
+            got = time_aware_filter([2, 3, 5], Query(0, 0, 7, gold_object=5), 5, filter_index)
+            assert got == [2, 3, 5]
 
     def test_gold_never_removed(self):
-        index = {(0, 0, 7): {5, 2}}
-        got = time_aware_filter([2, 5], Query(0, 0, 7, gold_object=5), 5, index)
+        got = time_aware_filter([2, 5], Query(0, 0, 7, gold_object=5), 5, co_true([5, 2]))
         assert got == [5]
 
     def test_survivor_order_preserved_and_rank_never_worse(self):
@@ -48,11 +58,41 @@ class TestTimeAwareFilter:
         for _ in range(300):
             ranked = rng.sample(range(20), rng.randint(1, 15))
             gold = rng.choice(ranked)
-            others = set(rng.sample(range(20), rng.randint(0, 10)))
-            index = {(0, 0, 7): others}
-            got = time_aware_filter(ranked, Query(0, 0, 7, gold_object=gold), gold, index)
+            others = rng.sample(range(20), rng.randint(0, 10))
+            got = time_aware_filter(ranked, Query(0, 0, 7, gold_object=gold), gold,
+                                    co_true(others))
             assert [e for e in ranked if e in got] == got
             assert got.index(gold) <= ranked.index(gold)
+
+    @pytest.mark.parametrize("inverse", [False, True], ids=["base-only", "inverse"])
+    def test_matches_reference_on_random_datasets(self, inverse):
+        """build_filter_index over every subset of splits, against a set of
+        the base rows of those splits, for queries with any subject
+        (unknown ones too), any relation id (inverse ids too) and any t from
+        0 to past t_max."""
+        rng = np.random.default_rng(31 + inverse)
+        splits_choices = [(), ("train",), ("valid", "test"), ("train", "valid", "test")]
+        for _case in range(40):
+            n_ent, n_base = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+            rows = {name: random_rows(rng, n_ent, n_base, int(rng.integers(0, 25)))
+                    for name in ("train", "valid", "test")}
+            graphs = {name: make_kg(split_rows, n_ent, n_base, inverse)
+                      for name, split_rows in rows.items()}
+            graph = graphs["train"]
+            dataset = Dataset(graph.entities, graph.relations, n_base, graphs,
+                              time_gap=1, time_origin=0)
+            for splits in splits_choices:
+                index = build_filter_index(dataset, splits)
+                truth = {row for name in splits for row in rows[name]}
+                t_max = max((row[3] for row in truth), default=0)
+                for _query in range(30):
+                    query = Query(int(rng.integers(-1, n_ent + 1)),
+                                  int(rng.integers(len(graph.relations) + 1)),
+                                  int(rng.choice([0, t_max, t_max + 1, rng.integers(6)])))
+                    ranked = rng.permutation(n_ent + 1)[: int(rng.integers(n_ent + 2))].tolist()
+                    gold = ranked[0] if ranked else 0
+                    assert (time_aware_filter(ranked, query, gold, index)
+                            == reference_filter(ranked, query, gold, truth))
 
 
 class TestHitsAtK:

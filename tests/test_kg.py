@@ -16,7 +16,7 @@ from tkgrag.kg import (
     save_dataset,
 )
 
-from conftest import make_kg, write_dataset_dir
+from conftest import edges_of, make_kg, write_dataset_dir
 
 
 class TestLoading:
@@ -27,7 +27,7 @@ class TestLoading:
         assert stats.n_train == 1
         assert stats.n_entities == 2
         assert stats.n_relations == 1
-        assert ds.train.all_quads() == [Quadruple(0, 0, 1, 0)]
+        assert edges_of(ds.train) == [Quadruple(0, 0, 1, 0)]
 
     def test_minimal_with_inverse(self, tmp_path):
         write_dataset_dir(tmp_path, train=[("0", "0", "1", "0")])
@@ -35,7 +35,7 @@ class TestLoading:
         assert len(ds.train) == 2
         assert len(ds.relations) == 2
         assert ds.relations[1] == "inv_0"
-        assert Quadruple(1, 1, 0, 0) in ds.train.all_quads()
+        assert Quadruple(1, 1, 0, 0) in edges_of(ds.train)
         # stats still count base relations and original edges only
         assert ds.stats().n_relations == 1
         assert ds.stats().n_train == 1
@@ -58,7 +58,7 @@ class TestLoading:
         )
         ds = load_dataset(str(tmp_path), DatasetSpec(inverse=False))
         assert ds.entities == ["a", "b"]
-        assert ds.train.all_quads() == [Quadruple(1, 0, 0, 0)]
+        assert edges_of(ds.train) == [Quadruple(1, 0, 0, 0)]
 
     def test_unknown_id_rejected(self, tmp_path):
         write_dataset_dir(
@@ -104,39 +104,42 @@ class TestLoading:
         )
         ds = load_dataset(str(tmp_path), DatasetSpec(time_gap=24, inverse=False))
         assert ds.time_origin == 48
-        assert [q.t for q in ds.train.all_quads()] == [0, 2]
-        assert [q.t for q in ds.test.all_quads()] == [4]
+        assert [q.t for q in edges_of(ds.train)] == [0, 2]
+        assert [q.t for q in edges_of(ds.test)] == [4]
         # max step spans (max raw - min raw) / gap
         assert ds.test.t_max == (144 - 48) // 24
 
 
 class TestEdgesFor:
+    """The edges in a (subject, relation) window, as `positions_for` finds
+    them."""
+
     def test_window_semantics(self):
         kg = make_kg([(0, 0, 1, 1), (0, 0, 1, 3), (0, 0, 1, 5)])
-        got = kg.edges_for(0, 0, 1, 5)
+        got = edges_of(kg, kg.positions_for(0, 0, 1, 5))
         assert [q.t for q in got] == [1, 3]
 
     def test_empty_interval(self):
         kg = make_kg([(0, 0, 1, 1)])
-        assert kg.edges_for(0, 0, 5, 5) == []
+        assert kg.positions_for(0, 0, 5, 5).tolist() == []
 
     def test_empty_graph(self):
         kg = make_kg([], n_entities=2, n_relations=1)
-        assert kg.edges_for(0, 0, 0, 10**9) == []
+        assert kg.positions_for(0, 0, 0, 10**9).tolist() == []
 
     def test_unknown_subject_or_relation(self):
         kg = make_kg([(0, 0, 1, 1)])
-        assert kg.edges_for(5, 0, 0, 10) == []
-        assert kg.edges_for(0, 9, 0, 10) == []
+        assert kg.positions_for(5, 0, 0, 10).tolist() == []
+        assert kg.positions_for(0, 9, 0, 10).tolist() == []
 
     def test_ties_sorted_by_object(self):
         kg = make_kg([(0, 0, 3, 2), (0, 0, 1, 2), (0, 0, 2, 2)])
-        assert [q.object for q in kg.edges_for(0, 0, 0, 3)] == [1, 2, 3]
+        assert [q.object for q in edges_of(kg, kg.positions_for(0, 0, 0, 3))] == [1, 2, 3]
 
     def test_malformed_window_rejected(self):
         kg = make_kg([(0, 0, 1, 1)])
         with pytest.raises(ValueError):
-            kg.edges_for(0, 0, 5, 4)
+            kg.positions_for(0, 0, 5, 4)
 
     def test_concatenation_covers_all_edges(self):
         rng = np.random.default_rng(3)
@@ -149,8 +152,8 @@ class TestEdgesFor:
         collected = []
         for s in range(6):
             for r in range(3):
-                collected.extend(kg.edges_for(s, r, 0, kg.t_max + 1))
-        assert sorted(collected) == sorted(kg.all_quads())
+                collected.extend(edges_of(kg, kg.positions_for(s, r, 0, kg.t_max + 1)))
+        assert sorted(collected) == sorted(edges_of(kg))
 
 
 class TestRoundTrip:
@@ -170,7 +173,7 @@ class TestRoundTrip:
         assert ds2.entities == ds.entities
         assert ds2.relations == ds.relations
         for split in ("train", "valid", "test"):
-            assert ds2.split(split).all_quads() == ds.split(split).all_quads()
+            assert edges_of(ds2.split(split)) == edges_of(ds.split(split))
 
     def test_id_form_reserialization_is_byte_identical(self, tmp_path):
         first = tmp_path / "a"
@@ -308,7 +311,7 @@ class TestUnionAndStats:
     def test_inverse_pairing_invariant(self, synthetic_dataset):
         kg = synthetic_dataset.train
         n_base = synthetic_dataset.num_base_relations
-        quads = set(kg.all_quads())
+        quads = set(edges_of(kg))
         originals = [q for q in quads if q.relation < n_base]
         assert len(originals) * 2 == len(quads)
         for q in originals:
@@ -359,15 +362,13 @@ class TestIndicesAgainstReference:
         from_array = TemporalKG(kg.entities, kg.relations,
                                 np.array(rows, dtype=np.int64).reshape(-1, 4),
                                 kg.num_base_relations)
-        assert from_array.all_quads() == kg.all_quads()
-        assert from_array.num_duplicates_dropped == kg.num_duplicates_dropped
+        assert edges_of(from_array) == edges_of(kg)
 
     def test_edges_and_position_lookups(self):
         for seed in self.SEEDS:
             _rng, kg, rows = random_graph(seed)
             edges, by_sr, by_r, _by_so, _last = reference_graph(rows)
-            assert [tuple(q) for q in kg.all_quads()] == edges
-            assert kg.num_duplicates_dropped == len(rows) - len(edges)
+            assert [tuple(q) for q in edges_of(kg)] == edges
             n_ent, n_rel = len(kg.entities), len(kg.relations)
             relations = list(range(-2, n_rel + 2)) + [n_rel + 10**6, 2**40]
             for r in relations:
@@ -462,6 +463,23 @@ class TestIndicesAgainstReference:
                         if j % 3 == 0:
                             assert kg.positions_for(subject, r, lo, hi).tolist() == want
 
+    def test_positions_for_matches_key_search(self):
+        """The scalar search gives the range of the batched one for every
+        key: bounds below 0 and past t_max, and ids outside the vocabulary,
+        included."""
+        for seed in self.SEEDS[::2]:
+            rng, kg, _rows = random_graph(seed)
+            n_ent, n_rel = len(kg.entities), len(kg.relations)
+            relations = list(range(-2, n_rel + 2)) + [2**40]
+            bounds = sorted(rng.integers(-3, kg.t_max + 4, 4).tolist() + [10**9])
+            for subject in range(-1, n_ent + 2):
+                order, found = kg.key_search(subject, relations, bounds)
+                for j, r in enumerate(relations):
+                    for k, lo in enumerate(bounds):
+                        for h, hi in enumerate(bounds[k:], k):
+                            want = order[found[j, k]:found[j, h]].tolist()
+                            assert kg.positions_for(subject, r, lo, hi).tolist() == want
+
     def test_union_kg(self):
         for seed in self.SEEDS:
             rng, train, rows = random_graph(seed)
@@ -475,14 +493,14 @@ class TestIndicesAgainstReference:
             dataset = Dataset(train.entities, train.relations, train.num_base_relations,
                               splits, time_gap=1, time_origin=0)
             union = dataset.union_kg()
-            assert [tuple(q) for q in union.all_quads()] == reference_graph(rows)[0]
+            assert [tuple(q) for q in edges_of(union)] == reference_graph(rows)[0]
             assert union.num_base_relations == train.num_base_relations
-            assert dataset.union_kg(("test",)).all_quads() == splits["test"].all_quads()
+            assert edges_of(dataset.union_kg(("test",))) == edges_of(splits["test"])
             assert len(dataset.union_kg(())) == 0
 
     def test_empty_graph(self):
         kg = make_kg([], n_entities=3, n_relations=2)
-        assert len(kg) == 0 and kg.num_duplicates_dropped == 0
+        assert len(kg) == 0
         assert kg.positions_for(0, 0, 0, 10**9).tolist() == []
         assert kg.relation_positions(0).tolist() == []
         assert kg.returning_positions(0, 1, 5).tolist() == []

@@ -47,7 +47,7 @@ class TestRetrieve:
         bank = bank_of((0, 1, 0.9))
         history = retrieve(kg, bank, Query(0, 0, 4), RetrievalConfig(window=4))
         assert history.facts == (Quadruple(0, 0, 1, 1), Quadruple(0, 1, 2, 2))
-        assert [p.kind for p in history.provenance] == ["rule-head", "rule-body"]
+        assert [p.as_dict()["kind"] for p in history.provenance] == ["rule-head", "rule-body"]
 
     def test_query_at_time_zero_is_empty(self):
         kg = make_kg([(0, 0, 1, 1)])
@@ -59,7 +59,7 @@ class TestRetrieve:
         bank = bank_of((0, 1, 0.99))
         history = retrieve(kg, bank, Query(0, 0, 7), RetrievalConfig(max_history=1))
         assert history.facts == (Quadruple(0, 0, 1, 5),)
-        assert history.provenance[0].kind == "rule-head"
+        assert history.provenance[0].as_dict()["kind"] == "rule-head"
 
     def test_no_rules_returns_head_facts_only(self):
         kg = make_kg([(0, 0, 1, 1), (0, 1, 2, 2)], n_relations=2)
@@ -76,7 +76,7 @@ class TestRetrieve:
         bank = bank_of((0, 0, 0.8))
         history = retrieve(kg, bank, Query(0, 0, 5))
         assert len(history.facts) == 1
-        assert history.provenance[0].kind == "rule-head"
+        assert history.provenance[0].as_dict()["kind"] == "rule-head"
 
     def test_rule_groups_ranked_by_bank_order(self):
         kg = make_kg([(0, 1, 1, 4), (0, 2, 2, 5)], n_relations=3)
@@ -305,6 +305,16 @@ class TestQueriesAndIO:
         assert {"query", "facts"} <= set(row)
         for fact in row["facts"]:
             assert fact["provenance"]["kind"] in ("rule-head", "rule-body")
+
+    def test_history_columns_are_int64(self):
+        kg = make_kg([(0, 0, 1, 1), (1, 0, 2, 2)])
+        fact = {"s": 1, "r": 0, "o": 2, "t": 2, "provenance": {"kind": "rule-head", "rank": 0}}
+        for facts in ([], [fact]):
+            history = history_from_dict({"query": {"s": 1, "r": 0, "t": 3}, "facts": facts}, kg)
+            columns = (history.sub, history.rel, history.obj, history.ts)
+            assert [column.dtype for column in columns] == [np.int64] * 4
+            assert [column.tolist() for column in columns] == [[fact[k]] * len(facts)
+                                                                for k in "srot"]
 
     def test_negative_query_time_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import time
 
 import mpmath as mp
@@ -18,12 +19,11 @@ from tkgrag.rules import (
     estimate_confidence,
     learn_rules,
     sample_walk,
-    transition_distribution,
     transition_weights,
 )
 from tkgrag.synthetic import BODY_RELATION, HEAD_RELATION
 
-from conftest import make_kg, reference_confidence, reference_learn_rules
+from conftest import edges_of, make_kg, reference_confidence, reference_learn_rules
 
 
 def per_grounding_confidence(kg, head_relation, body_relation, grounding_cap, rng):
@@ -37,10 +37,10 @@ def per_grounding_confidence(kg, head_relation, body_relation, grounding_cap, rn
             np.sort(rng.choice(positions.size, size=grounding_cap, replace=False))
         ]
     last = {}
-    for q in kg.all_quads():
+    for q in edges_of(kg):
         last[(q.subject, q.relation, q.object)] = q.t  # edges ascend in t
     rule_support = 0
-    for q in kg.quads_at(positions):
+    for q in edges_of(kg, positions):
         if q.t < last.get((q.subject, head_relation, q.object), -1):
             rule_support += 1
     return (int(positions.size), rule_support, rule_support / positions.size)
@@ -54,27 +54,30 @@ def highprecision_distribution(times, now):
     return [float(w / total) for w in weights]
 
 
+def weights(times, now) -> list[float]:
+    """`transition_weights` of candidates at `times`."""
+    return transition_weights(np.array(times, dtype=np.int64), now).tolist()
+
+
 class TestTransitionDistribution:
     def test_two_candidates_pinned_values(self):
-        cands = [Quadruple(0, 0, 1, 3), Quadruple(0, 0, 1, 5)]
-        probs = transition_distribution(cands, 6)
+        probs = weights([3, 5], 6)
         assert probs[0] == pytest.approx(0.11920, abs=1e-5)
         assert probs[1] == pytest.approx(0.88080, abs=1e-5)
 
     def test_single_candidate_is_certain(self):
-        assert transition_distribution([Quadruple(0, 0, 1, -7)], 3) == [1.0]
+        assert weights([-7], 3) == [1.0]
 
     def test_equal_times_split_evenly(self):
-        cands = [Quadruple(0, 0, 1, 4), Quadruple(0, 0, 2, 4)]
-        assert transition_distribution(cands, 6) == [0.5, 0.5]
+        assert weights([4, 4], 6) == [0.5, 0.5]
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError, match="empty candidate"):
-            transition_distribution([], 5)
+            weights([], 5)
 
     def test_future_candidate_rejected(self):
         with pytest.raises(ValueError, match="strictly before"):
-            transition_distribution([Quadruple(0, 0, 1, 5)], 5)
+            weights([5], 5)
 
     def test_matches_high_precision_oracle(self):
         rng = np.random.default_rng(12)
@@ -84,8 +87,7 @@ class TestTransitionDistribution:
             offset = int(rng.integers(-10**6, 10**6))
             now = offset + int(rng.integers(1, 500))
             times = [int(rng.integers(offset - 500, now)) for _ in range(size)]
-            cands = [Quadruple(0, 0, 1, t) for t in times]
-            got = transition_distribution(cands, now)
+            got = weights(times, now)
             want = highprecision_distribution(times, now)
             assert sum(got) == pytest.approx(1.0, abs=1e-12)
             for g, w in zip(got, want):
@@ -96,11 +98,9 @@ class TestTransitionDistribution:
         rng = np.random.default_rng(5)
         times = [int(t) for t in rng.integers(0, 100, size=20)]
         now = 150
-        base = transition_distribution([Quadruple(0, 0, 1, t) for t in times], now)
+        base = weights(times, now)
         for shift in (1, -37, 10**6, -10**6):
-            shifted = transition_distribution(
-                [Quadruple(0, 0, 1, t + shift) for t in times], now + shift
-            )
+            shifted = weights([t + shift for t in times], now + shift)
             assert shifted == base
 
 
@@ -246,7 +246,7 @@ class TestLearnRules:
         planted = [r for r in rules if r.body_relation == BODY_RELATION]
         assert planted, "planted implication not recovered"
         want = reference_confidence(
-            [tuple(q) for q in synthetic_dataset.train.all_quads()],
+            [tuple(q) for q in edges_of(synthetic_dataset.train)],
             HEAD_RELATION,
             BODY_RELATION,
         )
@@ -290,7 +290,7 @@ class TestLearnRules:
             })
             kg = make_kg(quads, n_entities=8, n_relations=4, inverse=True)
             bank = learn_rules(kg, MiningParams(num_walks=30, min_body_support=1, seed=2))
-            full = [tuple(q) for q in kg.all_quads()]
+            full = [tuple(q) for q in edges_of(kg)]
             for rules in bank.rules_by_head.values():
                 for rule in rules:
                     want = reference_confidence(full, rule.head_relation, rule.body_relation)
@@ -372,7 +372,7 @@ class TestMiningAgainstReference:
                           for rules in want.rules_by_head.values() for r in rules)
             closed_nothing += any(
                 not any(kg.returning_positions(q.object, q.subject, q.t).size
-                        for q in kg.quads_at(kg.rel == r))
+                        for q in edges_of(kg, kg.rel == r))
                 for r in np.unique(kg.rel))
         # both the capped confidence path and heads whose walks never close ran
         assert capped >= 10 and closed_nothing >= 10
@@ -428,3 +428,24 @@ class TestParamsAndSerialization:
     def test_rule_support_bounds_validated(self):
         with pytest.raises(ValueError):
             TemporalRule(0, 1, body_support=2, rule_support=3, confidence=1.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("body", "0"), ("head", "0"), ("body", -5), ("body", 1.5), ("head", True),
+        ("body_support", None), ("rule_support", False), ("confidence", "0.5"),
+        ("confidence", True),
+    ], ids=["body-str", "head-str", "body-negative", "body-float", "head-bool",
+            "body_support-null", "rule_support-bool", "confidence-str", "confidence-bool"])
+    def test_rule_field_types_rejected(self, synthetic_bank, field, value):
+        payload = json.loads(synthetic_bank.to_json())
+        payload["rules"][1][field] = value
+        wanted = "a number" if field == "confidence" else "a non-negative integer"
+        message = f"rules[1].{field}: expected {wanted}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RuleBank.from_json(json.dumps(payload))
+
+    def test_integral_confidence_accepted(self):
+        """A confidence of exactly 1 may be written as the JSON integer 1."""
+        bank = RuleBank({0: [TemporalRule(0, 1, 2, 2, 1.0)]}, MiningParams())
+        payload = json.loads(bank.to_json())
+        payload["rules"][0]["confidence"] = 1
+        assert RuleBank.from_json(json.dumps(payload)).rules_for(0)[0].confidence == 1
