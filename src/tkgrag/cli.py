@@ -28,22 +28,20 @@ from .evaluation import (
     build_filter_index,
     run_eval,
 )
-from .files import atomic_write, read_jsonl, write_json, write_jsonl
+from .files import atomic_write, fields_of, json_fields, read_jsonl, write_json, write_jsonl
 from .kg import SPLIT_FILES, Dataset, load_dataset
 from .prompts import (
     FORMATS,
     ORDERS,
+    Prompt,
     PromptConfig,
     build_prompt,
     export_finetune_set,
-    prompt_from_dict,
-    prompt_to_dict,
 )
 from .retrieval import (
     RetrievalConfig,
     history_from_dict,
     history_to_dict,
-    query_to_dict,
     queries_from_split,
 )
 from .rules import MiningParams, RuleBank, learn_rules
@@ -128,6 +126,20 @@ def _section_options(cls):
 
 def _split_names(text: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in text.split(","))
+
+
+def _split_ints(option: str, text: str) -> list[int]:
+    """The integers of a comma-separated option, each given once."""
+    values: list[int] = []
+    for item in _split_names(text):
+        try:
+            value = int(item)
+        except ValueError:
+            raise ValueError(f"{option}: expected int, got {item!r}") from None
+        if value in values:
+            raise ValueError(f"{option}: {value} is given twice")
+        values.append(value)
+    return values
 
 
 def _config(options: dict, endpoint=None, seed=None, **sections) -> RunConfig:
@@ -309,8 +321,8 @@ def prompt_cmd(histories_path, out, **options):
     dataset = _load_data(config)
     kg = dataset.train
     count = write_jsonl(out, (
-        {"query": query_to_dict(history.query),
-         **prompt_to_dict(build_prompt(history, config.prompt, kg))}
+        {"query": json_fields(history.query),
+         **json_fields(build_prompt(history, config.prompt, kg))}
         for history in read_jsonl(histories_path, lambda row: history_from_dict(row, kg))
     ))
     _write_manifest(out + ".manifest.json", "prompt", config,
@@ -352,11 +364,10 @@ def infer(prompts_path, endpoint, out, **options):
     config = _config(options, endpoint=endpoint, generation=GenParams)
     dataset = _load_data(config)
     predictor = LLMPredictor(dataset.train, resolve_endpoint(config.endpoint), config.generation)
-    rows = list(read_jsonl(prompts_path, lambda row: (row.get("query"), prompt_from_dict(row))))
+    rows = list(read_jsonl(prompts_path, lambda row: (row.get("query"), fields_of(Prompt, row))))
     predictions = predictor.predict_prompts([prompt for _query, prompt in rows])
     write_jsonl(out, (
-        {"query": query, "ranked": list(parsed.ranked), "raw": list(parsed.raw_texts),
-         "n_skipped": parsed.n_skipped}
+        {"query": query, **json_fields(parsed)}
         for (query, _prompt), parsed in zip(rows, predictions)
     ))
     _write_manifest(out + ".manifest.json", "infer", config, {"n_prompts": len(rows)})
@@ -375,7 +386,7 @@ def infer(prompts_path, endpoint, out, **options):
 @guarded
 def eval_cmd(seeds, out_dir, **options):
     """Run time-aware filtered Hits@1/3/10 evaluation on a split."""
-    seed_list = [int(s) for s in seeds.split(",")] if seeds else [None]
+    seed_list = _split_ints("--seeds", seeds) if seeds else [None]
     config, manifest, kg, bank, queries, filter_index, engine = _load_eval(
         options, prompt=PromptConfig
     )
@@ -429,7 +440,7 @@ def ablate(orders, lengths, formats, out_dir, **options):
     cells = ablation_run(
         kg, bank, queries,
         orders=_split_names(orders),
-        history_lengths=[int(n) for n in lengths.split(",")],
+        history_lengths=_split_ints("--lengths", lengths),
         formats=_split_names(formats),
         predictor=engine,
         retrieval_cfg=config.retrieval,

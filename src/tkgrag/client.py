@@ -14,7 +14,7 @@ import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from .kg import TemporalKG
 from .prompts import Prompt
@@ -62,11 +62,15 @@ class GenParams:
             raise ValueError("in_flight must be >= 1")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
+        if min(self.temperature, self.backoff) < 0:
+            raise ValueError("temperature and backoff must be >= 0")
 
 
 @dataclass(frozen=True)
 class PredictionList:
     """Distinct entity ids, best first, capped at 10."""
+
+    json_keys: ClassVar[dict] = {"raw_texts": "raw"}
 
     ranked: tuple[int, ...]
     raw_texts: tuple[str, ...] = ()

@@ -10,11 +10,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import typing
 from dataclasses import dataclass
 from typing import Optional
 
 from .client import GenParams
+from .files import fields_of, typed
 from .kg import DatasetSpec
 from .prompts import PromptConfig
 from .retrieval import RetrievalConfig
@@ -58,33 +58,6 @@ def stable_hash(payload: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def _build_section(name: str, cls, file_values: dict, overrides: dict):
-    """The section's dataclass from file values overridden by flags. Each
-    value must fit its field's annotation: an int field takes no bool, a
-    float field also takes an int, an Optional field also takes None."""
-    merged = dict(file_values)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    hints = typing.get_type_hints(cls)
-    for field, value in merged.items():
-        if field not in hints:
-            continue  # the constructor names it
-        kinds = typing.get_args(hints[field]) or (hints[field],)
-        if not any(_fits(value, kind) for kind in kinds):
-            wanted = " or ".join("None" if kind is type(None) else kind.__name__ for kind in kinds)
-            raise ConfigError(f"{name}.{field}: expected {wanted}, got {value!r}")
-    try:
-        return cls(**merged)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
-
-
-def _fits(value, kind: type) -> bool:
-    """Whether a JSON value is of `kind`; an int is a float, a bool is not an int."""
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
 def build_run_config(
     file_payload: Optional[dict] = None, overrides: Optional[dict] = None
 ) -> RunConfig:
@@ -94,26 +67,20 @@ def build_run_config(
     unknown = set(payload) - set(_SECTIONS) - set(_SCALARS)
     if unknown:
         raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
-    for name in _SECTIONS:
-        section = payload.get(name, {})
-        if section is not None and not isinstance(section, dict):
-            raise ConfigError(f"{name}: expected an object")
-
-    sections = {
-        name: _build_section(
-            name, cls, payload.get(name) or {}, overrides.get(name) or {}
-        )
-        for name, cls in _SECTIONS.items()
-    }
-    endpoint = overrides.get("endpoint")
-    if endpoint is None:
-        endpoint = payload.get("endpoint")
-    seed = overrides.get("seed")
-    if seed is None:
-        seed = payload.get("seed", 1)
-    if not _fits(seed, int):
-        raise ConfigError("seed: expected an integer")
-    return RunConfig(endpoint=endpoint, seed=seed, **sections)
+    endpoint, seed = (payload.get(key, default) if overrides.get(key) is None else overrides[key]
+                      for key, default in (("endpoint", None), ("seed", 1)))
+    sections = {}
+    try:
+        for name, cls in _SECTIONS.items():
+            section = payload.get(name)
+            if section is not None and type(section) is not dict:
+                raise ValueError(f"{name}: expected {cls.__name__} or None, got {section!r}")
+            flags = {k: v for k, v in (overrides.get(name) or {}).items() if v is not None}
+            sections[name] = fields_of(cls, {**(section or {}), **flags}, name, closed=True)
+        return RunConfig(endpoint=typed(Optional[str], endpoint, "endpoint"),
+                         seed=typed(int, seed, "seed"), **sections)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_config_file(path: str) -> dict:

@@ -21,15 +21,13 @@ from .client import (
     parse_predictions,
     rule_score_predict,
 )
-from .files import jsonl_rows, write_json
+from .files import fields_of, json_fields, jsonl_rows, write_json
 from .kg import Dataset, TemporalKG
 from .prompts import Prompt, PromptConfig, build_prompt, select_history
 from .retrieval import (
     Query,
     RetrievalConfig,
     RetrievedHistory,
-    query_from_dict,
-    query_to_dict,
     retrieve,
 )
 from .rules import RuleBank
@@ -69,23 +67,7 @@ class EvalRecord:
     fingerprint: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "query": query_to_dict(self.query),
-            "predictions": list(self.predictions),
-            "rank": self.rank,
-            "n_skipped": self.n_skipped,
-            "fingerprint": self.fingerprint,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "EvalRecord":
-        return cls(
-            query=query_from_dict(payload["query"]),
-            predictions=tuple(payload["predictions"]),
-            rank=payload["rank"],
-            n_skipped=payload.get("n_skipped", 0),
-            fingerprint=payload.get("fingerprint", ""),
-        )
+        return json_fields(self)
 
 
 def hits_at_k(records: Sequence[EvalRecord], k: int) -> float:
@@ -170,6 +152,11 @@ class LLMPredictor:
         ]
 
 
+def _gold_rank(query: Query, ranked: Sequence[int]) -> Optional[int]:
+    """The 1-based position of the query's gold in `ranked`, if there."""
+    return ranked.index(query.gold_object) + 1 if query.gold_object in ranked else None
+
+
 def _score_one(
     query: Query,
     prediction: PredictionList,
@@ -177,11 +164,10 @@ def _score_one(
     fingerprint: str,
 ) -> EvalRecord:
     filtered = time_aware_filter(prediction.ranked, query, query.gold_object, filter_index)
-    rank = filtered.index(query.gold_object) + 1 if query.gold_object in filtered else None
     return EvalRecord(
         query=query,
         predictions=tuple(filtered),
-        rank=rank,
+        rank=_gold_rank(query, filtered),
         n_skipped=prediction.n_skipped,
         fingerprint=fingerprint,
     )
@@ -208,26 +194,37 @@ def _score_histories(
     ]
 
 
-def _load_journal(path: str, fingerprint: str) -> dict[int, EvalRecord]:
-    """Records of an earlier run. A record is complete once its newline is
-    written; a final line without one is what a killed append leaves behind,
-    so it is cut off the file (its query runs again) and the next append
-    starts on a fresh line. Any other bad line raises."""
-    completed: dict[int, EvalRecord] = {}
+def _load_journal(path: str, fingerprint: str, queries: Sequence[Query]) -> dict[int, EvalRecord]:
+    """Records of an earlier run over `queries`, by index. A record is
+    complete once its newline is written; a final line without one is what a
+    killed append leaves behind, so it is cut off the file (its query runs
+    again) and the next append starts on a fresh line. Any other bad line
+    raises: a row must be written under `fingerprint` and carry an index
+    into `queries`, that query, and the rank of its gold among its
+    predictions."""
+    def parse(payload: dict) -> tuple[int, EvalRecord]:
+        record, index = fields_of(EvalRecord, payload), payload["index"]
+        if record.fingerprint != fingerprint:
+            raise ValueError(f"fingerprint: the journal was written under fingerprint "
+                             f"{record.fingerprint!r}, current is {fingerprint!r}")
+        if type(index) is not int or not 0 <= index < len(queries):
+            raise ValueError(f"index: expected an int in [0, {len(queries)}), got {index!r}")
+        if record.query != queries[index]:
+            raise ValueError(f"query: expected {json_fields(queries[index])}, "
+                             f"got {payload['query']!r}")
+        rank = _gold_rank(record.query, record.predictions)
+        if record.rank != rank:
+            raise ValueError(f"rank: expected {rank!r}, got {record.rank!r}")
+        if record.n_skipped < 0:
+            raise ValueError(f"n_skipped: expected an int >= 0, got {record.n_skipped!r}")
+        return index, record
+
     if not os.path.exists(path):
-        return completed
+        return {}
     with open(path, "rb") as fh:
         data = fh.read()
     complete = data[: data.rfind(b"\n") + 1]
-    records = jsonl_rows(complete.splitlines(), path,
-                         lambda payload: (payload["index"], EvalRecord.from_dict(payload)))
-    for index, record in records:
-        if record.fingerprint != fingerprint:
-            raise ValueError(
-                f"journal {path} was written under fingerprint "
-                f"{record.fingerprint!r}, current is {fingerprint!r}"
-            )
-        completed[index] = record
+    completed = dict(jsonl_rows(complete.splitlines(), path, parse))
     if len(complete) < len(data):
         with open(path, "rb+") as fh:
             fh.truncate(len(complete))
@@ -261,7 +258,7 @@ def run_eval(
     completed: dict[int, EvalRecord] = {}
     if journal_path:
         os.makedirs(out_dir, exist_ok=True)
-        completed = _load_journal(journal_path, fingerprint)
+        completed = _load_journal(journal_path, fingerprint, queries)
 
     pending = [i for i in range(len(queries)) if i not in completed]
     journal = open(journal_path, "a", encoding="utf-8") if journal_path else None

@@ -1,14 +1,117 @@
 """Artifact files and directories that are either the old version or the
-whole new one, and the one reader and writer of every JSON artifact."""
+whole new one, the one reader and writer of every JSON artifact, and the
+one codec between JSON values and the dataclasses they hold."""
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import os
+import re
 import shutil
+import types
+import typing
 from contextlib import contextmanager, suppress
 from typing import Callable, Collection, Iterable, Iterator, TextIO, TypeVar
 
 T = TypeVar("T")
+_INT64 = range(-2**63, 2**63)
+_INT_KEY = re.compile(r"-?(0|[1-9][0-9]*)")
+
+
+@functools.cache
+def _schema(cls) -> tuple:
+    """(field, JSON key, annotation as `_options`, default or MISSING) of each
+    field of the dataclass `cls`; its `json_keys` maps a field to a JSON key
+    of another name."""
+    hints, keys = typing.get_type_hints(cls), getattr(cls, "json_keys", {})
+    return tuple((f.name, keys.get(f.name, f.name), _options(hints[f.name]),
+                  f.default if f.default_factory is dataclasses.MISSING else f.default_factory())
+                 for f in dataclasses.fields(cls))
+
+
+@functools.cache
+def _options(kind) -> tuple:
+    """(type, origin, arguments) of each type a value of annotation `kind`
+    may have: the members of a union, else `kind` itself."""
+    union = typing.get_origin(kind) in (typing.Union, types.UnionType)
+    return tuple((option, typing.get_origin(option), typing.get_args(option))
+                 for option in (typing.get_args(kind) if union else (kind,)))
+
+
+def typed(kind, value, field: str):
+    """The JSON value `value` as a value of annotation `kind`, or ValueError
+    "<field>: expected <kind>, got <value!r>". An int is a JSON integer of
+    64 bits and not a bool, a float also takes an int, an Optional also
+    takes None, a tuple[X, ...] is a list, a dict[int, X] an object with
+    integer-string keys, and a dataclass an object (see `fields_of`)."""
+    return _typed(_options(kind), value, field)
+
+
+def _typed(options: tuple, value, field: str):
+    for option, origin, args in options:
+        if option is int:
+            if type(value) is int and value in _INT64:
+                return value
+        elif option is float:
+            if type(value) is float or type(value) is int:
+                return value
+        elif type(value) is option:  # str, bool, None
+            return value
+        elif origin is tuple:
+            if type(value) is list:
+                items = _options(args[0])
+                return tuple(_typed(items, item, f"{field}[{i}]") for i, item in enumerate(value))
+        elif origin is dict:
+            if type(value) is dict and all(map(_INT_KEY.fullmatch, value)):
+                items = _options(args[1])
+                return {int(key): _typed(items, item, f"{field}.{key}")
+                        for key, item in value.items()}
+        elif dataclasses.is_dataclass(option):
+            return fields_of(option, value, field)
+    wanted = " or ".join("None" if option is type(None) else str(option) if origin
+                         else option.__name__ for option, origin, _args in options)
+    raise ValueError(f"{field}: expected {wanted}, got {value!r}")
+
+
+def fields_of(cls: type[T], payload, where: str = "", closed: bool = False) -> T:
+    """The dataclass `cls` from the JSON object `payload`, each field read
+    by `typed` under its JSON key and named `<where>.<key>`. A missing field
+    without a default raises KeyError(key). Other keys are ignored, unless
+    `closed`: then the constructor rejects them. A TypeError or ValueError
+    from the constructor becomes ValueError "<where>: ..."."""
+    if type(payload) is not dict:
+        raise ValueError(f"{where}: expected {cls.__name__}, got {payload!r}")
+    prefix, schema, values = f"{where}." if where else "", _schema(cls), {}
+    for name, key, options, default in schema:
+        if key in payload:
+            value = payload[key]
+            # a value of the first type allowed, the common case, needs no `_typed`
+            if type(value) is not options[0][0] or type(value) is int and value not in _INT64:
+                value = _typed(options, value, prefix + key)
+            values[name] = value
+        elif default is dataclasses.MISSING:
+            raise KeyError(key)
+    if closed:
+        keys = {key for _name, key, _options, _default in schema}
+        values.update((key, value) for key, value in payload.items() if key not in keys)
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}" if where else str(exc)) from None
+
+
+def json_fields(obj) -> dict:
+    """The dataclass `obj` as the JSON object `fields_of` reads back, for
+    `json.dumps`: each field under its JSON key, a dataclass as an object
+    (`json.dumps` writes a tuple as a list and an int key as a string). A
+    field that is None with the default None is left out."""
+    row = {}
+    for name, key, _options, default in _schema(type(obj)):
+        value = getattr(obj, name)
+        if value is not None or default is not None:
+            row[key] = json_fields(value) if hasattr(value, "__dataclass_fields__") else value
+    return row
 
 
 @contextmanager

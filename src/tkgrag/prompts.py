@@ -11,12 +11,12 @@ from __future__ import annotations
 import dataclasses
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .files import write_json, write_jsonl
+from .files import json_fields, write_json, write_jsonl
 from .kg import Dataset, TemporalKG
 from .retrieval import (
     RetrievalConfig,
@@ -62,29 +62,9 @@ class Prompt:
     empty for lexical). text always ends with query_prefix."""
 
     text: str
-    index_map: dict[int, int]
-    query_prefix: str
-    format: str
-
-
-def prompt_to_dict(prompt: Prompt) -> dict:
-    """The prompt as a JSON-ready row; index map keys become strings."""
-    return {
-        "text": prompt.text,
-        "index_map": {str(k): v for k, v in prompt.index_map.items()},
-        "query_prefix": prompt.query_prefix,
-        "format": prompt.format,
-    }
-
-
-def prompt_from_dict(payload: dict) -> Prompt:
-    """The prompt `prompt_to_dict` wrote; only "text" is required."""
-    return Prompt(
-        text=payload["text"],
-        index_map={int(k): v for k, v in dict(payload.get("index_map", {})).items()},
-        query_prefix=payload.get("query_prefix", ""),
-        format=payload.get("format", "index"),
-    )
+    index_map: dict[int, int] = field(default_factory=dict)
+    query_prefix: str = ""
+    format: str = "index"
 
 
 @dataclass(frozen=True)
@@ -221,7 +201,7 @@ def export_finetune_set(
             sample = make_instruction_sample(history, prompt_cfg, train_kg)
             if len(sample.instruction) + len(sample.input) + len(sample.output) > prompt_cfg.char_budget:
                 over_budget += 1
-            yield dataclasses.asdict(sample)
+            yield json_fields(sample)
 
     write_jsonl(out_path, samples())
     manifest = {

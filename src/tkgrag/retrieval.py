@@ -10,16 +10,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
+from .files import json_fields, typed
 from .kg import Dataset, Quadruple, TemporalKG
 from .rules import Provenance, RuleBank
 
 
 @dataclass(frozen=True)
 class Query:
+    json_keys: ClassVar[dict] = {"subject": "s", "relation": "r", "gold_object": "gold"}
+
     subject: int
     relation: int
     t: int
@@ -27,7 +30,7 @@ class Query:
 
     def __post_init__(self):
         if self.t < 0:
-            raise ValueError("query time step must be non-negative")
+            raise ValueError("t must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -190,22 +193,6 @@ def queries_from_split(dataset: Dataset, split: str) -> list[Query]:
 # -- JSON-lines interchange ---------------------------------------------------
 
 
-def query_to_dict(query: Query) -> dict:
-    payload = {"s": query.subject, "r": query.relation, "t": query.t}
-    if query.gold_object is not None:
-        payload["gold"] = query.gold_object
-    return payload
-
-
-def query_from_dict(payload: dict) -> Query:
-    """The query `query_to_dict` wrote; its ids and t must be JSON integers."""
-    fields = (payload["s"], payload["r"], payload["t"], payload.get("gold"))
-    for name, value in zip(("s", "r", "t", "gold"), fields):
-        if type(value) is not int and (name != "gold" or value is not None):
-            raise ValueError(f"query.{name}: expected an integer, got {value!r}")
-    return Query(*fields)
-
-
 def history_to_dict(history: RetrievedHistory) -> dict:
     """The history as JSON-ready rows; facts with one provenance share its
     dict."""
@@ -215,45 +202,57 @@ def history_to_dict(history: RetrievedHistory) -> dict:
         {"s": s, "r": r, "o": o, "t": t, "provenance": sources[code]}
         for s, r, o, t, code in zip(*(column.tolist() for column in columns))
     ]
-    return {"query": query_to_dict(history.query), "facts": facts}
+    return {"query": json_fields(history.query), "facts": facts}
 
 
 def history_from_dict(payload: dict, kg: Optional[TemporalKG] = None) -> RetrievedHistory:
     """The history `history_to_dict` wrote. A missing field raises KeyError,
-    a malformed one TypeError or ValueError: ids and time steps must be JSON
-    integers and, when `kg` is given, entity and relation ids must lie in
-    its vocabulary."""
-    rows = payload["facts"]
-    code_of: dict[tuple, int] = {}
-    codes = []
+    a malformed one ValueError naming it (`files.typed`): ids and time steps
+    must be JSON integers, facts must lie before the query and, when `kg` is
+    given, entity and relation ids must lie in its vocabulary. Each distinct
+    provenance is read once."""
+    rows = typed(list, payload["facts"], "facts")
+    code_of, sources, codes = {}, [], []
     for row in rows:
         prov = row["provenance"]
-        key = (prov["rank"], prov.get("body_relation"), prov.get("confidence"))
-        codes.append(code_of.setdefault(key, len(code_of)))
-    query = query_from_dict(payload["query"])
+        try:  # JSON 1, 1.0 and true are equal in Python, so the key holds the types
+            key = (*prov.items(), *map(type, prov.values()))
+            code = code_of[key]
+        except (AttributeError, KeyError, TypeError):  # not an object, new, or holds a list
+            sources.append(typed(Provenance, prov, "facts.provenance"))
+            code = code_of[key] = len(sources) - 1
+        codes.append(code)
+    query = typed(Query, payload["query"], "query")
     sub, rel, obj, ts = (_id_column([row[name] for row in rows], f"facts.{name}")
                          for name in "srot")
+    if len(ts) and not 0 <= ts.min() <= ts.max() < query.t:
+        raise ValueError(f"facts.t: expected a time step in [0, {query.t}), "
+                         f"got {ts[(ts < 0) | (ts >= query.t)][0]}")
     if kg is not None:
         n_ent, n_rel = len(kg.entities), len(kg.relations)
-        for field, ids, size in (
-            ("query.s", np.array([query.subject]), n_ent),
-            ("query.r", np.array([query.relation]), n_rel),
-            ("facts.s", sub, n_ent), ("facts.r", rel, n_rel), ("facts.o", obj, n_ent),
-        ):
-            outside = ids[(ids < 0) | (ids >= size)]
-            if outside.size:
-                raise ValueError(f"{field}: id {outside[0]} is outside the vocabulary of {size}")
+        for field, value, size in (("query.s", query.subject, n_ent),
+                                   ("query.r", query.relation, n_rel),
+                                   ("query.gold", query.gold_object, n_ent)):
+            if value is not None and not 0 <= value < size:
+                raise ValueError(f"{field}: id {value} is outside the vocabulary of {size}")
+        for field, ids, size in (("facts.s", sub, n_ent), ("facts.r", rel, n_rel),
+                                 ("facts.o", obj, n_ent)):
+            if len(ids) and not 0 <= ids.min() <= ids.max() < size:
+                raise ValueError(f"{field}: id {ids[(ids < 0) | (ids >= size)][0]} "
+                                 f"is outside the vocabulary of {size}")
     return RetrievedHistory.from_columns(
-        query, sub, rel, obj, ts, np.array(codes, dtype=np.int64),
-        tuple(Provenance(*key) for key in code_of),
+        query, sub, rel, obj, ts, np.array(codes, dtype=np.int64), tuple(sources)
     )
 
 
 def _id_column(values: list, field: str) -> np.ndarray:
-    """JSON integers as an int64 column. Any other value, a bool included,
-    raises ValueError naming `field`."""
-    column = np.array(values)
-    if values and (column.dtype.kind != "i" or bool in set(map(type, values))):
-        bad = next(v for v in values if type(v) is not int or not -2**63 <= v < 2**63)
-        raise ValueError(f"{field}: expected a 64-bit integer, got {bad!r}")
-    return column.astype(np.int64, copy=False) if values else np.empty(0, dtype=np.int64)
+    """JSON integers as an int64 column; any other value, a bool or a list
+    included, raises the ValueError of `files.typed` naming `field`."""
+    try:
+        column = np.array(values)
+    except ValueError:  # ragged: a list among the values
+        column = np.empty(0)
+    if column.shape != (len(values),) or column.dtype.kind != "i" or bool in set(map(type, values)):
+        for value in values:
+            typed(int, value, field)
+    return column.astype(np.int64, copy=False)

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import ClassVar, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .files import atomic_write
+from .files import atomic_write, fields_of, json_fields, typed
 from .kg import Quadruple, TemporalKG
 
 
@@ -39,6 +39,8 @@ class MiningParams:
 
 @dataclass(frozen=True)
 class TemporalRule:
+    json_keys: ClassVar[dict] = {"head_relation": "head", "body_relation": "body"}
+
     head_relation: int
     body_relation: int
     body_support: int
@@ -46,6 +48,8 @@ class TemporalRule:
     confidence: float
 
     def __post_init__(self):
+        if min(self.head_relation, self.body_relation) < 0:
+            raise ValueError("head_relation and body_relation must be >= 0")
         if not (0 < self.rule_support <= self.body_support):
             raise ValueError("rule_support must be in [1, body_support]")
         if abs(self.confidence - self.rule_support / self.body_support) > 1e-9:
@@ -55,21 +59,22 @@ class TemporalRule:
 @dataclass(frozen=True)
 class Provenance:
     """Why a fact was retrieved: rank 0 is a query-relation (rule-head) fact,
-    rank i >= 1 is the i-th rule body in bank order."""
+    rank i >= 1 is the i-th rule body in bank order, with that rule's body
+    relation and confidence."""
 
     rank: int
     body_relation: Optional[int] = None
     confidence: Optional[float] = None
 
+    def __post_init__(self):
+        head = self.rank == 0
+        if (self.body_relation is None, self.confidence is None) != (head, head):
+            raise ValueError("body_relation and confidence are set exactly when rank >= 1")
+        if self.rank < 0 or self.rank and not (self.body_relation >= 0 and 0 < self.confidence <= 1):
+            raise ValueError("rank and body_relation must be >= 0, confidence in (0, 1]")
+
     def as_dict(self) -> dict:
-        if self.rank == 0:
-            return {"kind": "rule-head", "rank": 0}
-        return {
-            "kind": "rule-body",
-            "rank": self.rank,
-            "body_relation": self.body_relation,
-            "confidence": self.confidence,
-        }
+        return {"kind": "rule-body" if self.rank else "rule-head", **json_fields(self)}
 
 
 class HeadPlan(NamedTuple):
@@ -132,54 +137,27 @@ class RuleBank:
         return sum(len(rules) for rules in self.rules_by_head.values())
 
     def to_json(self) -> str:
-        payload = {
-            "params": asdict(self.params),
-            "rules": [
-                {
-                    "head": rule.head_relation,
-                    "body": rule.body_relation,
-                    "body_support": rule.body_support,
-                    "rule_support": rule.rule_support,
-                    "confidence": rule.confidence,
-                }
-                for head in sorted(self.rules_by_head)
-                for rule in self.rules_by_head[head]
-            ],
-        }
-        return json.dumps(payload, indent=2)
+        rules = [json_fields(rule) for head in sorted(self.rules_by_head)
+                 for rule in self.rules_by_head[head]]
+        return json.dumps({"params": json_fields(self.params), "rules": rules}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RuleBank":
         """The bank `to_json` wrote. A missing or malformed field raises
-        ValueError naming it: ids and supports must be non-negative ints and
-        a confidence a number, none of them a bool."""
+        ValueError naming it (`files.fields_of`); so does a params key that
+        `MiningParams` lacks."""
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError('a rule bank is a JSON object with "params" and "rules"')
-        by_head: dict[int, list[TemporalRule]] = {}
         try:
-            params = MiningParams(**payload["params"])
-            for number, row in enumerate(payload["rules"]):
-                for field in ("head", "body", "body_support", "rule_support"):
-                    if type(row[field]) is not int or row[field] < 0:
-                        raise ValueError(f"rules[{number}].{field}: expected a non-negative "
-                                         f"integer, got {row[field]!r}")
-                if type(row["confidence"]) not in (int, float):
-                    raise ValueError(f"rules[{number}].confidence: expected a number, "
-                                     f"got {row['confidence']!r}")
-                rule = TemporalRule(
-                    head_relation=row["head"],
-                    body_relation=row["body"],
-                    body_support=row["body_support"],
-                    rule_support=row["rule_support"],
-                    confidence=row["confidence"],
-                )
-                by_head.setdefault(rule.head_relation, []).append(rule)
-            bank = cls(by_head, params)
+            params = fields_of(MiningParams, payload["params"], "params", closed=True)
+            rules = typed(tuple[TemporalRule, ...], payload["rules"], "rules")
         except KeyError as exc:
             raise ValueError(f"rule bank: missing field {exc}") from None
-        except TypeError as exc:
-            raise ValueError(f"malformed rule bank: {exc}") from None
+        by_head: dict[int, list[TemporalRule]] = {}
+        for rule in rules:
+            by_head.setdefault(rule.head_relation, []).append(rule)
+        bank = cls(by_head, params)
         # reject files whose rule order was tampered with
         for head, rules in by_head.items():
             if tuple(rules) != bank.rules_by_head[head]:

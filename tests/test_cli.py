@@ -300,10 +300,11 @@ class TestValidationAndExitCodes:
                      id="no-confidence"),
         pytest.param("unknown params key", "unexpected keyword argument 'walk_count'",
                      id="unknown-param"),
-        pytest.param("rule not an object", "malformed rule bank", id="rule-as-list"),
+        pytest.param("rule not an object", "rules[0]: expected TemporalRule, got [",
+                     id="rule-as-list"),
         pytest.param("top-level list", "JSON object", id="top-level-list"),
-        pytest.param("string rule body", "rules[0].body: expected a non-negative integer, "
-                     "got '0'", id="string-body"),
+        pytest.param("string rule body", "rules[0].body: expected int, got '0'",
+                     id="string-body"),
     ])
     def test_malformed_rule_bank_is_validation_error(
         self, runner, synthetic_dir, mined_rules, tmp_path, damage, named
@@ -345,14 +346,14 @@ class TestValidationAndExitCodes:
         assert result.output == f"error: {histories}:{number}: missing field '{field}'\n"
 
     @pytest.mark.parametrize("where, field, value, message", [
-        ("fact", "o", 1.7, "facts.o: expected a 64-bit integer, got 1.7"),
-        ("fact", "s", "x", "facts.s: expected a 64-bit integer, got 'x'"),
-        ("fact", "r", True, "facts.r: expected a 64-bit integer, got True"),
-        ("fact", "t", 2**64, f"facts.t: expected a 64-bit integer, got {2**64}"),
+        ("fact", "o", 1.7, "facts.o: expected int, got 1.7"),
+        ("fact", "s", "x", "facts.s: expected int, got 'x'"),
+        ("fact", "r", True, "facts.r: expected int, got True"),
+        ("fact", "t", 2**64, f"facts.t: expected int, got {2**64}"),
         ("fact", "s", 1000000, "facts.s: id 1000000 is outside the vocabulary of 20"),
         ("fact", "o", -1, "facts.o: id -1 is outside the vocabulary of 20"),
         ("fact", "r", 10, "facts.r: id 10 is outside the vocabulary of 10"),
-        ("query", "s", "3", "query.s: expected an integer, got '3'"),
+        ("query", "s", "3", "query.s: expected int, got '3'"),
         ("query", "r", 1000000, "query.r: id 1000000 is outside the vocabulary of 10"),
     ], ids=["float-object", "string-subject", "bool-relation", "huge-time", "subject-past-vocab",
             "negative-object", "relation-past-vocab", "string-query-subject",
@@ -414,8 +415,7 @@ class TestValidationAndExitCodes:
         ("prompt", "list", "expected a JSON object"),
         ("infer", "text", "missing field 'text'"),
         ("infer", "list", "expected a JSON object"),
-        ("infer", "index_map",
-         "cannot convert dictionary update sequence element #0 to a sequence"),
+        ("infer", "index_map", "index_map: expected dict[int, int], got [1]"),
         ("eval", "rank", "missing field 'rank'"),
     ], ids=["prompt-not-json", "prompt-no-facts", "prompt-list", "infer-no-text", "infer-list",
             "infer-bad-index-map", "eval-no-rank"])
@@ -768,3 +768,60 @@ class TestResumeInputs:
         result = runner.invoke(main, args)
         assert result.exit_code == 1, result.output
         assert "was written under fingerprint" in result.output
+
+    @pytest.mark.parametrize("index, message", [
+        ("0", "index: expected an int in [0, 37), got '0'"),
+        (-1, "index: expected an int in [0, 37), got -1"),
+        (99, "index: expected an int in [0, 37), got 99"),
+    ], ids=["string", "negative", "past-the-split"])
+    def test_journal_index_outside_the_split_refused(
+        self, runner, synthetic_dir, mined_rules, tmp_path, index, message
+    ):
+        out_dir = tmp_path / "run"
+        args = ["eval", "--dataset-dir", str(synthetic_dir), "--rules", str(mined_rules),
+                "--out-dir", str(out_dir)]
+        run_ok(runner, args)
+        journal = out_dir / "records.jsonl"
+        lines = journal.read_text().splitlines(keepends=True)
+        row = json.loads(lines[2])
+        lines[2] = json.dumps({**row, "index": index}) + "\n"
+        journal.write_text("".join(lines))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert result.output == f"error: {journal}:3: {message}\n"
+
+    def test_journal_row_of_another_query_refused(self, runner, synthetic_dir, mined_rules,
+                                                  tmp_path):
+        """Two rows that swap their indices each carry the record of the
+        other's query; resuming them would count each record for the wrong
+        query."""
+        out_dir = tmp_path / "run"
+        args = ["eval", "--dataset-dir", str(synthetic_dir), "--rules", str(mined_rules),
+                "--out-dir", str(out_dir)]
+        run_ok(runner, args)
+        journal = out_dir / "records.jsonl"
+        rows = [json.loads(line) for line in journal.read_text().splitlines()]
+        rows[0]["index"], rows[1]["index"] = rows[1]["index"], rows[0]["index"]
+        journal.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert result.output == (f"error: {journal}:1: query: expected {rows[1]['query']}, "
+                                 f"got {rows[0]['query']}\n")
+
+
+class TestCommaLists:
+    @pytest.mark.parametrize("command, option, value, message", [
+        ("eval", "--seeds", "1,x", "--seeds: expected int, got 'x'"),
+        ("eval", "--seeds", "2,2", "--seeds: 2 is given twice"),
+        ("ablate", "--lengths", "10,x", "--lengths: expected int, got 'x'"),
+        ("ablate", "--lengths", "10,10", "--lengths: 10 is given twice"),
+    ], ids=["seeds-not-int", "seeds-twice", "lengths-not-int", "lengths-twice"])
+    def test_bad_comma_list_named(self, runner, synthetic_dir, mined_rules, tmp_path,
+                                  command, option, value, message):
+        result = runner.invoke(main, [
+            command, "--dataset-dir", str(synthetic_dir), "--rules", str(mined_rules),
+            option, value, "--out-dir", str(tmp_path / "run"),
+        ])
+        assert result.exit_code == 1, result.output
+        assert result.output == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()

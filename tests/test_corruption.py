@@ -1,0 +1,220 @@
+"""Corruption harness for the JSON inputs of the command line.
+
+Every field of the config file, `rules.json` (params and rules), histories
+(query, facts, provenance), prompts and the eval journal gets the same
+mutations: a string, a float, a bool, null, a list, a negative number, 2**64
+and the field left out. A mutation must exit 1 with
+`error: <path>[:<line>]: <field>…` and no traceback, unless the format allows
+it: those are listed in ALLOWED with the reason, and their run goes through.
+Split files and id maps are not covered here.
+"""
+import dataclasses
+import json
+import shutil
+
+import pytest
+from click.testing import CliRunner
+
+from tkgrag.cli import main
+from tkgrag.client import GenParams
+from tkgrag.config import build_run_config
+from tkgrag.evaluation import EvalRecord
+from tkgrag.kg import DatasetSpec
+from tkgrag.prompts import Prompt, PromptConfig
+from tkgrag.retrieval import Query, RetrievalConfig
+from tkgrag.rules import MiningParams, Provenance, TemporalRule
+
+from test_client import StubEndpoint
+
+MISSING = object()
+MUTATIONS = {"string": "x", "float": 0.5, "bool": True, "null": None, "list": [1],
+             "negative": -1, "2**64": 2**64, "missing": MISSING}
+
+
+def keys_of(cls) -> list[str]:
+    """The JSON keys of a dataclass's fields."""
+    renamed = getattr(cls, "json_keys", {})
+    return [renamed.get(field.name, field.name) for field in dataclasses.fields(cls)]
+
+
+SECTIONS = {"dataset": DatasetSpec, "mining": MiningParams, "retrieval": RetrievalConfig,
+            "prompt": PromptConfig, "generation": GenParams}
+# (input, where, key): the JSON object a field sits in and its key there
+FIELDS = (
+    [("config", section, key) for section, cls in SECTIONS.items() for key in keys_of(cls)]
+    + [("config", "", "endpoint"), ("config", "", "seed")]
+    + [("rules", "params", key) for key in keys_of(MiningParams)]
+    + [("rules", "rules[1]", key) for key in keys_of(TemporalRule)]
+    + [("histories", "query", key) for key in keys_of(Query)]
+    + [("histories", "facts", key) for key in ("s", "r", "o", "t", "provenance")]
+    + [("histories", "facts.provenance", key) for key in keys_of(Provenance)]
+    + [("prompts", "", key) for key in keys_of(Prompt)]
+    + [("journal", "", key) for key in ["index"] + keys_of(EvalRecord)]
+    + [("journal", "query", key) for key in keys_of(Query)]
+)
+
+
+def allow(reason: str, *cases: str) -> dict:
+    """{(input, field, mutation): reason} for cases written
+    "<input> <field> <mutation>"."""
+    return {tuple(case.split()): reason for case in cases}
+
+
+ALLOWED = {
+    **allow("every config field has a default",
+            *(f"config {f'{where}.' if where else ''}{key} missing"
+              for input_, where, key in FIELDS if input_ == "config" and key != "dir")),
+    **allow("a string is a path; one that holds no dataset fails on load, naming the file",
+            "config dataset.dir string"),
+    **allow("the value has the field's type",
+            "config dataset.inverse bool", "config retrieval.stepwise bool",
+            "config prompt.instruction string", "config generation.temperature float",
+            "config generation.timeout float", "config generation.backoff float",
+            "config endpoint string", "histories facts.provenance.confidence float",
+            "prompts text string", "prompts query_prefix string"),
+    **allow("an Optional field takes null",
+            "config retrieval.window null", "config retrieval.top_rules null",
+            "config prompt.max_facts null", "config endpoint null", "histories query.gold null"),
+    **allow("any integer is a seed",
+            "config mining.seed negative", "config prompt.order_seed negative",
+            "config seed negative", "rules params.seed negative"),
+    **allow("a float field takes any non-negative number; retrieve sends no request",
+            "config generation.temperature 2**64", "config generation.timeout 2**64",
+            "config generation.backoff 2**64"),
+    **allow("a parameter the rule bank lacks takes its default",
+            *(f"rules params.{key} missing" for key in keys_of(MiningParams))),
+    **allow("the field has a default",
+            "histories query.gold missing", "prompts index_map missing",
+            "prompts query_prefix missing", "prompts format missing",
+            "journal n_skipped missing"),
+    **allow("the format is a label that no reader checks", "prompts format string"),
+}
+# allowed cases whose run does not go through, and how it ends instead
+FAILS_LATER = {("config", "dataset.dir", "string"): "error: missing split file x/train.txt\n"}
+# rejected cases reported under the field they contradict
+NAMED_AS = {("journal", "predictions", "list"): "rank"}
+
+CASES = [(input_, f"{where}.{key}" if where else key, mutation)
+         for input_, where, key in FIELDS for mutation in MUTATIONS]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory, synthetic_dir):
+    """The intact inputs: a config, a rule bank, histories, prompts and an
+    eval run directory holding its journal."""
+    root = tmp_path_factory.mktemp("intact")
+    data = ["--dataset-dir", str(synthetic_dir)]
+    paths = {name: root / name for name in
+             ("config.json", "rules.json", "histories.jsonl", "prompts.jsonl", "run")}
+    paths["config.json"].write_text(json.dumps(
+        build_run_config({"dataset": {"dir": str(synthetic_dir)}}).as_dict()))
+    for args in (
+        ["mine", *data, "--walks", "200", "--seed", "1", "--out", str(paths["rules.json"])],
+        ["retrieve", *data, "--rules", str(paths["rules.json"]),
+         "--out", str(paths["histories.jsonl"])],
+        ["prompt", *data, "--histories", str(paths["histories.jsonl"]),
+         "--out", str(paths["prompts.jsonl"])],
+        ["eval", *data, "--rules", str(paths["rules.json"]), "--out-dir", str(paths["run"])],
+    ):
+        result = CliRunner().invoke(main, args, catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+    return paths
+
+
+@pytest.fixture(scope="module")
+def endpoint():
+    stub = StubEndpoint(sequences=["0.x]"])
+    yield stub
+    stub.close()
+
+
+def mutate(payload: dict, key: str, mutation: str) -> None:
+    if mutation == "missing":
+        del payload[key]
+    else:
+        payload[key] = MUTATIONS[mutation]
+
+
+def rows_of(path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def write_rows(path, rows) -> None:
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+
+def corrupt(input_, label, mutation, inputs, synthetic_dir, endpoint, tmp_path):
+    """Write the input with the field at `label` mutated; return the
+    command that reads it and where its errors point ("<path>: " or
+    "<path>:<line>: ")."""
+    where, _, key = label.rpartition(".")
+    data = ["--dataset-dir", str(synthetic_dir)]
+    rules = ["--rules", str(inputs["rules.json"])]
+    if input_ == "config":
+        config = json.loads(inputs["config.json"].read_text())
+        mutate(config[where] if where else config, key, mutation)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        return ["retrieve", "--config", str(path), *rules,
+                "--out", str(tmp_path / "h.jsonl")], ""
+    if input_ == "rules":
+        bank = json.loads(inputs["rules.json"].read_text())
+        mutate(bank["params"] if where == "params" else bank["rules"][1], key, mutation)
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(bank))
+        return ["retrieve", *data, "--rules", str(path),
+                "--out", str(tmp_path / "h.jsonl")], f"{path}: "
+    if input_ == "histories":
+        rows = rows_of(inputs["histories.jsonl"])
+        # the first history with a rule-body fact; that fact is the one mutated
+        line, row = next((n, row) for n, row in enumerate(rows, 1)
+                         if any(fact["provenance"]["rank"] for fact in row["facts"]))
+        fact = next(fact for fact in row["facts"] if fact["provenance"]["rank"])
+        target = {"query": row["query"], "facts": fact,
+                  "facts.provenance": fact["provenance"]}[where]
+        mutate(target, key, mutation)
+        path = tmp_path / "histories.jsonl"
+        write_rows(path, rows)
+        return ["prompt", *data, "--histories", str(path),
+                "--out", str(tmp_path / "p.jsonl")], f"{path}:{line}: "
+    if input_ == "prompts":
+        rows = rows_of(inputs["prompts.jsonl"])
+        mutate(rows[1], key, mutation)
+        path = tmp_path / "prompts.jsonl"
+        write_rows(path, rows)
+        return ["infer", *data, "--prompts", str(path), "--endpoint", endpoint.url,
+                "--num-sequences", "1", "--out", str(tmp_path / "x.jsonl")], f"{path}:2: "
+    run = tmp_path / "run"
+    shutil.copytree(inputs["run"], run)
+    rows = rows_of(run / "records.jsonl")
+    # a record whose gold is ranked, so that a null rank is a change
+    line, row = next((n, row) for n, row in enumerate(rows, 1) if row["rank"])
+    mutate(row["query"] if where else row, key, mutation)
+    write_rows(run / "records.jsonl", rows)
+    return ["eval", *data, *rules, "--out-dir", str(run)], f"{run / 'records.jsonl'}:{line}: "
+
+
+@pytest.mark.parametrize("input_, label, mutation", CASES,
+                         ids=[f"{i}-{label}-{m}" for i, label, m in CASES])
+def test_corrupted_field(input_, label, mutation, inputs, synthetic_dir, endpoint, tmp_path):
+    args, location = corrupt(input_, label, mutation, inputs, synthetic_dir, endpoint,
+                             tmp_path)
+    result = CliRunner().invoke(main, args)
+    # no traceback: the command ends through sys.exit, or returns
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        result.exception
+    case = (input_, label, mutation)
+    where, _, key = NAMED_AS.get(case, label).rpartition(".")
+    named = f"{where}.{key}" if where else key
+    message = result.output.removeprefix(f"error: {location}")
+    rejected = result.exit_code == 1 and message != result.output \
+        and result.output.count("\n") == 1 and (
+            message.startswith((f"{named}:", f"{named} "))
+            or (where and message.startswith(f"{where}: ") and key in message)
+            or f"missing field '{key}'" in message)
+    if case not in ALLOWED:
+        assert rejected, result.output
+    elif case in FAILS_LATER:
+        assert (result.exit_code, result.output) == (1, FAILS_LATER[case])
+    else:
+        assert result.exit_code == 0, f"allowed ({ALLOWED[case]}) but: {result.output}"

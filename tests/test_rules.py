@@ -429,17 +429,21 @@ class TestParamsAndSerialization:
         with pytest.raises(ValueError):
             TemporalRule(0, 1, body_support=2, rule_support=3, confidence=1.5)
 
-    @pytest.mark.parametrize("field, value", [
-        ("body", "0"), ("head", "0"), ("body", -5), ("body", 1.5), ("head", True),
-        ("body_support", None), ("rule_support", False), ("confidence", "0.5"),
-        ("confidence", True),
+    @pytest.mark.parametrize("field, value, message", [
+        ("body", "0", "rules[1].body: expected int, got '0'"),
+        ("head", "0", "rules[1].head: expected int, got '0'"),
+        ("body", -5, "rules[1]: head_relation and body_relation must be >= 0"),
+        ("body", 1.5, "rules[1].body: expected int, got 1.5"),
+        ("head", True, "rules[1].head: expected int, got True"),
+        ("body_support", None, "rules[1].body_support: expected int, got None"),
+        ("rule_support", False, "rules[1].rule_support: expected int, got False"),
+        ("confidence", "0.5", "rules[1].confidence: expected float, got '0.5'"),
+        ("confidence", True, "rules[1].confidence: expected float, got True"),
     ], ids=["body-str", "head-str", "body-negative", "body-float", "head-bool",
             "body_support-null", "rule_support-bool", "confidence-str", "confidence-bool"])
-    def test_rule_field_types_rejected(self, synthetic_bank, field, value):
+    def test_rule_field_types_rejected(self, synthetic_bank, field, value, message):
         payload = json.loads(synthetic_bank.to_json())
         payload["rules"][1][field] = value
-        wanted = "a number" if field == "confidence" else "a non-negative integer"
-        message = f"rules[1].{field}: expected {wanted}, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             RuleBank.from_json(json.dumps(payload))
 
