@@ -56,8 +56,8 @@ class TemporalKG:
     lookup is a `np.searchsorted` into a key table built on first use by
     `_key_table`: the stable argsort of packed id keys and the keys in that
     order, so the positions of a run of equal ids ascend in t. There are
-    four: (subject, relation, t) for `key_search`, `positions_for` and
-    `contains`; (subject, object, t) for `returning_positions` and
+    four: (subject, relation, t) for `key_search` and `positions_for`;
+    (subject, object, t) for `returning_positions` and
     `pair_ids`; relation runs for `relation_positions`; and the latest t of
     each (relation, subject, object) for `last_time_of`, which takes ids or
     equal-length id arrays. A graph that is only retrieved from or filtered
@@ -136,10 +136,6 @@ class TemporalKG:
         return {name: eid for eid, name in enumerate(self.display_names[0])}
 
     # -- lookups ------------------------------------------------------------
-
-    def contains(self, quad: Quadruple) -> bool:
-        s, r, o, t = quad
-        return o in self.obj[self.positions_for(s, r, t, t + 1)].tolist()
 
     def positions_for(self, subject: int, relation: int, t_lo: int, t_hi: int) -> np.ndarray:
         """Positions of edges (subject, relation, *, t) with t_lo <= t < t_hi,

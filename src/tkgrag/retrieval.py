@@ -56,34 +56,16 @@ class RetrievedHistory:
     """Facts in canonical prompt order: ascending t, ties broken by provenance
     rank then object id.
 
-    Stored as columns: the int64 arrays `sub`, `rel`, `obj` and `ts`, one
-    entry per fact, and `codes`, each fact's index into `sources`, a tuple of
-    distinct `Provenance` objects. `facts` (`Quadruple`s) and `provenance`
-    (parallel to `facts`) are built from the columns on first access, for
-    callers outside the forecast path; the constructor takes those two
-    tuples, and equality compares (query, facts, provenance). Treat
-    instances as immutable.
+    Stored as columns, taken as they are given: the int64 arrays `sub`,
+    `rel`, `obj` and `ts`, one entry per fact, and `codes`, each fact's
+    index into `sources`, a tuple of distinct `Provenance` objects. `facts`
+    (`Quadruple`s) and `provenance` (parallel to `facts`) are built from the
+    columns on first access, for callers outside the forecast path, and
+    equality compares (query, facts, provenance). Treat instances as
+    immutable.
     """
 
-    def __init__(
-        self, query: Query, facts: Sequence[Quadruple], provenance: Sequence[Provenance]
-    ):
-        if len(facts) != len(provenance):
-            raise ValueError("facts and provenance differ in length")
-        sources = tuple(dict.fromkeys(provenance))
-        code_of = {prov: code for code, prov in enumerate(sources)}
-        columns = np.array(facts, dtype=np.int64).reshape(-1, 4).T
-        codes = np.array([code_of[prov] for prov in provenance], dtype=np.int64)
-        self._fill(query, *columns, codes, sources)
-
-    @classmethod
-    def from_columns(cls, query: Query, sub, rel, obj, ts, codes, sources) -> "RetrievedHistory":
-        """A history over the given columns, taken as they are."""
-        history = cls.__new__(cls)
-        history._fill(query, sub, rel, obj, ts, codes, sources)
-        return history
-
-    def _fill(self, query, sub, rel, obj, ts, codes, sources) -> None:
+    def __init__(self, query: Query, sub, rel, obj, ts, codes, sources: Sequence[Provenance]):
         self.query = query
         self.sub, self.rel, self.obj, self.ts = sub, rel, obj, ts
         self.codes = codes
@@ -91,7 +73,7 @@ class RetrievedHistory:
 
     def take(self, rows) -> "RetrievedHistory":
         """The facts at `rows` (an index array), in that order."""
-        return RetrievedHistory.from_columns(
+        return RetrievedHistory(
             self.query, self.sub[rows], self.rel[rows], self.obj[rows], self.ts[rows],
             self.codes[rows], self.sources,
         )
@@ -161,7 +143,7 @@ def retrieve(
     taken = np.minimum(counts.cumsum(), cfg.max_history)
     total = int(taken[-1]) if len(taken) else 0
     if not total:
-        return RetrievedHistory.from_columns(query, *_EMPTY_COLUMNS, ())
+        return RetrievedHistory(query, *_EMPTY_COLUMNS, ())
     # fact j of the concatenated output comes from range i, where it is the
     # entry ends[i] - taken[i] + j: the newest entries of each range
     at = np.arange(total)
@@ -173,7 +155,7 @@ def retrieve(
     groups = groups[canonical]
     # the groups that yield facts, ascending, and each fact's index among them
     present = np.bincount(groups).nonzero()[0]
-    return RetrievedHistory.from_columns(
+    return RetrievedHistory(
         query, kg.sub[positions[canonical]], relations[groups], obj[canonical], ts[canonical],
         present.searchsorted(groups), [plan.provenance[group] for group in present.tolist()],
     )
@@ -240,8 +222,8 @@ def history_from_dict(payload: dict, kg: Optional[TemporalKG] = None) -> Retriev
             if len(ids) and not 0 <= ids.min() <= ids.max() < size:
                 raise ValueError(f"{field}: id {ids[(ids < 0) | (ids >= size)][0]} "
                                  f"is outside the vocabulary of {size}")
-    return RetrievedHistory.from_columns(
-        query, sub, rel, obj, ts, np.array(codes, dtype=np.int64), tuple(sources)
+    return RetrievedHistory(
+        query, sub, rel, obj, ts, np.array(codes, dtype=np.int64), sources
     )
 
 

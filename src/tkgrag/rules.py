@@ -289,9 +289,8 @@ def sample_walk(
     candidate, or None when no candidate closes the cycle. On an
     inverse-augmented graph the sampled edge points opposite to the head, so
     its relation is mapped to the inverse id to read in the head's direction.
+    `head_edge` must be an edge of `kg`; that is not checked.
     """
-    if not kg.contains(head_edge):
-        raise ValueError(f"head edge {head_edge} not present in graph")
     positions = kg.returning_positions(head_edge.object, head_edge.subject, head_edge.t)
     if positions.size == 0:
         return None
@@ -323,17 +322,19 @@ def estimate_confidence(
     head_relation: int,
     body_relation: int,
     grounding_cap: int,
-    rng: Optional[np.random.Generator] = None,
+    seed: int = 0,
     head_last: Optional[np.ndarray] = None,
 ) -> tuple[int, int, float]:
     """(body_support, rule_support, confidence) for one head/body pair.
 
     Body groundings are enumerated exhaustively up to grounding_cap; beyond
     the cap a uniform sample of grounding_cap groundings is scored instead,
-    making the confidence an unbiased estimate. A grounding counts toward rule
-    support when the same (subject, object) pair carries the head relation at
-    any strictly later time step. `head_last` is the head's
-    `last_head_times` table, built here when not given.
+    making the confidence an unbiased estimate. The sample is drawn from
+    `_derived_rng(seed, "confidence", head_relation, body_relation)`. A
+    grounding counts toward rule support when the same (subject, object)
+    pair carries the head relation at any strictly later time step.
+    `head_last` is the head's `last_head_times` table, built here when not
+    given.
     """
     if grounding_cap < 1:
         raise ValueError("grounding_cap must be >= 1")
@@ -341,8 +342,7 @@ def estimate_confidence(
     if positions.size == 0:
         return (0, 0, 0.0)
     if positions.size > grounding_cap:
-        if rng is None:
-            rng = _derived_rng(0, "confidence", head_relation, body_relation)
+        rng = _derived_rng(seed, "confidence", head_relation, body_relation)
         positions = positions[
             np.sort(rng.choice(positions.size, size=grounding_cap, replace=False))
         ]
@@ -376,11 +376,8 @@ def _mine_head(
     head_last = last_head_times(kg, head_relation)
     rules = []
     for body in candidates:
-        # the stream only matters when the groundings get sampled
-        capped = kg.relation_positions(body).size > params.grounding_cap
-        conf_rng = _derived_rng(params.seed, "confidence", head_relation, body) if capped else None
         body_support, rule_support, confidence = estimate_confidence(
-            kg, head_relation, body, params.grounding_cap, conf_rng, head_last
+            kg, head_relation, body, params.grounding_cap, params.seed, head_last
         )
         if body_support < params.min_body_support or rule_support < 1:
             continue

@@ -119,9 +119,21 @@ def reference_confidence(quads, head_relation, body_relation):
     return body_support, rule_support, confidence
 
 
+def history_of(query: Query, facts, provenance) -> RetrievedHistory:
+    """The history of `query` holding `facts` (`Quadruple`s or (s, r, o, t)
+    tuples) with the parallel `provenance`, as columns."""
+    if len(facts) != len(provenance):
+        raise ValueError("facts and provenance differ in length")
+    sources = tuple(dict.fromkeys(provenance))
+    codes = np.array([sources.index(prov) for prov in provenance], dtype=np.int64)
+    return RetrievedHistory(query, *np.array(facts, dtype=np.int64).reshape(-1, 4).T,
+                            codes, sources)
+
+
 def reference_sample_walk(kg: TemporalKG, head_edge: Quadruple, rng):
     """One walk step drawn with `Generator.choice` over the transition law."""
-    if not kg.contains(head_edge):
+    s, r, o, t = head_edge
+    if o not in kg.obj[kg.positions_for(s, r, t, t + 1)].tolist():
         raise ValueError(f"head edge {head_edge} not present in graph")
     positions = kg.returning_positions(head_edge.object, head_edge.subject, head_edge.t)
     if positions.size == 0:
@@ -210,11 +222,7 @@ def reference_retrieve(quads, bank, query: Query, cfg: RetrievalConfig) -> Retri
                 seen.add(quad)
                 chosen.append((quad, prov))
     chosen.sort(key=lambda fp: (fp[0].t, fp[1].rank, fp[0].object))
-    return RetrievedHistory(
-        query=query,
-        facts=tuple(q for q, _ in chosen),
-        provenance=tuple(p for _, p in chosen),
-    )
+    return history_of(query, [q for q, _ in chosen], [p for _, p in chosen])
 
 
 def reference_filter(ranked, query: Query, gold: int, true_quads: set) -> list[int]:
@@ -254,11 +262,7 @@ def reference_select_history(history: RetrievedHistory, cfg, retrieval_cfg=None)
                         fp[1].rank, -fp[0].t, -fp[0].object),
     )[: cfg.max_facts]
     paired.sort(key=lambda fp: (fp[0].t, fp[1].rank, fp[0].object))
-    return RetrievedHistory(
-        query=history.query,
-        facts=tuple(fact for fact, _ in paired),
-        provenance=tuple(prov for _, prov in paired),
-    )
+    return history_of(history.query, [fact for fact, _ in paired], [prov for _, prov in paired])
 
 
 def reference_build_prompt(history: RetrievedHistory, cfg, kg: TemporalKG) -> Prompt:

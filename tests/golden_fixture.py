@@ -11,6 +11,8 @@ from tkgrag.kg import Quadruple, TemporalKG
 from tkgrag.prompts import FORMATS, ORDERS, PromptConfig, build_prompt
 from tkgrag.retrieval import Provenance, Query, RetrievedHistory
 
+from conftest import history_of
+
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -38,7 +40,7 @@ def golden_history() -> RetrievedHistory:
         Provenance(rank=2, body_relation=2, confidence=0.4),
         Provenance(rank=1, body_relation=1, confidence=0.9),
     )
-    return RetrievedHistory(query=query, facts=facts, provenance=provenance)
+    return history_of(query, facts, provenance)
 
 
 def golden_name(fmt: str, order: str) -> str:

@@ -17,10 +17,10 @@ from tkgrag.client import (
 )
 from tkgrag.kg import Quadruple
 from tkgrag.prompts import Prompt
-from tkgrag.retrieval import Provenance, Query, RetrievedHistory, retrieve, queries_from_split
+from tkgrag.retrieval import Provenance, Query, retrieve, queries_from_split
 from tkgrag.rules import MiningParams, RuleBank, TemporalRule
 
-from conftest import reference_rule_scores
+from conftest import history_of, reference_rule_scores
 from golden_fixture import golden_kg
 
 
@@ -286,10 +286,9 @@ class TestParsePredictions:
         assert got.n_skipped == 4
 
 
-def history_of(query, *facts_with_prov):
-    facts = tuple(f for f, _ in facts_with_prov)
-    provenance = tuple(p for _, p in facts_with_prov)
-    return RetrievedHistory(query=query, facts=facts, provenance=provenance)
+def history_with(query, *facts_with_prov):
+    """`conftest.history_of` over (fact, provenance) pairs."""
+    return history_of(query, [f for f, _ in facts_with_prov], [p for _, p in facts_with_prov])
 
 
 class TestRuleScorePredict:
@@ -300,12 +299,12 @@ class TestRuleScorePredict:
 
     def test_single_head_fact(self):
         query = Query(0, 0, 5)
-        history = history_of(query, (Quadruple(0, 0, 1, 3), Provenance(0)))
+        history = history_with(query, (Quadruple(0, 0, 1, 3), Provenance(0)))
         assert rule_score_predict(history, self.bank(), query).ranked == (1,)
 
     def test_head_outranks_body(self):
         query = Query(0, 0, 9)
-        history = history_of(
+        history = history_with(
             query,
             (Quadruple(0, 0, 1, 3), Provenance(0)),
             (Quadruple(0, 1, 2, 8), Provenance(1, 1, 0.9)),
@@ -314,7 +313,7 @@ class TestRuleScorePredict:
 
     def test_recency_breaks_ties(self):
         query = Query(0, 0, 9)
-        history = history_of(
+        history = history_with(
             query,
             (Quadruple(0, 1, 1, 5), Provenance(1, 1, 0.9)),
             (Quadruple(0, 1, 2, 2), Provenance(1, 1, 0.9)),
@@ -323,7 +322,7 @@ class TestRuleScorePredict:
 
     def test_entity_id_is_final_tiebreak(self):
         query = Query(0, 0, 9)
-        history = history_of(
+        history = history_with(
             query,
             (Quadruple(0, 1, 2, 5), Provenance(1, 1, 0.9)),
             (Quadruple(0, 1, 1, 5), Provenance(1, 1, 0.9)),
@@ -332,7 +331,7 @@ class TestRuleScorePredict:
 
     def test_empty_history(self):
         query = Query(0, 0, 9)
-        assert rule_score_predict(history_of(query), self.bank(), query).ranked == ()
+        assert rule_score_predict(history_with(query), self.bank(), query).ranked == ()
 
     def test_matches_reference_on_synthetic(self, synthetic_dataset, synthetic_bank):
         kg = synthetic_dataset.union_kg()

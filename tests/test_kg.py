@@ -419,7 +419,8 @@ class TestIndicesAgainstReference:
                 for r in range(-1, n_rel + 1):
                     for o in range(-1, n_ent + 1):
                         for t in range(-1, kg.t_max + 2):
-                            assert kg.contains(Quadruple(s, r, o, t)) == ((s, r, o, t) in edges)
+                            present = o in kg.obj[kg.positions_for(s, r, t, t + 1)].tolist()
+                            assert present == ((s, r, o, t) in edges)
 
     def test_last_time_of_scalar_and_array(self):
         for seed in self.SEEDS:

@@ -19,11 +19,11 @@ from tkgrag.prompts import (
 from tkgrag.retrieval import (
     Query,
     RetrievalConfig,
-    RetrievedHistory,
     queries_from_split,
     retrieve,
 )
 
+from conftest import history_of
 from golden_fixture import GOLDEN_DIR, golden_history, golden_kg, golden_name, render_all
 
 
@@ -67,7 +67,7 @@ class TestBuildPrompt:
         assert prompt.index_map == {}
 
     def test_empty_history(self):
-        history = RetrievedHistory(Query(0, 0, 334), (), ())
+        history = history_of(Query(0, 0, 334), (), ())
         prompt = build_prompt(history, PromptConfig(format="lexical"), golden_kg())
         assert prompt.text == (
             DEFAULT_INSTRUCTION + "\n" + "334:[Abdul, Make_an_appeal_or_request,"
@@ -143,9 +143,7 @@ class TestSelectHistory:
 class TestInstructionSamples:
     def test_gold_present_uses_its_index(self):
         history = golden_history()
-        history = RetrievedHistory(
-            Query(0, 0, 334, gold_object=1), history.facts, history.provenance
-        )
+        history = history_of(Query(0, 0, 334, gold_object=1), history.facts, history.provenance)
         sample = make_instruction_sample(history, PromptConfig(), golden_kg())
         assert sample.output == "0.France]"
 
@@ -167,7 +165,7 @@ class TestInstructionSamples:
         assert sample.output
 
     def test_missing_gold_rejected(self):
-        history = RetrievedHistory(Query(0, 0, 334), (), ())
+        history = history_of(Query(0, 0, 334), (), ())
         with pytest.raises(ValueError, match="gold"):
             make_instruction_sample(history, PromptConfig(), golden_kg())
 

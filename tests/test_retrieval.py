@@ -12,7 +12,6 @@ from tkgrag.prompts import FORMATS, ORDERS, PromptConfig, build_prompt, select_h
 from tkgrag.retrieval import (
     Query,
     RetrievalConfig,
-    RetrievedHistory,
     history_from_dict,
     history_to_dict,
     queries_from_split,
@@ -21,6 +20,7 @@ from tkgrag.retrieval import (
 from tkgrag.rules import MiningParams, RuleBank, TemporalRule
 
 from conftest import (
+    history_of,
     make_kg,
     reference_build_prompt,
     reference_retrieve,
@@ -187,18 +187,18 @@ class TestBruteForceEquivalence:
     def test_column_readers_match_fact_tuple_references(self, stepwise):
         """The fact cap, prompt rendering, the oracle and the JSON round trip
         read a history's columns; they agree with references that read its
-        `Quadruple`s, on histories from `retrieve` and from the (facts,
-        provenance) constructor, in canonical and in shuffled order."""
+        `Quadruple`s, on histories from `retrieve` and from
+        `conftest.history_of`, in canonical and in shuffled order."""
         shuffle = np.random.default_rng(44)
         for trial, quads, kg, bank, cfg, query in random_cases(stepwise):
             got = retrieve(kg, bank, query, cfg)
             rows = shuffle.permutation(len(got)).tolist()
             histories = [
                 got,
-                RetrievedHistory(query, got.facts, got.provenance),
-                RetrievedHistory(query, [got.facts[i] for i in rows],
-                                 [got.provenance[i] for i in rows]),
-                RetrievedHistory(query, (), ()),
+                history_of(query, got.facts, got.provenance),
+                history_of(query, [got.facts[i] for i in rows],
+                           [got.provenance[i] for i in rows]),
+                history_of(query, (), ()),
             ]
             for history in histories:
                 case = (trial, cfg, query, history)
