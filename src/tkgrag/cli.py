@@ -29,7 +29,7 @@ from .evaluation import (
     run_eval,
 )
 from .files import atomic_write, fields_of, json_fields, read_jsonl, write_json, write_jsonl
-from .kg import SPLIT_FILES, Dataset, load_dataset
+from .kg import SPLIT_FILES, Dataset, check_ids, load_dataset
 from .prompts import (
     FORMATS,
     ORDERS,
@@ -39,7 +39,9 @@ from .prompts import (
     export_finetune_set,
 )
 from .retrieval import (
+    Query,
     RetrievalConfig,
+    check_query_ids,
     history_from_dict,
     history_to_dict,
     queries_from_split,
@@ -206,7 +208,7 @@ def _load_eval(options: dict, **sections):
     config = _config(options, endpoint=endpoint, retrieval=RetrievalConfig,
                      generation=GenParams, **sections)
     dataset = _load_data(config)
-    bank = RuleBank.load(rules_path)
+    bank = RuleBank.load(rules_path, len(dataset.relations))
     kg = dataset.union_kg(retrieval_splits)
     queries = queries_from_split(dataset, split)
     filter_index = build_filter_index(dataset, filter_splits)
@@ -296,7 +298,7 @@ def retrieve_cmd(rules_path, split, retrieval_splits, out, **options):
     """Retrieve rule-guided histories for a split's queries."""
     config = _config(options, retrieval=RetrievalConfig)
     dataset = _load_data(config)
-    bank = RuleBank.load(rules_path)
+    bank = RuleBank.load(rules_path, len(dataset.relations))
     kg = dataset.union_kg(_split_names(retrieval_splits))
     queries = queries_from_split(dataset, split)
     count = write_jsonl(out, (
@@ -344,7 +346,7 @@ def export(rules_path, k, seed, out, **options):
     """Export an instruction-tuning dataset sampled from the training split."""
     config = _config(options, seed=seed, retrieval=RetrievalConfig, prompt=PromptConfig)
     dataset = _load_data(config)
-    bank = RuleBank.load(rules_path)
+    bank = RuleBank.load(rules_path, len(dataset.relations))
     manifest = export_finetune_set(
         dataset, bank, k, config.retrieval, config.prompt, config.seed, out,
         fingerprint=config.fingerprint, inputs=_input_digests(dataset, rules=rules_path),
@@ -363,11 +365,19 @@ def infer(prompts_path, endpoint, out, **options):
     """Send rendered prompts to the completion endpoint and parse predictions."""
     config = _config(options, endpoint=endpoint, generation=GenParams)
     dataset = _load_data(config)
-    predictor = LLMPredictor(dataset.train, resolve_endpoint(config.endpoint), config.generation)
-    rows = list(read_jsonl(prompts_path, lambda row: (row.get("query"), fields_of(Prompt, row))))
+    kg = dataset.train
+    predictor = LLMPredictor(kg, resolve_endpoint(config.endpoint), config.generation)
+
+    def parse(row: dict) -> tuple[Query, Prompt]:
+        query, prompt = fields_of(Query, row["query"], "query"), fields_of(Prompt, row)
+        check_query_ids(query, kg)
+        check_ids("index_map", list(prompt.index_map), len(kg.entities))
+        return query, prompt
+
+    rows = list(read_jsonl(prompts_path, parse))
     predictions = predictor.predict_prompts([prompt for _query, prompt in rows])
     write_jsonl(out, (
-        {"query": query, **json_fields(parsed)}
+        {"query": json_fields(query), **json_fields(parsed)}
         for (query, _prompt), parsed in zip(rows, predictions)
     ))
     _write_manifest(out + ".manifest.json", "infer", config, {"n_prompts": len(rows)})

@@ -9,8 +9,10 @@ surfaced immediately as distinct exceptions.
 """
 from __future__ import annotations
 
+import math
 import os
 import re
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -60,10 +62,14 @@ class GenParams:
             raise ValueError("retries must be >= 0")
         if self.in_flight < 1:
             raise ValueError("in_flight must be >= 1")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if min(self.temperature, self.backoff) < 0:
-            raise ValueError("temperature and backoff must be >= 0")
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(f"timeout must be in (0, {threading.TIMEOUT_MAX}], "
+                             f"got {self.timeout!r}")
+        if not 0 <= self.backoff <= threading.TIMEOUT_MAX:
+            raise ValueError(f"backoff must be in [0, {threading.TIMEOUT_MAX}], "
+                             f"got {self.backoff!r}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,6 @@ def generate(
     prompt: Prompt | str,
     params: GenParams,
     endpoint: str,
-    session=None,
     seed: Optional[int] = None,
 ) -> list[str]:
     """Request up to params.num_sequences completions, preserving the
@@ -107,13 +112,12 @@ def generate(
     }
     if seed is not None:
         payload["seed"] = seed
-    post = (session or requests).post
     last_exc: Optional[Exception] = None
     for attempt in range(1 + params.retries):
         if attempt:
             time.sleep(params.backoff * (2 ** (attempt - 1)))
         try:
-            response = post(endpoint, json=payload, timeout=params.timeout)
+            response = requests.post(endpoint, json=payload, timeout=params.timeout)
         except (requests.ConnectionError, requests.Timeout) as exc:
             last_exc = exc
             continue

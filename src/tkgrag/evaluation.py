@@ -34,6 +34,8 @@ from .rules import RuleBank
 
 HITS_LEVELS = (1, 3, 10)
 ABLATION_HISTORY_LENGTHS = (10, 20, 30, 40, 50)
+# queries retrieved, predicted and journaled together by `run_eval`
+CHUNK_SIZE = 32
 
 def build_filter_index(
     dataset: Dataset, splits: Sequence[str] = ("train", "valid", "test")
@@ -241,7 +243,6 @@ def run_eval(
     filter_index: Optional[TemporalKG] = None,
     out_dir: Optional[str] = None,
     fingerprint: str = "",
-    chunk_size: int = 32,
 ) -> tuple[EvalReport, list[EvalRecord]]:
     """Retrieve, prompt, predict, filter, and aggregate over all queries.
 
@@ -263,8 +264,8 @@ def run_eval(
     pending = [i for i in range(len(queries)) if i not in completed]
     journal = open(journal_path, "a", encoding="utf-8") if journal_path else None
     try:
-        for start in range(0, len(pending), chunk_size):
-            chunk = pending[start : start + chunk_size]
+        for start in range(0, len(pending), CHUNK_SIZE):
+            chunk = pending[start : start + CHUNK_SIZE]
             histories = [retrieve(kg, bank, queries[i], retrieval_cfg) for i in chunk]
             records = _score_histories(
                 histories, predictor, prompt_cfg, filter_index, kg, fingerprint,

@@ -114,6 +114,22 @@ def json_fields(obj) -> dict:
     return row
 
 
+def parse_json(text: str):
+    """The JSON document `text`; an object that repeats a key raises
+    ValueError naming the key, where `json.loads` would keep its last
+    value."""
+    return json.loads(text, object_pairs_hook=_distinct_keys)
+
+
+def _distinct_keys(pairs: list) -> dict:
+    payload = dict(pairs)
+    if len(payload) < len(pairs):
+        seen = set()
+        repeated = next(key for key, _value in pairs if key in seen or seen.add(key))
+        raise ValueError(f"duplicate key {repeated!r}")
+    return payload
+
+
 @contextmanager
 def atomic_write(path: str) -> Iterator[TextIO]:
     """Text file handle whose contents replace `path` only when the block

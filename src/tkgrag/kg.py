@@ -326,6 +326,18 @@ class Dataset:
         return TemporalKG(self.entities, self.relations, quads, self.num_base_relations)
 
 
+def check_ids(field: str, ids, size: int) -> None:
+    """ValueError "<field>: id <id> is outside the vocabulary of <size>" for
+    the first of `ids` not in [0, size). `ids` is an id, None for no id, or
+    a sequence or array of ids."""
+    if ids is None or type(ids) is int and 0 <= ids < size:
+        return
+    ids = np.asarray(ids)
+    if ids.size and not 0 <= ids.min() <= ids.max() < size:
+        outside = ids[(ids < 0) | (ids >= size)]
+        raise ValueError(f"{field}: id {outside.flat[0]} is outside the vocabulary of {size}")
+
+
 def _pack(columns: Sequence, sizes: Sequence[int]) -> np.ndarray:
     """One int64 key per row of id columns, column i holding ids in
     [0, sizes[i]); keys order like the rows' tuples."""

@@ -15,7 +15,7 @@ from typing import ClassVar, Optional, Sequence
 import numpy as np
 
 from .files import json_fields, typed
-from .kg import Dataset, Quadruple, TemporalKG
+from .kg import Dataset, Quadruple, TemporalKG, check_ids
 from .rules import Provenance, RuleBank
 
 
@@ -211,20 +211,23 @@ def history_from_dict(payload: dict, kg: Optional[TemporalKG] = None) -> Retriev
         raise ValueError(f"facts.t: expected a time step in [0, {query.t}), "
                          f"got {ts[(ts < 0) | (ts >= query.t)][0]}")
     if kg is not None:
+        check_query_ids(query, kg)
         n_ent, n_rel = len(kg.entities), len(kg.relations)
-        for field, value, size in (("query.s", query.subject, n_ent),
-                                   ("query.r", query.relation, n_rel),
-                                   ("query.gold", query.gold_object, n_ent)):
-            if value is not None and not 0 <= value < size:
-                raise ValueError(f"{field}: id {value} is outside the vocabulary of {size}")
         for field, ids, size in (("facts.s", sub, n_ent), ("facts.r", rel, n_rel),
                                  ("facts.o", obj, n_ent)):
-            if len(ids) and not 0 <= ids.min() <= ids.max() < size:
-                raise ValueError(f"{field}: id {ids[(ids < 0) | (ids >= size)][0]} "
-                                 f"is outside the vocabulary of {size}")
+            check_ids(field, ids, size)
     return RetrievedHistory(
         query, sub, rel, obj, ts, np.array(codes, dtype=np.int64), sources
     )
+
+
+def check_query_ids(query: Query, kg: TemporalKG) -> None:
+    """ValueError naming the first id of `query` outside the vocabulary of
+    `kg` (`kg.check_ids`)."""
+    n_ent = len(kg.entities)
+    check_ids("query.s", query.subject, n_ent)
+    check_ids("query.r", query.relation, len(kg.relations))
+    check_ids("query.gold", query.gold_object, n_ent)
 
 
 def _id_column(values: list, field: str) -> np.ndarray:

@@ -14,8 +14,8 @@ from typing import ClassVar, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .files import atomic_write, fields_of, json_fields, typed
-from .kg import Quadruple, TemporalKG
+from .files import atomic_write, fields_of, json_fields, parse_json, typed
+from .kg import Quadruple, TemporalKG, check_ids
 
 
 @dataclass(frozen=True)
@@ -142,11 +142,12 @@ class RuleBank:
         return json.dumps({"params": json_fields(self.params), "rules": rules}, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "RuleBank":
+    def from_json(cls, text: str, n_relations: Optional[int] = None) -> "RuleBank":
         """The bank `to_json` wrote. A missing or malformed field raises
-        ValueError naming it (`files.fields_of`); so does a params key that
-        `MiningParams` lacks."""
-        payload = json.loads(text)
+        ValueError naming it (`files.fields_of`); so do a params key that
+        `MiningParams` lacks, a repeated key and, when `n_relations` is
+        given, a head or body id outside [0, n_relations)."""
+        payload = parse_json(text)
         if not isinstance(payload, dict):
             raise ValueError('a rule bank is a JSON object with "params" and "rules"')
         try:
@@ -154,6 +155,10 @@ class RuleBank:
             rules = typed(tuple[TemporalRule, ...], payload["rules"], "rules")
         except KeyError as exc:
             raise ValueError(f"rule bank: missing field {exc}") from None
+        if n_relations is not None:
+            for i, rule in enumerate(rules):
+                check_ids(f"rules[{i}].head", rule.head_relation, n_relations)
+                check_ids(f"rules[{i}].body", rule.body_relation, n_relations)
         by_head: dict[int, list[TemporalRule]] = {}
         for rule in rules:
             by_head.setdefault(rule.head_relation, []).append(rule)
@@ -170,11 +175,13 @@ class RuleBank:
             fh.write("\n")
 
     @classmethod
-    def load(cls, path: str) -> "RuleBank":
+    def load(cls, path: str, n_relations: Optional[int] = None) -> "RuleBank":
+        """`from_json` of the file at `path`, its errors prefixed with the
+        path."""
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         try:
-            return cls.from_json(text)
+            return cls.from_json(text, n_relations)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 

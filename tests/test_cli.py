@@ -13,6 +13,7 @@ import tkgrag
 from tkgrag.cli import main
 from tkgrag.config import build_run_config
 from tkgrag.prompts import DEFAULT_INSTRUCTION
+from tkgrag.rules import MiningParams, RuleBank
 
 from test_client import StubEndpoint
 
@@ -282,14 +283,17 @@ class TestValidationAndExitCodes:
         assert payload["params"]["num_walks"] == 11
         assert payload["params"]["seed"] == 7  # untouched file value survives
 
-    def test_empty_eval_split_is_validation_error(self, runner, tmp_path, mined_rules):
+    def test_empty_eval_split_is_validation_error(self, runner, tmp_path):
         data = tmp_path / "data"
         data.mkdir()
         (data / "train.txt").write_text("0\t0\t1\t0\n")
         (data / "valid.txt").write_text("")
         (data / "test.txt").write_text("")
+        # a bank that fits the one-relation vocabulary: it holds no rules
+        rules = tmp_path / "rules.json"
+        RuleBank({}, MiningParams()).save(str(rules))
         result = runner.invoke(main, [
-            "eval", "--dataset-dir", str(data), "--rules", str(mined_rules),
+            "eval", "--dataset-dir", str(data), "--rules", str(rules),
             "--out-dir", str(tmp_path / "run"),
         ])
         assert result.exit_code == 1
@@ -415,16 +419,29 @@ class TestValidationAndExitCodes:
         ("prompt", "list", "expected a JSON object"),
         ("infer", "text", "missing field 'text'"),
         ("infer", "list", "expected a JSON object"),
-        ("infer", "index_map", "index_map: expected dict[int, int], got [1]"),
+        ("infer", {"index_map": [1]}, "index_map: expected dict[int, int], got [1]"),
+        ("infer", {"index_map": {"999999": 0}},
+         "index_map: id 999999 is outside the vocabulary of 20"),
+        ("infer", {"index_map": {"-5": 7}}, "index_map: id -5 is outside the vocabulary of 20"),
+        ("infer", "query", "missing field 'query'"),
+        ("infer", {"query": None}, "query: expected Query, got None"),
+        ("infer", {"query": {"s": "x"}}, "query.s: expected int, got 'x'"),
+        ("infer", {"query": {"s": 0, "r": 1000000, "t": 5}},
+         "query.r: id 1000000 is outside the vocabulary of 10"),
+        ("infer", {"query": {"s": 0, "r": 0, "t": 5, "gold": -1}},
+         "query.gold: id -1 is outside the vocabulary of 20"),
         ("eval", "rank", "missing field 'rank'"),
     ], ids=["prompt-not-json", "prompt-no-facts", "prompt-list", "infer-no-text", "infer-list",
-            "infer-bad-index-map", "eval-no-rank"])
+            "infer-bad-index-map", "infer-index-map-past-vocab", "infer-negative-index-map-key",
+            "infer-no-query", "infer-null-query", "infer-string-query-subject",
+            "infer-query-relation-past-vocab", "infer-negative-gold", "eval-no-rank"])
     def test_malformed_jsonl_row_names_path_and_line(
         self, runner, synthetic_dir, mined_rules, tmp_path, command, damage, message
     ):
         """Every JSON-lines input: the second row is damaged (not JSON, a
-        list, an index map that is a list, or a field dropped) behind a blank
-        first line, which counts."""
+        list, fields replaced, or a field dropped) behind a blank first line,
+        which counts. A prompt row's query and index map hold ids of the
+        dataset's vocabulary (20 entities, 10 relation ids)."""
         data = ["--dataset-dir", str(synthetic_dir)]
         histories, prompts, run = tmp_path / "h.jsonl", tmp_path / "p.jsonl", tmp_path / "run"
         retrieve = ["retrieve", *data, "--rules", str(mined_rules), "--out", str(histories)]
@@ -446,8 +463,8 @@ class TestValidationAndExitCodes:
             lines[1] = "{not json"
         elif damage == "list":
             lines[1] = json.dumps(list(row.values()))
-        elif damage == "index_map":
-            lines[1] = json.dumps({**row, "index_map": [1]})
+        elif isinstance(damage, dict):
+            lines[1] = json.dumps({**row, **damage})
         else:
             del row[damage]
             lines[1] = json.dumps(row)
@@ -455,6 +472,64 @@ class TestValidationAndExitCodes:
         result = runner.invoke(main, args)
         assert result.exit_code == 1, result.output
         assert result.output == f"error: {path}:3: {message}\n"
+
+    @pytest.mark.parametrize("field", ["head", "body"])
+    @pytest.mark.parametrize("command", ["retrieve", "export", "eval", "ablate"])
+    def test_rule_id_outside_the_vocabulary_named(
+        self, runner, synthetic_dir, mined_rules, tmp_path, command, field
+    ):
+        """Every command that reads a rule bank with a dataset checks each
+        rule's relation ids against the dataset's 10 relation ids."""
+        bank = json.loads(mined_rules.read_text())
+        bank["rules"][0][field] = 1000000
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps(bank))
+        out = {"retrieve": ["--out", str(tmp_path / "h.jsonl")],
+               "export": ["--k", "3", "--out", str(tmp_path / "k.jsonl")],
+               "eval": ["--out-dir", str(tmp_path / "run")],
+               "ablate": ["--out-dir", str(tmp_path / "run")]}[command]
+        result = runner.invoke(main, [command, "--dataset-dir", str(synthetic_dir),
+                                      "--rules", str(rules), *out])
+        assert result.exit_code == 1, result.output
+        assert result.output == (
+            f"error: {rules}: rules[0].{field}: id 1000000 is outside the vocabulary of 10\n")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--timeout", "1e19"), ("--timeout", "inf"), ("--timeout", "nan"), ("--timeout", "0"),
+        ("--backoff", "1e19"), ("--backoff", "nan"), ("--temperature", "nan"),
+        ("--temperature", "inf"),
+    ])
+    def test_generation_value_out_of_range_named(self, runner, synthetic_dir, tmp_path,
+                                                 flag, value):
+        """A timeout or backoff that the socket layer or `time.sleep` cannot
+        take, and a temperature that is not a finite number, exit 1 naming
+        the field before any prompt is read."""
+        result = runner.invoke(main, [
+            "infer", "--dataset-dir", str(synthetic_dir), "--prompts", str(tmp_path / "p.jsonl"),
+            "--endpoint", "http://127.0.0.1:9/", flag, value,
+        ])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith(f"error: generation: {flag[2:]} must be ")
+        assert result.output.count("\n") == 1
+
+    @pytest.mark.parametrize("input_, key", [("config", "max_history"), ("rules", "head")])
+    def test_repeated_json_key_rejected(self, runner, synthetic_dir, mined_rules, tmp_path,
+                                        input_, key):
+        """Python's json keeps the last of a repeated key; the config file
+        and the rule bank refuse it instead."""
+        config, rules = tmp_path / "config.json", tmp_path / "rules.json"
+        config.write_text('{"retrieval": {"max_history": 5, "max_history": 50}}'
+                          if input_ == "config" else "{}")
+        text = mined_rules.read_text()
+        rules.write_text(text.replace('"head": 0,', '"head": 0, "head": 0,', 1)
+                         if input_ == "rules" else text)
+        result = runner.invoke(main, [
+            "retrieve", "--config", str(config), "--dataset-dir", str(synthetic_dir),
+            "--rules", str(rules), "--out", str(tmp_path / "h.jsonl"),
+        ])
+        assert result.exit_code == 1, result.output
+        path = config if input_ == "config" else rules
+        assert result.output == f"error: {path}: duplicate key '{key}'\n"
 
     def test_transport_failure_exit_code(self, runner, synthetic_dir, mined_rules, tmp_path):
         histories = tmp_path / "h.jsonl"

@@ -1,9 +1,9 @@
 """Corruption harness for the JSON inputs of the command line.
 
 Every field of the config file, `rules.json` (params and rules), histories
-(query, facts, provenance), prompts and the eval journal gets the same
-mutations: a string, a float, a bool, null, a list, a negative number, 2**64
-and the field left out. A mutation must exit 1 with
+(query, facts, provenance), prompts (their query too) and the eval journal
+gets the same mutations: a string, a float, a bool, null, a list, a
+negative number, 2**64 and the field left out. A mutation must exit 1 with
 `error: <path>[:<line>]: <field>…` and no traceback, unless the format allows
 it: those are listed in ALLOWED with the reason, and their run goes through.
 Split files and id maps are not covered here.
@@ -49,6 +49,7 @@ FIELDS = (
     + [("histories", "facts", key) for key in ("s", "r", "o", "t", "provenance")]
     + [("histories", "facts.provenance", key) for key in keys_of(Provenance)]
     + [("prompts", "", key) for key in keys_of(Prompt)]
+    + [("prompts", "query", key) for key in keys_of(Query)]
     + [("journal", "", key) for key in ["index"] + keys_of(EvalRecord)]
     + [("journal", "query", key) for key in keys_of(Query)]
 )
@@ -74,17 +75,18 @@ ALLOWED = {
             "prompts text string", "prompts query_prefix string"),
     **allow("an Optional field takes null",
             "config retrieval.window null", "config retrieval.top_rules null",
-            "config prompt.max_facts null", "config endpoint null", "histories query.gold null"),
+            "config prompt.max_facts null", "config endpoint null", "histories query.gold null",
+            "prompts query.gold null"),
     **allow("any integer is a seed",
             "config mining.seed negative", "config prompt.order_seed negative",
             "config seed negative", "rules params.seed negative"),
-    **allow("a float field takes any non-negative number; retrieve sends no request",
-            "config generation.temperature 2**64", "config generation.timeout 2**64",
-            "config generation.backoff 2**64"),
+    **allow("a temperature takes any finite non-negative number",
+            "config generation.temperature 2**64"),
     **allow("a parameter the rule bank lacks takes its default",
             *(f"rules params.{key} missing" for key in keys_of(MiningParams))),
     **allow("the field has a default",
-            "histories query.gold missing", "prompts index_map missing",
+            "histories query.gold missing", "prompts query.gold missing",
+            "prompts index_map missing",
             "prompts query_prefix missing", "prompts format missing",
             "journal n_skipped missing"),
     **allow("the format is a label that no reader checks", "prompts format string"),
@@ -179,7 +181,7 @@ def corrupt(input_, label, mutation, inputs, synthetic_dir, endpoint, tmp_path):
                 "--out", str(tmp_path / "p.jsonl")], f"{path}:{line}: "
     if input_ == "prompts":
         rows = rows_of(inputs["prompts.jsonl"])
-        mutate(rows[1], key, mutation)
+        mutate(rows[1][where] if where else rows[1], key, mutation)
         path = tmp_path / "prompts.jsonl"
         write_rows(path, rows)
         return ["infer", *data, "--prompts", str(path), "--endpoint", endpoint.url,

@@ -12,6 +12,7 @@ from tkgrag.kg import (
     Quadruple,
     TemporalKG,
     _pack,
+    check_ids,
     load_dataset,
     save_dataset,
 )
@@ -351,6 +352,19 @@ def random_graph(seed):
     if inverse:
         rows = rows + [(o, r + n_base, s, t) for s, r, o, t in rows]
     return rng, kg, rows
+
+
+class TestCheckIds:
+    def test_ids_inside_pass(self):
+        for ids in (0, 4, None, [], [0, 4], np.array([3, 0, 4])):
+            check_ids("f", ids, 5)
+
+    @pytest.mark.parametrize("ids, bad", [(5, 5), (-1, -1), ([0, 7, -2], 7),
+                                          (np.array([1, -3, 9]), -3)])
+    def test_first_id_outside_named(self, ids, bad):
+        with pytest.raises(ValueError) as info:
+            check_ids("facts.s", ids, 5)
+        assert str(info.value) == f"facts.s: id {bad} is outside the vocabulary of 5"
 
 
 class TestIndicesAgainstReference:
