@@ -196,7 +196,8 @@ def _input_digests(dataset: Dataset, **paths: str) -> dict:
 def _load_eval(options: dict, **sections):
     """What an eval or ablate run loads once, from the shared eval options
     (popped from `options`): the run config, the manifest entries, and the
-    retrieval graph, rule bank, queries, filter index and predictor. The
+    retrieval graph, rule bank, queries, filter index and predictor. When
+    both name the same splits, the retrieval graph is the filter index. The
     manifest entries hold content digests of the rule bank and the dataset,
     which `_fingerprint` folds into the run's fingerprint."""
     rules_path = options.pop("rules_path")
@@ -209,9 +210,10 @@ def _load_eval(options: dict, **sections):
                      generation=GenParams, **sections)
     dataset = _load_data(config)
     bank = RuleBank.load(rules_path, len(dataset.relations))
-    kg = dataset.union_kg(retrieval_splits)
-    queries = queries_from_split(dataset, split)
     filter_index = build_filter_index(dataset, filter_splits)
+    kg = (filter_index if set(retrieval_splits) == set(filter_splits)
+          else dataset.union_kg(retrieval_splits))
+    queries = queries_from_split(dataset, split)
     if predictor == "oracle":
         engine = OraclePredictor(bank)
     else:
@@ -281,7 +283,8 @@ def mine(workers, mine_splits, out, **options):
     kg = dataset.union_kg(_split_names(mine_splits))
     bank = learn_rules(kg, config.mining, workers=workers)
     bank.save(out)
-    _write_manifest(out + ".manifest.json", "mine", config, {"n_rules": len(bank)})
+    _write_manifest(out + ".manifest.json", "mine", config,
+                    {"inputs": _input_digests(dataset), "n_rules": len(bank)})
     click.echo(f"mined {len(bank)} rules -> {out}")
 
 
@@ -380,7 +383,9 @@ def infer(prompts_path, endpoint, out, **options):
         {"query": json_fields(query), **json_fields(parsed)}
         for (query, _prompt), parsed in zip(rows, predictions)
     ))
-    _write_manifest(out + ".manifest.json", "infer", config, {"n_prompts": len(rows)})
+    _write_manifest(out + ".manifest.json", "infer", config,
+                    {"inputs": _input_digests(dataset, prompts=prompts_path),
+                     "n_prompts": len(rows)})
     click.echo(f"parsed predictions for {len(rows)} prompts -> {out}")
 
 

@@ -12,8 +12,6 @@ import os
 from dataclasses import dataclass, replace
 from typing import Optional, Protocol, Sequence
 
-import numpy as np
-
 from .client import (
     GenParams,
     PredictionList,
@@ -40,23 +38,24 @@ CHUNK_SIZE = 32
 def build_filter_index(
     dataset: Dataset, splits: Sequence[str] = ("train", "valid", "test")
 ) -> TemporalKG:
-    """One graph of the original-direction edges of the given splits, whose
-    (subject, relation, t) key table gives every true object of a query."""
-    quads = [dataset.split(split).base_quads() for split in splits]
-    return TemporalKG(dataset.entities, dataset.relations,
-                      np.concatenate(quads or [np.empty((0, 4), dtype=np.int64)]),
-                      dataset.num_base_relations)
+    """The union graph of the given splits. A base query's (subject,
+    relation, t) key range in it holds exactly the base edges of those
+    splits, every true object of the query: inverse edges carry relation ids
+    from num_base_relations up."""
+    return dataset.union_kg(splits)
 
 
 def time_aware_filter(
     ranked: Sequence[int], query: Query, gold: int, filter_index: Optional[TemporalKG]
 ) -> list[int]:
-    """Drop co-true objects at the query's own time step, never the gold;
-    without a filter index nothing is dropped."""
-    if filter_index is None:
+    """Drop co-true objects at the query's own time step, never the gold.
+    Only base edges filter: without a filter index, or for an inverse
+    relation, nothing is dropped."""
+    if filter_index is None or query.relation >= filter_index.num_base_relations:
         return list(ranked)
-    at = filter_index.positions_for(query.subject, query.relation, query.t, query.t + 1)
-    others = filter_index.obj[at].tolist()
+    order, found = filter_index.key_search(query.subject, [query.relation],
+                                           (query.t, query.t + 1))
+    others = filter_index.obj[order[found[0, 0]:found[0, 1]]].tolist()
     return [obj for obj in ranked if obj == gold or obj not in others]
 
 
@@ -159,6 +158,14 @@ def _gold_rank(query: Query, ranked: Sequence[int]) -> Optional[int]:
     return ranked.index(query.gold_object) + 1 if query.gold_object in ranked else None
 
 
+def _check_queries(queries: Sequence[Query]) -> None:
+    """ValueError unless there are queries and each has a gold object."""
+    if not queries:
+        raise ValueError("empty evaluation set")
+    if any(q.gold_object is None for q in queries):
+        raise ValueError("every evaluation query needs a gold object")
+
+
 def _score_one(
     query: Query,
     prediction: PredictionList,
@@ -250,10 +257,7 @@ def run_eval(
     re-running with the same fingerprint skips completed queries, so an
     interrupted run resumes to the identical final report.
     """
-    if not queries:
-        raise ValueError("empty evaluation set")
-    if any(q.gold_object is None for q in queries):
-        raise ValueError("every evaluation query needs a gold object")
+    _check_queries(queries)
 
     journal_path = os.path.join(out_dir, "records.jsonl") if out_dir else None
     completed: dict[int, EvalRecord] = {}
@@ -311,8 +315,7 @@ def ablation_run(
 ) -> list[AblationCell]:
     """One report per (order, history length, format) cell. Retrieval runs
     once per query and is shared across all cells."""
-    if not queries:
-        raise ValueError("empty evaluation set")
+    _check_queries(queries)
     if not orders or not history_lengths or not formats:
         raise ValueError("empty ablation grid")
     bad = [n for n in history_lengths if n not in ABLATION_HISTORY_LENGTHS]

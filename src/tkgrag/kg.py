@@ -56,14 +56,13 @@ class TemporalKG:
     lookup is a `np.searchsorted` into a key table built on first use by
     `_key_table`: the stable argsort of packed id keys and the keys in that
     order, so the positions of a run of equal ids ascend in t. There are
-    four: (subject, relation, t) for `key_search` and `positions_for`;
-    (subject, object, t) for `returning_positions` and
-    `pair_ids`; relation runs for `relation_positions`; and the latest t of
-    each (relation, subject, object) for `last_time_of`, which takes ids or
-    equal-length id arrays. A graph that is only retrieved from or filtered
-    against builds only the first. Instances never mutate after
-    construction (beyond those lazy builds) and are safe to share across
-    threads.
+    four: (subject, relation, t) for `key_search`; (subject, object, t)
+    for `returning_positions` and `pair_ids`; relation runs for
+    `relation_positions`; and the latest t of each (relation, subject,
+    object) for `last_time_of`, which takes ids or equal-length id arrays.
+    A graph that is only retrieved from or filtered against builds only the
+    first. Instances never mutate after construction (beyond those lazy
+    builds) and are safe to share across threads.
     """
 
     def __init__(
@@ -137,19 +136,6 @@ class TemporalKG:
 
     # -- lookups ------------------------------------------------------------
 
-    def positions_for(self, subject: int, relation: int, t_lo: int, t_hi: int) -> np.ndarray:
-        """Positions of edges (subject, relation, *, t) with t_lo <= t < t_hi,
-        ascending in t: `key_search` for one key, with its clipping and its
-        empty range for ids outside the vocabulary."""
-        if t_lo > t_hi:
-            raise ValueError(f"malformed window [{t_lo}, {t_hi})")
-        order, keys, (n_ent, n_rel, n_t) = self._sr_keys
-        if not (0 <= subject < n_ent and 0 <= relation < n_rel):
-            return order[:0]
-        key = (subject * n_rel + relation) * n_t
-        lo = keys.searchsorted(key + min(max(t_lo, 0), n_t - 1))
-        return order[lo:keys.searchsorted(key + min(max(t_hi, 0), n_t - 1))]
-
     def key_search(self, subject: int, relations, bounds) -> tuple[np.ndarray, np.ndarray]:
         """Where each (subject, relation, bound) key falls in the sorted
         (subject, relation, t) key table, for every relation of `relations`
@@ -167,10 +153,11 @@ class TemporalKG:
         if not 0 <= subject < n_ent:
             return order, np.zeros((len(relations), len(bounds)), dtype=np.int64)
         # (subject, relation, bound) keys, packed as _pack packed the table; a
-        # relation id outside the vocabulary lands in another bucket
+        # relation id outside the vocabulary lands in another bucket, so its
+        # ranges are emptied (as unsigned, a negative id is out of range too)
         wanted = ((subject * n_rel + relations) * n_t)[:, None] + bounds
         found = keys.searchsorted(wanted)
-        found *= ((relations >= 0) & (relations < n_rel))[:, None]
+        found *= (relations.view(np.uint64) < n_rel)[:, None]
         return order, found
 
     def relation_positions(self, relation: int) -> np.ndarray:
@@ -317,8 +304,12 @@ class Dataset:
         )
 
     def union_kg(self, splits: Sequence[str] = ("train", "valid", "test")) -> TemporalKG:
-        """One merged view over the given splits (deduplicated)."""
-        parts = [self.split(name) for name in splits]
+        """One merged view over the given splits (deduplicated). When only one
+        of them holds edges, that is its own graph, shared (graphs are
+        immutable)."""
+        parts = [kg for kg in map(self.split, splits) if len(kg)]
+        if len(parts) == 1:
+            return parts[0]
         quads = np.concatenate(
             [np.column_stack((kg.sub, kg.rel, kg.obj, kg.ts)) for kg in parts]
             or [np.empty((0, 4), dtype=np.int64)]

@@ -196,13 +196,11 @@ def history_from_dict(payload: dict, kg: Optional[TemporalKG] = None) -> Retriev
     rows = typed(list, payload["facts"], "facts")
     code_of, sources, codes = {}, [], []
     for row in rows:
-        prov = row["provenance"]
         try:  # JSON 1, 1.0 and true are equal in Python, so the key holds the types
-            key = (*prov.items(), *map(type, prov.values()))
-            code = code_of[key]
-        except (AttributeError, KeyError, TypeError):  # not an object, new, or holds a list
-            sources.append(typed(Provenance, prov, "facts.provenance"))
-            code = code_of[key] = len(sources) - 1
+            prov = row["provenance"]
+            code = code_of[(*prov.items(), *map(type, prov.values()))]
+        except (AttributeError, KeyError, TypeError):  # new, or not well formed
+            code = _new_source(row, len(codes), code_of, sources)
         codes.append(code)
     query = typed(Query, payload["query"], "query")
     sub, rel, obj, ts = (_id_column([row[name] for row in rows], f"facts.{name}")
@@ -219,6 +217,24 @@ def history_from_dict(payload: dict, kg: Optional[TemporalKG] = None) -> Retriev
     return RetrievedHistory(
         query, sub, rel, obj, ts, np.array(codes, dtype=np.int64), sources
     )
+
+
+def _new_source(fact, at: int, code_of: dict, sources: list) -> int:
+    """The code of the provenance of `fact`, the `at`-th fact, when
+    `code_of` lacks it: a new `Provenance` joins `sources`. A fact or
+    provenance that is not a JSON object, or a provenance holding a list or
+    an object, raises ValueError naming it; a missing provenance,
+    KeyError."""
+    if type(fact) is not dict:
+        raise ValueError(f"facts[{at}]: expected an object, got {fact!r}")
+    prov = fact["provenance"]
+    source = typed(Provenance, prov, "facts.provenance")
+    try:
+        code_of[(*prov.items(), *map(type, prov.values()))] = len(sources)
+    except TypeError:  # unhashable
+        raise ValueError(f"facts.provenance: expected JSON scalar values, got {prov!r}") from None
+    sources.append(source)
+    return len(sources) - 1
 
 
 def check_query_ids(query: Query, kg: TemporalKG) -> None:

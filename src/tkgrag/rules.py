@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from typing import ClassVar, Iterator, NamedTuple, Optional, Sequence
 
@@ -415,11 +416,15 @@ def learn_rules(kg: TemporalKG, params: MiningParams, workers: int = 1) -> RuleB
     replacement and each successful walk proposes a body relation; distinct
     proposals get a confidence estimate and survive when they meet
     min_body_support with at least one supporting grounding. The result is
-    deterministic for a given (kg, params), independent of worker count.
+    deterministic for a given (kg, params), independent of worker count;
+    mining is CPU-bound, so at most `os.cpu_count()` processes are started.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if len(kg) == 0:
         raise ValueError("cannot mine rules from an empty graph")
     heads = np.unique(kg.rel).tolist()
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pools load multiprocessing
 

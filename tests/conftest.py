@@ -45,6 +45,13 @@ def edges_of(kg: TemporalKG, positions=slice(None)) -> list[Quadruple]:
     return list(map(Quadruple._make, zip(*columns)))
 
 
+def key_range(kg: TemporalKG, subject, relation, t_lo, t_hi) -> np.ndarray:
+    """Positions of the edges (subject, relation, *, t) with t_lo <= t < t_hi,
+    ascending in t: one key's range from `key_search`."""
+    order, found = kg.key_search(subject, [relation], (t_lo, t_hi))
+    return order[found[0, 0]:found[0, 1]]
+
+
 def write_dataset_dir(tmp_path, train, valid=(), test=(), id_maps=None):
     """Write raw rows (tab-separated, 4 columns) into a dataset directory."""
     for name, rows in (("train", train), ("valid", valid), ("test", test)):
@@ -133,7 +140,7 @@ def history_of(query: Query, facts, provenance) -> RetrievedHistory:
 def reference_sample_walk(kg: TemporalKG, head_edge: Quadruple, rng):
     """One walk step drawn with `Generator.choice` over the transition law."""
     s, r, o, t = head_edge
-    if o not in kg.obj[kg.positions_for(s, r, t, t + 1)].tolist():
+    if o not in kg.obj[key_range(kg, s, r, t, t + 1)].tolist():
         raise ValueError(f"head edge {head_edge} not present in graph")
     positions = kg.returning_positions(head_edge.object, head_edge.subject, head_edge.t)
     if positions.size == 0:

@@ -10,8 +10,10 @@ import pytest
 from click.testing import CliRunner
 
 import tkgrag
+from tkgrag import cli
 from tkgrag.cli import main
 from tkgrag.config import build_run_config
+from tkgrag.evaluation import run_eval
 from tkgrag.prompts import DEFAULT_INSTRUCTION
 from tkgrag.rules import MiningParams, RuleBank
 
@@ -790,22 +792,69 @@ class TestManifestInputs:
         data = ["--dataset-dir", str(synthetic_dir)]
         bank = ["--rules", str(mined_rules)]
         histories, prompts = tmp_path / "h.jsonl", tmp_path / "p.jsonl"
+        run_ok(runner, ["mine", *data, "--walks", "20", "--out", str(tmp_path / "r.json")])
         run_ok(runner, ["retrieve", *data, *bank, "--out", str(histories)])
         run_ok(runner, ["prompt", *data, "--histories", str(histories), "--out", str(prompts)])
+        stub = StubEndpoint(sequences=["0.e01]"])
+        try:
+            run_ok(runner, ["infer", *data, "--prompts", str(prompts), "--endpoint", stub.url,
+                            "--num-sequences", "1", "--out", str(tmp_path / "x.jsonl")])
+        finally:
+            stub.close()
         run_ok(runner, ["export", *data, *bank, "--k", "4", "--out",
                         str(tmp_path / "f.jsonl")])
         run_ok(runner, ["eval", *data, *bank, "--out-dir", str(tmp_path / "eval")])
         inputs = {name: strip_created_at(tmp_path / path)["inputs"] for name, path in (
-            ("retrieve", "h.jsonl.manifest.json"), ("prompt", "p.jsonl.manifest.json"),
+            ("mine", "r.json.manifest.json"), ("retrieve", "h.jsonl.manifest.json"),
+            ("prompt", "p.jsonl.manifest.json"), ("infer", "x.jsonl.manifest.json"),
             ("export", "f.jsonl.manifest.json"), ("eval", "eval/manifest.json"))}
         assert {name: list(digests) for name, digests in inputs.items()} == {
-            "retrieve": ["dataset", "rules"], "prompt": ["dataset", "histories"],
+            "mine": ["dataset"], "retrieve": ["dataset", "rules"],
+            "prompt": ["dataset", "histories"], "infer": ["dataset", "prompts"],
             "export": ["dataset", "rules"], "eval": ["dataset", "rules"]}
         # one input, one digest, whichever command reads it
         assert len({digests["dataset"] for digests in inputs.values()}) == 1
         assert inputs["retrieve"]["rules"] == inputs["export"]["rules"] == \
             inputs["eval"]["rules"] == hashlib.sha256(mined_rules.read_bytes()).hexdigest()
         assert inputs["prompt"]["histories"] == hashlib.sha256(histories.read_bytes()).hexdigest()
+        assert inputs["infer"]["prompts"] == hashlib.sha256(prompts.read_bytes()).hexdigest()
+
+
+class TestOneGraphPerSplitSet:
+    """`eval` retrieves from the filter index when both name the same
+    splits."""
+
+    @staticmethod
+    def graphs_of_eval(runner, monkeypatch, args):
+        """The retrieval graph and the filter index `eval` hands `run_eval`."""
+        seen = []
+
+        def capture(kg, bank, queries, predictor, retrieval_cfg, prompt_cfg, filter_index,
+                    **kwargs):
+            seen.append((kg, filter_index))
+            return run_eval(kg, bank, queries, predictor, retrieval_cfg, prompt_cfg,
+                            filter_index, **kwargs)
+
+        monkeypatch.setattr(cli, "run_eval", capture)
+        run_ok(runner, ["eval", *args])
+        (graphs,) = seen
+        return graphs
+
+    def test_eval_retrieves_from_the_filter_index(self, runner, monkeypatch, synthetic_dir,
+                                                  mined_rules, tmp_path):
+        args = ["--dataset-dir", str(synthetic_dir), "--rules", str(mined_rules)]
+        kg, index = self.graphs_of_eval(runner, monkeypatch,
+                                        [*args, "--out-dir", str(tmp_path / "a")])
+        assert kg is index
+        kg, index = self.graphs_of_eval(
+            runner, monkeypatch,
+            [*args, "--retrieval-splits", "test,valid,train", "--out-dir", str(tmp_path / "b")])
+        assert kg is index
+        kg, index = self.graphs_of_eval(
+            runner, monkeypatch,
+            [*args, "--filter-splits", "train", "--out-dir", str(tmp_path / "c")])
+        assert kg is not index
+        assert len(index) < len(kg)
 
 
 class TestResumeInputs:

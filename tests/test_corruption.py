@@ -6,7 +6,8 @@ gets the same mutations: a string, a float, a bool, null, a list, a
 negative number, 2**64 and the field left out. A mutation must exit 1 with
 `error: <path>[:<line>]: <field>…` and no traceback, unless the format allows
 it: those are listed in ALLOWED with the reason, and their run goes through.
-Split files and id maps are not covered here.
+A history fact given whole as another JSON value is covered too. Split
+files and id maps are not covered here.
 """
 import dataclasses
 import json
@@ -47,7 +48,7 @@ FIELDS = (
     + [("rules", "rules[1]", key) for key in keys_of(TemporalRule)]
     + [("histories", "query", key) for key in keys_of(Query)]
     + [("histories", "facts", key) for key in ("s", "r", "o", "t", "provenance")]
-    + [("histories", "facts.provenance", key) for key in keys_of(Provenance)]
+    + [("histories", "facts.provenance", key) for key in (*keys_of(Provenance), "kind")]
     + [("prompts", "", key) for key in keys_of(Prompt)]
     + [("prompts", "query", key) for key in keys_of(Query)]
     + [("journal", "", key) for key in ["index"] + keys_of(EvalRecord)]
@@ -90,6 +91,9 @@ ALLOWED = {
             "prompts query_prefix missing", "prompts format missing",
             "journal n_skipped missing"),
     **allow("the format is a label that no reader checks", "prompts format string"),
+    **allow("a provenance's kind is a label that no reader checks",
+            *(f"histories facts.provenance.kind {mutation}" for mutation in MUTATIONS
+              if mutation != "list")),
 }
 # allowed cases whose run does not go through, and how it ends instead
 FAILS_LATER = {("config", "dataset.dir", "string"): "error: missing split file x/train.txt\n"}
@@ -145,6 +149,14 @@ def write_rows(path, rows) -> None:
     path.write_text("".join(json.dumps(row) + "\n" for row in rows))
 
 
+def first_rule_body_fact(rows: list[dict]) -> tuple[int, dict, int]:
+    """(line, row, fact index) of the first fact retrieved through a rule
+    body, the one mutated in a histories file."""
+    line, row = next((n, row) for n, row in enumerate(rows, 1)
+                     if any(fact["provenance"]["rank"] for fact in row["facts"]))
+    return line, row, next(i for i, fact in enumerate(row["facts"]) if fact["provenance"]["rank"])
+
+
 def corrupt(input_, label, mutation, inputs, synthetic_dir, endpoint, tmp_path):
     """Write the input with the field at `label` mutated; return the
     command that reads it and where its errors point ("<path>: " or
@@ -168,10 +180,8 @@ def corrupt(input_, label, mutation, inputs, synthetic_dir, endpoint, tmp_path):
                 "--out", str(tmp_path / "h.jsonl")], f"{path}: "
     if input_ == "histories":
         rows = rows_of(inputs["histories.jsonl"])
-        # the first history with a rule-body fact; that fact is the one mutated
-        line, row = next((n, row) for n, row in enumerate(rows, 1)
-                         if any(fact["provenance"]["rank"] for fact in row["facts"]))
-        fact = next(fact for fact in row["facts"] if fact["provenance"]["rank"])
+        line, row, at = first_rule_body_fact(rows)
+        fact = row["facts"][at]
         target = {"query": row["query"], "facts": fact,
                   "facts.provenance": fact["provenance"]}[where]
         mutate(target, key, mutation)
@@ -220,3 +230,19 @@ def test_corrupted_field(input_, label, mutation, inputs, synthetic_dir, endpoin
         assert (result.exit_code, result.output) == (1, FAILS_LATER[case])
     else:
         assert result.exit_code == 0, f"allowed ({ALLOWED[case]}) but: {result.output}"
+
+
+@pytest.mark.parametrize("mutation", ["string", "list", "null", "2**64"])
+def test_fact_that_is_not_an_object(mutation, inputs, synthetic_dir, tmp_path):
+    """A history fact given as another JSON value exits 1 naming its index."""
+    rows = rows_of(inputs["histories.jsonl"])
+    line, row, at = first_rule_body_fact(rows)
+    row["facts"][at] = MUTATIONS[mutation]
+    path = tmp_path / "histories.jsonl"
+    write_rows(path, rows)
+    result = CliRunner().invoke(main, ["prompt", "--dataset-dir", str(synthetic_dir),
+                                       "--histories", str(path),
+                                       "--out", str(tmp_path / "p.jsonl")])
+    assert result.exit_code == 1, result.output
+    assert result.output == (f"error: {path}:{line}: facts[{at}]: expected an object, "
+                             f"got {MUTATIONS[mutation]!r}\n")

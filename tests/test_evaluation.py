@@ -276,6 +276,16 @@ class TestAblation:
                          orders=["ascending"], history_lengths=[50], formats=["index"],
                          predictor=OraclePredictor(synthetic_bank))
 
+    def test_gold_required(self, synthetic_dataset, synthetic_bank):
+        """Queries without a gold object are refused, as by `run_eval`, not
+        scored as misses."""
+        queries = [replace(q, gold_object=None)
+                   for q in queries_from_split(synthetic_dataset, "test")[:20]]
+        with pytest.raises(ValueError, match="every evaluation query needs a gold object"):
+            ablation_run(synthetic_dataset.union_kg(), synthetic_bank, queries,
+                         orders=["ascending"], history_lengths=[50], formats=["index"],
+                         predictor=OraclePredictor(synthetic_bank))
+
     def test_empty_grid_rejected(self, synthetic_dataset, synthetic_bank):
         with pytest.raises(ValueError, match="empty ablation grid"):
             ablation_run(synthetic_dataset.union_kg(), synthetic_bank,

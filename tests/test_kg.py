@@ -17,7 +17,7 @@ from tkgrag.kg import (
     save_dataset,
 )
 
-from conftest import edges_of, make_kg, write_dataset_dir
+from conftest import edges_of, key_range, make_kg, write_dataset_dir
 
 
 class TestLoading:
@@ -112,35 +112,30 @@ class TestLoading:
 
 
 class TestEdgesFor:
-    """The edges in a (subject, relation) window, as `positions_for` finds
+    """The edges in a (subject, relation) window, as `key_search` finds
     them."""
 
     def test_window_semantics(self):
         kg = make_kg([(0, 0, 1, 1), (0, 0, 1, 3), (0, 0, 1, 5)])
-        got = edges_of(kg, kg.positions_for(0, 0, 1, 5))
+        got = edges_of(kg, key_range(kg, 0, 0, 1, 5))
         assert [q.t for q in got] == [1, 3]
 
     def test_empty_interval(self):
         kg = make_kg([(0, 0, 1, 1)])
-        assert kg.positions_for(0, 0, 5, 5).tolist() == []
+        assert key_range(kg, 0, 0, 5, 5).tolist() == []
 
     def test_empty_graph(self):
         kg = make_kg([], n_entities=2, n_relations=1)
-        assert kg.positions_for(0, 0, 0, 10**9).tolist() == []
+        assert key_range(kg, 0, 0, 0, 10**9).tolist() == []
 
     def test_unknown_subject_or_relation(self):
         kg = make_kg([(0, 0, 1, 1)])
-        assert kg.positions_for(5, 0, 0, 10).tolist() == []
-        assert kg.positions_for(0, 9, 0, 10).tolist() == []
+        assert key_range(kg, 5, 0, 0, 10).tolist() == []
+        assert key_range(kg, 0, 9, 0, 10).tolist() == []
 
     def test_ties_sorted_by_object(self):
         kg = make_kg([(0, 0, 3, 2), (0, 0, 1, 2), (0, 0, 2, 2)])
-        assert [q.object for q in edges_of(kg, kg.positions_for(0, 0, 0, 3))] == [1, 2, 3]
-
-    def test_malformed_window_rejected(self):
-        kg = make_kg([(0, 0, 1, 1)])
-        with pytest.raises(ValueError):
-            kg.positions_for(0, 0, 5, 4)
+        assert [q.object for q in edges_of(kg, key_range(kg, 0, 0, 0, 3))] == [1, 2, 3]
 
     def test_concatenation_covers_all_edges(self):
         rng = np.random.default_rng(3)
@@ -153,7 +148,7 @@ class TestEdgesFor:
         collected = []
         for s in range(6):
             for r in range(3):
-                collected.extend(edges_of(kg, kg.positions_for(s, r, 0, kg.t_max + 1)))
+                collected.extend(edges_of(kg, key_range(kg, s, r, 0, kg.t_max + 1)))
         assert sorted(collected) == sorted(edges_of(kg))
 
 
@@ -388,7 +383,7 @@ class TestIndicesAgainstReference:
             for r in relations:
                 assert kg.relation_positions(r).tolist() == by_r.get(r, [])
                 for s in range(-1, n_ent + 2):
-                    got = kg.positions_for(s, r, 0, kg.t_max + 1)
+                    got = key_range(kg, s, r, 0, kg.t_max + 1)
                     assert got.tolist() == by_sr.get((s, r), [])
 
     def test_base_quads(self):
@@ -433,7 +428,7 @@ class TestIndicesAgainstReference:
                 for r in range(-1, n_rel + 1):
                     for o in range(-1, n_ent + 1):
                         for t in range(-1, kg.t_max + 2):
-                            present = o in kg.obj[kg.positions_for(s, r, t, t + 1)].tolist()
+                            present = o in kg.obj[key_range(kg, s, r, t, t + 1)].tolist()
                             assert present == ((s, r, o, t) in edges)
 
     def test_last_time_of_scalar_and_array(self):
@@ -475,25 +470,6 @@ class TestIndicesAgainstReference:
                         want = [p for p in by_sr.get((subject, r), [])
                                 if lo <= edges[p][3] < hi]
                         assert order[found[j, i]:found[j, n_windows + i]].tolist() == want
-                        if j % 3 == 0:
-                            assert kg.positions_for(subject, r, lo, hi).tolist() == want
-
-    def test_positions_for_matches_key_search(self):
-        """The scalar search gives the range of the batched one for every
-        key: bounds below 0 and past t_max, and ids outside the vocabulary,
-        included."""
-        for seed in self.SEEDS[::2]:
-            rng, kg, _rows = random_graph(seed)
-            n_ent, n_rel = len(kg.entities), len(kg.relations)
-            relations = list(range(-2, n_rel + 2)) + [2**40]
-            bounds = sorted(rng.integers(-3, kg.t_max + 4, 4).tolist() + [10**9])
-            for subject in range(-1, n_ent + 2):
-                order, found = kg.key_search(subject, relations, bounds)
-                for j, r in enumerate(relations):
-                    for k, lo in enumerate(bounds):
-                        for h, hi in enumerate(bounds[k:], k):
-                            want = order[found[j, k]:found[j, h]].tolist()
-                            assert kg.positions_for(subject, r, lo, hi).tolist() == want
 
     def test_union_kg(self):
         for seed in self.SEEDS:
@@ -513,18 +489,29 @@ class TestIndicesAgainstReference:
             assert edges_of(dataset.union_kg(("test",))) == edges_of(splits["test"])
             assert len(dataset.union_kg(())) == 0
 
+    def test_union_of_one_split_with_edges_is_that_split(self):
+        """Graphs are immutable, so the union of a split with empty ones
+        shares the split's graph; two splits with edges are merged."""
+        train = make_kg([(0, 0, 1, 1), (1, 0, 0, 2)], n_entities=2, inverse=True)
+        empty = make_kg([], n_entities=2, inverse=True)
+        test = make_kg([(0, 0, 1, 3)], n_entities=2, inverse=True)
+        dataset = Dataset(train.entities, train.relations, 1,
+                          {"train": train, "valid": empty, "test": test}, 1, 0)
+        assert dataset.union_kg(("train",)) is dataset.train
+        assert dataset.union_kg(("train", "valid")) is dataset.train
+        assert dataset.union_kg(("valid", "test")) is dataset.test
+        assert len(dataset.union_kg()) == len(train) + len(test)
+
     def test_empty_graph(self):
         kg = make_kg([], n_entities=3, n_relations=2)
         assert len(kg) == 0
-        assert kg.positions_for(0, 0, 0, 10**9).tolist() == []
+        assert key_range(kg, 0, 0, 0, 10**9).tolist() == []
         assert kg.relation_positions(0).tolist() == []
         assert kg.returning_positions(0, 1, 5).tolist() == []
         assert kg.pair_ids().tolist() == []
         order, found = kg.key_search(0, [0, 1, 2, -1], [0, 3, -5, 10**9, 4, 0])
         assert order.tolist() == [] and found.shape == (4, 6)
         assert not found.any()
-        with pytest.raises(ValueError, match="malformed"):
-            kg.positions_for(0, 0, 5, 4)
         assert kg.last_time_of(0, 1, 2) == -1
         assert kg.last_time_of(np.array([0, 1]), 0, np.array([2, 2])).tolist() == [-1, -1]
         for graph in (kg, make_kg([], n_entities=3, n_relations=2, inverse=True)):

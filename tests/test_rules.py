@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import re
@@ -7,6 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from tkgrag import rules
 from tkgrag.kg import Quadruple
 from tkgrag.rules import (
     MiningParams,
@@ -331,6 +333,44 @@ class TestLearnRules:
         serial = learn_rules(synthetic_dataset.train, params, workers=1)
         parallel = learn_rules(synthetic_dataset.train, params, workers=2)
         assert serial.to_json() == parallel.to_json()
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, synthetic_dataset, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            learn_rules(synthetic_dataset.train, MiningParams(num_walks=5), workers=workers)
+
+    def test_pool_holds_at_most_one_process_per_cpu(self, synthetic_dataset, monkeypatch):
+        """A stand-in pool that runs serially records the size it is asked
+        for; no process is started."""
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(rules, "_WORKER_KG", None)
+        monkeypatch.setattr(rules, "_WORKER_PARAMS", None)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        params = MiningParams(num_walks=30, seed=4)
+        serial = learn_rules(synthetic_dataset.train, params).to_json()
+        for workers, size in ((2, 2), (3, 3), (4, 3), (10**6, 3)):
+            assert learn_rules(synthetic_dataset.train, params, workers=workers).to_json() \
+                == serial
+            assert sizes.pop() == size
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable: serial
+        assert learn_rules(synthetic_dataset.train, params, workers=4).to_json() == serial
+        assert sizes == []
 
 
 class TestMiningAgainstReference:
