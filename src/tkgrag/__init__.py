@@ -31,7 +31,6 @@ from .kg import (
     Dataset,
     DatasetFormatError,
     DatasetSpec,
-    DatasetStats,
     Quadruple,
     TemporalKG,
     load_dataset,

@@ -1,8 +1,8 @@
 """Command-line pipeline driver.
 
-Every subcommand maps to one module entry point and records a manifest with
-the config fingerprint next to its artifacts. Exit codes: 0 ok, 1 validation
-failure, 2 runtime failure, 3 transport failure.
+Every subcommand maps to one module entry point, and every one that writes
+artifacts records a manifest next to them through `_write_manifest`. Exit
+codes: 0 ok, 1 validation failure, 2 runtime failure, 3 transport failure.
 """
 from __future__ import annotations
 
@@ -193,6 +193,23 @@ def _input_digests(dataset: Dataset, **paths: str) -> dict:
     return inputs
 
 
+def _check_built_from(path: str, dataset_digest: str) -> None:
+    """ValueError when the manifest next to the input file `path` records
+    another dataset than the loaded one, whose digest is `dataset_digest`.
+    An input without a manifest passes, so hand-made inputs stay allowed."""
+    manifest_path = path + ".manifest.json"
+    if not os.path.exists(manifest_path):
+        return
+    with open(manifest_path, encoding="utf-8") as fh:
+        try:
+            recorded = json.load(fh)["inputs"]["dataset"]
+        except (ValueError, LookupError, TypeError):
+            raise ValueError(f"{manifest_path}: no dataset digest under inputs.dataset") from None
+    if recorded != dataset_digest:
+        raise ValueError(f"{path}: built from dataset {recorded} (see {manifest_path}), "
+                         f"but the loaded dataset is {dataset_digest}")
+
+
 def _load_eval(options: dict, **sections):
     """What an eval or ablate run loads once, from the shared eval options
     (popped from `options`): the run config, the manifest entries, and the
@@ -224,19 +241,23 @@ def _load_eval(options: dict, **sections):
 
 
 def _fingerprint(config: RunConfig, inputs: dict) -> str:
-    """A journal resumes only under the same config and input contents."""
+    """A run's fingerprint: the hash of its config and its input digests.
+    A journal resumes only under the same fingerprint."""
     return stable_hash({"config": config.as_dict(), "inputs": inputs})
 
 
-def _write_manifest(path: str, command: str, config: RunConfig, extra: dict | None = None):
-    payload = {
+def _write_manifest(path: str, command: str, config: RunConfig, inputs: dict, **entries):
+    """What a run records about itself: the command, its fingerprint, its
+    config, when it was written and its input digests, then the command's
+    own `entries`."""
+    write_json(path, {
         "command": command,
-        "fingerprint": config.fingerprint,
+        "fingerprint": _fingerprint(config, inputs),
         "config": config.as_dict(),
         "created_at": datetime.now(timezone.utc).isoformat(),
-    }
-    payload.update(extra or {})
-    write_json(path, payload)
+        "inputs": inputs,
+        **entries,
+    })
 
 
 @click.group()
@@ -283,8 +304,8 @@ def mine(workers, mine_splits, out, **options):
     kg = dataset.union_kg(_split_names(mine_splits))
     bank = learn_rules(kg, config.mining, workers=workers)
     bank.save(out)
-    _write_manifest(out + ".manifest.json", "mine", config,
-                    {"inputs": _input_digests(dataset), "n_rules": len(bank)})
+    _write_manifest(out + ".manifest.json", "mine", config, _input_digests(dataset),
+                    n_rules=len(bank))
     click.echo(f"mined {len(bank)} rules -> {out}")
 
 
@@ -309,8 +330,8 @@ def retrieve_cmd(rules_path, split, retrieval_splits, out, **options):
         for query in queries
     ))
     _write_manifest(out + ".manifest.json", "retrieve", config,
-                    {"inputs": _input_digests(dataset, rules=rules_path), "split": split,
-                     "n_queries": len(queries)})
+                    _input_digests(dataset, rules=rules_path), split=split,
+                    n_queries=len(queries))
     click.echo(f"retrieved {count} histories -> {out}")
 
 
@@ -324,15 +345,15 @@ def prompt_cmd(histories_path, out, **options):
     """Render retrieved histories into prompts."""
     config = _config(options, prompt=PromptConfig)
     dataset = _load_data(config)
+    inputs = _input_digests(dataset, histories=histories_path)
+    _check_built_from(histories_path, inputs["dataset"])
     kg = dataset.train
     count = write_jsonl(out, (
         {"query": json_fields(history.query),
          **json_fields(build_prompt(history, config.prompt, kg))}
         for history in read_jsonl(histories_path, lambda row: history_from_dict(row, kg))
     ))
-    _write_manifest(out + ".manifest.json", "prompt", config,
-                    {"inputs": _input_digests(dataset, histories=histories_path),
-                     "n_prompts": count})
+    _write_manifest(out + ".manifest.json", "prompt", config, inputs, n_prompts=count)
     click.echo(f"rendered {count} prompts -> {out}")
 
 
@@ -350,11 +371,11 @@ def export(rules_path, k, seed, out, **options):
     config = _config(options, seed=seed, retrieval=RetrievalConfig, prompt=PromptConfig)
     dataset = _load_data(config)
     bank = RuleBank.load(rules_path, len(dataset.relations))
-    manifest = export_finetune_set(
-        dataset, bank, k, config.retrieval, config.prompt, config.seed, out,
-        fingerprint=config.fingerprint, inputs=_input_digests(dataset, rules=rules_path),
-    )
-    click.echo(f"exported {manifest['n_samples']} samples -> {out}")
+    inputs = _input_digests(dataset, rules=rules_path)
+    counts = export_finetune_set(dataset, bank, k, config.retrieval, config.prompt,
+                                 config.seed, out)
+    _write_manifest(out + ".manifest.json", "export", config, inputs, k=k, **counts)
+    click.echo(f"exported {counts['n_samples']} samples -> {out}")
 
 
 @main.command()
@@ -368,6 +389,8 @@ def infer(prompts_path, endpoint, out, **options):
     """Send rendered prompts to the completion endpoint and parse predictions."""
     config = _config(options, endpoint=endpoint, generation=GenParams)
     dataset = _load_data(config)
+    inputs = _input_digests(dataset, prompts=prompts_path)
+    _check_built_from(prompts_path, inputs["dataset"])
     kg = dataset.train
     predictor = LLMPredictor(kg, resolve_endpoint(config.endpoint), config.generation)
 
@@ -383,9 +406,7 @@ def infer(prompts_path, endpoint, out, **options):
         {"query": json_fields(query), **json_fields(parsed)}
         for (query, _prompt), parsed in zip(rows, predictions)
     ))
-    _write_manifest(out + ".manifest.json", "infer", config,
-                    {"inputs": _input_digests(dataset, prompts=prompts_path),
-                     "n_prompts": len(rows)})
+    _write_manifest(out + ".manifest.json", "infer", config, inputs, n_prompts=len(rows))
     click.echo(f"parsed predictions for {len(rows)} prompts -> {out}")
 
 
@@ -414,13 +435,11 @@ def eval_cmd(seeds, out_dir, **options):
         run_dir = out_dir if len(seed_list) == 1 else os.path.join(
             out_dir, f"seed-{run_config.seed}"
         )
-        fingerprint = _fingerprint(run_config, manifest["inputs"])
         report, _records = run_eval(
             kg, bank, queries, run_engine, run_config.retrieval, run_config.prompt, filter_index,
-            out_dir=run_dir, fingerprint=fingerprint,
+            out_dir=run_dir, fingerprint=_fingerprint(run_config, manifest["inputs"]),
         )
-        _write_manifest(os.path.join(run_dir, "manifest.json"), "eval", run_config,
-                        {"fingerprint": fingerprint, **manifest})
+        _write_manifest(os.path.join(run_dir, "manifest.json"), "eval", run_config, **manifest)
         reports.append(report)
 
     hits = {}
@@ -451,7 +470,6 @@ def eval_cmd(seeds, out_dir, **options):
 def ablate(orders, lengths, formats, out_dir, **options):
     """Evaluate a grid of prompt order, history length, and format configs."""
     config, manifest, kg, bank, queries, filter_index, engine = _load_eval(options)
-    fingerprint = _fingerprint(config, manifest["inputs"])
     cells = ablation_run(
         kg, bank, queries,
         orders=_split_names(orders),
@@ -461,7 +479,7 @@ def ablate(orders, lengths, formats, out_dir, **options):
         retrieval_cfg=config.retrieval,
         filter_index=filter_index,
         base_prompt_cfg=config.prompt,
-        fingerprint=fingerprint,
+        fingerprint=_fingerprint(config, manifest["inputs"]),
     )
     summary = ablation_summary(cells)
     with atomic_write(os.path.join(out_dir, "summary.tsv")) as fh:
@@ -471,8 +489,8 @@ def ablate(orders, lengths, formats, out_dir, **options):
          "report": c.report.as_dict()}
         for c in cells
     ])
-    _write_manifest(os.path.join(out_dir, "manifest.json"), "ablate", config,
-                    {"fingerprint": fingerprint, **manifest, "n_cells": len(cells)})
+    _write_manifest(os.path.join(out_dir, "manifest.json"), "ablate", config, **manifest,
+                    n_cells=len(cells))
     click.echo(summary, nl=False)
 
 

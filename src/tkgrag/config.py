@@ -1,9 +1,9 @@
 """Run configuration: one validated, fingerprintable bundle of every knob.
 
 Configs load from a JSON file whose sections mirror the module parameter
-types; command-line flags override file values field by field. The
-fingerprint is a stable hash of the canonicalized config, so equal
-fingerprints plus equal inputs imply byte-identical artifacts.
+types; command-line flags override file values field by field.
+`stable_hash` is the hash of a canonicalized payload, such as a config with
+the digests of a run's inputs (its fingerprint).
 """
 from __future__ import annotations
 
@@ -47,10 +47,6 @@ class RunConfig:
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    @property
-    def fingerprint(self) -> str:
-        return stable_hash(self.as_dict())
 
 
 def stable_hash(payload: dict) -> str:

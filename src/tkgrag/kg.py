@@ -36,18 +36,6 @@ class Quadruple(NamedTuple):
     t: int
 
 
-@dataclass(frozen=True)
-class DatasetStats:
-    """Split sizes and vocabulary sizes; counts exclude inverse augmentation."""
-
-    n_train: int
-    n_valid: int
-    n_test: int
-    n_entities: int
-    n_relations: int
-    time_gap: int
-
-
 class TemporalKG:
     """Immutable store of quadruples, looked up through sorted key tables.
 
@@ -293,16 +281,6 @@ class Dataset:
             raise ValueError(f"unknown split {name!r}")
         return getattr(self, name)
 
-    def stats(self) -> DatasetStats:
-        return DatasetStats(
-            n_train=len(self.train.base_quads()),
-            n_valid=len(self.valid.base_quads()),
-            n_test=len(self.test.base_quads()),
-            n_entities=len(self.entities),
-            n_relations=self.num_base_relations,
-            time_gap=self.time_gap,
-        )
-
     def union_kg(self, splits: Sequence[str] = ("train", "valid", "test")) -> TemporalKG:
         """One merged view over the given splits (deduplicated). When only one
         of them holds edges, that is its own graph, shared (graphs are
@@ -349,7 +327,10 @@ def _key_table(columns: Sequence, sizes: Sequence[int]) -> tuple[np.ndarray, np.
 
 
 def _read_id_map(path: str) -> dict[str, int]:
+    """name -> id of a `name<TAB>id` file whose ids are dense 0..n-1; the
+    first line that breaks this is named."""
     mapping: dict[str, int] = {}
+    lines: list[int] = []  # the line of each entry, in file order
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -366,9 +347,15 @@ def _read_id_map(path: str) -> dict[str, int]:
             if name in mapping:
                 raise DatasetFormatError(f"{path}:{lineno}: duplicate name {name!r}")
             mapping[name] = idx
-    ids = sorted(mapping.values())
-    if ids != list(range(len(ids))):
-        raise DatasetFormatError(f"{path}: ids are not dense 0..{len(ids) - 1}")
+            lines.append(lineno)
+    seen: set[int] = set()
+    for lineno, idx in zip(lines, mapping.values()):
+        if idx in seen or not 0 <= idx < len(mapping):
+            problem = "repeats an earlier id" if idx in seen else "is out of range"
+            raise DatasetFormatError(
+                f"{path}:{lineno}: id {idx} {problem}; ids must be dense 0..{len(mapping) - 1}"
+            )
+        seen.add(idx)
     return mapping
 
 
@@ -420,6 +407,16 @@ def _parse_split_file(
     return rows
 
 
+def _int64_overflow(path: str) -> DatasetFormatError:
+    """The error naming the first line of a parsed split file whose
+    timestamp does not fit in 64 bits."""
+    with open(path, encoding="utf-8") as fh:
+        rows = (line.rstrip("\n").split("\t") for line in fh)
+        lineno, stamp = next((lineno, cols[3]) for lineno, cols in enumerate(rows, start=1)
+                             if len(cols) == 4 and int(cols[3]) not in range(-2**63, 2**63))
+    return DatasetFormatError(f"{path}:{lineno}: timestamp {stamp} does not fit in 64 bits")
+
+
 def load_dataset(directory: str, spec: DatasetSpec = DatasetSpec()) -> Dataset:
     """Load train/valid/test quadruple files into indexed views sharing one
     vocabulary.
@@ -439,15 +436,19 @@ def load_dataset(directory: str, spec: DatasetSpec = DatasetSpec()) -> Dataset:
     interned_entities: dict[str, int] = {}
     interned_relations: dict[str, int] = {}
 
-    raw_rows: dict[str, list[tuple[int, int, int, int]]] = {}
+    arrays: dict[str, np.ndarray] = {}  # raw (subject, relation, object, timestamp) rows
     for split, filename in SPLIT_FILES.items():
         path = os.path.join(directory, filename)
         if not os.path.exists(path):
             raise DatasetFormatError(f"missing split file {path}")
-        raw_rows[split] = _parse_split_file(
+        rows = _parse_split_file(
             path, entity_ids, relation_ids, interned_entities, interned_relations
         )
-    if not raw_rows["train"]:
+        try:
+            arrays[split] = np.array(rows, dtype=np.int64).reshape(-1, 4)
+        except OverflowError:  # only a timestamp can be that large
+            raise _int64_overflow(path) from None
+    if not len(arrays["train"]):
         raise DatasetFormatError("empty train split")
 
     if entity_ids is not None:
@@ -457,9 +458,6 @@ def load_dataset(directory: str, spec: DatasetSpec = DatasetSpec()) -> Dataset:
         entities = list(interned_entities)
         relations = list(interned_relations)
 
-    arrays = {
-        split: np.array(rows, dtype=np.int64).reshape(-1, 4) for split, rows in raw_rows.items()
-    }
     all_raw_ts = np.concatenate([arr[:, 3] for arr in arrays.values()])
     origin = int(all_raw_ts.min())
     off_gap = np.flatnonzero(all_raw_ts % spec.time_gap)
@@ -479,7 +477,7 @@ def load_dataset(directory: str, spec: DatasetSpec = DatasetSpec()) -> Dataset:
         if spec.inverse:
             quads = np.concatenate((quads, quads[:, [2, 1, 0, 3]] + (0, num_base, 0, 0)))
         splits[split] = TemporalKG(entities, relations, quads, num_base)
-        duplicates += len(raw_rows[split]) - len(splits[split].base_quads())
+        duplicates += len(arrays[split]) - len(splits[split].base_quads())
 
     return Dataset(entities, relations, num_base, splits, spec.time_gap, origin, duplicates)
 

@@ -8,15 +8,13 @@ appearance over the rendered lines.
 """
 from __future__ import annotations
 
-import dataclasses
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .files import json_fields, write_json, write_jsonl
+from .files import json_fields, write_jsonl
 from .kg import Dataset, TemporalKG
 from .retrieval import (
     RetrievalConfig,
@@ -177,12 +175,10 @@ def export_finetune_set(
     prompt_cfg: PromptConfig,
     seed: int,
     out_path: str,
-    fingerprint: Optional[str] = None,
-    inputs: Optional[dict] = None,
 ) -> dict:
     """Write k instruction samples drawn from the training split as JSON lines
-    plus a manifest recording every knob that shaped them, and the run's
-    `fingerprint` and input digests (`inputs`) when given.
+    and return {"n_samples", "over_char_budget"}: how many were written and
+    how many exceed the prompt's character budget.
 
     Retrieval for each sampled query runs against the training split only and
     sees nothing at or after the query's own time step.
@@ -203,21 +199,5 @@ def export_finetune_set(
                 over_budget += 1
             yield json_fields(sample)
 
-    write_jsonl(out_path, samples())
-    manifest = {
-        "k": k,
-        "seed": seed,
-        "n_samples": len(indices),
-        "retrieval": dataclasses.asdict(retrieval_cfg),
-        "prompt": dataclasses.asdict(prompt_cfg),
-        "mining_params": dataclasses.asdict(bank.params),
-        "dataset_stats": dataclasses.asdict(dataset.stats()),
-        "over_char_budget": over_budget,
-        "output": os.path.basename(out_path),
-    }
-    if fingerprint is not None:
-        manifest["fingerprint"] = fingerprint
-    if inputs is not None:
-        manifest["inputs"] = inputs
-    write_json(out_path + ".manifest.json", manifest)
-    return manifest
+    n_samples = write_jsonl(out_path, samples())
+    return {"n_samples": n_samples, "over_char_budget": over_budget}

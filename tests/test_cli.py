@@ -12,7 +12,7 @@ from click.testing import CliRunner
 import tkgrag
 from tkgrag import cli
 from tkgrag.cli import main
-from tkgrag.config import build_run_config
+from tkgrag.config import build_run_config, stable_hash
 from tkgrag.evaluation import run_eval
 from tkgrag.prompts import DEFAULT_INSTRUCTION
 from tkgrag.rules import MiningParams, RuleBank
@@ -728,25 +728,24 @@ class TestSurface:
         }
         config = build_run_config()
         assert json.dumps(config.as_dict(), indent=2) == json.dumps(expected, indent=2)
-        assert config.fingerprint == "9900658f9a97"
+        assert stable_hash(config.as_dict()) == "9900658f9a97"
 
     def test_export_manifest_keys(self, runner, synthetic_dir, mined_rules, tmp_path):
         out = tmp_path / "finetune.jsonl"
         run_ok(runner, ["export", "--dataset-dir", str(synthetic_dir), "--rules",
-                        str(mined_rules), "--k", "4", "--seed", "1", "--out", str(out)])
+                        str(mined_rules), "--k", "4", "--seed", "9", "--history-len", "20",
+                        "--out", str(out)])
         manifest = json.loads((tmp_path / "finetune.jsonl.manifest.json").read_text())
-        assert list(manifest) == ["k", "seed", "n_samples", "retrieval", "prompt",
-                                  "mining_params", "dataset_stats", "over_char_budget",
-                                  "output", "fingerprint", "inputs"]
-        assert list(manifest["retrieval"]) == ["window", "top_rules", "max_history",
-                                               "stepwise"]
-        assert list(manifest["prompt"]) == ["format", "order", "order_seed", "max_facts",
-                                            "instruction", "char_budget"]
-        assert list(manifest["mining_params"]) == ["num_walks", "rule_length",
-                                                   "min_body_support", "grounding_cap",
-                                                   "seed"]
-        assert list(manifest["dataset_stats"]) == ["n_train", "n_valid", "n_test",
-                                                   "n_entities", "n_relations", "time_gap"]
+        assert list(manifest) == ["command", "fingerprint", "config", "created_at", "inputs",
+                                  "k", "n_samples", "over_char_budget"]
+        assert (manifest["command"], manifest["k"], manifest["n_samples"],
+                manifest["over_char_budget"]) == ("export", 4, 4, 0)
+        config = manifest["config"]
+        assert config["seed"] == 9
+        assert list(config["retrieval"]) == ["window", "top_rules", "max_history", "stepwise"]
+        assert config["retrieval"]["max_history"] == 20
+        assert list(config["prompt"]) == ["format", "order", "order_seed", "max_facts",
+                                          "instruction", "char_budget"]
 
 
 class TestArtifactBytes:
@@ -804,20 +803,103 @@ class TestManifestInputs:
         run_ok(runner, ["export", *data, *bank, "--k", "4", "--out",
                         str(tmp_path / "f.jsonl")])
         run_ok(runner, ["eval", *data, *bank, "--out-dir", str(tmp_path / "eval")])
-        inputs = {name: strip_created_at(tmp_path / path)["inputs"] for name, path in (
+        run_ok(runner, ["ablate", *data, *bank, "--out-dir", str(tmp_path / "ablate")])
+        manifests = {name: json.loads((tmp_path / path).read_text()) for name, path in (
             ("mine", "r.json.manifest.json"), ("retrieve", "h.jsonl.manifest.json"),
             ("prompt", "p.jsonl.manifest.json"), ("infer", "x.jsonl.manifest.json"),
-            ("export", "f.jsonl.manifest.json"), ("eval", "eval/manifest.json"))}
+            ("export", "f.jsonl.manifest.json"), ("eval", "eval/manifest.json"),
+            ("ablate", "ablate/manifest.json"))}
+        # one shape and one fingerprint, the hash of the config and input digests
+        for name, manifest in manifests.items():
+            assert list(manifest)[:5] == ["command", "fingerprint", "config", "created_at",
+                                          "inputs"], name
+            assert manifest["command"] == name
+            assert manifest["fingerprint"] == cli._fingerprint(
+                build_run_config(manifest["config"]), manifest["inputs"]), name
+        inputs = {name: manifest["inputs"] for name, manifest in manifests.items()}
         assert {name: list(digests) for name, digests in inputs.items()} == {
             "mine": ["dataset"], "retrieve": ["dataset", "rules"],
             "prompt": ["dataset", "histories"], "infer": ["dataset", "prompts"],
-            "export": ["dataset", "rules"], "eval": ["dataset", "rules"]}
+            "export": ["dataset", "rules"], "eval": ["dataset", "rules"],
+            "ablate": ["dataset", "rules"]}
         # one input, one digest, whichever command reads it
         assert len({digests["dataset"] for digests in inputs.values()}) == 1
         assert inputs["retrieve"]["rules"] == inputs["export"]["rules"] == \
-            inputs["eval"]["rules"] == hashlib.sha256(mined_rules.read_bytes()).hexdigest()
+            inputs["eval"]["rules"] == inputs["ablate"]["rules"] == \
+            hashlib.sha256(mined_rules.read_bytes()).hexdigest()
         assert inputs["prompt"]["histories"] == hashlib.sha256(histories.read_bytes()).hexdigest()
         assert inputs["infer"]["prompts"] == hashlib.sha256(prompts.read_bytes()).hexdigest()
+
+
+class TestInputsOfAnotherDataset:
+    """`prompt` and `infer` refuse a histories or prompts file whose manifest
+    records another dataset than the one they load."""
+
+    @pytest.fixture
+    def built(self, runner, synthetic_dir, mined_rules, tmp_path):
+        """The histories and prompts of the synthetic dataset, and a copy of
+        that dataset whose entities have other names under the same ids."""
+        data = ["--dataset-dir", str(synthetic_dir)]
+        paths = {"prompt": tmp_path / "h.jsonl", "infer": tmp_path / "p.jsonl"}
+        run_ok(runner, ["retrieve", *data, "--rules", str(mined_rules),
+                        "--out", str(paths["prompt"])])
+        run_ok(runner, ["prompt", *data, "--histories", str(paths["prompt"]),
+                        "--out", str(paths["infer"])])
+        renamed = tmp_path / "renamed"
+        shutil.copytree(synthetic_dir, renamed)
+        entity_map = renamed / "entity2id.txt"
+        entity_map.write_text("".join(
+            "X_" + line for line in entity_map.read_text().splitlines(keepends=True)))
+        return paths, renamed
+
+    @staticmethod
+    def run(runner, command, path, dataset, out):
+        """`command` over the input file `path` and `dataset`; the result and
+        the number of requests the endpoint received."""
+        args = ["--dataset-dir", str(dataset), "--out", str(out)]
+        if command == "prompt":
+            return runner.invoke(main, ["prompt", *args, "--histories", str(path)]), 0
+        stub = StubEndpoint(sequences=["0.e01]"])
+        try:
+            result = runner.invoke(main, ["infer", *args, "--prompts", str(path),
+                                          "--endpoint", stub.url, "--num-sequences", "1"])
+        finally:
+            stub.close()
+        return result, stub.attempts
+
+    @pytest.mark.parametrize("command", ["prompt", "infer"])
+    def test_input_of_another_dataset_refused(self, runner, built, command, tmp_path):
+        paths, renamed = built
+        path = paths[command]
+        recorded = json.loads(path.with_name(path.name + ".manifest.json").read_text())
+        loaded = cli._dataset_digest(cli._load_data(
+            build_run_config({"dataset": {"dir": str(renamed)}})))
+        assert recorded["inputs"]["dataset"] != loaded
+        out = tmp_path / "out.jsonl"
+        result, requests = self.run(runner, command, path, renamed, out)
+        assert result.exit_code == 1, result.output
+        assert result.output == (
+            f"error: {path}: built from dataset {recorded['inputs']['dataset']} "
+            f"(see {path}.manifest.json), but the loaded dataset is {loaded}\n")
+        assert requests == 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["prompt", "infer"])
+    def test_input_without_manifest_passes(self, runner, built, command, tmp_path):
+        paths, renamed = built
+        path = tmp_path / "hand-made.jsonl"
+        shutil.copy(paths[command], path)
+        result, _requests = self.run(runner, command, path, renamed, tmp_path / "out.jsonl")
+        assert result.exit_code == 0, result.output
+
+    def test_unreadable_manifest_refused(self, runner, built, synthetic_dir, tmp_path):
+        paths, _renamed = built
+        manifest = tmp_path / "h.jsonl.manifest.json"
+        manifest.write_text("[]")
+        result, _requests = self.run(runner, "prompt", paths["prompt"], synthetic_dir,
+                                     tmp_path / "out.jsonl")
+        assert (result.exit_code, result.output) == (
+            1, f"error: {manifest}: no dataset digest under inputs.dataset\n")
 
 
 class TestOneGraphPerSplitSet:

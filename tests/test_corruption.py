@@ -6,8 +6,12 @@ gets the same mutations: a string, a float, a bool, null, a list, a
 negative number, 2**64 and the field left out. A mutation must exit 1 with
 `error: <path>[:<line>]: <field>…` and no traceback, unless the format allows
 it: those are listed in ALLOWED with the reason, and their run goes through.
-A history fact given whole as another JSON value is covered too. Split
-files and id maps are not covered here.
+A history fact given whole as another JSON value is covered too.
+
+The text inputs of a dataset directory, both id maps and the three split
+files, get the same mutations per column, written as text, plus a duplicated
+line and a line with an extra column. A mutation must exit 1 with
+`error: <path>:<line>: …`, unless TEXT_ALLOWED lists it.
 """
 import dataclasses
 import json
@@ -246,3 +250,95 @@ def test_fact_that_is_not_an_object(mutation, inputs, synthetic_dir, tmp_path):
     assert result.exit_code == 1, result.output
     assert result.output == (f"error: {path}:{line}: facts[{at}]: expected an object, "
                              f"got {MUTATIONS[mutation]!r}\n")
+
+
+# the columns of each text file of a dataset directory
+TEXT_FILES = {
+    **dict.fromkeys(("entity2id.txt", "relation2id.txt"), ("name", "id")),
+    **dict.fromkeys(("train.txt", "valid.txt", "test.txt"),
+                    ("subject", "relation", "object", "timestamp")),
+}
+# a mutation as the text of a column: null is an empty column
+TEXT = {mutation: "" if value is None else value if type(value) is str else json.dumps(value)
+        for mutation, value in MUTATIONS.items() if value is not MISSING}
+TEXT_CASES = ([(name, column, mutation) for name, columns in TEXT_FILES.items()
+               for column in columns for mutation in MUTATIONS]
+              + [(name, "line", mutation) for name in TEXT_FILES
+                 for mutation in ("duplicated", "extra-column")])
+TEXT_ALLOWED = {
+    **allow("any string names an entity or relation",
+            *(f"{name} name {mutation}" for name in ("entity2id.txt", "relation2id.txt")
+              for mutation in MUTATIONS if mutation != "missing")),
+    **allow("timestamps are origin-shifted, so they may be negative",
+            *(f"{name} timestamp negative" for name in ("train.txt", "valid.txt", "test.txt"))),
+    **allow("a repeated event is dropped and counted in duplicates_dropped",
+            *(f"{name} line duplicated" for name in ("train.txt", "valid.txt", "test.txt"))),
+}
+
+
+@pytest.fixture(scope="module")
+def text_dataset(tmp_path_factory):
+    """A small dataset directory with id maps, three lines per file, and an
+    empty histories file for `prompt` to load it with."""
+    root = tmp_path_factory.mktemp("text")
+    data = root / "data"
+    data.mkdir()
+    files = {"entity2id.txt": [("e0", 0), ("e1", 1), ("e2", 2)],
+             "relation2id.txt": [("r0", 0), ("r1", 1), ("r2", 2)],
+             "train.txt": [(0, 0, 1, 0), (1, 1, 2, 1), (2, 2, 0, 2)],
+             "valid.txt": [(0, 1, 2, 3), (1, 2, 0, 4), (2, 0, 1, 5)],
+             "test.txt": [(0, 2, 1, 6), (1, 0, 2, 7), (2, 1, 0, 8)]}
+    for name, rows in files.items():
+        (data / name).write_text("".join("\t".join(map(str, row)) + "\n" for row in rows))
+    (root / "histories.jsonl").write_text("")
+    return root
+
+
+def load_with_prompt(data, histories, out):
+    return CliRunner().invoke(main, ["prompt", "--dataset-dir", str(data),
+                                     "--histories", str(histories), "--out", str(out)])
+
+
+@pytest.mark.parametrize("name, column, mutation", TEXT_CASES,
+                         ids=[f"{name}-{column}-{m}" for name, column, m in TEXT_CASES])
+def test_corrupted_text_column(name, column, mutation, text_dataset, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(text_dataset / "data", data)
+    path = data / name
+    lines = path.read_text().splitlines()
+    cols = lines[1].split("\t")
+    line = 3 if mutation == "duplicated" else 2  # the copy is the bad line
+    if mutation == "duplicated":
+        lines.insert(2, lines[1])
+    elif mutation == "extra-column":
+        lines[1] += "\t0"
+    else:
+        at = TEXT_FILES[name].index(column)
+        if mutation == "missing":
+            del cols[at]
+        else:
+            cols[at] = TEXT[mutation]
+        lines[1] = "\t".join(cols)
+    path.write_text("".join(line + "\n" for line in lines))
+    result = load_with_prompt(data, text_dataset / "histories.jsonl", tmp_path / "p.jsonl")
+    # no traceback: the command ends through sys.exit, or returns
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        result.exception
+    if (name, column, mutation) in TEXT_ALLOWED:
+        assert result.exit_code == 0, result.output
+    else:
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith(f"error: {path}:{line}: ") \
+            and result.output.count("\n") == 1, result.output
+
+
+@pytest.mark.parametrize("name", ["entity2id.txt", "relation2id.txt"])
+def test_repeated_id_names_its_line(name, text_dataset, tmp_path):
+    """Of ids given twice, the later line is named."""
+    data = tmp_path / "data"
+    shutil.copytree(text_dataset / "data", data)
+    path = data / name
+    path.write_text(path.read_text().replace("2\t2\n", "2\t0\n"))
+    result = load_with_prompt(data, text_dataset / "histories.jsonl", tmp_path / "p.jsonl")
+    assert (result.exit_code, result.output) == (
+        1, f"error: {path}:3: id 0 repeats an earlier id; ids must be dense 0..2\n")

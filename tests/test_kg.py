@@ -24,10 +24,9 @@ class TestLoading:
     def test_minimal_single_line(self, tmp_path):
         write_dataset_dir(tmp_path, train=[("0", "0", "1", "0")])
         ds = load_dataset(str(tmp_path), DatasetSpec(time_gap=1, inverse=False))
-        stats = ds.stats()
-        assert stats.n_train == 1
-        assert stats.n_entities == 2
-        assert stats.n_relations == 1
+        assert len(ds.train.base_quads()) == 1
+        assert len(ds.entities) == 2
+        assert ds.num_base_relations == 1
         assert edges_of(ds.train) == [Quadruple(0, 0, 1, 0)]
 
     def test_minimal_with_inverse(self, tmp_path):
@@ -37,9 +36,9 @@ class TestLoading:
         assert len(ds.relations) == 2
         assert ds.relations[1] == "inv_0"
         assert Quadruple(1, 1, 0, 0) in edges_of(ds.train)
-        # stats still count base relations and original edges only
-        assert ds.stats().n_relations == 1
-        assert ds.stats().n_train == 1
+        # base relations and original edges exclude the inverses
+        assert ds.num_base_relations == 1
+        assert len(ds.train.base_quads()) == 1
 
     def test_names_interned_first_appearance(self, tmp_path):
         write_dataset_dir(
@@ -301,8 +300,9 @@ class TestUnionAndStats:
 
     def test_single_edge_stats(self, tmp_path):
         write_dataset_dir(tmp_path, train=[("0", "0", "1", "0")])
-        stats = load_dataset(str(tmp_path), DatasetSpec(inverse=False)).stats()
-        assert (stats.n_train, stats.n_entities, stats.n_relations) == (1, 2, 1)
+        ds = load_dataset(str(tmp_path), DatasetSpec(inverse=False))
+        assert (len(ds.train.base_quads()), len(ds.entities), ds.num_base_relations) == \
+            (1, 2, 1)
 
     def test_inverse_pairing_invariant(self, synthetic_dataset):
         kg = synthetic_dataset.train

@@ -245,16 +245,14 @@ class TestExport:
         assert audit_no_leakage(out) == 64
 
     def test_manifest_records_configs(self, synthetic_dataset, synthetic_bank, tmp_path):
+        """The export writes its samples only and returns their counts; the
+        config that shaped them is in the `export` command's manifest."""
         out = tmp_path / "finetune.jsonl"
-        export_finetune_set(synthetic_dataset, synthetic_bank, 4,
-                            RetrievalConfig(max_history=20), PromptConfig(), seed=9,
-                            out_path=str(out), fingerprint="abc123")
-        manifest = json.loads((tmp_path / "finetune.jsonl.manifest.json").read_text())
-        assert manifest["seed"] == 9
-        assert manifest["retrieval"]["max_history"] == 20
-        assert manifest["dataset_stats"]["n_entities"] == 20
-        assert manifest["fingerprint"] == "abc123"
-        assert manifest["over_char_budget"] == 0
+        counts = export_finetune_set(synthetic_dataset, synthetic_bank, 4,
+                                     RetrievalConfig(max_history=20), PromptConfig(), seed=9,
+                                     out_path=str(out))
+        assert counts == {"n_samples": 4, "over_char_budget": 0}
+        assert [path.name for path in tmp_path.iterdir()] == ["finetune.jsonl"]
 
     def test_k_out_of_range(self, synthetic_dataset, synthetic_bank, tmp_path):
         with pytest.raises(ValueError):
