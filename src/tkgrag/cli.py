@@ -14,6 +14,7 @@ import os
 import sys
 import typing
 from datetime import datetime, timezone
+from typing import Optional
 
 import click
 
@@ -28,7 +29,15 @@ from .evaluation import (
     build_filter_index,
     run_eval,
 )
-from .files import atomic_write, fields_of, json_fields, read_jsonl, write_json, write_jsonl
+from .files import (
+    atomic_write,
+    fields_of,
+    json_fields,
+    parse_json,
+    read_jsonl,
+    write_json,
+    write_jsonl,
+)
 from .kg import SPLIT_FILES, Dataset, check_ids, load_dataset
 from .prompts import (
     FORMATS,
@@ -37,6 +46,7 @@ from .prompts import (
     PromptConfig,
     build_prompt,
     export_finetune_set,
+    select_history,
 )
 from .retrieval import (
     Query,
@@ -193,21 +203,28 @@ def _input_digests(dataset: Dataset, **paths: str) -> dict:
     return inputs
 
 
-def _check_built_from(path: str, dataset_digest: str) -> None:
-    """ValueError when the manifest next to the input file `path` records
-    another dataset than the loaded one, whose digest is `dataset_digest`.
-    An input without a manifest passes, so hand-made inputs stay allowed."""
+def _check_built_from(path: str, dataset_digest: str) -> Optional[dict]:
+    """The manifest next to the input file `path`, or None when there is
+    none, so hand-made inputs stay allowed. ValueError naming the manifest
+    when it is not JSON, repeats a key, or records another dataset under
+    inputs.dataset than the loaded one, whose digest is `dataset_digest`."""
     manifest_path = path + ".manifest.json"
     if not os.path.exists(manifest_path):
-        return
+        return None
     with open(manifest_path, encoding="utf-8") as fh:
-        try:
-            recorded = json.load(fh)["inputs"]["dataset"]
-        except (ValueError, LookupError, TypeError):
-            raise ValueError(f"{manifest_path}: no dataset digest under inputs.dataset") from None
+        text = fh.read()
+    try:
+        manifest = parse_json(text)
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from None
+    try:
+        recorded = manifest["inputs"]["dataset"]
+    except (LookupError, TypeError):
+        raise ValueError(f"{manifest_path}: no dataset digest under inputs.dataset") from None
     if recorded != dataset_digest:
         raise ValueError(f"{path}: built from dataset {recorded} (see {manifest_path}), "
                          f"but the loaded dataset is {dataset_digest}")
+    return manifest
 
 
 def _load_eval(options: dict, **sections):
@@ -215,8 +232,9 @@ def _load_eval(options: dict, **sections):
     (popped from `options`): the run config, the manifest entries, and the
     retrieval graph, rule bank, queries, filter index and predictor. When
     both name the same splits, the retrieval graph is the filter index. The
-    manifest entries hold content digests of the rule bank and the dataset,
-    which `_fingerprint` folds into the run's fingerprint."""
+    manifest entries are the content digests of the rule bank and the
+    dataset ("inputs") and the eval options ("options"), which
+    `_fingerprint` folds into the run's fingerprint."""
     rules_path = options.pop("rules_path")
     predictor = options.pop("predictor")
     split = options.pop("split")
@@ -235,28 +253,33 @@ def _load_eval(options: dict, **sections):
         engine = OraclePredictor(bank)
     else:
         engine = LLMPredictor(kg, resolve_endpoint(config.endpoint), config.generation)
-    manifest = {"inputs": _input_digests(dataset, rules=rules_path), "split": split,
-                "predictor": predictor}
+    manifest = {"inputs": _input_digests(dataset, rules=rules_path),
+                "options": {"split": split, "retrieval_splits": retrieval_splits,
+                            "filter_splits": filter_splits, "predictor": predictor}}
     return config, manifest, kg, bank, queries, filter_index, engine
 
 
-def _fingerprint(config: RunConfig, inputs: dict) -> str:
-    """A run's fingerprint: the hash of its config and its input digests.
-    A journal resumes only under the same fingerprint."""
-    return stable_hash({"config": config.as_dict(), "inputs": inputs})
+def _fingerprint(config: RunConfig, inputs: dict, options: dict) -> str:
+    """A run's fingerprint: the hash of its config, its input digests and
+    the command's `options` outside the config that shape its artifacts
+    (such as `--split`). A journal resumes only under the same fingerprint."""
+    return stable_hash({"config": config.as_dict(), "inputs": inputs, "options": options})
 
 
-def _write_manifest(path: str, command: str, config: RunConfig, inputs: dict, **entries):
+def _write_manifest(path: str, command: str, config: RunConfig, inputs: dict, options: dict,
+                    **counts):
     """What a run records about itself: the command, its fingerprint, its
-    config, when it was written and its input digests, then the command's
-    own `entries`."""
+    config, when it was written and its input digests, then its `options`
+    and its `counts`, each as a top-level entry. Counts are not part of the
+    fingerprint."""
     write_json(path, {
         "command": command,
-        "fingerprint": _fingerprint(config, inputs),
+        "fingerprint": _fingerprint(config, inputs, options),
         "config": config.as_dict(),
         "created_at": datetime.now(timezone.utc).isoformat(),
         "inputs": inputs,
-        **entries,
+        **options,
+        **counts,
     })
 
 
@@ -301,11 +324,11 @@ def mine(workers, mine_splits, out, **options):
     """Mine temporal rules from the training split."""
     config = _config(options, mining=MiningParams)
     dataset = _load_data(config)
-    kg = dataset.union_kg(_split_names(mine_splits))
-    bank = learn_rules(kg, config.mining, workers=workers)
+    splits = _split_names(mine_splits)
+    bank = learn_rules(dataset.union_kg(splits), config.mining, workers=workers)
     bank.save(out)
     _write_manifest(out + ".manifest.json", "mine", config, _input_digests(dataset),
-                    n_rules=len(bank))
+                    {"mine_splits": splits}, n_rules=len(bank))
     click.echo(f"mined {len(bank)} rules -> {out}")
 
 
@@ -323,15 +346,16 @@ def retrieve_cmd(rules_path, split, retrieval_splits, out, **options):
     config = _config(options, retrieval=RetrievalConfig)
     dataset = _load_data(config)
     bank = RuleBank.load(rules_path, len(dataset.relations))
-    kg = dataset.union_kg(_split_names(retrieval_splits))
+    splits = _split_names(retrieval_splits)
+    kg = dataset.union_kg(splits)
     queries = queries_from_split(dataset, split)
     count = write_jsonl(out, (
         history_to_dict(retrieval.retrieve(kg, bank, query, config.retrieval))
         for query in queries
     ))
     _write_manifest(out + ".manifest.json", "retrieve", config,
-                    _input_digests(dataset, rules=rules_path), split=split,
-                    n_queries=len(queries))
+                    _input_digests(dataset, rules=rules_path),
+                    {"split": split, "retrieval_splits": splits}, n_queries=len(queries))
     click.echo(f"retrieved {count} histories -> {out}")
 
 
@@ -346,14 +370,23 @@ def prompt_cmd(histories_path, out, **options):
     config = _config(options, prompt=PromptConfig)
     dataset = _load_data(config)
     inputs = _input_digests(dataset, histories=histories_path)
-    _check_built_from(histories_path, inputs["dataset"])
+    manifest = _check_built_from(histories_path, inputs["dataset"])
+    # the fact cap replays the retrieval config the histories were retrieved
+    # with; without a manifest, the config file's
+    if manifest is not None:
+        section = manifest.get("config")
+        section = section.get("retrieval") if type(section) is dict else None
+        config = dataclasses.replace(config, retrieval=fields_of(
+            RetrievalConfig, section, f"{histories_path}.manifest.json: config.retrieval",
+            closed=True))
     kg = dataset.train
     count = write_jsonl(out, (
         {"query": json_fields(history.query),
-         **json_fields(build_prompt(history, config.prompt, kg))}
+         **json_fields(build_prompt(select_history(history, config.prompt, config.retrieval),
+                                    config.prompt, kg))}
         for history in read_jsonl(histories_path, lambda row: history_from_dict(row, kg))
     ))
-    _write_manifest(out + ".manifest.json", "prompt", config, inputs, n_prompts=count)
+    _write_manifest(out + ".manifest.json", "prompt", config, inputs, {}, n_prompts=count)
     click.echo(f"rendered {count} prompts -> {out}")
 
 
@@ -374,7 +407,7 @@ def export(rules_path, k, seed, out, **options):
     inputs = _input_digests(dataset, rules=rules_path)
     counts = export_finetune_set(dataset, bank, k, config.retrieval, config.prompt,
                                  config.seed, out)
-    _write_manifest(out + ".manifest.json", "export", config, inputs, k=k, **counts)
+    _write_manifest(out + ".manifest.json", "export", config, inputs, {"k": k}, **counts)
     click.echo(f"exported {counts['n_samples']} samples -> {out}")
 
 
@@ -406,7 +439,7 @@ def infer(prompts_path, endpoint, out, **options):
         {"query": json_fields(query), **json_fields(parsed)}
         for (query, _prompt), parsed in zip(rows, predictions)
     ))
-    _write_manifest(out + ".manifest.json", "infer", config, inputs, n_prompts=len(rows))
+    _write_manifest(out + ".manifest.json", "infer", config, inputs, {}, n_prompts=len(rows))
     click.echo(f"parsed predictions for {len(rows)} prompts -> {out}")
 
 
@@ -437,7 +470,7 @@ def eval_cmd(seeds, out_dir, **options):
         )
         report, _records = run_eval(
             kg, bank, queries, run_engine, run_config.retrieval, run_config.prompt, filter_index,
-            out_dir=run_dir, fingerprint=_fingerprint(run_config, manifest["inputs"]),
+            out_dir=run_dir, fingerprint=_fingerprint(run_config, **manifest),
         )
         _write_manifest(os.path.join(run_dir, "manifest.json"), "eval", run_config, **manifest)
         reports.append(report)
@@ -470,16 +503,19 @@ def eval_cmd(seeds, out_dir, **options):
 def ablate(orders, lengths, formats, out_dir, **options):
     """Evaluate a grid of prompt order, history length, and format configs."""
     config, manifest, kg, bank, queries, filter_index, engine = _load_eval(options)
+    grid = {"orders": _split_names(orders), "lengths": _split_ints("--lengths", lengths),
+            "formats": _split_names(formats)}
+    manifest["options"].update(grid)
     cells = ablation_run(
         kg, bank, queries,
-        orders=_split_names(orders),
-        history_lengths=_split_ints("--lengths", lengths),
-        formats=_split_names(formats),
+        orders=grid["orders"],
+        history_lengths=grid["lengths"],
+        formats=grid["formats"],
         predictor=engine,
         retrieval_cfg=config.retrieval,
         filter_index=filter_index,
         base_prompt_cfg=config.prompt,
-        fingerprint=_fingerprint(config, manifest["inputs"]),
+        fingerprint=_fingerprint(config, **manifest),
     )
     summary = ablation_summary(cells)
     with atomic_write(os.path.join(out_dir, "summary.tsv")) as fh:

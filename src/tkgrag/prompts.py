@@ -73,13 +73,13 @@ class InstructionSample:
 
 
 def select_history(
-    history: RetrievedHistory, cfg: PromptConfig, retrieval_cfg: Optional[RetrievalConfig] = None
+    history: RetrievedHistory, cfg: PromptConfig, retrieval_cfg: RetrievalConfig
 ) -> RetrievedHistory:
-    """Apply the prompt-level fact cap, replaying the retriever's selection
-    priority (query-relation facts, then rule groups by confidence, most
-    recent first within a group; with a stepwise `retrieval_cfg`, nearer
-    window spans before all of that), then restore canonical ascending order.
-    Without `retrieval_cfg` the cap follows the non-stepwise priority.
+    """Apply the prompt-level fact cap, replaying the priority of the
+    retrieval config `retrieval_cfg` that retrieved `history` (query-relation
+    facts, then rule groups by confidence, most recent first within a group;
+    when stepwise, nearer window spans before all of that), then restore
+    canonical ascending order. This is the only place a history is capped.
 
     Both orders are one stable `np.lexsort` over the history's columns: the
     priority sorts by (span, rank, -t, -object), the canonical order of the
@@ -89,7 +89,7 @@ def select_history(
     ts, obj = history.ts, history.obj
     ranks = np.array([prov.rank for prov in history.sources], dtype=np.int64)[history.codes]
     keys = [-obj, -ts, ranks]
-    if retrieval_cfg is not None and retrieval_cfg.stepwise:
+    if retrieval_cfg.stepwise:
         window = retrieval_cfg.window or max(history.query.t, 1)
         keys.append((history.query.t - 1 - ts) // window)
     kept = np.lexsort(keys)[: cfg.max_facts]
@@ -108,26 +108,26 @@ def _rendered_sequence(history: RetrievedHistory, cfg: PromptConfig) -> list[tup
 
 
 def build_prompt(history: RetrievedHistory, cfg: PromptConfig, kg: TemporalKG) -> Prompt:
-    """Render one retrieved history into the full prompt string.
+    """Render every fact of one history into the full prompt string; a fact
+    cap is `select_history`'s, applied before.
 
     Entity and relation names have internal spaces replaced by underscores.
     The trailing query line carries no object and no trailing space, e.g.
     `334:[Abdul, Make_an_appeal_or_request,`.
     """
-    selected = select_history(history, cfg)
     with_time = cfg.order != "timestamps-removed"
 
     entities, relations = kg.display_names
     index_map: dict[int, int] = {}
     lines: list[str] = []
-    for subject, relation, obj, t in _rendered_sequence(selected, cfg):
+    for subject, relation, obj, t in _rendered_sequence(history, cfg):
         name = entities[obj]
         if cfg.format == "index":
             name = f"{index_map.setdefault(obj, len(index_map))}.{name}"
         prefix = f"{t}:" if with_time else ""
         lines.append(f"{prefix}[{entities[subject]}, {relations[relation]}, {name}]\n")
 
-    query = selected.query
+    query = history.query
     q_prefix = f"{query.t}:" if with_time else ""
     query_line = f"{q_prefix}[{entities[query.subject]}, {relations[query.relation]},"
 

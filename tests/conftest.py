@@ -253,13 +253,13 @@ def reference_rule_scores(history: RetrievedHistory, bank, query: Query):
     return sorted(totals, key=lambda o: (-totals[o], -latest[o], o))[:10]
 
 
-def reference_select_history(history: RetrievedHistory, cfg, retrieval_cfg=None):
+def reference_select_history(history: RetrievedHistory, cfg, retrieval_cfg):
     """The prompt-level fact cap as one Python sort over (fact, provenance)
     pairs: (span, rank, -t, -object) priority, then canonical order."""
     if cfg.max_facts is None or len(history) <= cfg.max_facts:
         return history
     query_t = history.query.t
-    if retrieval_cfg is not None and retrieval_cfg.stepwise:
+    if retrieval_cfg.stepwise:
         window = retrieval_cfg.window or max(query_t, 1)
     else:
         window = None
@@ -273,9 +273,8 @@ def reference_select_history(history: RetrievedHistory, cfg, retrieval_cfg=None)
 
 
 def reference_build_prompt(history: RetrievedHistory, cfg, kg: TemporalKG) -> Prompt:
-    """Prompt rendering one `Quadruple` at a time."""
-    selected = reference_select_history(history, cfg)
-    pairs = list(zip(selected.facts, selected.provenance))
+    """Prompt rendering one `Quadruple` at a time, every fact of `history`."""
+    pairs = list(zip(history.facts, history.provenance))
     if cfg.order == "descending":
         pairs.reverse()
     elif cfg.order == "random":
@@ -293,7 +292,7 @@ def reference_build_prompt(history: RetrievedHistory, cfg, kg: TemporalKG) -> Pr
             obj = f"{index_map[fact.object]}.{obj}"
         prefix = f"{fact.t}:" if with_time else ""
         lines.append(f"{prefix}[{entities[fact.subject]}, {relations[fact.relation]}, {obj}]")
-    query = selected.query
+    query = history.query
     q_prefix = f"{query.t}:" if with_time else ""
     query_line = f"{q_prefix}[{entities[query.subject]}, {relations[query.relation]},"
     text = cfg.instruction + "\n" + "".join(line + "\n" for line in lines) + query_line

@@ -14,7 +14,8 @@ from tkgrag import cli
 from tkgrag.cli import main
 from tkgrag.config import build_run_config, stable_hash
 from tkgrag.evaluation import run_eval
-from tkgrag.prompts import DEFAULT_INSTRUCTION
+from tkgrag.prompts import DEFAULT_INSTRUCTION, PromptConfig, build_prompt, select_history
+from tkgrag.retrieval import RetrievalConfig, queries_from_split, retrieve
 from tkgrag.rules import MiningParams, RuleBank
 
 from test_client import StubEndpoint
@@ -809,13 +810,26 @@ class TestManifestInputs:
             ("prompt", "p.jsonl.manifest.json"), ("infer", "x.jsonl.manifest.json"),
             ("export", "f.jsonl.manifest.json"), ("eval", "eval/manifest.json"),
             ("ablate", "ablate/manifest.json"))}
-        # one shape and one fingerprint, the hash of the config and input digests
+        # one shape and one fingerprint, the hash of the config, the input
+        # digests and the options outside the config, which follow "inputs"
+        splits = ["train", "valid", "test"]
+        evaluated = {"split": "test", "retrieval_splits": splits, "filter_splits": splits,
+                     "predictor": "oracle"}
+        options = {
+            "mine": {"mine_splits": ["train"]},
+            "retrieve": {"split": "test", "retrieval_splits": splits},
+            "prompt": {}, "infer": {}, "export": {"k": 4}, "eval": evaluated,
+            "ablate": {**evaluated, "orders": ["ascending"], "lengths": [50],
+                       "formats": ["index"]},
+        }
         for name, manifest in manifests.items():
-            assert list(manifest)[:5] == ["command", "fingerprint", "config", "created_at",
-                                          "inputs"], name
+            keys = ["command", "fingerprint", "config", "created_at", "inputs",
+                    *options[name]]
+            assert list(manifest)[:len(keys)] == keys, name
+            assert {key: manifest[key] for key in options[name]} == options[name], name
             assert manifest["command"] == name
             assert manifest["fingerprint"] == cli._fingerprint(
-                build_run_config(manifest["config"]), manifest["inputs"]), name
+                build_run_config(manifest["config"]), manifest["inputs"], options[name]), name
         inputs = {name: manifest["inputs"] for name, manifest in manifests.items()}
         assert {name: list(digests) for name, digests in inputs.items()} == {
             "mine": ["dataset"], "retrieve": ["dataset", "rules"],
@@ -901,6 +915,84 @@ class TestInputsOfAnotherDataset:
         assert (result.exit_code, result.output) == (
             1, f"error: {manifest}: no dataset digest under inputs.dataset\n")
 
+    @pytest.mark.parametrize("command", ["prompt", "infer"])
+    def test_manifest_with_a_repeated_key_refused(self, runner, built, synthetic_dir,
+                                                  command, tmp_path):
+        paths, _renamed = built
+        manifest = paths[command].with_name(paths[command].name + ".manifest.json")
+        text = manifest.read_text()
+        manifest.write_text(text.replace('"stepwise": false', '"stepwise": false, "stepwise": true'))
+        out = tmp_path / "out.jsonl"
+        result, requests = self.run(runner, command, paths[command], synthetic_dir, out)
+        assert (result.exit_code, result.output) == (
+            1, f"error: {manifest}: duplicate key 'stepwise'\n")
+        assert requests == 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("retrieval, message", [
+        (None, "config.retrieval: expected RetrievalConfig, got None"),
+        ([], "config.retrieval: expected RetrievalConfig, got []"),
+        ({"window": "5"}, "config.retrieval.window: expected int or None, got '5'"),
+        ({"window": 0}, "config.retrieval: window must be >= 1"),
+        ({"depth": 2}, "config.retrieval: RetrievalConfig.__init__() got an unexpected "
+                       "keyword argument 'depth'"),
+    ], ids=["missing", "not-an-object", "wrong-type", "out-of-range", "unknown-field"])
+    def test_malformed_retrieval_config_refused(self, runner, built, synthetic_dir, tmp_path,
+                                                retrieval, message):
+        """`prompt` caps under the retrieval config of its histories'
+        manifest, so that section must be there and valid."""
+        paths, _renamed = built
+        manifest = tmp_path / "h.jsonl.manifest.json"
+        payload = json.loads(manifest.read_text())
+        if retrieval is None:
+            del payload["config"]["retrieval"]
+        else:
+            payload["config"]["retrieval"] = retrieval
+        manifest.write_text(json.dumps(payload))
+        out = tmp_path / "out.jsonl"
+        result, _requests = self.run(runner, "prompt", paths["prompt"], synthetic_dir, out)
+        assert (result.exit_code, result.output) == (1, f"error: {manifest}: {message}\n")
+        assert not out.exists()
+
+
+class TestOneFactCap:
+    """`prompt`, `eval` and the library cap a stepwise history alike: under
+    the retrieval config that retrieved it."""
+
+    def test_every_command_renders_the_same_capped_prompts(
+        self, runner, synthetic_dir, synthetic_dataset, mined_rules, tmp_path
+    ):
+        data = ["--dataset-dir", str(synthetic_dir)]
+        bank = ["--rules", str(mined_rules)]
+        histories, prompts = tmp_path / "h.jsonl", tmp_path / "p.jsonl"
+        run_ok(runner, ["retrieve", *data, *bank, "--window", "5", "--stepwise",
+                        "--out", str(histories)])
+        run_ok(runner, ["prompt", *data, "--histories", str(histories), "--max-facts", "3",
+                        "--out", str(prompts)])
+        rows = [json.loads(line) for line in prompts.read_text().splitlines()]
+
+        stub = StubEndpoint(sequences=["0.e01]"])
+        try:
+            run_ok(runner, ["eval", *data, *bank, "--predictor", "llm", "--endpoint", stub.url,
+                            "--window", "5", "--stepwise", "--max-facts", "3",
+                            "--num-sequences", "1", "--out-dir", str(tmp_path / "eval")])
+        finally:
+            stub.close()
+
+        kg, rules = synthetic_dataset.union_kg(), RuleBank.load(str(mined_rules))
+        retrieval_cfg = RetrievalConfig(window=5, stepwise=True)
+        prompt_cfg = PromptConfig(max_facts=3)
+        library = [
+            build_prompt(select_history(retrieve(kg, rules, query, retrieval_cfg), prompt_cfg,
+                                        retrieval_cfg), prompt_cfg, kg).text
+            for query in queries_from_split(synthetic_dataset, "test")
+        ]
+        assert [row["text"] for row in rows] == library
+        # eval sends its requests concurrently, so in no fixed order
+        assert sorted(payload["prompt"] for payload in stub.payloads) == sorted(library)
+        manifest = json.loads((tmp_path / "p.jsonl.manifest.json").read_text())
+        assert RetrievalConfig(**manifest["config"]["retrieval"]) == retrieval_cfg
+
 
 class TestOneGraphPerSplitSet:
     """`eval` retrieves from the filter index when both name the same
@@ -974,6 +1066,26 @@ class TestResumeInputs:
         result = runner.invoke(main, args)
         assert result.exit_code == 1, result.output
         assert "was written under fingerprint" in result.output
+
+    @pytest.mark.parametrize("option", [
+        ["--retrieval-splits", "train", "--filter-splits", "train"],
+        ["--retrieval-splits", "train"],
+        ["--filter-splits", "train"],
+    ], ids=["both", "retrieval", "filter"])
+    def test_changed_option_refuses_stale_journal(self, runner, synthetic_dir, mined_rules,
+                                                  tmp_path, option):
+        """Options outside the config that change the records are part of
+        the fingerprint too."""
+        args = ["eval", "--dataset-dir", str(synthetic_dir), "--rules", str(mined_rules),
+                "--out-dir", str(tmp_path / "run")]
+        run_ok(runner, args)
+        first = strip_created_at(tmp_path / "run" / "manifest.json")["fingerprint"]
+        result = runner.invoke(main, [*args, *option])
+        assert result.exit_code == 1, result.output
+        assert "was written under fingerprint" in result.output
+        fresh = [*args[:-1], str(tmp_path / "fresh")]
+        run_ok(runner, [*fresh, *option])
+        assert strip_created_at(tmp_path / "fresh" / "manifest.json")["fingerprint"] != first
 
     @pytest.mark.parametrize("index, message", [
         ("0", "index: expected an int in [0, 37), got '0'"),

@@ -24,6 +24,17 @@ from conftest import history_of, reference_rule_scores
 from golden_fixture import golden_kg
 
 
+class _StubServer(ThreadingHTTPServer):
+    """Handler threads are joined by `server_close`, so none outlives its
+    test; a client that hung up early (a "delay" past its timeout) is not
+    reported, since its broken pipe is expected."""
+
+    daemon_threads = False
+
+    def handle_error(self, request, client_address):
+        pass
+
+
 class StubEndpoint:
     """Local HTTP endpoint with programmable failure behaviors.
 
@@ -89,7 +100,7 @@ class StubEndpoint:
                     with stub._lock:
                         stub.active -= 1
 
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.server = _StubServer(("127.0.0.1", 0), Handler)
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
         self.thread.start()
 
@@ -99,6 +110,7 @@ class StubEndpoint:
         return f"http://{host}:{port}/"
 
     def close(self):
+        """Stop serving and wait for every request in progress to end."""
         self.server.shutdown()
         self.server.server_close()
 

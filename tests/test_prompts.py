@@ -126,18 +126,9 @@ class TestSelectHistory:
             assert clipped.facts == narrow.facts, (cfg, query, cap)
             assert clipped.provenance == narrow.provenance
 
-    def test_without_retrieval_config_the_cap_is_not_stepwise(
-        self, synthetic_dataset, synthetic_bank
-    ):
-        kg = synthetic_dataset.union_kg()
-        for query in queries_from_split(synthetic_dataset, "test")[:40]:
-            wide = retrieve(kg, synthetic_bank, query, RetrievalConfig(max_history=50))
-            cfg = PromptConfig(max_facts=10)
-            assert select_history(wide, cfg) == select_history(wide, cfg, RetrievalConfig())
-
     def test_no_cap_returns_input(self):
         history = golden_history()
-        assert select_history(history, PromptConfig()) is history
+        assert select_history(history, PromptConfig(), RetrievalConfig()) is history
 
 
 class TestInstructionSamples:

@@ -207,15 +207,14 @@ class TestBruteForceEquivalence:
                 assert list(rule_score_predict(history, bank, query).ranked) == \
                     reference_rule_scores(history, bank, query), case
                 for cap in {0, 1, max(len(history) - 1, 0), len(history), len(history) + 3}:
-                    for retrieval_cfg in (cfg, None):
-                        prompt_cfg = PromptConfig(max_facts=cap)
-                        assert select_history(history, prompt_cfg, retrieval_cfg) == \
-                            reference_select_history(history, prompt_cfg, retrieval_cfg), case
+                    prompt_cfg = PromptConfig(max_facts=cap)
+                    selected = select_history(history, prompt_cfg, cfg)
+                    assert selected == reference_select_history(history, prompt_cfg, cfg), case
                     for fmt, order in product(FORMATS, ORDERS):
                         prompt_cfg = PromptConfig(format=fmt, order=order, order_seed=trial,
                                                   max_facts=cap)
-                        assert build_prompt(history, prompt_cfg, kg) == \
-                            reference_build_prompt(history, prompt_cfg, kg), case
+                        assert build_prompt(selected, prompt_cfg, kg) == \
+                            reference_build_prompt(selected, prompt_cfg, kg), case
 
     def test_monotone_in_max_history(self):
         rng = np.random.default_rng(8)
