@@ -203,20 +203,29 @@ def _input_digests(dataset: Dataset, **paths: str) -> dict:
     return inputs
 
 
-def _check_built_from(path: str, dataset_digest: str) -> Optional[dict]:
+def _read_manifest(path: str) -> Optional[dict]:
     """The manifest next to the input file `path`, or None when there is
     none, so hand-made inputs stay allowed. ValueError naming the manifest
-    when it is not JSON, repeats a key, or records another dataset under
-    inputs.dataset than the loaded one, whose digest is `dataset_digest`."""
+    when it is not JSON or repeats a key."""
     manifest_path = path + ".manifest.json"
     if not os.path.exists(manifest_path):
         return None
     with open(manifest_path, encoding="utf-8") as fh:
         text = fh.read()
     try:
-        manifest = parse_json(text)
+        return parse_json(text)
     except ValueError as exc:
         raise ValueError(f"{manifest_path}: {exc}") from None
+
+
+def _check_built_from(path: str, dataset_digest: str) -> Optional[dict]:
+    """The manifest next to the input file `path` (`_read_manifest`).
+    ValueError naming the manifest when it records another dataset under
+    inputs.dataset than the loaded one, whose digest is `dataset_digest`."""
+    manifest_path = path + ".manifest.json"
+    manifest = _read_manifest(path)
+    if manifest is None:
+        return None
     try:
         recorded = manifest["inputs"]["dataset"]
     except (LookupError, TypeError):
@@ -227,14 +236,34 @@ def _check_built_from(path: str, dataset_digest: str) -> Optional[dict]:
     return manifest
 
 
+def _upstream(rules_path: str) -> dict:
+    """Which run mined the rule bank at `rules_path`, as a manifest records
+    it under "upstream": the fingerprint and dataset digest of the bank's
+    mine manifest (`_read_manifest`), or None for a bank without one.
+    ValueError naming the manifest when it lacks either. A bank may be
+    applied to another dataset; the two dataset digests then differ."""
+    manifest = _read_manifest(rules_path)
+    if manifest is None:
+        return {"rules": None}
+    try:
+        mined = {"fingerprint": manifest["fingerprint"], "dataset": manifest["inputs"]["dataset"]}
+        if all(type(value) is str for value in mined.values()):
+            return {"rules": mined}
+    except (LookupError, TypeError):
+        pass
+    raise ValueError(f"{rules_path}.manifest.json: expected a string fingerprint and "
+                     f"inputs.dataset")
+
+
 def _load_eval(options: dict, **sections):
     """What an eval or ablate run loads once, from the shared eval options
-    (popped from `options`): the run config, the manifest entries, and the
-    retrieval graph, rule bank, queries, filter index and predictor. When
-    both name the same splits, the retrieval graph is the filter index. The
-    manifest entries are the content digests of the rule bank and the
-    dataset ("inputs") and the eval options ("options"), which
-    `_fingerprint` folds into the run's fingerprint."""
+    (popped from `options`): the run config, the manifest entries, the rule
+    bank's lineage (`_upstream`), and the retrieval graph, rule bank,
+    queries, filter index and predictor. When both name the same splits,
+    the retrieval graph is the filter index. The manifest entries are the
+    content digests of the rule bank and the dataset ("inputs") and the
+    eval options ("options"), which `_fingerprint` folds into the run's
+    fingerprint."""
     rules_path = options.pop("rules_path")
     predictor = options.pop("predictor")
     split = options.pop("split")
@@ -245,6 +274,7 @@ def _load_eval(options: dict, **sections):
                      generation=GenParams, **sections)
     dataset = _load_data(config)
     bank = RuleBank.load(rules_path, len(dataset.relations))
+    upstream = _upstream(rules_path)
     filter_index = build_filter_index(dataset, filter_splits)
     kg = (filter_index if set(retrieval_splits) == set(filter_splits)
           else dataset.union_kg(retrieval_splits))
@@ -256,7 +286,7 @@ def _load_eval(options: dict, **sections):
     manifest = {"inputs": _input_digests(dataset, rules=rules_path),
                 "options": {"split": split, "retrieval_splits": retrieval_splits,
                             "filter_splits": filter_splits, "predictor": predictor}}
-    return config, manifest, kg, bank, queries, filter_index, engine
+    return config, manifest, upstream, kg, bank, queries, filter_index, engine
 
 
 def _fingerprint(config: RunConfig, inputs: dict, options: dict) -> str:
@@ -270,8 +300,8 @@ def _write_manifest(path: str, command: str, config: RunConfig, inputs: dict, op
                     **counts):
     """What a run records about itself: the command, its fingerprint, its
     config, when it was written and its input digests, then its `options`
-    and its `counts`, each as a top-level entry. Counts are not part of the
-    fingerprint."""
+    and its `counts`, each as a top-level entry. Counts, the rule bank's
+    lineage ("upstream") last among them, are not part of the fingerprint."""
     write_json(path, {
         "command": command,
         "fingerprint": _fingerprint(config, inputs, options),
@@ -346,6 +376,7 @@ def retrieve_cmd(rules_path, split, retrieval_splits, out, **options):
     config = _config(options, retrieval=RetrievalConfig)
     dataset = _load_data(config)
     bank = RuleBank.load(rules_path, len(dataset.relations))
+    upstream = _upstream(rules_path)
     splits = _split_names(retrieval_splits)
     kg = dataset.union_kg(splits)
     queries = queries_from_split(dataset, split)
@@ -355,7 +386,8 @@ def retrieve_cmd(rules_path, split, retrieval_splits, out, **options):
     ))
     _write_manifest(out + ".manifest.json", "retrieve", config,
                     _input_digests(dataset, rules=rules_path),
-                    {"split": split, "retrieval_splits": splits}, n_queries=len(queries))
+                    {"split": split, "retrieval_splits": splits}, n_queries=len(queries),
+                    upstream=upstream)
     click.echo(f"retrieved {count} histories -> {out}")
 
 
@@ -405,9 +437,11 @@ def export(rules_path, k, seed, out, **options):
     dataset = _load_data(config)
     bank = RuleBank.load(rules_path, len(dataset.relations))
     inputs = _input_digests(dataset, rules=rules_path)
+    upstream = _upstream(rules_path)
     counts = export_finetune_set(dataset, bank, k, config.retrieval, config.prompt,
                                  config.seed, out)
-    _write_manifest(out + ".manifest.json", "export", config, inputs, {"k": k}, **counts)
+    _write_manifest(out + ".manifest.json", "export", config, inputs, {"k": k}, **counts,
+                    upstream=upstream)
     click.echo(f"exported {counts['n_samples']} samples -> {out}")
 
 
@@ -456,7 +490,7 @@ def infer(prompts_path, endpoint, out, **options):
 def eval_cmd(seeds, out_dir, **options):
     """Run time-aware filtered Hits@1/3/10 evaluation on a split."""
     seed_list = _split_ints("--seeds", seeds) if seeds else [None]
-    config, manifest, kg, bank, queries, filter_index, engine = _load_eval(
+    config, manifest, upstream, kg, bank, queries, filter_index, engine = _load_eval(
         options, prompt=PromptConfig
     )
     reports = []
@@ -472,7 +506,8 @@ def eval_cmd(seeds, out_dir, **options):
             kg, bank, queries, run_engine, run_config.retrieval, run_config.prompt, filter_index,
             out_dir=run_dir, fingerprint=_fingerprint(run_config, **manifest),
         )
-        _write_manifest(os.path.join(run_dir, "manifest.json"), "eval", run_config, **manifest)
+        _write_manifest(os.path.join(run_dir, "manifest.json"), "eval", run_config, **manifest,
+                        upstream=upstream)
         reports.append(report)
 
     hits = {}
@@ -502,7 +537,7 @@ def eval_cmd(seeds, out_dir, **options):
 @guarded
 def ablate(orders, lengths, formats, out_dir, **options):
     """Evaluate a grid of prompt order, history length, and format configs."""
-    config, manifest, kg, bank, queries, filter_index, engine = _load_eval(options)
+    config, manifest, upstream, kg, bank, queries, filter_index, engine = _load_eval(options)
     grid = {"orders": _split_names(orders), "lengths": _split_ints("--lengths", lengths),
             "formats": _split_names(formats)}
     manifest["options"].update(grid)
@@ -526,7 +561,7 @@ def ablate(orders, lengths, formats, out_dir, **options):
         for c in cells
     ])
     _write_manifest(os.path.join(out_dir, "manifest.json"), "ablate", config, **manifest,
-                    n_cells=len(cells))
+                    n_cells=len(cells), upstream=upstream)
     click.echo(summary, nl=False)
 
 

@@ -20,7 +20,7 @@ from typing import ClassVar, Optional, Sequence
 
 from .kg import TemporalKG
 from .prompts import Prompt
-from .retrieval import Query, RetrievedHistory
+from .retrieval import RetrievedHistory
 from .rules import RuleBank
 
 ENDPOINT_ENV = "TKGRAG_ENDPOINT"
@@ -121,16 +121,16 @@ def generate(
         except (requests.ConnectionError, requests.Timeout) as exc:
             last_exc = exc
             continue
-        if response.status_code != 200:
-            body = _try_json(response)
-            if isinstance(body, dict) and "error" in body:
-                raise EndpointError(str(body["error"]))
-            raise EndpointError(f"endpoint returned HTTP {response.status_code}")
-        body = _try_json(response)
-        if body is None:
-            raise MalformedResponseError("response body is not valid JSON")
+        try:
+            body = response.json()
+        except ValueError:
+            body = None
         if isinstance(body, dict) and "error" in body:
             raise EndpointError(str(body["error"]))
+        if response.status_code != 200:
+            raise EndpointError(f"endpoint returned HTTP {response.status_code}")
+        if body is None:
+            raise MalformedResponseError("response body is not valid JSON")
         if (
             not isinstance(body, dict)
             or not isinstance(body.get("sequences"), list)
@@ -141,13 +141,6 @@ def generate(
     raise TransportError(
         f"request failed after {1 + params.retries} attempts: {last_exc}"
     )
-
-
-def _try_json(response):
-    try:
-        return response.json()
-    except ValueError:
-        return None
 
 
 def generate_batch(
@@ -227,9 +220,7 @@ def _resolve(
     return by_name.get(clipped.replace(" ", "_"))
 
 
-def rule_score_predict(
-    history: RetrievedHistory, bank: RuleBank, query: Query
-) -> PredictionList:
+def rule_score_predict(history: RetrievedHistory, bank: RuleBank) -> PredictionList:
     """Deterministic endpoint-free predictor used as the evaluation oracle.
 
     Each history fact about an object contributes the confidence of the rule
@@ -237,15 +228,15 @@ def rule_score_predict(
     query relation itself. Ties break toward the candidate with the most
     recent supporting fact, then the lower entity id.
 
-    Reads the history's `rel`, `obj` and `ts` columns; each object's weights
-    are summed in history order.
+    Reads the history's query and its `rel`, `obj` and `ts` columns; each
+    object's weights are summed in history order.
     """
-    confidence_by_body = bank.plan_for(query.relation).confidence_by_body
+    confidence_by_body = bank.plan_for(history.query.relation).confidence_by_body
     relations = history.rel.tolist()
     weight_of = {}
     for relation in set(relations):
         weight_of[relation] = confidence_by_body.get(relation, 0.0)
-        if relation == query.relation:
+        if relation == history.query.relation:
             weight_of[relation] += 1.0
     scores: dict[int, float] = {}
     last_support: dict[int, int] = {}

@@ -46,9 +46,9 @@ def build_filter_index(
 
 
 def time_aware_filter(
-    ranked: Sequence[int], query: Query, gold: int, filter_index: Optional[TemporalKG]
+    ranked: Sequence[int], query: Query, filter_index: Optional[TemporalKG]
 ) -> list[int]:
-    """Drop co-true objects at the query's own time step, never the gold.
+    """Drop co-true objects at the query's own time step, never its gold.
     Only base edges filter: without a filter index, or for an inverse
     relation, nothing is dropped."""
     if filter_index is None or query.relation >= filter_index.num_base_relations:
@@ -56,6 +56,7 @@ def time_aware_filter(
     order, found = filter_index.key_search(query.subject, [query.relation],
                                            (query.t, query.t + 1))
     others = filter_index.obj[order[found[0, 0]:found[0, 1]]].tolist()
+    gold = query.gold_object
     return [obj for obj in ranked if obj == gold or obj not in others]
 
 
@@ -113,7 +114,7 @@ def report_from_records(records: Sequence[EvalRecord], fingerprint: str = "") ->
 
 class Predictor(Protocol):
     def predict_batch(
-        self, items: Sequence[tuple[Query, RetrievedHistory, Prompt]]
+        self, items: Sequence[tuple[RetrievedHistory, Prompt]]
     ) -> list[PredictionList]: ...
 
 
@@ -124,10 +125,7 @@ class OraclePredictor:
         self.bank = bank
 
     def predict_batch(self, items) -> list[PredictionList]:
-        return [
-            rule_score_predict(history, self.bank, query)
-            for query, history, _prompt in items
-        ]
+        return [rule_score_predict(history, self.bank) for history, _prompt in items]
 
 
 @dataclass(frozen=True)
@@ -141,7 +139,7 @@ class LLMPredictor:
     seed: Optional[int] = None
 
     def predict_batch(self, items) -> list[PredictionList]:
-        return self.predict_prompts([prompt for _query, _history, prompt in items])
+        return self.predict_prompts([prompt for _history, prompt in items])
 
     def predict_prompts(self, prompts: Sequence[Prompt]) -> list[PredictionList]:
         """One request per prompt, each generation parsed against its
@@ -166,22 +164,6 @@ def _check_queries(queries: Sequence[Query]) -> None:
         raise ValueError("every evaluation query needs a gold object")
 
 
-def _score_one(
-    query: Query,
-    prediction: PredictionList,
-    filter_index: Optional[TemporalKG],
-    fingerprint: str,
-) -> EvalRecord:
-    filtered = time_aware_filter(prediction.ranked, query, query.gold_object, filter_index)
-    return EvalRecord(
-        query=query,
-        predictions=tuple(filtered),
-        rank=_gold_rank(query, filtered),
-        n_skipped=prediction.n_skipped,
-        fingerprint=fingerprint,
-    )
-
-
 def _score_histories(
     histories: Sequence[RetrievedHistory],
     predictor: Predictor,
@@ -192,15 +174,15 @@ def _score_histories(
     retrieval_cfg: RetrievalConfig,
 ) -> list[EvalRecord]:
     """Prompt, predict (one batch), filter and rank each retrieved history."""
-    items = []
-    for history in histories:
-        selected = select_history(history, prompt_cfg, retrieval_cfg)
-        items.append((history.query, selected, build_prompt(selected, prompt_cfg, kg)))
-    predictions = predictor.predict_batch(items)
-    return [
-        _score_one(history.query, prediction, filter_index, fingerprint)
-        for history, prediction in zip(histories, predictions)
-    ]
+    selected = [select_history(history, prompt_cfg, retrieval_cfg) for history in histories]
+    items = [(history, build_prompt(history, prompt_cfg, kg)) for history in selected]
+    records = []
+    for history, prediction in zip(selected, predictor.predict_batch(items)):
+        query = history.query
+        filtered = time_aware_filter(prediction.ranked, query, filter_index)
+        rank = _gold_rank(query, filtered)
+        records.append(EvalRecord(query, tuple(filtered), rank, prediction.n_skipped, fingerprint))
+    return records
 
 
 def _load_journal(path: str, fingerprint: str, queries: Sequence[Query]) -> dict[int, EvalRecord]:

@@ -60,9 +60,8 @@ class RetrievedHistory:
     `rel`, `obj` and `ts`, one entry per fact, and `codes`, each fact's
     index into `sources`, a tuple of distinct `Provenance` objects. `facts`
     (`Quadruple`s) and `provenance` (parallel to `facts`) are built from the
-    columns on first access, for callers outside the forecast path, and
-    equality compares (query, facts, provenance). Treat instances as
-    immutable.
+    columns on first access, for callers outside the forecast path. Treat
+    instances as immutable.
     """
 
     def __init__(self, query: Query, sub, rel, obj, ts, codes, sources: Sequence[Provenance]):
@@ -89,20 +88,6 @@ class RetrievedHistory:
 
     def __len__(self) -> int:
         return len(self.ts)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RetrievedHistory):
-            return NotImplemented
-        return (self.query, self.facts, self.provenance) == (
-            other.query, other.facts, other.provenance
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.query, self.facts, self.provenance))
-
-    def __repr__(self) -> str:
-        return (f"RetrievedHistory(query={self.query!r}, facts={self.facts!r}, "
-                f"provenance={self.provenance!r})")
 
 
 def retrieve(
@@ -187,11 +172,11 @@ def history_to_dict(history: RetrievedHistory) -> dict:
     return {"query": json_fields(history.query), "facts": facts}
 
 
-def history_from_dict(payload: dict, kg: Optional[TemporalKG] = None) -> RetrievedHistory:
+def history_from_dict(payload: dict, kg: TemporalKG) -> RetrievedHistory:
     """The history `history_to_dict` wrote. A missing field raises KeyError,
     a malformed one ValueError naming it (`files.typed`): ids and time steps
-    must be JSON integers, facts must lie before the query and, when `kg` is
-    given, entity and relation ids must lie in its vocabulary. Each distinct
+    must be JSON integers, facts must lie before the query, and entity and
+    relation ids must lie in the vocabulary of `kg`. Each distinct
     provenance is read once."""
     rows = typed(list, payload["facts"], "facts")
     code_of, sources, codes = {}, [], []
@@ -208,12 +193,11 @@ def history_from_dict(payload: dict, kg: Optional[TemporalKG] = None) -> Retriev
     if len(ts) and not 0 <= ts.min() <= ts.max() < query.t:
         raise ValueError(f"facts.t: expected a time step in [0, {query.t}), "
                          f"got {ts[(ts < 0) | (ts >= query.t)][0]}")
-    if kg is not None:
-        check_query_ids(query, kg)
-        n_ent, n_rel = len(kg.entities), len(kg.relations)
-        for field, ids, size in (("facts.s", sub, n_ent), ("facts.r", rel, n_rel),
-                                 ("facts.o", obj, n_ent)):
-            check_ids(field, ids, size)
+    check_query_ids(query, kg)
+    n_ent, n_rel = len(kg.entities), len(kg.relations)
+    for field, ids, size in (("facts.s", sub, n_ent), ("facts.r", rel, n_rel),
+                             ("facts.o", obj, n_ent)):
+        check_ids(field, ids, size)
     return RetrievedHistory(
         query, sub, rel, obj, ts, np.array(codes, dtype=np.int64), sources
     )

@@ -137,6 +137,11 @@ def history_of(query: Query, facts, provenance) -> RetrievedHistory:
                             codes, sources)
 
 
+def history_key(history: RetrievedHistory) -> tuple:
+    """What tells two histories apart: (query, facts, provenance)."""
+    return history.query, history.facts, history.provenance
+
+
 def reference_sample_walk(kg: TemporalKG, head_edge: Quadruple, rng):
     """One walk step drawn with `Generator.choice` over the transition law."""
     s, r, o, t = head_edge
@@ -232,17 +237,19 @@ def reference_retrieve(quads, bank, query: Query, cfg: RetrievalConfig) -> Retri
     return history_of(query, [q for q, _ in chosen], [p for _, p in chosen])
 
 
-def reference_filter(ranked, query: Query, gold: int, true_quads: set) -> list[int]:
+def reference_filter(ranked, query: Query, true_quads: set) -> list[int]:
     """The time-aware filter as one membership test per ranked object: an
-    object other than the gold goes when (subject, relation, object, t) of
-    the query is in `true_quads`, a set of (s, r, o, t) tuples."""
+    object other than the query's gold goes when (subject, relation, object,
+    t) of the query is in `true_quads`, a set of (s, r, o, t) tuples."""
     s, r, t = query.subject, query.relation, query.t
-    return [obj for obj in ranked if obj == gold or (s, r, obj, t) not in true_quads]
+    return [obj for obj in ranked
+            if obj == query.gold_object or (s, r, obj, t) not in true_quads]
 
 
-def reference_rule_scores(history: RetrievedHistory, bank, query: Query):
+def reference_rule_scores(history: RetrievedHistory, bank):
     """Straight-line recomputation of the oracle predictor's ranking, one
     `Quadruple` at a time."""
+    query = history.query
     conf = {r.body_relation: r.confidence for r in bank.rules_for(query.relation)}
     totals, latest = {}, {}
     for fact in history.facts:

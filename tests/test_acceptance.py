@@ -169,7 +169,7 @@ def test_04_metric_oracle():
         for ranked, others, want_filtered, want_rank in cases:
             query = Query(0, 0, 7, gold_object=gold)
             index = make_kg([(0, 0, o, 7) for o in others], n_entities=gold + 1)
-            got = time_aware_filter(ranked, query, gold, index)
+            got = time_aware_filter(ranked, query, index)
             assert got == want_filtered
             rank = got.index(gold) + 1 if gold in got else None
             assert rank == want_rank
@@ -210,8 +210,8 @@ def test_05_end_to_end_oracle_run(synthetic_dataset, synthetic_bank):
         for query in queries:
             history = reference_retrieve(raw, synthetic_bank, query,
                                          RetrievalConfig(max_history=50))
-            ranked = reference_rule_scores(history, synthetic_bank, query)
-            survivors = reference_filter(ranked, query, query.gold_object, true_quads)
+            ranked = reference_rule_scores(history, synthetic_bank)
+            survivors = reference_filter(ranked, query, true_quads)
             if survivors and survivors[0] == query.gold_object:
                 hits1 += 1
         assert abs(report.hits1 - hits1 / len(queries)) <= 0.02

@@ -738,7 +738,7 @@ class TestSurface:
                         "--out", str(out)])
         manifest = json.loads((tmp_path / "finetune.jsonl.manifest.json").read_text())
         assert list(manifest) == ["command", "fingerprint", "config", "created_at", "inputs",
-                                  "k", "n_samples", "over_char_budget"]
+                                  "k", "n_samples", "over_char_budget", "upstream"]
         assert (manifest["command"], manifest["k"], manifest["n_samples"],
                 manifest["over_char_budget"]) == ("export", 4, 4, 0)
         config = manifest["config"]
@@ -843,6 +843,16 @@ class TestManifestInputs:
             hashlib.sha256(mined_rules.read_bytes()).hexdigest()
         assert inputs["prompt"]["histories"] == hashlib.sha256(histories.read_bytes()).hexdigest()
         assert inputs["infer"]["prompts"] == hashlib.sha256(prompts.read_bytes()).hexdigest()
+        # the commands that read a rule bank name the mine run that made it, last
+        mined = json.loads(mined_rules.with_name(mined_rules.name + ".manifest.json").read_text())
+        lineage = {"rules": {"fingerprint": mined["fingerprint"],
+                             "dataset": mined["inputs"]["dataset"]}}
+        for name, manifest in manifests.items():
+            if name in ("retrieve", "export", "eval", "ablate"):
+                assert list(manifest)[-1] == "upstream", name
+                assert manifest["upstream"] == lineage, name
+            else:
+                assert "upstream" not in manifest, name
 
 
 class TestInputsOfAnotherDataset:
@@ -927,6 +937,54 @@ class TestInputsOfAnotherDataset:
         assert (result.exit_code, result.output) == (
             1, f"error: {manifest}: duplicate key 'stepwise'\n")
         assert requests == 0
+        assert not out.exists()
+
+    def test_bank_of_another_dataset_runs_and_records_both(self, runner, built, mined_rules,
+                                                           synthetic_dir, tmp_path):
+        """A rule bank may be applied to another dataset; the manifest
+        records the dataset it was mined from beside the one retrieved from."""
+        _paths, renamed = built
+        out = tmp_path / "out.jsonl"
+        run_ok(runner, ["retrieve", "--dataset-dir", str(renamed), "--rules", str(mined_rules),
+                        "--out", str(out)])
+        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+        mined = json.loads(mined_rules.with_name(mined_rules.name + ".manifest.json").read_text())
+        digest = {path: cli._dataset_digest(cli._load_data(
+                      build_run_config({"dataset": {"dir": str(path)}})))
+                  for path in (synthetic_dir, renamed)}
+        assert manifest["inputs"]["dataset"] == digest[renamed] != digest[synthetic_dir]
+        assert manifest["upstream"] == {"rules": {"fingerprint": mined["fingerprint"],
+                                                  "dataset": digest[synthetic_dir]}}
+
+    def test_bank_without_manifest_records_no_lineage(self, runner, mined_rules, synthetic_dir,
+                                                     tmp_path):
+        rules = tmp_path / "hand-made.json"
+        shutil.copy(mined_rules, rules)
+        out = tmp_path / "out.jsonl"
+        run_ok(runner, ["retrieve", "--dataset-dir", str(synthetic_dir), "--rules", str(rules),
+                        "--out", str(out)])
+        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+        assert manifest["upstream"] == {"rules": None}
+
+    @pytest.mark.parametrize("command", ["retrieve", "export", "eval", "ablate"])
+    @pytest.mark.parametrize("text", [
+        "{", '{"fingerprint": "f", "fingerprint": "g"}', "[]", '{"fingerprint": "f"}',
+        '{"fingerprint": 1, "inputs": {"dataset": "d"}}',
+    ], ids=["not-json", "repeated-key", "not-an-object", "no-dataset", "not-a-string"])
+    def test_malformed_mine_manifest_refused(self, runner, mined_rules, synthetic_dir,
+                                             tmp_path, command, text):
+        rules = tmp_path / "rules.json"
+        shutil.copy(mined_rules, rules)
+        manifest = tmp_path / "rules.json.manifest.json"
+        manifest.write_text(text)
+        out = tmp_path / "out"
+        args = {"retrieve": ["--out", str(out)], "export": ["--k", "4", "--out", str(out)],
+                "eval": ["--out-dir", str(out)], "ablate": ["--out-dir", str(out)]}[command]
+        result = runner.invoke(main, [command, "--dataset-dir", str(synthetic_dir),
+                                      "--rules", str(rules), *args])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith(f"error: {manifest}: "), result.output
+        assert result.output.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("retrieval, message", [

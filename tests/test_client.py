@@ -312,7 +312,7 @@ class TestRuleScorePredict:
     def test_single_head_fact(self):
         query = Query(0, 0, 5)
         history = history_with(query, (Quadruple(0, 0, 1, 3), Provenance(0)))
-        assert rule_score_predict(history, self.bank(), query).ranked == (1,)
+        assert rule_score_predict(history, self.bank()).ranked == (1,)
 
     def test_head_outranks_body(self):
         query = Query(0, 0, 9)
@@ -321,7 +321,7 @@ class TestRuleScorePredict:
             (Quadruple(0, 0, 1, 3), Provenance(0)),
             (Quadruple(0, 1, 2, 8), Provenance(1, 1, 0.9)),
         )
-        assert rule_score_predict(history, self.bank(), query).ranked == (1, 2)
+        assert rule_score_predict(history, self.bank()).ranked == (1, 2)
 
     def test_recency_breaks_ties(self):
         query = Query(0, 0, 9)
@@ -330,7 +330,7 @@ class TestRuleScorePredict:
             (Quadruple(0, 1, 1, 5), Provenance(1, 1, 0.9)),
             (Quadruple(0, 1, 2, 2), Provenance(1, 1, 0.9)),
         )
-        assert rule_score_predict(history, self.bank(), query).ranked == (1, 2)
+        assert rule_score_predict(history, self.bank()).ranked == (1, 2)
 
     def test_entity_id_is_final_tiebreak(self):
         query = Query(0, 0, 9)
@@ -339,18 +339,18 @@ class TestRuleScorePredict:
             (Quadruple(0, 1, 2, 5), Provenance(1, 1, 0.9)),
             (Quadruple(0, 1, 1, 5), Provenance(1, 1, 0.9)),
         )
-        assert rule_score_predict(history, self.bank(), query).ranked == (1, 2)
+        assert rule_score_predict(history, self.bank()).ranked == (1, 2)
 
     def test_empty_history(self):
         query = Query(0, 0, 9)
-        assert rule_score_predict(history_with(query), self.bank(), query).ranked == ()
+        assert rule_score_predict(history_with(query), self.bank()).ranked == ()
 
     def test_matches_reference_on_synthetic(self, synthetic_dataset, synthetic_bank):
         kg = synthetic_dataset.union_kg()
         for query in queries_from_split(synthetic_dataset, "test")[:60]:
             history = retrieve(kg, synthetic_bank, query)
-            got = rule_score_predict(history, synthetic_bank, query)
-            assert list(got.ranked) == reference_rule_scores(history, synthetic_bank, query)
+            got = rule_score_predict(history, synthetic_bank)
+            assert list(got.ranked) == reference_rule_scores(history, synthetic_bank)
 
 
 class TestGenParams:

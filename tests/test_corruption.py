@@ -6,7 +6,9 @@ gets the same mutations: a string, a float, a bool, null, a list, a
 negative number, 2**64 and the field left out. A mutation must exit 1 with
 `error: <path>[:<line>]: <field>…` and no traceback, unless the format allows
 it: those are listed in ALLOWED with the reason, and their run goes through.
-A history fact given whole as another JSON value is covered too.
+A history fact given whole as another JSON value is covered too, and so are
+two row mutations: a query time step past the dataset's last one, and a key
+repeated within a JSON-lines row.
 
 The text inputs of a dataset directory, both id maps and the three split
 files, get the same mutations per column, written as text, plus a duplicated
@@ -34,6 +36,8 @@ from test_client import StubEndpoint
 MISSING = object()
 MUTATIONS = {"string": "x", "float": 0.5, "bool": True, "null": None, "list": [1],
              "negative": -1, "2**64": 2**64, "missing": MISSING}
+# a time step after the last one of the synthetic dataset
+PAST_THE_DATA = 10**6
 
 
 def keys_of(cls) -> list[str]:
@@ -98,14 +102,23 @@ ALLOWED = {
     **allow("a provenance's kind is a label that no reader checks",
             *(f"histories facts.provenance.kind {mutation}" for mutation in MUTATIONS
               if mutation != "list")),
+    **allow("forecasting beyond the data is a real use",
+            "histories query.t past-the-data", "prompts query.t past-the-data"),
+    **allow("a repeated key keeps its last value, as json.loads does: checking every row "
+            "costs prompt and eval resumes too much (see README)",
+            *(f"{input_} query.t repeated" for input_ in ("histories", "prompts", "journal"))),
 }
 # allowed cases whose run does not go through, and how it ends instead
 FAILS_LATER = {("config", "dataset.dir", "string"): "error: missing split file x/train.txt\n"}
 # rejected cases reported under the field they contradict
 NAMED_AS = {("journal", "predictions", "list"): "rank"}
 
+# the row mutations: "past-the-data" sets the field to PAST_THE_DATA, and
+# "repeated" writes its key twice in the row, first with a wrong value
+ROW_CASES = [("histories", "query.t", "past-the-data"), ("prompts", "query.t", "past-the-data"),
+             *((input_, "query.t", "repeated") for input_ in ("histories", "prompts", "journal"))]
 CASES = [(input_, f"{where}.{key}" if where else key, mutation)
-         for input_, where, key in FIELDS for mutation in MUTATIONS]
+         for input_, where, key in FIELDS for mutation in MUTATIONS] + ROW_CASES
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +154,17 @@ def endpoint():
 def mutate(payload: dict, key: str, mutation: str) -> None:
     if mutation == "missing":
         del payload[key]
+    elif mutation == "past-the-data":
+        payload[key] = PAST_THE_DATA
+    elif mutation == "repeated":
+        # the key once more just before itself, marked with a NUL that
+        # `write_rows` cuts, and with a wrong value
+        items = list(payload.items())
+        payload.clear()
+        for name, value in items:
+            if name == key:
+                payload["\0" + name] = "x"
+            payload[name] = value
     else:
         payload[key] = MUTATIONS[mutation]
 
@@ -150,7 +174,8 @@ def rows_of(path) -> list[dict]:
 
 
 def write_rows(path, rows) -> None:
-    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    """One JSON line per row; a key marked by `mutate` loses its NUL."""
+    path.write_text("".join(json.dumps(row).replace('"\\u0000', '"') + "\n" for row in rows))
 
 
 def first_rule_body_fact(rows: list[dict]) -> tuple[int, dict, int]:
@@ -212,7 +237,10 @@ def corrupt(input_, label, mutation, inputs, synthetic_dir, endpoint, tmp_path):
 
 @pytest.mark.parametrize("input_, label, mutation", CASES,
                          ids=[f"{i}-{label}-{m}" for i, label, m in CASES])
-def test_corrupted_field(input_, label, mutation, inputs, synthetic_dir, endpoint, tmp_path):
+def test_corrupted_field(input_, label, mutation, inputs, synthetic_dir, synthetic_dataset,
+                         endpoint, tmp_path):
+    if mutation == "past-the-data":
+        assert PAST_THE_DATA > int(synthetic_dataset.union_kg().ts.max())
     args, location = corrupt(input_, label, mutation, inputs, synthetic_dir, endpoint,
                              tmp_path)
     result = CliRunner().invoke(main, args)

@@ -39,18 +39,18 @@ def co_true(objects, n_entities=20, subject=0, relation=0, t=7):
 
 class TestTimeAwareFilter:
     def test_co_true_answers_removed(self):
-        got = time_aware_filter([2, 3, 5], Query(0, 0, 7, gold_object=5), 5, co_true([2, 3]))
+        got = time_aware_filter([2, 3, 5], Query(0, 0, 7, gold_object=5), co_true([2, 3]))
         assert got == [5]
 
     def test_identity_without_co_true(self):
         # true objects under other keys, or no filter at all, drop nothing
         index = make_kg([(0, 0, 2, 6), (0, 1, 3, 7), (1, 0, 3, 7)], n_entities=6)
         for filter_index in (index, None):
-            got = time_aware_filter([2, 3, 5], Query(0, 0, 7, gold_object=5), 5, filter_index)
+            got = time_aware_filter([2, 3, 5], Query(0, 0, 7, gold_object=5), filter_index)
             assert got == [2, 3, 5]
 
     def test_gold_never_removed(self):
-        got = time_aware_filter([2, 5], Query(0, 0, 7, gold_object=5), 5, co_true([5, 2]))
+        got = time_aware_filter([2, 5], Query(0, 0, 7, gold_object=5), co_true([5, 2]))
         assert got == [5]
 
     def test_survivor_order_preserved_and_rank_never_worse(self):
@@ -59,8 +59,7 @@ class TestTimeAwareFilter:
             ranked = rng.sample(range(20), rng.randint(1, 15))
             gold = rng.choice(ranked)
             others = rng.sample(range(20), rng.randint(0, 10))
-            got = time_aware_filter(ranked, Query(0, 0, 7, gold_object=gold), gold,
-                                    co_true(others))
+            got = time_aware_filter(ranked, Query(0, 0, 7, gold_object=gold), co_true(others))
             assert [e for e in ranked if e in got] == got
             assert got.index(gold) <= ranked.index(gold)
 
@@ -86,13 +85,13 @@ class TestTimeAwareFilter:
                 truth = {row for name in splits for row in rows[name]}
                 t_max = max((row[3] for row in truth), default=0)
                 for _query in range(30):
-                    query = Query(int(rng.integers(-1, n_ent + 1)),
-                                  int(rng.integers(len(graph.relations) + 1)),
-                                  int(rng.choice([0, t_max, t_max + 1, rng.integers(6)])))
+                    key = (int(rng.integers(-1, n_ent + 1)),
+                           int(rng.integers(len(graph.relations) + 1)),
+                           int(rng.choice([0, t_max, t_max + 1, rng.integers(6)])))
                     ranked = rng.permutation(n_ent + 1)[: int(rng.integers(n_ent + 2))].tolist()
-                    gold = ranked[0] if ranked else 0
-                    assert (time_aware_filter(ranked, query, gold, index)
-                            == reference_filter(ranked, query, gold, truth))
+                    query = Query(*key, gold_object=ranked[0] if ranked else 0)
+                    assert (time_aware_filter(ranked, query, index)
+                            == reference_filter(ranked, query, truth))
 
 
 class TestHitsAtK:
