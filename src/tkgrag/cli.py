@@ -136,18 +136,14 @@ def _section_options(cls):
     return decorate
 
 
-def _split_names(text: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in text.split(","))
-
-
-def _split_ints(option: str, text: str) -> list[int]:
-    """The integers of a comma-separated option, each given once."""
-    values: list[int] = []
-    for item in _split_names(text):
+def _comma_list(option: str, text: str, kind: type = str) -> list:
+    """The items of a comma-separated option as `kind`, each given once."""
+    values = []
+    for item in (s.strip() for s in text.split(",")):
         try:
-            value = int(item)
+            value = kind(item)
         except ValueError:
-            raise ValueError(f"{option}: expected int, got {item!r}") from None
+            raise ValueError(f"{option}: expected {kind.__name__}, got {item!r}") from None
         if value in values:
             raise ValueError(f"{option}: {value} is given twice")
         values.append(value)
@@ -210,10 +206,9 @@ def _read_manifest(path: str) -> Optional[dict]:
     manifest_path = path + ".manifest.json"
     if not os.path.exists(manifest_path):
         return None
-    with open(manifest_path, encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        return parse_json(text)
+        with open(manifest_path, encoding="utf-8") as fh:
+            return parse_json(fh.read())
     except ValueError as exc:
         raise ValueError(f"{manifest_path}: {exc}") from None
 
@@ -267,8 +262,8 @@ def _load_eval(options: dict, **sections):
     rules_path = options.pop("rules_path")
     predictor = options.pop("predictor")
     split = options.pop("split")
-    retrieval_splits = _split_names(options.pop("retrieval_splits"))
-    filter_splits = _split_names(options.pop("filter_splits"))
+    retrieval_splits = _comma_list("--retrieval-splits", options.pop("retrieval_splits"))
+    filter_splits = _comma_list("--filter-splits", options.pop("filter_splits"))
     endpoint = options.pop("endpoint")
     config = _config(options, endpoint=endpoint, retrieval=RetrievalConfig,
                      generation=GenParams, **sections)
@@ -352,9 +347,9 @@ def synth(out, **fields):
 @guarded
 def mine(workers, mine_splits, out, **options):
     """Mine temporal rules from the training split."""
+    splits = _comma_list("--mine-splits", mine_splits)
     config = _config(options, mining=MiningParams)
     dataset = _load_data(config)
-    splits = _split_names(mine_splits)
     bank = learn_rules(dataset.union_kg(splits), config.mining, workers=workers)
     bank.save(out)
     _write_manifest(out + ".manifest.json", "mine", config, _input_digests(dataset),
@@ -373,11 +368,11 @@ def mine(workers, mine_splits, out, **options):
 @guarded
 def retrieve_cmd(rules_path, split, retrieval_splits, out, **options):
     """Retrieve rule-guided histories for a split's queries."""
+    splits = _comma_list("--retrieval-splits", retrieval_splits)
     config = _config(options, retrieval=RetrievalConfig)
     dataset = _load_data(config)
     bank = RuleBank.load(rules_path, len(dataset.relations))
     upstream = _upstream(rules_path)
-    splits = _split_names(retrieval_splits)
     kg = dataset.union_kg(splits)
     queries = queries_from_split(dataset, split)
     count = write_jsonl(out, (
@@ -489,7 +484,7 @@ def infer(prompts_path, endpoint, out, **options):
 @guarded
 def eval_cmd(seeds, out_dir, **options):
     """Run time-aware filtered Hits@1/3/10 evaluation on a split."""
-    seed_list = _split_ints("--seeds", seeds) if seeds else [None]
+    seed_list = _comma_list("--seeds", seeds, int) if seeds else [None]
     config, manifest, upstream, kg, bank, queries, filter_index, engine = _load_eval(
         options, prompt=PromptConfig
     )
@@ -537,9 +532,10 @@ def eval_cmd(seeds, out_dir, **options):
 @guarded
 def ablate(orders, lengths, formats, out_dir, **options):
     """Evaluate a grid of prompt order, history length, and format configs."""
+    grid = {"orders": _comma_list("--orders", orders),
+            "lengths": _comma_list("--lengths", lengths, int),
+            "formats": _comma_list("--formats", formats)}
     config, manifest, upstream, kg, bank, queries, filter_index, engine = _load_eval(options)
-    grid = {"orders": _split_names(orders), "lengths": _split_ints("--lengths", lengths),
-            "formats": _split_names(formats)}
     manifest["options"].update(grid)
     cells = ablation_run(
         kg, bank, queries,

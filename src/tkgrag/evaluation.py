@@ -215,7 +215,7 @@ def _load_journal(path: str, fingerprint: str, queries: Sequence[Query]) -> dict
     with open(path, "rb") as fh:
         data = fh.read()
     complete = data[: data.rfind(b"\n") + 1]
-    completed = dict(jsonl_rows(complete.splitlines(), path, parse))
+    completed = dict(jsonl_rows(enumerate(complete.splitlines(), 1), path, parse))
     if len(complete) < len(data):
         with open(path, "rb+") as fh:
             fh.truncate(len(complete))

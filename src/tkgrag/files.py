@@ -15,7 +15,7 @@ from contextlib import contextmanager, suppress
 from typing import Callable, Collection, Iterable, Iterator, TextIO, TypeVar
 
 T = TypeVar("T")
-_INT64 = range(-2**63, 2**63)
+INT64 = range(-2**63, 2**63)  # the values of a 64-bit signed integer
 _INT_KEY = re.compile(r"-?(0|[1-9][0-9]*)")
 
 
@@ -51,7 +51,7 @@ def typed(kind, value, field: str):
 def _typed(options: tuple, value, field: str):
     for option, origin, args in options:
         if option is int:
-            if type(value) is int and value in _INT64:
+            if type(value) is int and value in INT64:
                 return value
         elif option is float:
             if type(value) is float or type(value) is int:
@@ -87,7 +87,7 @@ def fields_of(cls: type[T], payload, where: str = "", closed: bool = False) -> T
         if key in payload:
             value = payload[key]
             # a value of the first type allowed, the common case, needs no `_typed`
-            if type(value) is not options[0][0] or type(value) is int and value not in _INT64:
+            if type(value) is not options[0][0] or type(value) is int and value not in INT64:
                 value = _typed(options, value, prefix + key)
             values[name] = value
         elif default is dataclasses.MISSING:
@@ -167,12 +167,12 @@ def write_jsonl(path: str, rows: Iterable[dict]) -> int:
     return count
 
 
-def jsonl_rows(lines: Iterable, path: str, parse: Callable[[dict], T]) -> Iterator[T]:
-    """`parse` of each JSON object in `lines` (str or bytes), skipping blank
-    lines. A line that is not JSON, a value that is not an object, and a
-    KeyError, TypeError or ValueError from `parse` raise ValueError
-    "<path>:<line>: ...", counting lines from 1, blank ones included."""
-    for number, line in enumerate(lines, 1):
+def jsonl_rows(lines: Iterable[tuple], path: str, parse: Callable[[dict], T]) -> Iterator[T]:
+    """`parse` of each JSON object in `lines`, (line number, line) pairs
+    whose lines are str or bytes, skipping blank lines. A line that is not
+    JSON, a value that is not an object, and a KeyError, TypeError or
+    ValueError from `parse` raise ValueError "<path>:<line>: ..."."""
+    for number, line in lines:
         if not line.strip():
             continue
         try:
@@ -190,10 +190,24 @@ def jsonl_rows(lines: Iterable, path: str, parse: Callable[[dict], T]) -> Iterat
 
 
 def read_jsonl(path: str, parse: Callable[[dict], T]) -> Iterator[T]:
-    """The rows of the JSON-lines file at `path`, parsed one at a time as
-    `jsonl_rows` does."""
-    with open(path, encoding="utf-8") as fh:
-        yield from jsonl_rows(fh, path, parse)
+    """The rows of the JSON-lines file at `path`, read by `text_lines` and
+    parsed one at a time as `jsonl_rows` does."""
+    return jsonl_rows(text_lines(path), path, parse)
+
+
+def text_lines(path: str, error: type[ValueError] = ValueError) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line of the UTF-8 text file at `path`,
+    counting from 1, each line without its newline; CRLF and CR end a line
+    as LF does. A line holding bytes that are not UTF-8 raises `error`
+    "<path>:<line>: ..." in its turn."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise error(f"{path}:{number}: {exc}") from None
+            yield number, line.rstrip("\n")
 
 
 def create_text(path: str) -> TextIO:

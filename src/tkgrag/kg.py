@@ -5,11 +5,11 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .files import atomic_directory, create_text
+from .files import INT64, atomic_directory, create_text, text_lines
 
 INVERSE_PREFIX = "inv_"
 SPLIT_FILES = {"train": "train.txt", "valid": "valid.txt", "test": "test.txt"}
@@ -78,7 +78,12 @@ class TemporalKG:
         fresh[1:] = (arr[1:] != arr[:-1]).any(axis=1)
         arr = arr[fresh]
         self.sub, self.rel, self.obj, self.ts = (np.ascontiguousarray(col) for col in arr.T)
-        self._validate_bounds()
+        for field, ids, size in (("subject", self.sub, len(self.entities)),
+                                 ("relation", self.rel, len(self.relations)),
+                                 ("object", self.obj, len(self.entities))):
+            check_ids(field, ids, size)
+        if len(arr) and self.ts[0] < 0:
+            raise ValueError(f"t: negative time step {self.ts[0]}")
 
     # -- basic accessors ----------------------------------------------------
 
@@ -226,19 +231,6 @@ class TemporalKG:
             np.append(self.ts[order[run_end]], -1),
         )
 
-    def _validate_bounds(self) -> None:
-        if len(self.sub) == 0:
-            return
-        if int(self.ts.min()) < 0:
-            raise DatasetFormatError("negative time step after normalization")
-        n_ent, n_rel = len(self.entities), len(self.relations)
-        if int(self.sub.max()) >= n_ent or int(self.obj.max()) >= n_ent:
-            raise DatasetFormatError("entity id out of vocabulary bounds")
-        if int(self.rel.max()) >= n_rel:
-            raise DatasetFormatError("relation id out of vocabulary bounds")
-        if int(self.sub.min()) < 0 or int(self.obj.min()) < 0 or int(self.rel.min()) < 0:
-            raise DatasetFormatError("negative id")
-
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -326,95 +318,84 @@ def _key_table(columns: Sequence, sizes: Sequence[int]) -> tuple[np.ndarray, np.
     return order, key[order]
 
 
-def _read_id_map(path: str) -> dict[str, int]:
-    """name -> id of a `name<TAB>id` file whose ids are dense 0..n-1; the
-    first line that breaks this is named."""
-    mapping: dict[str, int] = {}
-    lines: list[int] = []  # the line of each entry, in file order
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
+def _tab_lines(path: str, width: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, columns) of each non-blank line of the tab-separated
+    file at `path`, read by `files.text_lines`, counting lines from 1. A line
+    of another number of columns than `width`, or one that is not UTF-8,
+    raises DatasetFormatError "<path>:<line>: ..."."""
+    for number, line in text_lines(path, DatasetFormatError):
+        if line:
             cols = line.split("\t")
-            if len(cols) != 2:
-                raise DatasetFormatError(f"{path}:{lineno}: expected 'name\\tid'")
-            name, raw_id = cols
+            if len(cols) != width:
+                raise DatasetFormatError(f"{path}:{number}: expected {width} tab-separated "
+                                         f"columns, got {len(cols)}")
+            yield number, cols
+
+
+def _read_id_map(path: str) -> list[str]:
+    """The names of a `name<TAB>id` file, indexed by id. Names must be
+    distinct and ids dense 0..n-1, n the number of entries; the first line
+    that breaks this is named."""
+    entries = list(_tab_lines(path, 2))
+    names: list[Optional[str]] = [None] * len(entries)
+    seen: set[str] = set()
+    for number, (name, raw_id) in entries:
+        try:
+            idx = int(raw_id)
+        except ValueError:
+            raise DatasetFormatError(f"{path}:{number}: non-integer id {raw_id!r}") from None
+        if name in seen:
+            raise DatasetFormatError(f"{path}:{number}: duplicate name {name!r}")
+        if not 0 <= idx < len(names) or names[idx] is not None:
+            problem = "is out of range" if not 0 <= idx < len(names) else "repeats an earlier id"
+            raise DatasetFormatError(f"{path}:{number}: id {idx} {problem}; "
+                                     f"ids must be dense 0..{len(names) - 1}")
+        seen.add(name)
+        names[idx] = name
+    return names
+
+
+def _id(token: str, ids: dict[str, int], fixed: bool, kind: str, where: str) -> int:
+    """The id of a split-file column that `ids` may lack: a new name gets
+    the next id, unless the ids are `fixed` by an id map, whose ids the
+    column must then give as integers."""
+    if token in ids or not fixed:
+        return ids.setdefault(token, len(ids))
+    try:
+        value = int(token)
+    except ValueError:
+        raise DatasetFormatError(f"{where}: expected integer {kind} id, got {token!r}") from None
+    if not 0 <= value < len(ids):
+        raise DatasetFormatError(f"{where}: unknown {kind} id {value}")
+    return value
+
+
+def _read_split(path: str, entity_ids: dict[str, int], relation_ids: dict[str, int],
+                fixed: bool, time_gap: int) -> list[tuple[int, int, int, int]]:
+    """(subject, relation, object, raw timestamp) rows of a split file in
+    file order, each checked on its line: ids are looked up by their
+    column's text (see `_id`), and a timestamp must fit in 64 bits and be
+    divisible by `time_gap`."""
+    rows = []
+    for number, (s, r, o, raw_t) in _tab_lines(path, 4):
+        try:
+            row = (entity_ids[s], relation_ids[r], entity_ids[o], int(raw_t))
+        except (KeyError, ValueError):
+            where = f"{path}:{number}"
+            ids = (_id(s, entity_ids, fixed, "entity", where),
+                   _id(r, relation_ids, fixed, "relation", where),
+                   _id(o, entity_ids, fixed, "entity", where))
             try:
-                idx = int(raw_id)
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: non-integer id {raw_id!r}") from exc
-            if name in mapping:
-                raise DatasetFormatError(f"{path}:{lineno}: duplicate name {name!r}")
-            mapping[name] = idx
-            lines.append(lineno)
-    seen: set[int] = set()
-    for lineno, idx in zip(lines, mapping.values()):
-        if idx in seen or not 0 <= idx < len(mapping):
-            problem = "repeats an earlier id" if idx in seen else "is out of range"
-            raise DatasetFormatError(
-                f"{path}:{lineno}: id {idx} {problem}; ids must be dense 0..{len(mapping) - 1}"
-            )
-        seen.add(idx)
-    return mapping
-
-
-def _parse_split_file(
-    path: str,
-    entity_ids: Optional[dict[str, int]],
-    relation_ids: Optional[dict[str, int]],
-    intern_entities: Optional[dict[str, int]],
-    intern_relations: Optional[dict[str, int]],
-) -> list[tuple[int, int, int, int]]:
-    """Returns (subject, relation, object, raw_timestamp) rows in file order."""
-
-    def resolve(token: str, fixed: Optional[dict[str, int]], interned: dict[str, int],
-                kind: str, where: str) -> int:
-        if fixed is not None:
-            try:
-                value = int(token)
-            except ValueError as exc:
-                raise DatasetFormatError(
-                    f"{where}: expected integer {kind} id, got {token!r}"
-                ) from exc
-            if value < 0 or value >= len(fixed):
-                raise DatasetFormatError(f"{where}: unknown {kind} id {value}")
-            return value
-        if token not in interned:
-            interned[token] = len(interned)
-        return interned[token]
-
-    rows: list[tuple[int, int, int, int]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 4:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: expected 4 tab-separated columns, got {len(cols)}"
-                )
-            where = f"{path}:{lineno}"
-            s = resolve(cols[0], entity_ids, intern_entities, "entity", where)
-            r = resolve(cols[1], relation_ids, intern_relations, "relation", where)
-            o = resolve(cols[2], entity_ids, intern_entities, "entity", where)
-            try:
-                raw_t = int(cols[3])
-            except ValueError as exc:
-                raise DatasetFormatError(f"{where}: non-integer timestamp {cols[3]!r}") from exc
-            rows.append((s, r, o, raw_t))
+                row = (*ids, int(raw_t))
+            except ValueError:
+                raise DatasetFormatError(f"{where}: non-integer timestamp {raw_t!r}") from None
+        t = row[3]
+        if t % time_gap or t not in INT64:
+            problem = ("does not fit in 64 bits" if t not in INT64
+                       else f"is not divisible by time gap {time_gap}")
+            raise DatasetFormatError(f"{path}:{number}: timestamp {t} {problem}")
+        rows.append(row)
     return rows
-
-
-def _int64_overflow(path: str) -> DatasetFormatError:
-    """The error naming the first line of a parsed split file whose
-    timestamp does not fit in 64 bits."""
-    with open(path, encoding="utf-8") as fh:
-        rows = (line.rstrip("\n").split("\t") for line in fh)
-        lineno, stamp = next((lineno, cols[3]) for lineno, cols in enumerate(rows, start=1)
-                             if len(cols) == 4 and int(cols[3]) not in range(-2**63, 2**63))
-    return DatasetFormatError(f"{path}:{lineno}: timestamp {stamp} does not fit in 64 bits")
 
 
 def load_dataset(directory: str, spec: DatasetSpec = DatasetSpec()) -> Dataset:
@@ -422,49 +403,34 @@ def load_dataset(directory: str, spec: DatasetSpec = DatasetSpec()) -> Dataset:
     vocabulary.
 
     Raw timestamps must be exactly divisible by spec.time_gap; they are
-    origin-shifted to the earliest timestamp across all splits and divided by
-    the gap, so time steps start at 0. With spec.inverse, every edge
+    origin-shifted to the earliest timestamp across all splits and divided
+    by the gap, so time steps start at 0. With spec.inverse, every edge
     (s, r, o, t) gains a mirrored (o, inv_r, s, t) whose relation id is
-    r + num_base_relations.
+    r + num_base_relations. The first fault in file order raises
+    DatasetFormatError "<path>[:<line>]: ...".
     """
-    entity_map_path = os.path.join(directory, ENTITY_MAP_FILE)
-    relation_map_path = os.path.join(directory, RELATION_MAP_FILE)
-    has_id_maps = os.path.exists(entity_map_path) and os.path.exists(relation_map_path)
-
-    entity_ids = _read_id_map(entity_map_path) if has_id_maps else None
-    relation_ids = _read_id_map(relation_map_path) if has_id_maps else None
-    interned_entities: dict[str, int] = {}
-    interned_relations: dict[str, int] = {}
+    map_paths = [os.path.join(directory, name) for name in (ENTITY_MAP_FILE, RELATION_MAP_FILE)]
+    fixed, has_relation_map = map(os.path.exists, map_paths)
+    if fixed != has_relation_map:
+        found, missing = map_paths if fixed else map_paths[::-1]
+        raise DatasetFormatError(f"{missing}: missing; {os.path.basename(found)} is there, and "
+                                 "a dataset has both id maps or neither")
+    entities, relations = map(_read_id_map, map_paths) if fixed else ([], [])
+    entity_ids, relation_ids = ({str(i): i for i in range(len(names))}
+                                for names in (entities, relations))
 
     arrays: dict[str, np.ndarray] = {}  # raw (subject, relation, object, timestamp) rows
     for split, filename in SPLIT_FILES.items():
         path = os.path.join(directory, filename)
         if not os.path.exists(path):
             raise DatasetFormatError(f"missing split file {path}")
-        rows = _parse_split_file(
-            path, entity_ids, relation_ids, interned_entities, interned_relations
-        )
-        try:
-            arrays[split] = np.array(rows, dtype=np.int64).reshape(-1, 4)
-        except OverflowError:  # only a timestamp can be that large
-            raise _int64_overflow(path) from None
-    if not len(arrays["train"]):
-        raise DatasetFormatError("empty train split")
-
-    if entity_ids is not None:
-        entities = [name for name, _ in sorted(entity_ids.items(), key=lambda kv: kv[1])]
-        relations = [name for name, _ in sorted(relation_ids.items(), key=lambda kv: kv[1])]
-    else:
-        entities = list(interned_entities)
-        relations = list(interned_relations)
-
-    all_raw_ts = np.concatenate([arr[:, 3] for arr in arrays.values()])
-    origin = int(all_raw_ts.min())
-    off_gap = np.flatnonzero(all_raw_ts % spec.time_gap)
-    if len(off_gap):
-        raise DatasetFormatError(
-            f"timestamp {all_raw_ts[off_gap[0]]} is not divisible by time gap {spec.time_gap}"
-        )
+        rows = _read_split(path, entity_ids, relation_ids, fixed, spec.time_gap)
+        if split == "train" and not rows:
+            raise DatasetFormatError(f"{path}: empty train split")
+        arrays[split] = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    if not fixed:
+        entities, relations = list(entity_ids), list(relation_ids)
+    origin = int(np.concatenate([arr[:, 3] for arr in arrays.values()]).min())
 
     num_base = len(relations)
     if spec.inverse:

@@ -179,10 +179,9 @@ class RuleBank:
     def load(cls, path: str, n_relations: Optional[int] = None) -> "RuleBank":
         """`from_json` of the file at `path`, its errors prefixed with the
         path."""
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
         try:
-            return cls.from_json(text, n_relations)
+            with open(path, encoding="utf-8") as fh:
+                return cls.from_json(fh.read(), n_relations)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 

@@ -87,6 +87,9 @@ class FullDisk:
         for line in lines:
             self.write(line)
 
+    def __iter__(self):  # reading is not affected
+        return iter(self.fh)
+
     def __enter__(self):
         return self
 

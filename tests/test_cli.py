@@ -1191,7 +1191,8 @@ class TestCommaLists:
         ("eval", "--seeds", "2,2", "--seeds: 2 is given twice"),
         ("ablate", "--lengths", "10,x", "--lengths: expected int, got 'x'"),
         ("ablate", "--lengths", "10,10", "--lengths: 10 is given twice"),
-    ], ids=["seeds-not-int", "seeds-twice", "lengths-not-int", "lengths-twice"])
+        ("ablate", "--orders", "ascending, ascending", "--orders: ascending is given twice"),
+    ], ids=["seeds-not-int", "seeds-twice", "lengths-not-int", "lengths-twice", "orders-twice"])
     def test_bad_comma_list_named(self, runner, synthetic_dir, mined_rules, tmp_path,
                                   command, option, value, message):
         result = runner.invoke(main, [
@@ -1201,3 +1202,86 @@ class TestCommaLists:
         assert result.exit_code == 1, result.output
         assert result.output == f"error: {message}\n"
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, option", [
+        ("mine", "--mine-splits"),
+        ("retrieve", "--retrieval-splits"),
+        ("eval", "--retrieval-splits"),
+        ("eval", "--filter-splits"),
+        ("ablate", "--filter-splits"),
+    ])
+    def test_split_given_twice_refused(self, runner, monkeypatch, synthetic_dir, mined_rules,
+                                       tmp_path, command, option):
+        """A split named twice would give one run two fingerprints; it is
+        refused before the dataset is loaded."""
+        def no_load(*args):
+            raise AssertionError("the dataset was loaded")
+
+        monkeypatch.setattr(cli, "load_dataset", no_load)
+        out = tmp_path / "out"
+        outputs = {"mine": ["--out", str(out)],
+                   "retrieve": ["--rules", str(mined_rules), "--out", str(out)]}
+        result = runner.invoke(main, [
+            command, "--dataset-dir", str(synthetic_dir), option, "train,valid, train",
+            *outputs.get(command, ["--rules", str(mined_rules), "--out-dir", str(out)]),
+        ])
+        assert (result.exit_code, result.output) == (1, f"error: {option}: train is given twice\n")
+        assert not out.exists()
+
+
+class TestTextInputs:
+    """What every text input shares: one reader of lines, and a byte that
+    is not UTF-8 named with its file, and its line in a file of lines."""
+
+    @pytest.mark.parametrize("missing", ["entity2id.txt", "relation2id.txt"])
+    def test_one_id_map_refused(self, runner, synthetic_dir, tmp_path, missing):
+        data = tmp_path / "data"
+        shutil.copytree(synthetic_dir, data)
+        (data / missing).unlink()
+        other = ({"entity2id.txt", "relation2id.txt"} - {missing}).pop()
+        result = runner.invoke(main, ["mine", "--dataset-dir", str(data),
+                                      "--out", str(tmp_path / "rules.json")])
+        assert (result.exit_code, result.output) == (
+            1, f"error: {data}/{missing}: missing; {other} is there, and a dataset has both "
+               f"id maps or neither\n")
+        assert not (tmp_path / "rules.json").exists()
+
+    @pytest.mark.parametrize("kind, line", [
+        ("config", None), ("rules", None), ("histories", 1), ("histories-manifest", None),
+        ("prompts", 1), ("journal", 1), ("entity2id.txt", 1), ("valid.txt", 1),
+    ])
+    def test_byte_not_utf8_named(self, runner, synthetic_dir, mined_rules, tmp_path, kind, line):
+        """The byte 0xff ends the first line of the input."""
+        data, rules, config = tmp_path / "data", tmp_path / "rules.json", tmp_path / "c.json"
+        shutil.copytree(synthetic_dir, data)
+        shutil.copy(mined_rules, rules)
+        config.write_text("{\n}\n")
+        histories, prompts, run = tmp_path / "h.jsonl", tmp_path / "p.jsonl", tmp_path / "run"
+        common = ["--dataset-dir", str(data), "--config", str(config)]
+        retrieve = ["retrieve", *common, "--rules", str(rules), "--out", str(histories)]
+        prompt = ["prompt", *common, "--histories", str(histories), "--out", str(prompts)]
+        infer = ["infer", *common, "--prompts", str(prompts), "--endpoint",
+                 "http://127.0.0.1:9/", "--retries", "0", "--out", str(tmp_path / "x.jsonl")]
+        evaluate = ["eval", *common, "--rules", str(rules), "--out-dir", str(run)]
+        # (the input, the command reading it, the commands that write it first)
+        path, args, writers = {
+            "config": (config, retrieve, []),
+            "rules": (rules, retrieve, []),
+            "histories": (histories, prompt, [retrieve]),
+            "histories-manifest": (tmp_path / "h.jsonl.manifest.json", prompt, [retrieve]),
+            "prompts": (prompts, infer, [retrieve, prompt]),
+            "journal": (run / "records.jsonl", evaluate, [evaluate]),
+            "entity2id.txt": (data / "entity2id.txt", retrieve, []),
+            "valid.txt": (data / "valid.txt", retrieve, []),
+        }[kind]
+        for writer in writers:
+            run_ok(runner, writer)
+        text = path.read_bytes()
+        path.write_bytes(text.replace(b"\n", b"\xff\n", 1))
+        result = runner.invoke(main, args)
+        # no traceback: the command ends through sys.exit
+        assert isinstance(result.exception, SystemExit), result.exception
+        where = str(path) if line is None else f"{path}:{line}"
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith(f"error: {where}: ") and result.output.count("\n") == 1
+        assert "can't decode byte 0xff" in result.output, result.output

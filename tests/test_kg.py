@@ -1,11 +1,15 @@
 import errno
 import os
+import re
+import shutil
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from tkgrag.kg import (
+    ENTITY_MAP_FILE,
+    RELATION_MAP_FILE,
     Dataset,
     DatasetFormatError,
     DatasetSpec,
@@ -16,6 +20,9 @@ from tkgrag.kg import (
     load_dataset,
     save_dataset,
 )
+
+from tkgrag.prompts import PromptConfig, build_prompt, select_history
+from tkgrag.retrieval import RetrievalConfig, queries_from_split, retrieve
 
 from conftest import edges_of, key_range, make_kg, write_dataset_dir
 
@@ -76,13 +83,75 @@ class TestLoading:
 
     def test_non_divisible_timestamp_rejected(self, tmp_path):
         write_dataset_dir(tmp_path, train=[("0", "0", "1", "24"), ("0", "0", "1", "25")])
-        with pytest.raises(DatasetFormatError, match="not divisible"):
+        with pytest.raises(DatasetFormatError, match=re.escape(
+                f"{tmp_path}/train.txt:2: timestamp 25 is not divisible by time gap 24")):
             load_dataset(str(tmp_path), DatasetSpec(time_gap=24))
 
     def test_empty_train_rejected(self, tmp_path):
         write_dataset_dir(tmp_path, train=[])
-        with pytest.raises(DatasetFormatError, match="empty train split"):
+        with pytest.raises(DatasetFormatError,
+                           match=re.escape(f"{tmp_path}/train.txt: empty train split")):
             load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("missing", [ENTITY_MAP_FILE, RELATION_MAP_FILE])
+    def test_one_id_map_refused(self, tmp_path, missing):
+        """With one id map the split files' ids would be read as names."""
+        write_dataset_dir(tmp_path, train=[("1", "0", "0", "0")],
+                          id_maps=([("a", 0), ("b", 1)], [("knows", 0)]))
+        os.remove(tmp_path / missing)
+        with pytest.raises(DatasetFormatError,
+                           match=re.escape(f"{tmp_path}/{missing}: missing; ")):
+            load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("lines, line, fault", [
+        (["0\t0\t1\t1", "0\t0\t1\tx"], 1, "timestamp 1 is not divisible by time gap 2"),
+        ([f"0\t0\t1\t{2**64}", "0\t0\t1"], 1, f"timestamp {2**64} does not fit in 64 bits"),
+        (["0\t0\t1\t0", "0\t0", "0\t0\t\xff\t0"], 2,
+         "expected 4 tab-separated columns, got 2"),
+        (["0\t0\t1\t0", "0\t0\t\xff\t0", "0\t0"], 2, "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["off-gap-then-not-int", "overflow-then-columns", "columns-then-not-utf8",
+            "not-utf8-then-columns"])
+    def test_first_fault_in_file_order_named(self, tmp_path, lines, line, fault):
+        (tmp_path / "train.txt").write_bytes(
+            "".join(f"{text}\n" for text in lines).encode("latin-1"))
+        for name in ("valid.txt", "test.txt"):
+            (tmp_path / name).write_text("")
+        with pytest.raises(DatasetFormatError,
+                           match=re.escape(f"{tmp_path}/train.txt:{line}: {fault}")):
+            load_dataset(str(tmp_path), DatasetSpec(time_gap=2))
+
+    def test_lf_and_crlf_copies_load_and_render_alike(self, synthetic_dir, synthetic_bank,
+                                                       tmp_path):
+        """Universal newlines: a CRLF copy of a dataset, one entity renamed
+        to a name that is not ASCII, loads to the same dataset and renders
+        the same prompts."""
+        lf, crlf = tmp_path / "lf", tmp_path / "crlf"
+        shutil.copytree(synthetic_dir, lf)
+        entity_map = lf / ENTITY_MAP_FILE
+        entity_map.write_text(entity_map.read_text(encoding="utf-8").replace(
+            "e00\t", "Zürich–北京\t", 1), encoding="utf-8")
+        shutil.copytree(lf, crlf)
+        for path in crlf.glob("*.txt"):
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert b"\r\n" in (crlf / "train.txt").read_bytes()
+
+        def loaded(directory):
+            dataset = load_dataset(str(directory))
+            retrieval_cfg, prompt_cfg = RetrievalConfig(), PromptConfig()
+            prompts = [
+                build_prompt(select_history(retrieve(dataset.train, synthetic_bank, query,
+                                                     retrieval_cfg), prompt_cfg, retrieval_cfg),
+                             prompt_cfg, dataset.train).text
+                for query in queries_from_split(dataset, "test")
+            ]
+            splits = [edges_of(dataset.split(name)) for name in ("train", "valid", "test")]
+            return (dataset.entities, dataset.relations, dataset.num_base_relations,
+                    dataset.time_origin, dataset.duplicates_dropped, splits, prompts)
+
+        got = loaded(lf)
+        assert got[0][0] == "Zürich–北京"
+        assert any("Zürich–北京" in text for text in got[-1])
+        assert loaded(crlf) == got
 
     def test_missing_split_file_rejected(self, tmp_path):
         (tmp_path / "train.txt").write_text("0\t0\t1\t0\n")
