@@ -22,6 +22,7 @@ from . import retrieval
 from .client import ClientError, GenParams, TransportError, resolve_endpoint
 from .config import ConfigError, RunConfig, build_run_config, load_config_file, stable_hash
 from .evaluation import (
+    CHUNK_SIZE,
     LLMPredictor,
     OraclePredictor,
     ablation_run,
@@ -136,14 +137,25 @@ def _section_options(cls):
     return decorate
 
 
-def _comma_list(option: str, text: str, kind: type = str) -> list:
-    """The items of a comma-separated option as `kind`, each given once."""
+def _one_of(option: str, value, allowed):
+    """`value` when it is one of `allowed`, else ValueError naming the
+    option and the values allowed."""
+    if value not in allowed:
+        raise ValueError(f"{option}: expected one of {', '.join(allowed)}, got {value!r}")
+    return value
+
+
+def _comma_list(option: str, text: str, kind: type = str, allowed=None) -> list:
+    """The items of a comma-separated option as `kind`, each given once and,
+    when `allowed` is given, each one of it (`_one_of`)."""
     values = []
     for item in (s.strip() for s in text.split(",")):
         try:
             value = kind(item)
         except ValueError:
             raise ValueError(f"{option}: expected {kind.__name__}, got {item!r}") from None
+        if allowed is not None:
+            _one_of(option, value, allowed)
         if value in values:
             raise ValueError(f"{option}: {value} is given twice")
         values.append(value)
@@ -188,15 +200,29 @@ def _dataset_digest(dataset: Dataset) -> str:
     return digest.hexdigest()
 
 
-def _input_digests(dataset: Dataset, **paths: str) -> dict:
+def _file_digest(path: str) -> str:
+    """sha256 of the bytes of the file at `path`, read in fixed-size blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _input_digests(dataset: Dataset, **digests: str) -> dict:
     """Content digests of a command's inputs, as its manifest records them
-    under "inputs": the dataset as loaded and the bytes of each input file
-    of `paths` (name=path), such as the rule bank's."""
-    inputs = {"dataset": _dataset_digest(dataset)}
-    for name, path in paths.items():
-        with open(path, "rb") as fh:
-            inputs[name] = hashlib.sha256(fh.read()).hexdigest()
-    return inputs
+    under "inputs": the dataset as loaded, then each of `digests` (name=the
+    sha256 of an input file's bytes, such as the rule bank's)."""
+    return {"dataset": _dataset_digest(dataset), **digests}
+
+
+def _load_rules(path: str, dataset: Dataset) -> tuple[RuleBank, str]:
+    """The rule bank at `path`, checked against the dataset's relations, and
+    the sha256 of the very bytes it was parsed from: the file is read once,
+    so a bank replaced during the run cannot lend the run its digest."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return RuleBank.load(path, len(dataset.relations), data), hashlib.sha256(data).hexdigest()
 
 
 def _read_manifest(path: str) -> Optional[dict]:
@@ -261,14 +287,16 @@ def _load_eval(options: dict, **sections):
     fingerprint."""
     rules_path = options.pop("rules_path")
     predictor = options.pop("predictor")
-    split = options.pop("split")
-    retrieval_splits = _comma_list("--retrieval-splits", options.pop("retrieval_splits"))
-    filter_splits = _comma_list("--filter-splits", options.pop("filter_splits"))
+    split = _one_of("--split", options.pop("split"), SPLIT_FILES)
+    retrieval_splits = _comma_list("--retrieval-splits", options.pop("retrieval_splits"),
+                                   allowed=SPLIT_FILES)
+    filter_splits = _comma_list("--filter-splits", options.pop("filter_splits"),
+                                allowed=SPLIT_FILES)
     endpoint = options.pop("endpoint")
     config = _config(options, endpoint=endpoint, retrieval=RetrievalConfig,
                      generation=GenParams, **sections)
     dataset = _load_data(config)
-    bank = RuleBank.load(rules_path, len(dataset.relations))
+    bank, rules_digest = _load_rules(rules_path, dataset)
     upstream = _upstream(rules_path)
     filter_index = build_filter_index(dataset, filter_splits)
     kg = (filter_index if set(retrieval_splits) == set(filter_splits)
@@ -278,7 +306,7 @@ def _load_eval(options: dict, **sections):
         engine = OraclePredictor(bank)
     else:
         engine = LLMPredictor(kg, resolve_endpoint(config.endpoint), config.generation)
-    manifest = {"inputs": _input_digests(dataset, rules=rules_path),
+    manifest = {"inputs": _input_digests(dataset, rules=rules_digest),
                 "options": {"split": split, "retrieval_splits": retrieval_splits,
                             "filter_splits": filter_splits, "predictor": predictor}}
     return config, manifest, upstream, kg, bank, queries, filter_index, engine
@@ -347,7 +375,7 @@ def synth(out, **fields):
 @guarded
 def mine(workers, mine_splits, out, **options):
     """Mine temporal rules from the training split."""
-    splits = _comma_list("--mine-splits", mine_splits)
+    splits = _comma_list("--mine-splits", mine_splits, allowed=SPLIT_FILES)
     config = _config(options, mining=MiningParams)
     dataset = _load_data(config)
     bank = learn_rules(dataset.union_kg(splits), config.mining, workers=workers)
@@ -368,10 +396,11 @@ def mine(workers, mine_splits, out, **options):
 @guarded
 def retrieve_cmd(rules_path, split, retrieval_splits, out, **options):
     """Retrieve rule-guided histories for a split's queries."""
-    splits = _comma_list("--retrieval-splits", retrieval_splits)
+    _one_of("--split", split, SPLIT_FILES)
+    splits = _comma_list("--retrieval-splits", retrieval_splits, allowed=SPLIT_FILES)
     config = _config(options, retrieval=RetrievalConfig)
     dataset = _load_data(config)
-    bank = RuleBank.load(rules_path, len(dataset.relations))
+    bank, rules_digest = _load_rules(rules_path, dataset)
     upstream = _upstream(rules_path)
     kg = dataset.union_kg(splits)
     queries = queries_from_split(dataset, split)
@@ -380,7 +409,7 @@ def retrieve_cmd(rules_path, split, retrieval_splits, out, **options):
         for query in queries
     ))
     _write_manifest(out + ".manifest.json", "retrieve", config,
-                    _input_digests(dataset, rules=rules_path),
+                    _input_digests(dataset, rules=rules_digest),
                     {"split": split, "retrieval_splits": splits}, n_queries=len(queries),
                     upstream=upstream)
     click.echo(f"retrieved {count} histories -> {out}")
@@ -396,7 +425,7 @@ def prompt_cmd(histories_path, out, **options):
     """Render retrieved histories into prompts."""
     config = _config(options, prompt=PromptConfig)
     dataset = _load_data(config)
-    inputs = _input_digests(dataset, histories=histories_path)
+    inputs = _input_digests(dataset, histories=_file_digest(histories_path))
     manifest = _check_built_from(histories_path, inputs["dataset"])
     # the fact cap replays the retrieval config the histories were retrieved
     # with; without a manifest, the config file's
@@ -430,8 +459,8 @@ def export(rules_path, k, seed, out, **options):
     """Export an instruction-tuning dataset sampled from the training split."""
     config = _config(options, seed=seed, retrieval=RetrievalConfig, prompt=PromptConfig)
     dataset = _load_data(config)
-    bank = RuleBank.load(rules_path, len(dataset.relations))
-    inputs = _input_digests(dataset, rules=rules_path)
+    bank, rules_digest = _load_rules(rules_path, dataset)
+    inputs = _input_digests(dataset, rules=rules_digest)
     upstream = _upstream(rules_path)
     counts = export_finetune_set(dataset, bank, k, config.retrieval, config.prompt,
                                  config.seed, out)
@@ -451,7 +480,7 @@ def infer(prompts_path, endpoint, out, **options):
     """Send rendered prompts to the completion endpoint and parse predictions."""
     config = _config(options, endpoint=endpoint, generation=GenParams)
     dataset = _load_data(config)
-    inputs = _input_digests(dataset, prompts=prompts_path)
+    inputs = _input_digests(dataset, prompts=_file_digest(prompts_path))
     _check_built_from(prompts_path, inputs["dataset"])
     kg = dataset.train
     predictor = LLMPredictor(kg, resolve_endpoint(config.endpoint), config.generation)
@@ -463,11 +492,17 @@ def infer(prompts_path, endpoint, out, **options):
         return query, prompt
 
     rows = list(read_jsonl(prompts_path, parse))
-    predictions = predictor.predict_prompts([prompt for _query, prompt in rows])
-    write_jsonl(out, (
-        {"query": json_fields(query), **json_fields(parsed)}
-        for (query, _prompt), parsed in zip(rows, predictions)
-    ))
+
+    def predicted():
+        """One request batch of at most `CHUNK_SIZE` prompts at a time, so a
+        failing endpoint stops the run within the chunk it fails in."""
+        for start in range(0, len(rows), CHUNK_SIZE):
+            chunk = rows[start : start + CHUNK_SIZE]
+            parsed = predictor.predict_prompts([prompt for _query, prompt in chunk])
+            for (query, _prompt), prediction in zip(chunk, parsed):
+                yield {"query": json_fields(query), **json_fields(prediction)}
+
+    write_jsonl(out, predicted())
     _write_manifest(out + ".manifest.json", "infer", config, inputs, {}, n_prompts=len(rows))
     click.echo(f"parsed predictions for {len(rows)} prompts -> {out}")
 
@@ -532,9 +567,9 @@ def eval_cmd(seeds, out_dir, **options):
 @guarded
 def ablate(orders, lengths, formats, out_dir, **options):
     """Evaluate a grid of prompt order, history length, and format configs."""
-    grid = {"orders": _comma_list("--orders", orders),
+    grid = {"orders": _comma_list("--orders", orders, allowed=ORDERS),
             "lengths": _comma_list("--lengths", lengths, int),
-            "formats": _comma_list("--formats", formats)}
+            "formats": _comma_list("--formats", formats, allowed=FORMATS)}
     config, manifest, upstream, kg, bank, queries, filter_index, engine = _load_eval(options)
     manifest["options"].update(grid)
     cells = ablation_run(

@@ -150,11 +150,24 @@ def generate_batch(
     seed: Optional[int] = None,
 ) -> list[list[str]]:
     """Dispatch requests with at most params.in_flight concurrently; results
-    come back in prompt order regardless of completion order."""
-    if not prompts:
-        return []
+    come back in prompt order regardless of completion order. The first
+    failure stops the batch: no prompt is sent once a request has failed,
+    and the error of the earliest failed prompt is raised when the requests
+    still open have ended."""
+    failed = threading.Event()
+
+    def request(prompt):
+        if failed.is_set():
+            return None  # never sent; a failure is raised below
+        try:
+            return generate(prompt, params, endpoint, seed=seed)
+        except BaseException:
+            failed.set()
+            raise
+
     with ThreadPoolExecutor(max_workers=params.in_flight) as pool:
-        return list(pool.map(lambda p: generate(p, params, endpoint, seed=seed), prompts))
+        futures = [pool.submit(request, prompt) for prompt in prompts]
+    return [future.result() for future in futures]
 
 
 _INDEXED_RE = re.compile(r"(\d+)\.(.+)", re.DOTALL)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
-from typing import Optional, Protocol, Sequence
+from typing import Iterator, Optional, Protocol, Sequence
 
 from .client import (
     GenParams,
@@ -32,7 +32,7 @@ from .rules import RuleBank
 
 HITS_LEVELS = (1, 3, 10)
 ABLATION_HISTORY_LENGTHS = (10, 20, 30, 40, 50)
-# queries retrieved, predicted and journaled together by `run_eval`
+# queries retrieved, predicted and journaled together (`_forecast`)
 CHUNK_SIZE = 32
 
 def build_filter_index(
@@ -164,25 +164,30 @@ def _check_queries(queries: Sequence[Query]) -> None:
         raise ValueError("every evaluation query needs a gold object")
 
 
-def _score_histories(
-    histories: Sequence[RetrievedHistory],
-    predictor: Predictor,
-    prompt_cfg: PromptConfig,
-    filter_index: Optional[TemporalKG],
-    kg: TemporalKG,
-    fingerprint: str,
-    retrieval_cfg: RetrievalConfig,
-) -> list[EvalRecord]:
-    """Prompt, predict (one batch), filter and rank each retrieved history."""
-    selected = [select_history(history, prompt_cfg, retrieval_cfg) for history in histories]
-    items = [(history, build_prompt(history, prompt_cfg, kg)) for history in selected]
-    records = []
-    for history, prediction in zip(selected, predictor.predict_batch(items)):
-        query = history.query
-        filtered = time_aware_filter(prediction.ranked, query, filter_index)
-        rank = _gold_rank(query, filtered)
-        records.append(EvalRecord(query, tuple(filtered), rank, prediction.n_skipped, fingerprint))
-    return records
+def _forecast(
+    kg: TemporalKG, bank: RuleBank, queries: Sequence[Query], indices: Sequence[int],
+    cells: Sequence[tuple[PromptConfig, str]], predictor: Predictor,
+    retrieval_cfg: RetrievalConfig, filter_index: Optional[TemporalKG],
+) -> Iterator[tuple[Sequence[int], list[list[EvalRecord]]]]:
+    """The one forecast loop. Per chunk of `CHUNK_SIZE` of the query
+    `indices`, retrieve each query once; then, per cell, a (prompt config,
+    fingerprint) pair, cap, prompt, predict (one batch of the chunk), filter
+    and rank. Yields the chunk and each cell's records for it, in order."""
+    for start in range(0, len(indices), CHUNK_SIZE):
+        chunk = indices[start : start + CHUNK_SIZE]
+        histories = [retrieve(kg, bank, queries[i], retrieval_cfg) for i in chunk]
+        by_cell = []
+        for prompt_cfg, fingerprint in cells:
+            selected = [select_history(h, prompt_cfg, retrieval_cfg) for h in histories]
+            items = [(history, build_prompt(history, prompt_cfg, kg)) for history in selected]
+            records = []
+            for history, prediction in zip(selected, predictor.predict_batch(items)):
+                query = history.query
+                filtered = time_aware_filter(prediction.ranked, query, filter_index)
+                records.append(EvalRecord(query, tuple(filtered), _gold_rank(query, filtered),
+                                          prediction.n_skipped, fingerprint))
+            by_cell.append(records)
+        yield chunk, by_cell
 
 
 def _load_journal(path: str, fingerprint: str, queries: Sequence[Query]) -> dict[int, EvalRecord]:
@@ -250,13 +255,9 @@ def run_eval(
     pending = [i for i in range(len(queries)) if i not in completed]
     journal = open(journal_path, "a", encoding="utf-8") if journal_path else None
     try:
-        for start in range(0, len(pending), CHUNK_SIZE):
-            chunk = pending[start : start + CHUNK_SIZE]
-            histories = [retrieve(kg, bank, queries[i], retrieval_cfg) for i in chunk]
-            records = _score_histories(
-                histories, predictor, prompt_cfg, filter_index, kg, fingerprint,
-                retrieval_cfg,
-            )
+        cell = (prompt_cfg, fingerprint)
+        for chunk, (records,) in _forecast(kg, bank, queries, pending, [cell], predictor,
+                                           retrieval_cfg, filter_index):
             for i, record in zip(chunk, records):
                 completed[i] = record
                 if journal:
@@ -296,7 +297,8 @@ def ablation_run(
     fingerprint: str = "",
 ) -> list[AblationCell]:
     """One report per (order, history length, format) cell. Retrieval runs
-    once per query and is shared across all cells."""
+    once per query and is shared across all cells; every cell's config is
+    built before the first retrieval."""
     _check_queries(queries)
     if not orders or not history_lengths or not formats:
         raise ValueError("empty ablation grid")
@@ -308,19 +310,16 @@ def ablation_run(
     if max(history_lengths) > retrieval_cfg.max_history:
         raise ValueError("history length exceeds retrieval max_history")
 
-    histories = [retrieve(kg, bank, query, retrieval_cfg) for query in queries]
-    cells = []
-    for order in orders:
-        for length in history_lengths:
-            for fmt in formats:
-                cfg = replace(base_prompt_cfg, format=fmt, order=order, max_facts=length)
-                cell_tag = f"{fingerprint}/{order}/{length}/{fmt}" if fingerprint else ""
-                records = _score_histories(
-                    histories, predictor, cfg, filter_index, kg, cell_tag, retrieval_cfg
-                )
-                report = report_from_records(records, cell_tag)
-                cells.append(AblationCell(order, length, fmt, report))
-    return cells
+    cells = [(replace(base_prompt_cfg, format=fmt, order=order, max_facts=length),
+              f"{fingerprint}/{order}/{length}/{fmt}" if fingerprint else "")
+             for order in orders for length in history_lengths for fmt in formats]
+    records: list[list[EvalRecord]] = [[] for _ in cells]
+    for _chunk, by_cell in _forecast(kg, bank, queries, range(len(queries)), cells, predictor,
+                                     retrieval_cfg, filter_index):
+        for kept, new in zip(records, by_cell):
+            kept.extend(new)
+    return [AblationCell(cfg.order, cfg.max_facts, cfg.format, report_from_records(kept, tag))
+            for (cfg, tag), kept in zip(cells, records)]
 
 
 def ablation_summary(cells: Sequence[AblationCell]) -> str:

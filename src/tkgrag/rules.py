@@ -8,6 +8,7 @@ which that claim is true in the graph.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -176,12 +177,17 @@ class RuleBank:
             fh.write("\n")
 
     @classmethod
-    def load(cls, path: str, n_relations: Optional[int] = None) -> "RuleBank":
-        """`from_json` of the file at `path`, its errors prefixed with the
-        path."""
+    def load(cls, path: str, n_relations: Optional[int] = None,
+             data: Optional[bytes] = None) -> "RuleBank":
+        """`from_json` of the file at `path`, read as UTF-8 text, its errors
+        prefixed with the path; `data`, when given, is the file's bytes as
+        the caller already read them."""
         try:
-            with open(path, encoding="utf-8") as fh:
-                return cls.from_json(fh.read(), n_relations)
+            if data is None:
+                with open(path, "rb") as fh:
+                    data = fh.read()
+            return cls.from_json(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read(),
+                                 n_relations)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 

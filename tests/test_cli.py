@@ -13,7 +13,7 @@ import tkgrag
 from tkgrag import cli
 from tkgrag.cli import main
 from tkgrag.config import build_run_config, stable_hash
-from tkgrag.evaluation import run_eval
+from tkgrag.evaluation import CHUNK_SIZE, run_eval
 from tkgrag.prompts import DEFAULT_INSTRUCTION, PromptConfig, build_prompt, select_history
 from tkgrag.retrieval import RetrievalConfig, queries_from_split, retrieve
 from tkgrag.rules import MiningParams, RuleBank
@@ -547,6 +547,33 @@ class TestValidationAndExitCodes:
             "--out", str(tmp_path / "x.jsonl"),
         ])
         assert result.exit_code == 3
+
+    def test_infer_stops_within_the_chunk_that_fails(self, runner, synthetic_dir,
+                                                     mined_rules, tmp_path):
+        """100 prompts against an endpoint that fails from request 21 and is
+        slow to answer request 1: the run sends no more than its first chunk,
+        exits 2 and writes nothing."""
+        histories = tmp_path / "h.jsonl"
+        run_ok(runner, ["retrieve", "--dataset-dir", str(synthetic_dir),
+                        "--rules", str(mined_rules), "--out", str(histories)])
+        prompts = tmp_path / "p.jsonl"
+        run_ok(runner, ["prompt", "--dataset-dir", str(synthetic_dir),
+                        "--histories", str(histories), "--out", str(prompts)])
+        rows = prompts.read_text().splitlines(keepends=True)
+        prompts.write_text("".join((rows * 100)[:100]))
+        stub = StubEndpoint(script=["delay"] + ["ok"] * 19 + ["error-payload"] * 80,
+                            delay=0.5, sequences=["0.e01]"])
+        out = tmp_path / "predictions.jsonl"
+        try:
+            result = runner.invoke(main, [
+                "infer", "--dataset-dir", str(synthetic_dir), "--prompts", str(prompts),
+                "--endpoint", stub.url, "--num-sequences", "1", "--out", str(out),
+            ])
+        finally:
+            stub.close()
+        assert (result.exit_code, result.output) == (2, "error: model exploded\n")
+        assert 20 < stub.attempts <= CHUNK_SIZE
+        assert not out.exists()
 
 
 def describe_option(param) -> str:
@@ -1125,6 +1152,38 @@ class TestResumeInputs:
         assert result.exit_code == 1, result.output
         assert "was written under fingerprint" in result.output
 
+    @pytest.mark.parametrize("command", ["eval", "retrieve"])
+    def test_rules_digest_is_of_the_bank_parsed(self, runner, monkeypatch, synthetic_dir,
+                                                mined_rules, tmp_path, command):
+        """A rule bank replaced after the command parsed it does not lend the
+        run its digest: the manifest records the bytes that were parsed, so
+        an eval on the new bank does not resume the old bank's records."""
+        rules = tmp_path / "rules.json"
+        shutil.copy(mined_rules, rules)
+        other = tmp_path / "other.json"
+        run_ok(runner, ["mine", "--dataset-dir", str(synthetic_dir), "--seed", "2",
+                        "--walks", "1", "--min-body-support", "5000", "--out", str(other)])
+        assert json.loads(other.read_text())["rules"] == []
+        queries_from_split = cli.queries_from_split
+
+        def swapped(*args):
+            shutil.copy(other, rules)
+            return queries_from_split(*args)
+
+        monkeypatch.setattr(cli, "queries_from_split", swapped)
+        out = tmp_path / "out"
+        args = [command, "--dataset-dir", str(synthetic_dir), "--rules", str(rules),
+                "--out-dir" if command == "eval" else "--out", str(out)]
+        run_ok(runner, args)
+        manifest = out / "manifest.json" if command == "eval" else tmp_path / "out.manifest.json"
+        digest = hashlib.sha256(mined_rules.read_bytes()).hexdigest()
+        assert json.loads(manifest.read_text())["inputs"]["rules"] == digest
+        if command == "eval":
+            monkeypatch.undo()
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1, result.output
+            assert "was written under fingerprint" in result.output
+
     @pytest.mark.parametrize("option", [
         ["--retrieval-splits", "train", "--filter-splits", "train"],
         ["--retrieval-splits", "train"],
@@ -1226,6 +1285,41 @@ class TestCommaLists:
             *outputs.get(command, ["--rules", str(mined_rules), "--out-dir", str(out)]),
         ])
         assert (result.exit_code, result.output) == (1, f"error: {option}: train is given twice\n")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("command, option, value, allowed", [
+        ("mine", "--mine-splits", "train,trian", "train, valid, test"),
+        ("retrieve", "--split", "tset", "train, valid, test"),
+        ("retrieve", "--retrieval-splits", "train,tset", "train, valid, test"),
+        ("eval", "--split", "tset", "train, valid, test"),
+        ("eval", "--retrieval-splits", "tset", "train, valid, test"),
+        ("eval", "--filter-splits", "train,tset", "train, valid, test"),
+        ("ablate", "--split", "tset", "train, valid, test"),
+        ("ablate", "--filter-splits", "tset", "train, valid, test"),
+        ("ablate", "--orders", "ascending,ascnding",
+         "ascending, descending, random, timestamps-removed"),
+        ("ablate", "--formats", "lexical,indx", "index, lexical"),
+    ])
+    def test_unknown_name_refused_before_the_load(self, runner, monkeypatch, synthetic_dir,
+                                                  mined_rules, tmp_path, command, option,
+                                                  value, allowed):
+        """A split, order or format that does not exist is named with its
+        option and the names allowed, before the dataset is loaded."""
+        def no_load(*args):
+            raise AssertionError("the dataset was loaded")
+
+        monkeypatch.setattr(cli, "load_dataset", no_load)
+        out = tmp_path / "out"
+        outputs = {"mine": ["--out", str(out)],
+                   "retrieve": ["--rules", str(mined_rules), "--out", str(out)]}
+        result = runner.invoke(main, [
+            command, "--dataset-dir", str(synthetic_dir), option, value,
+            *outputs.get(command, ["--rules", str(mined_rules), "--out-dir", str(out)]),
+        ])
+        bad = value.split(",")[-1]
+        assert (result.exit_code, result.output) == (
+            1, f"error: {option}: expected one of {allowed}, got {bad!r}\n")
         assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -230,6 +231,31 @@ class TestGenerateBatch:
 
     def test_empty_batch(self):
         assert generate_batch([], GenParams(), "http://unused/") == []
+
+    @pytest.mark.parametrize("behavior, error", [
+        ("error-payload", EndpointError),
+        ("http-500", EndpointError),
+        ("malformed", MalformedResponseError),
+        ("drop", TransportError),
+    ])
+    def test_first_failure_stops_the_batch(self, behavior, error):
+        """From the first failed request on, no further prompt is sent, even
+        while an earlier prompt is still open: request 1 is slow, requests 2
+        to n - 1 succeed and request n fails, so at most the in_flight - 1
+        others already open reach the endpoint after it."""
+        n, in_flight = 6, 3
+        stub = StubEndpoint(script=["delay"] + ["ok"] * (n - 2) + [behavior] * 40,
+                            delay=0.5, hold=0.02, sequences=["a]"])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to bring out a race
+        try:
+            params = GenParams(num_sequences=1, timeout=5.0, retries=0, in_flight=in_flight)
+            with pytest.raises(error):
+                generate_batch([f"p{i}" for i in range(40)], params, stub.url)
+            assert stub.attempts <= n - 1 + in_flight
+        finally:
+            sys.setswitchinterval(interval)
+            stub.close()
 
 
 def prompt_with_map(index_map, fmt="index"):

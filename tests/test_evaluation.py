@@ -1,12 +1,15 @@
 import json
 import os
 import random
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tkgrag import evaluation
 from tkgrag.evaluation import (
+    CHUNK_SIZE,
     EvalRecord,
     LLMPredictor,
     OraclePredictor,
@@ -21,7 +24,7 @@ from tkgrag.evaluation import (
 from tkgrag.client import GenParams
 from tkgrag.kg import Dataset
 from tkgrag.prompts import PromptConfig
-from tkgrag.retrieval import Query, RetrievalConfig, queries_from_split
+from tkgrag.retrieval import Query, RetrievalConfig, queries_from_split, retrieve
 
 from conftest import make_kg, reference_filter
 from test_client import StubEndpoint
@@ -339,6 +342,35 @@ class TestAblation:
         assert (ten.report.hits1, ten.report.hits3, ten.report.hits10) == (
             direct.hits1, direct.hits3, direct.hits10
         )
+
+    def test_one_retrieval_and_one_chunk_per_batch(self, synthetic_dataset, synthetic_bank,
+                                                   monkeypatch):
+        """Over more than a chunk of queries, each query is retrieved once for
+        all cells and no predictor batch holds more than one chunk."""
+        queries = queries_from_split(synthetic_dataset, "test")
+        assert len(queries) > CHUNK_SIZE
+        retrieved = Counter()
+
+        def counting_retrieve(kg, bank, query, cfg):
+            retrieved[query] += 1
+            return retrieve(kg, bank, query, cfg)
+
+        monkeypatch.setattr(evaluation, "retrieve", counting_retrieve)
+
+        class RecordingOracle(OraclePredictor):
+            batches = []
+
+            def predict_batch(self, items):
+                self.batches.append(len(items))
+                return super().predict_batch(items)
+
+        predictor = RecordingOracle(synthetic_bank)
+        cells = ablation_run(synthetic_dataset.union_kg(), synthetic_bank, queries,
+                             orders=["ascending", "descending"], history_lengths=[10, 50],
+                             formats=["index"], predictor=predictor)
+        assert retrieved == Counter(queries)
+        assert max(predictor.batches) <= CHUNK_SIZE
+        assert sum(predictor.batches) == len(queries) * len(cells) == len(queries) * 4
 
     def test_stepwise_fact_cap_scores_the_stepwise_history(
         self, synthetic_dataset, synthetic_bank
