@@ -53,9 +53,8 @@ def time_aware_filter(
     relation, nothing is dropped."""
     if filter_index is None or query.relation >= filter_index.num_base_relations:
         return list(ranked)
-    order, found = filter_index.key_search(query.subject, [query.relation],
-                                           (query.t, query.t + 1))
-    others = filter_index.obj[order[found[0, 0]:found[0, 1]]].tolist()
+    at = filter_index.positions_at(query.subject, query.relation, query.t)
+    others = filter_index.obj[at].tolist()
     gold = query.gold_object
     return [obj for obj in ranked if obj == gold or obj not in others]
 

@@ -44,10 +44,11 @@ class TemporalKG:
     lookup is a `np.searchsorted` into a key table built on first use by
     `_key_table`: the stable argsort of packed id keys and the keys in that
     order, so the positions of a run of equal ids ascend in t. There are
-    four: (subject, relation, t) for `key_search`; (subject, object, t)
-    for `returning_positions` and `pair_ids`; relation runs for
-    `relation_positions`; and the latest t of each (relation, subject,
-    object) for `last_time_of`, which takes ids or equal-length id arrays.
+    four: (subject, relation, t) for `key_search` and `positions_at`;
+    (subject, object, t) for `returning_positions` and `pair_ids`; relation
+    runs for `relation_positions`; and the latest t of each (relation,
+    subject, object) for `last_time_of`, which takes ids or equal-length id
+    arrays.
     A graph that is only retrieved from or filtered against builds only the
     first. Instances never mutate after construction (beyond those lazy
     builds) and are safe to share across threads.
@@ -152,6 +153,16 @@ class TemporalKG:
         found = keys.searchsorted(wanted)
         found *= (relations.view(np.uint64) < n_rel)[:, None]
         return order, found
+
+    def positions_at(self, subject: int, relation: int, t: int) -> np.ndarray:
+        """Positions of edges (subject, relation, *, t): one key's range in the
+        (subject, relation, t) key table, empty for ids outside the
+        vocabulary and for t outside [0, t_max]."""
+        order, keys, (n_ent, n_rel, n_t) = self._sr_keys
+        if not (0 <= subject < n_ent and 0 <= relation < n_rel and 0 <= t < n_t):
+            return order[:0]
+        key = (subject * n_rel + relation) * n_t + t
+        return order[keys.searchsorted(key):keys.searchsorted(key, "right")]
 
     def relation_positions(self, relation: int) -> np.ndarray:
         """Positions of edges with `relation`, ascending in t; empty for an id

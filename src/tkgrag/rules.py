@@ -12,7 +12,7 @@ import io
 import json
 import os
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, NamedTuple, Optional, Sequence
+from typing import ClassVar, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -197,7 +197,10 @@ def _rule_sort_key(rule: TemporalRule):
 
 
 def _derived_seed(*material) -> int:
-    token = "/".join(map(str, material)).encode()
+    return _token_seed("/".join(map(str, material)).encode())
+
+
+def _token_seed(token: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(token, digest_size=8).digest(), "big")
 
 
@@ -214,6 +217,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+_MASK64 = (1 << 64) - 1
 
 
 def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
@@ -260,58 +264,98 @@ def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
     return states
 
 
-def _walk_streams(seed: int, head_relation: int, num_walks: int) -> Iterator[np.random.Generator]:
-    """The generator of each of a head's walks in turn, drawing the stream
-    `_derived_rng(seed, "walk", head_relation, walk_index)` would. It is one
-    generator, set to the next walk's start state when the next is asked
-    for."""
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    seeds = [_derived_seed(seed, "walk", head_relation, walk_index)
-             for walk_index in range(num_walks)]
-    for state, inc in _pcg64_states(seeds):
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        yield rng
+def _walk_seeds(seed: int, head_relation: int, num_walks: int) -> list[int]:
+    """`_derived_seed(seed, "walk", head_relation, walk_index)` of each of a
+    head's walks, the token prefix they share encoded once."""
+    prefix = "/".join(map(str, (seed, "walk", head_relation, ""))).encode()
+    return [_token_seed(b"%s%d" % (prefix, walk_index)) for walk_index in range(num_walks)]
+
+
+def _pcg64_step(state: int, inc: int) -> tuple[int, int]:
+    """PCG64's next 128-bit LCG state and the 64-bit output it gives
+    (XSL-RR: the state's halves xor-ed, rotated right by its top 6 bits)."""
+    state = (state * _PCG64_MULT + inc) & _MASK128
+    word = ((state >> 64) ^ state) & _MASK64
+    rot = state >> 122
+    return state, (word >> rot | word << (64 - rot)) & _MASK64
+
+
+def _walk_draws(state: int, inc: int, n: int) -> tuple[int, float]:
+    """What `Generator.integers(n)` and then `.random()` return on a fresh
+    `Generator(PCG64)` at (state, inc), without building one.
+
+    `integers(n)` is numpy's unmasked Lemire draw: a draw times n, whose
+    high bits are the pick unless its low bits fall under (2**bits - n) % n,
+    when it draws again. For n <= 2**32 the draws are 32 bits, the low half
+    of an output and then its buffered high half; above, whole outputs; for
+    n == 1 there is no draw. `random()` is the next whole output's top 53
+    bits times 2**-53. Only the bit generator's outputs are used, and NEP 19
+    keeps those fixed across numpy versions.
+    """
+    pick = 0
+    if n > 1:
+        bits = 32 if n <= 1 << 32 else 64
+        low = (1 << bits) - 1
+        threshold = ((1 << bits) - n) % n
+        draws: list[int] = []  # draws of the current output, the next one last
+        while True:
+            if not draws:
+                state, word = _pcg64_step(state, inc)
+                draws = [word >> 32, word & low] if bits == 32 else [word]
+            product = draws.pop() * n
+            if product & low >= threshold:
+                break
+        pick = product >> bits
+    state, word = _pcg64_step(state, inc)
+    return pick, (word >> 11) * 2.0**-53
 
 
 def transition_weights(candidate_ts: np.ndarray, t: int) -> np.ndarray:
     """Exponential recency weighting over candidate timestamps, normalized.
 
-    Weight of a candidate at t_u is proportional to exp(t_u - t); the shared
-    maximum is subtracted before exponentiation so the result is stable for
-    arbitrarily distant timestamps.
+    Weight of a candidate at t_u is proportional to exp(t_u - t), computed as
+    exp(t_u - t_max) over the latest candidate t_max: the differences are
+    exact integers, so the result is stable for arbitrarily distant
+    timestamps.
     """
     if candidate_ts.size == 0:
         raise ValueError("empty candidate set")
     if (candidate_ts >= t).any():
         raise ValueError("candidate timestamp not strictly before current time")
-    z = candidate_ts.astype(np.float64) - float(t)
-    z -= z.max()
-    w = np.exp(z)
+    w = np.exp((candidate_ts - candidate_ts.max()).astype(np.float64))
     return w / w.sum()
 
 
-def sample_walk(
-    kg: TemporalKG, head_edge: Quadruple, rng: np.random.Generator
-) -> Optional[int]:
+def sample_walk(kg: TemporalKG, head_edge: Quadruple, u: float) -> Optional[int]:
     """One time-respecting walk step from a head edge back to its subject.
 
     Candidates are edges from the head's object back to the head's subject at
-    a strictly earlier time step. Returns the body relation id of the sampled
-    candidate, or None when no candidate closes the cycle. On an
-    inverse-augmented graph the sampled edge points opposite to the head, so
-    its relation is mapped to the inverse id to read in the head's direction.
-    `head_edge` must be an edge of `kg`; that is not checked.
+    a strictly earlier time step. Returns the body relation id of the
+    candidate that the uniform draw `u` in [0, 1) picks, or None when no
+    candidate closes the cycle. On an inverse-augmented graph the sampled edge
+    points opposite to the head, so its relation is mapped to the inverse id
+    to read in the head's direction. `head_edge` must be an edge of `kg`;
+    that is not checked.
+
+    The pick takes the float operations of `Generator.choice(size, p=probs)`
+    with `transition_weights`' probabilities and `u` as its `random()` draw:
+    weights `exp(t_u - t_last)` (candidates ascend in t, so the last is the
+    latest), divide by their sum, cumulative sum, normalise by its last
+    element and `searchsorted(u, "right")`.
     """
     positions = kg.returning_positions(head_edge.object, head_edge.subject, head_edge.t)
     if positions.size == 0:
         return None
-    probs = transition_weights(kg.ts[positions], head_edge.t)
-    # the float operations of rng.choice(positions.size, p=probs), unchecked
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    pick = int(cdf.searchsorted(rng.random(), side="right"))
+    times = kg.ts[positions]
+    last = times[-1]
+    if last >= head_edge.t:
+        raise ValueError("candidate timestamp not strictly before current time")
+    pick = 0
+    if positions.size > 1:
+        w = np.exp(times - last)  # float64: the differences are int64
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        pick = int(cdf.searchsorted(u, "right"))
     walked = int(kg.rel[positions[pick]])
     inverse = kg.inverse_of(walked)
     return walked if inverse is None else inverse
@@ -377,10 +421,11 @@ def _mine_head(
     subjects, objects, times = (column[positions].tolist() for column in (kg.sub, kg.obj, kg.ts))
     candidates: list[int] = []
     seen: set[int] = set()
-    for rng in _walk_streams(params.seed, head_relation, params.num_walks):
-        pick = rng.integers(positions.size)
+    seeds = _walk_seeds(params.seed, head_relation, params.num_walks)
+    for state, inc in _pcg64_states(seeds):
+        pick, u = _walk_draws(state, inc, positions.size)
         head_edge = Quadruple(subjects[pick], head_relation, objects[pick], times[pick])
-        body = sample_walk(kg, head_edge, rng)
+        body = sample_walk(kg, head_edge, u)
         if body is not None and body not in seen:
             seen.add(body)
             candidates.append(body)

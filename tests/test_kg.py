@@ -540,6 +540,18 @@ class TestIndicesAgainstReference:
                                 if lo <= edges[p][3] < hi]
                         assert order[found[j, i]:found[j, n_windows + i]].tolist() == want
 
+    def test_positions_at(self):
+        """One (subject, relation, t) key's range: the edges `key_search`
+        finds in [t, t + 1), empty for ids and times outside the graph."""
+        for seed in self.SEEDS:
+            _rng, kg, _rows = random_graph(seed)
+            n_ent, n_rel = len(kg.entities), len(kg.relations)
+            for subject in range(-1, n_ent + 2):
+                for relation in [*range(-2, n_rel + 2), 2**40]:
+                    for t in range(-2, kg.t_max + 3):
+                        assert (kg.positions_at(subject, relation, t).tolist()
+                                == key_range(kg, subject, relation, t, t + 1).tolist())
+
     def test_union_kg(self):
         for seed in self.SEEDS:
             rng, train, rows = random_graph(seed)

@@ -23,7 +23,12 @@ def traced_tiny_run(workload: str) -> dict:
 
 
 def test_traced_mine_fires_every_span():
-    assert traced_tiny_run("desk-mine")["rules.confidence_calls"]["value"] > 0
+    metrics = traced_tiny_run("desk-mine")
+    assert metrics["rules.confidence_calls"]["value"] > 0
+    # one traced `sample_walk` per walk: 24 heads x 200 walks, of which the
+    # seeded streams close the same 2,533 as ever
+    assert metrics["rules.walks"]["value"] == 4800
+    assert metrics["rules.walks_closed"]["value"] == 2533
 
 
 def test_traced_desk_forecast_fires_every_span():

@@ -17,7 +17,8 @@ from tkgrag.rules import (
     _derived_rng,
     _derived_seed,
     _pcg64_states,
-    _walk_streams,
+    _walk_draws,
+    _walk_seeds,
     estimate_confidence,
     learn_rules,
     sample_walk,
@@ -96,6 +97,11 @@ class TestTransitionDistribution:
                 assert abs(g - w) <= 1e-12
         assert time.perf_counter() - start < 1.0
 
+    def test_time_steps_beyond_float_precision(self):
+        # as floats, 2**60 + 1, 2**60 + 3 and 2**60 + 5 are all 2**60; the
+        # weights read their integer distances, as for small time steps
+        assert weights([2**60 + 1, 2**60 + 3], 2**60 + 5) == weights([1, 3], 5)
+
     def test_shift_invariance_is_exact(self):
         rng = np.random.default_rng(5)
         times = [int(t) for t in rng.integers(0, 100, size=20)]
@@ -110,35 +116,46 @@ class TestSampleWalk:
     def test_single_candidate_returned(self):
         kg = make_kg([(0, 0, 1, 5), (1, 1, 0, 3)])
         rng = np.random.default_rng(0)
-        assert sample_walk(kg, Quadruple(0, 0, 1, 5), rng) == 1
+        assert sample_walk(kg, Quadruple(0, 0, 1, 5), rng.random()) == 1
 
     def test_no_candidates_gives_none(self):
         kg = make_kg([(0, 0, 1, 5)])
-        assert sample_walk(kg, Quadruple(0, 0, 1, 5), np.random.default_rng(0)) is None
+        assert sample_walk(kg, Quadruple(0, 0, 1, 5), np.random.default_rng(0).random()) is None
 
     def test_same_time_edge_is_not_a_candidate(self):
         kg = make_kg([(0, 0, 1, 5), (1, 1, 0, 5)])
-        assert sample_walk(kg, Quadruple(0, 0, 1, 5), np.random.default_rng(0)) is None
+        assert sample_walk(kg, Quadruple(0, 0, 1, 5), np.random.default_rng(0).random()) is None
 
     def test_inverse_mapping_on_augmented_graph(self):
         # body stored as (0, 1, 1, 3); its mirror (1, inv_1, 0, 3) is the only
         # candidate, and the walk reports the original direction's id
         kg = make_kg([(0, 0, 1, 5), (0, 1, 1, 3)], inverse=True)
-        got = sample_walk(kg, Quadruple(0, 0, 1, 5), np.random.default_rng(0))
+        got = sample_walk(kg, Quadruple(0, 0, 1, 5), np.random.default_rng(0).random())
         assert got == 1
+
+    def test_large_time_steps_walk_as_small_ones(self):
+        small = make_kg([(0, 0, 1, 5), (1, 1, 0, 1), (1, 2, 0, 3)])
+        large = make_kg([(0, 0, 1, 2**60 + 5), (1, 1, 0, 2**60 + 1), (1, 2, 0, 2**60 + 3)])
+        for u in np.linspace(0, 1, 50, endpoint=False).tolist():
+            assert (sample_walk(large, Quadruple(0, 0, 1, 2**60 + 5), u)
+                    == sample_walk(small, Quadruple(0, 0, 1, 5), u))
 
     def test_empirical_frequency_matches_weighting(self):
         kg = make_kg([(0, 0, 1, 5), (1, 1, 0, 4), (1, 2, 0, 1)])
         head = Quadruple(0, 0, 1, 5)
         rng = np.random.default_rng(99)
-        hits = sum(1 for _ in range(100_000) if sample_walk(kg, head, rng) == 1)
+        hits = sum(1 for _ in range(100_000) if sample_walk(kg, head, rng.random()) == 1)
         expected = np.exp(-1) / (np.exp(-1) + np.exp(-4))
         assert hits / 100_000 == pytest.approx(expected, abs=0.01)
 
 
 class TestWalkStreams:
-    """Mining seeds each head's walks in one pass and replays every walk's
-    `_derived_rng` stream on one reused generator."""
+    """Mining seeds each head's walks in one pass and computes every walk's
+    draws from its PCG64 state, as `_derived_rng`'s stream would give them."""
+
+    # 32-bit bounds (2**31 + 1 rejects about half of the first draws, 3 * 2**30
+    # a quarter), the largest 32-bit bound and the 64-bit path
+    BOUNDS = (1, 2, 3, 1000, 2**31 - 1, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32, 2**40 + 3)
 
     def test_states_match_default_rng(self):
         rng = np.random.default_rng(31)
@@ -153,34 +170,66 @@ class TestWalkStreams:
             assert state == (want["state"], want["inc"]), seed
         assert _pcg64_states([]) == []
 
-    def test_reused_generator_replays_each_walk(self):
-        # a float32 draw leaves half a 64-bit output buffered in the bit
-        # generator, which must not leak into the next walk
-        for walk_index, rng in enumerate(_walk_streams(7, 3, 50)):
-            want = _derived_rng(7, "walk", 3, walk_index)
-            bound = walk_index + 1
-            assert rng.random(dtype=np.float32) == want.random(dtype=np.float32)
-            assert rng.integers(bound) == want.integers(bound)
-            assert rng.random() == want.random()
-            assert rng.integers(2**20, size=3).tolist() == want.integers(2**20, size=3).tolist()
-            assert rng.random(dtype=np.float32) == want.random(dtype=np.float32)
+    def test_walk_seeds_are_derived_seeds(self):
+        for seed, head in ((0, 0), (7, 3), (2**40, 229)):
+            assert _walk_seeds(seed, head, 120) == [
+                _derived_seed(seed, "walk", head, i) for i in range(120)]
+        assert _walk_seeds(7, 3, 0) == []
 
-    @pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 9, 16, 127, 128, 129, 130, 500, 3000])
-    def test_step_matches_generator_choice(self, size):
-        # candidate i is the only returning edge with relation i + 1; timestamps
-        # tie often, and sums above 8 (and 128) terms turn pairwise
+    def test_computed_draws_match_generator(self):
+        # `integers(n)` then `random()` of each walk's `_derived_rng`
+        seeds = [_derived_seed(7, "walk", head, i) for head in range(4) for i in range(300)]
+        rejected = dict.fromkeys(self.BOUNDS, 0)
+        rejected_twice = 0
+        for seed, (state, inc) in zip(seeds, _pcg64_states(seeds)):
+            first = np.random.PCG64(seed).random_raw()
+            for n in self.BOUNDS:
+                want = np.random.default_rng(seed)
+                assert _walk_draws(state, inc, n) == (int(want.integers(n)), want.random()), (seed, n)
+                # Lemire's method rejects a draw x when x * n mod 2**bits falls
+                # under (2**bits - n) % n; a 32-bit draw then retries with the
+                # high half of the same output, and after that a fresh output
+                bits = 32 if n <= 2**32 else 64
+                if first % 2**bits * n % 2**bits < (2**bits - n) % n:
+                    rejected[n] += 1
+                    rejected_twice += bits == 32 and (first >> 32) * n % 2**32 < (2**32 - n) % n
+        assert rejected[2**31 + 1] > 0.4 * len(seeds) and rejected[3 * 2**30] > 0.15 * len(seeds)
+        assert rejected_twice > 0.1 * len(seeds)
+
+    @staticmethod
+    def candidates_case(size):
+        """A head edge with `size` returning candidates, candidate i the only
+        one with relation i + 1; timestamps tie often, and sums above 8 (and
+        128) terms turn pairwise. Returns the graph, the head, the candidate
+        positions and their `transition_weights`."""
         rng = np.random.default_rng(size)
         head = Quadruple(0, 0, 1, 100)
         times = rng.integers(head.t - 8, head.t, size).tolist()
         kg = make_kg([tuple(head)] + [(1, i + 1, 0, t) for i, t in enumerate(times)],
                      n_entities=2, n_relations=size + 1)
         positions = kg.returning_positions(head.object, head.subject, head.t)
-        probs = transition_weights(kg.ts[positions], head.t)
+        return kg, head, positions, transition_weights(kg.ts[positions], head.t)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 9, 16, 127, 128, 129, 130, 500, 3000])
+    def test_step_matches_generator_choice(self, size):
+        kg, head, positions, probs = self.candidates_case(size)
         for seed in range(40):
             walked, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
             pick = chosen.choice(size, p=probs)
-            assert sample_walk(kg, head, walked) == kg.rel[positions[pick]]
+            assert sample_walk(kg, head, walked.random()) == kg.rel[positions[pick]]
             assert walked.random() == chosen.random()  # the same draws consumed
+
+    @pytest.mark.parametrize("size", [2, 3, 9, 130, 3000])
+    def test_step_splits_where_generator_choice_does(self, size):
+        # `u` at `Generator.choice`'s cumulative bounds and one ulp either side:
+        # a float operation that rounds differently moves some pick
+        kg, head, positions, probs = self.candidates_case(size)
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        bounds = cdf[:-1][np.linspace(0, size - 2, min(size - 1, 40)).astype(int)]
+        for u in np.concatenate([bounds, np.nextafter(bounds, 0), np.nextafter(bounds, 1)]):
+            want = kg.rel[positions[cdf.searchsorted(u, side="right")]]
+            assert sample_walk(kg, head, float(u)) == want, u
 
 
 class TestEstimateConfidence:
