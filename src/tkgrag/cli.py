@@ -34,6 +34,7 @@ from .files import (
     atomic_write,
     fields_of,
     json_fields,
+    open_input,
     parse_json,
     read_jsonl,
     write_json,
@@ -183,46 +184,28 @@ def _config(options: dict, endpoint=None, seed=None, **sections) -> RunConfig:
     return build_run_config(payload, {**overrides, "endpoint": endpoint, "seed": seed})
 
 
-def _load_data(config: RunConfig) -> Dataset:
+def _load_data(config: RunConfig) -> tuple[Dataset, str]:
+    """The dataset the config names, and the sha256 of its vocabularies and
+    of every split's edges as loaded."""
     if not config.dataset.dir:
         raise ConfigError("dataset.dir: no dataset directory given")
-    return load_dataset(config.dataset.dir, config.dataset)
-
-
-def _dataset_digest(dataset: Dataset) -> str:
-    """sha256 of the vocabularies and of every split's edges as loaded."""
+    dataset = load_dataset(config.dataset.dir, config.dataset)
     sizes = [len(dataset.split(name)) for name in SPLIT_FILES]
     digest = hashlib.sha256(json.dumps([dataset.entities, dataset.relations, sizes]).encode())
     for name in SPLIT_FILES:
         kg = dataset.split(name)
         for column in (kg.sub, kg.rel, kg.obj, kg.ts):
             digest.update(column.tobytes())
-    return digest.hexdigest()
+    return dataset, digest.hexdigest()
 
 
 def _file_digest(path: str) -> str:
     """sha256 of the bytes of the file at `path`, read in fixed-size blocks."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
+    with open_input(path) as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()
-
-
-def _input_digests(dataset: Dataset, **digests: str) -> dict:
-    """Content digests of a command's inputs, as its manifest records them
-    under "inputs": the dataset as loaded, then each of `digests` (name=the
-    sha256 of an input file's bytes, such as the rule bank's)."""
-    return {"dataset": _dataset_digest(dataset), **digests}
-
-
-def _load_rules(path: str, dataset: Dataset) -> tuple[RuleBank, str]:
-    """The rule bank at `path`, checked against the dataset's relations, and
-    the sha256 of the very bytes it was parsed from: the file is read once,
-    so a bank replaced during the run cannot lend the run its digest."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return RuleBank.load(path, len(dataset.relations), data), hashlib.sha256(data).hexdigest()
 
 
 def _read_manifest(path: str) -> Optional[dict]:
@@ -239,47 +222,64 @@ def _read_manifest(path: str) -> Optional[dict]:
         raise ValueError(f"{manifest_path}: {exc}") from None
 
 
-def _check_built_from(path: str, dataset_digest: str) -> Optional[dict]:
-    """The manifest next to the input file `path` (`_read_manifest`).
-    ValueError naming the manifest when it records another dataset under
-    inputs.dataset than the loaded one, whose digest is `dataset_digest`."""
-    manifest_path = path + ".manifest.json"
-    manifest = _read_manifest(path)
-    if manifest is None:
-        return None
-    try:
-        recorded = manifest["inputs"]["dataset"]
-    except (LookupError, TypeError):
-        raise ValueError(f"{manifest_path}: no dataset digest under inputs.dataset") from None
-    if recorded != dataset_digest:
-        raise ValueError(f"{path}: built from dataset {recorded} (see {manifest_path}), "
-                         f"but the loaded dataset is {dataset_digest}")
-    return manifest
+def _check_describes(path: str, manifest: dict, digest: str) -> None:
+    """ValueError naming the manifest of the file at `path` when it records
+    another sha256 than `digest`, the file's, or none: the file was written
+    after its manifest, or its manifest is left from an earlier file."""
+    recorded = manifest.get("sha256")
+    if recorded != digest:
+        raise ValueError(f"{path}.manifest.json: describes a file of sha256 {recorded}, "
+                         f"but {path} has sha256 {digest}")
 
 
-def _upstream(rules_path: str) -> dict:
-    """Which run mined the rule bank at `rules_path`, as a manifest records
-    it under "upstream": the fingerprint and dataset digest of the bank's
-    mine manifest (`_read_manifest`), or None for a bank without one.
-    ValueError naming the manifest when it lacks either. A bank may be
-    applied to another dataset; the two dataset digests then differ."""
-    manifest = _read_manifest(rules_path)
+def _load_rules(path: str, dataset: Dataset) -> tuple[RuleBank, str, dict]:
+    """The rule bank at `path`, checked against the dataset's relations; the
+    sha256 of the very bytes it was parsed from, read once, so a bank
+    replaced during the run cannot lend the run its digest; and its lineage
+    as a manifest records it under "upstream": the fingerprint and dataset
+    digest of the bank's mine manifest (`_read_manifest`), or None for a
+    bank without one, and ValueError naming the manifest when it lacks
+    either or describes other bytes (`_check_describes`). A bank may be
+    applied to another dataset."""
+    with open_input(path) as fh:
+        data = fh.read()
+    bank = RuleBank.load(path, len(dataset.relations), data)
+    digest, manifest = hashlib.sha256(data).hexdigest(), _read_manifest(path)
     if manifest is None:
-        return {"rules": None}
+        return bank, digest, {"rules": None}
     try:
         mined = {"fingerprint": manifest["fingerprint"], "dataset": manifest["inputs"]["dataset"]}
         if all(type(value) is str for value in mined.values()):
-            return {"rules": mined}
+            _check_describes(path, manifest, digest)
+            return bank, digest, {"rules": mined}
     except (LookupError, TypeError):
         pass
-    raise ValueError(f"{rules_path}.manifest.json: expected a string fingerprint and "
-                     f"inputs.dataset")
+    raise ValueError(f"{path}.manifest.json: expected a string fingerprint and inputs.dataset")
+
+
+def _built_from(path: str, dataset_digest: str) -> tuple[str, Optional[dict]]:
+    """The sha256 of the histories or prompts file at `path` and its
+    manifest (`_read_manifest`). ValueError naming the manifest when it
+    records another dataset under inputs.dataset than the loaded one, whose
+    digest is `dataset_digest`, or describes other bytes (`_check_describes`)."""
+    manifest_path = path + ".manifest.json"
+    digest, manifest = _file_digest(path), _read_manifest(path)
+    if manifest is not None:
+        try:
+            recorded = manifest["inputs"]["dataset"]
+        except (LookupError, TypeError):
+            raise ValueError(f"{manifest_path}: no dataset digest under inputs.dataset") from None
+        if recorded != dataset_digest:
+            raise ValueError(f"{path}: built from dataset {recorded} (see {manifest_path}), "
+                             f"but the loaded dataset is {dataset_digest}")
+        _check_describes(path, manifest, digest)
+    return digest, manifest
 
 
 def _load_eval(options: dict, **sections):
     """What an eval or ablate run loads once, from the shared eval options
     (popped from `options`): the run config, the manifest entries, the rule
-    bank's lineage (`_upstream`), and the retrieval graph, rule bank,
+    bank's lineage (`_load_rules`), and the retrieval graph, rule bank,
     queries, filter index and predictor. When both name the same splits,
     the retrieval graph is the filter index. The manifest entries are the
     content digests of the rule bank and the dataset ("inputs") and the
@@ -295,9 +295,8 @@ def _load_eval(options: dict, **sections):
     endpoint = options.pop("endpoint")
     config = _config(options, endpoint=endpoint, retrieval=RetrievalConfig,
                      generation=GenParams, **sections)
-    dataset = _load_data(config)
-    bank, rules_digest = _load_rules(rules_path, dataset)
-    upstream = _upstream(rules_path)
+    dataset, dataset_digest = _load_data(config)
+    bank, rules_digest, upstream = _load_rules(rules_path, dataset)
     filter_index = build_filter_index(dataset, filter_splits)
     kg = (filter_index if set(retrieval_splits) == set(filter_splits)
           else dataset.union_kg(retrieval_splits))
@@ -306,7 +305,7 @@ def _load_eval(options: dict, **sections):
         engine = OraclePredictor(bank)
     else:
         engine = LLMPredictor(kg, resolve_endpoint(config.endpoint), config.generation)
-    manifest = {"inputs": _input_digests(dataset, rules=rules_digest),
+    manifest = {"inputs": {"dataset": dataset_digest, "rules": rules_digest},
                 "options": {"split": split, "retrieval_splits": retrieval_splits,
                             "filter_splits": filter_splits, "predictor": predictor}}
     return config, manifest, upstream, kg, bank, queries, filter_index, engine
@@ -323,8 +322,9 @@ def _write_manifest(path: str, command: str, config: RunConfig, inputs: dict, op
                     **counts):
     """What a run records about itself: the command, its fingerprint, its
     config, when it was written and its input digests, then its `options`
-    and its `counts`, each as a top-level entry. Counts, the rule bank's
-    lineage ("upstream") last among them, are not part of the fingerprint."""
+    and its `counts`, each as a top-level entry. Counts, among them the
+    "sha256" of the file a manifest beside a file describes, and last the
+    rule bank's lineage ("upstream"), are not part of the fingerprint."""
     write_json(path, {
         "command": command,
         "fingerprint": _fingerprint(config, inputs, options),
@@ -377,11 +377,11 @@ def mine(workers, mine_splits, out, **options):
     """Mine temporal rules from the training split."""
     splits = _comma_list("--mine-splits", mine_splits, allowed=SPLIT_FILES)
     config = _config(options, mining=MiningParams)
-    dataset = _load_data(config)
+    dataset, dataset_digest = _load_data(config)
     bank = learn_rules(dataset.union_kg(splits), config.mining, workers=workers)
     bank.save(out)
-    _write_manifest(out + ".manifest.json", "mine", config, _input_digests(dataset),
-                    {"mine_splits": splits}, n_rules=len(bank))
+    _write_manifest(out + ".manifest.json", "mine", config, {"dataset": dataset_digest},
+                    {"mine_splits": splits}, n_rules=len(bank), sha256=_file_digest(out))
     click.echo(f"mined {len(bank)} rules -> {out}")
 
 
@@ -399,9 +399,8 @@ def retrieve_cmd(rules_path, split, retrieval_splits, out, **options):
     _one_of("--split", split, SPLIT_FILES)
     splits = _comma_list("--retrieval-splits", retrieval_splits, allowed=SPLIT_FILES)
     config = _config(options, retrieval=RetrievalConfig)
-    dataset = _load_data(config)
-    bank, rules_digest = _load_rules(rules_path, dataset)
-    upstream = _upstream(rules_path)
+    dataset, dataset_digest = _load_data(config)
+    bank, rules_digest, upstream = _load_rules(rules_path, dataset)
     kg = dataset.union_kg(splits)
     queries = queries_from_split(dataset, split)
     count = write_jsonl(out, (
@@ -409,9 +408,9 @@ def retrieve_cmd(rules_path, split, retrieval_splits, out, **options):
         for query in queries
     ))
     _write_manifest(out + ".manifest.json", "retrieve", config,
-                    _input_digests(dataset, rules=rules_digest),
+                    {"dataset": dataset_digest, "rules": rules_digest},
                     {"split": split, "retrieval_splits": splits}, n_queries=len(queries),
-                    upstream=upstream)
+                    sha256=_file_digest(out), upstream=upstream)
     click.echo(f"retrieved {count} histories -> {out}")
 
 
@@ -424,9 +423,9 @@ def retrieve_cmd(rules_path, split, retrieval_splits, out, **options):
 def prompt_cmd(histories_path, out, **options):
     """Render retrieved histories into prompts."""
     config = _config(options, prompt=PromptConfig)
-    dataset = _load_data(config)
-    inputs = _input_digests(dataset, histories=_file_digest(histories_path))
-    manifest = _check_built_from(histories_path, inputs["dataset"])
+    dataset, dataset_digest = _load_data(config)
+    histories_digest, manifest = _built_from(histories_path, dataset_digest)
+    inputs = {"dataset": dataset_digest, "histories": histories_digest}
     # the fact cap replays the retrieval config the histories were retrieved
     # with; without a manifest, the config file's
     if manifest is not None:
@@ -442,7 +441,8 @@ def prompt_cmd(histories_path, out, **options):
                                     config.prompt, kg))}
         for history in read_jsonl(histories_path, lambda row: history_from_dict(row, kg))
     ))
-    _write_manifest(out + ".manifest.json", "prompt", config, inputs, {}, n_prompts=count)
+    _write_manifest(out + ".manifest.json", "prompt", config, inputs, {}, n_prompts=count,
+                    sha256=_file_digest(out))
     click.echo(f"rendered {count} prompts -> {out}")
 
 
@@ -458,14 +458,13 @@ def prompt_cmd(histories_path, out, **options):
 def export(rules_path, k, seed, out, **options):
     """Export an instruction-tuning dataset sampled from the training split."""
     config = _config(options, seed=seed, retrieval=RetrievalConfig, prompt=PromptConfig)
-    dataset = _load_data(config)
-    bank, rules_digest = _load_rules(rules_path, dataset)
-    inputs = _input_digests(dataset, rules=rules_digest)
-    upstream = _upstream(rules_path)
+    dataset, dataset_digest = _load_data(config)
+    bank, rules_digest, upstream = _load_rules(rules_path, dataset)
     counts = export_finetune_set(dataset, bank, k, config.retrieval, config.prompt,
                                  config.seed, out)
-    _write_manifest(out + ".manifest.json", "export", config, inputs, {"k": k}, **counts,
-                    upstream=upstream)
+    _write_manifest(out + ".manifest.json", "export", config,
+                    {"dataset": dataset_digest, "rules": rules_digest}, {"k": k}, **counts,
+                    sha256=_file_digest(out), upstream=upstream)
     click.echo(f"exported {counts['n_samples']} samples -> {out}")
 
 
@@ -479,9 +478,9 @@ def export(rules_path, k, seed, out, **options):
 def infer(prompts_path, endpoint, out, **options):
     """Send rendered prompts to the completion endpoint and parse predictions."""
     config = _config(options, endpoint=endpoint, generation=GenParams)
-    dataset = _load_data(config)
-    inputs = _input_digests(dataset, prompts=_file_digest(prompts_path))
-    _check_built_from(prompts_path, inputs["dataset"])
+    dataset, dataset_digest = _load_data(config)
+    prompts_digest, _manifest = _built_from(prompts_path, dataset_digest)
+    inputs = {"dataset": dataset_digest, "prompts": prompts_digest}
     kg = dataset.train
     predictor = LLMPredictor(kg, resolve_endpoint(config.endpoint), config.generation)
 
@@ -503,7 +502,8 @@ def infer(prompts_path, endpoint, out, **options):
                 yield {"query": json_fields(query), **json_fields(prediction)}
 
     write_jsonl(out, predicted())
-    _write_manifest(out + ".manifest.json", "infer", config, inputs, {}, n_prompts=len(rows))
+    _write_manifest(out + ".manifest.json", "infer", config, inputs, {}, n_prompts=len(rows),
+                    sha256=_file_digest(out))
     click.echo(f"parsed predictions for {len(rows)} prompts -> {out}")
 
 

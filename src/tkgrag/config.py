@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .client import GenParams
-from .files import fields_of, parse_json, typed
+from .files import fields_of, open_input, parse_json, typed
 from .kg import DatasetSpec
 from .prompts import PromptConfig
 from .retrieval import RetrievalConfig
@@ -81,14 +81,15 @@ def build_run_config(
 
 def load_config_file(path: str) -> dict:
     """The config file's JSON object; invalid JSON, a repeated key or
-    another top level raises ConfigError naming the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
+    another top level raises ConfigError naming the file, and a missing
+    file ValueError (`files.open_input`)."""
+    with open_input(path, "r", encoding="utf-8") as fh:
+        try:
             payload = parse_json(fh.read())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return payload

@@ -12,7 +12,7 @@ import shutil
 import types
 import typing
 from contextlib import contextmanager, suppress
-from typing import Callable, Collection, Iterable, Iterator, TextIO, TypeVar
+from typing import IO, Callable, Collection, Iterable, Iterator, Optional, TextIO, TypeVar
 
 T = TypeVar("T")
 INT64 = range(-2**63, 2**63)  # the values of a 64-bit signed integer
@@ -208,6 +208,19 @@ def text_lines(path: str, error: type[ValueError] = ValueError) -> Iterator[tupl
                 except UnicodeDecodeError as exc:
                     raise error(f"{path}:{number}: {exc}") from None
             yield number, line.rstrip("\n")
+
+
+def open_input(path: str, mode: str = "rb", encoding: Optional[str] = None) -> IO:
+    """The input file at `path` opened in `mode`; ValueError "missing input
+    file <path>" when there is none, as for a dataset's split file, and
+    "<path>: a directory, not a file" for a directory. Other faults stay
+    OSErrors."""
+    try:
+        return open(path, mode, encoding=encoding)
+    except FileNotFoundError:
+        raise ValueError(f"missing input file {path}") from None
+    except IsADirectoryError:
+        raise ValueError(f"{path}: a directory, not a file") from None
 
 
 def create_text(path: str) -> TextIO:

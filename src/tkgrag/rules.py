@@ -310,22 +310,6 @@ def _walk_draws(state: int, inc: int, n: int) -> tuple[int, float]:
     return pick, (word >> 11) * 2.0**-53
 
 
-def transition_weights(candidate_ts: np.ndarray, t: int) -> np.ndarray:
-    """Exponential recency weighting over candidate timestamps, normalized.
-
-    Weight of a candidate at t_u is proportional to exp(t_u - t), computed as
-    exp(t_u - t_max) over the latest candidate t_max: the differences are
-    exact integers, so the result is stable for arbitrarily distant
-    timestamps.
-    """
-    if candidate_ts.size == 0:
-        raise ValueError("empty candidate set")
-    if (candidate_ts >= t).any():
-        raise ValueError("candidate timestamp not strictly before current time")
-    w = np.exp((candidate_ts - candidate_ts.max()).astype(np.float64))
-    return w / w.sum()
-
-
 def sample_walk(kg: TemporalKG, head_edge: Quadruple, u: float) -> Optional[int]:
     """One time-respecting walk step from a head edge back to its subject.
 
@@ -338,10 +322,11 @@ def sample_walk(kg: TemporalKG, head_edge: Quadruple, u: float) -> Optional[int]
     that is not checked.
 
     The pick takes the float operations of `Generator.choice(size, p=probs)`
-    with `transition_weights`' probabilities and `u` as its `random()` draw:
-    weights `exp(t_u - t_last)` (candidates ascend in t, so the last is the
-    latest), divide by their sum, cumulative sum, normalise by its last
-    element and `searchsorted(u, "right")`.
+    with the recency law's probabilities (`conftest.transition_weights` in
+    the tests) and `u` as its `random()` draw: weights `exp(t_u - t_last)`
+    (candidates ascend in t, so the last is the latest), divide by their
+    sum, cumulative sum, normalise by its last element and
+    `searchsorted(u, "right")`.
     """
     positions = kg.returning_positions(head_edge.object, head_edge.subject, head_edge.t)
     if positions.size == 0:

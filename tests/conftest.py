@@ -20,7 +20,6 @@ from tkgrag.rules import (
     TemporalRule,
     _derived_rng,
     learn_rules,
-    transition_weights,
 )
 from tkgrag.synthetic import SyntheticSpec, write_synthetic_dataset
 
@@ -90,6 +89,9 @@ class FullDisk:
     def __iter__(self):  # reading is not affected
         return iter(self.fh)
 
+    def read(self, *args):
+        return self.fh.read(*args)
+
     def __enter__(self):
         return self
 
@@ -143,6 +145,23 @@ def history_of(query: Query, facts, provenance) -> RetrievedHistory:
 def history_key(history: RetrievedHistory) -> tuple:
     """What tells two histories apart: (query, facts, provenance)."""
     return history.query, history.facts, history.provenance
+
+
+def transition_weights(candidate_ts: np.ndarray, t: int) -> np.ndarray:
+    """Exponential recency weighting over candidate timestamps, normalized:
+    the transition law whose probabilities `rules.sample_walk` picks by.
+
+    Weight of a candidate at t_u is proportional to exp(t_u - t), computed as
+    exp(t_u - t_max) over the latest candidate t_max: the differences are
+    exact integers, so the result is stable for arbitrarily distant
+    timestamps.
+    """
+    if candidate_ts.size == 0:
+        raise ValueError("empty candidate set")
+    if (candidate_ts >= t).any():
+        raise ValueError("candidate timestamp not strictly before current time")
+    w = np.exp((candidate_ts - candidate_ts.max()).astype(np.float64))
+    return w / w.sum()
 
 
 def reference_sample_walk(kg: TemporalKG, head_edge: Quadruple, rng):

@@ -37,7 +37,7 @@ from tkgrag.retrieval import (
     queries_from_split,
     retrieve,
 )
-from tkgrag.rules import MiningParams, learn_rules, transition_weights
+from tkgrag.rules import MiningParams, learn_rules
 from tkgrag.synthetic import BODY_RELATION, HEAD_RELATION
 
 from conftest import (
@@ -47,6 +47,7 @@ from conftest import (
     reference_filter,
     reference_retrieve,
     reference_rule_scores,
+    transition_weights,
 )
 from golden_fixture import GOLDEN_DIR, golden_history, golden_kg, golden_name
 from test_client import StubEndpoint

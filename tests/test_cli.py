@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -12,8 +14,10 @@ from click.testing import CliRunner
 import tkgrag
 from tkgrag import cli
 from tkgrag.cli import main
+from tkgrag.client import rule_score_predict
 from tkgrag.config import build_run_config, stable_hash
 from tkgrag.evaluation import CHUNK_SIZE, run_eval
+from tkgrag.kg import load_dataset
 from tkgrag.prompts import DEFAULT_INSTRUCTION, PromptConfig, build_prompt, select_history
 from tkgrag.retrieval import RetrievalConfig, queries_from_split, retrieve
 from tkgrag.rules import MiningParams, RuleBank
@@ -30,6 +34,17 @@ def run_ok(runner, args, **kwargs):
     result = runner.invoke(main, args, catch_exceptions=False, **kwargs)
     assert result.exit_code == 0, result.output
     return result
+
+
+def record_sha256(path):
+    """Record the bytes of the file `path` in the manifest a command wrote
+    beside it, when there is one, as if that command had written them: a
+    manifest that describes other bytes is refused before the file is read."""
+    manifest = path.with_name(path.name + ".manifest.json")
+    if manifest.exists():
+        payload = json.loads(manifest.read_text())
+        payload["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        manifest.write_text(json.dumps(payload))
 
 
 def strip_created_at(path):
@@ -346,6 +361,7 @@ class TestValidationAndExitCodes:
         number, row = next((n, row) for n, row in enumerate(rows, 1) if row["facts"])
         (row["facts"][0] if field == "provenance" else row).pop(field)
         histories.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        record_sha256(histories)
         result = runner.invoke(main, ["prompt", "--dataset-dir", str(synthetic_dir),
                                       "--histories", str(histories),
                                       "--out", str(tmp_path / "p.jsonl")])
@@ -378,6 +394,7 @@ class TestValidationAndExitCodes:
         number, row = next((n, row) for n, row in enumerate(rows, 1) if row["facts"])
         (row["facts"][-1] if where == "fact" else row["query"])[field] = value
         histories.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        record_sha256(histories)
         result = runner.invoke(main, ["prompt", "--dataset-dir", str(synthetic_dir),
                                       "--histories", str(histories),
                                       "--out", str(tmp_path / "p.jsonl")])
@@ -472,6 +489,7 @@ class TestValidationAndExitCodes:
             del row[damage]
             lines[1] = json.dumps(row)
         path.write_text("\n" + "".join(line + "\n" for line in lines))
+        record_sha256(path)
         result = runner.invoke(main, args)
         assert result.exit_code == 1, result.output
         assert result.output == f"error: {path}:3: {message}\n"
@@ -561,6 +579,7 @@ class TestValidationAndExitCodes:
                         "--histories", str(histories), "--out", str(prompts)])
         rows = prompts.read_text().splitlines(keepends=True)
         prompts.write_text("".join((rows * 100)[:100]))
+        record_sha256(prompts)
         stub = StubEndpoint(script=["delay"] + ["ok"] * 19 + ["error-payload"] * 80,
                             delay=0.5, sequences=["0.e01]"])
         out = tmp_path / "predictions.jsonl"
@@ -765,7 +784,7 @@ class TestSurface:
                         "--out", str(out)])
         manifest = json.loads((tmp_path / "finetune.jsonl.manifest.json").read_text())
         assert list(manifest) == ["command", "fingerprint", "config", "created_at", "inputs",
-                                  "k", "n_samples", "over_char_budget", "upstream"]
+                                  "k", "n_samples", "over_char_budget", "sha256", "upstream"]
         assert (manifest["command"], manifest["k"], manifest["n_samples"],
                 manifest["over_char_budget"]) == ("export", 4, 4, 0)
         config = manifest["config"]
@@ -880,6 +899,16 @@ class TestManifestInputs:
                 assert manifest["upstream"] == lineage, name
             else:
                 assert "upstream" not in manifest, name
+        # a manifest beside a file records that file's sha256, just before "upstream"
+        described = {"mine": "r.json", "retrieve": "h.jsonl", "prompt": "p.jsonl",
+                     "infer": "x.jsonl", "export": "f.jsonl"}
+        for name, manifest in manifests.items():
+            if name in described:
+                digest = hashlib.sha256((tmp_path / described[name]).read_bytes()).hexdigest()
+                assert manifest["sha256"] == digest, name
+                assert list(manifest)[-2 if "upstream" in manifest else -1] == "sha256", name
+            else:
+                assert "sha256" not in manifest, name
 
 
 class TestInputsOfAnotherDataset:
@@ -923,8 +952,7 @@ class TestInputsOfAnotherDataset:
         paths, renamed = built
         path = paths[command]
         recorded = json.loads(path.with_name(path.name + ".manifest.json").read_text())
-        loaded = cli._dataset_digest(cli._load_data(
-            build_run_config({"dataset": {"dir": str(renamed)}})))
+        loaded = cli._load_data(build_run_config({"dataset": {"dir": str(renamed)}}))[1]
         assert recorded["inputs"]["dataset"] != loaded
         out = tmp_path / "out.jsonl"
         result, requests = self.run(runner, command, path, renamed, out)
@@ -976,8 +1004,7 @@ class TestInputsOfAnotherDataset:
                         "--out", str(out)])
         manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
         mined = json.loads(mined_rules.with_name(mined_rules.name + ".manifest.json").read_text())
-        digest = {path: cli._dataset_digest(cli._load_data(
-                      build_run_config({"dataset": {"dir": str(path)}})))
+        digest = {path: cli._load_data(build_run_config({"dataset": {"dir": str(path)}}))[1]
                   for path in (synthetic_dir, renamed)}
         assert manifest["inputs"]["dataset"] == digest[renamed] != digest[synthetic_dir]
         assert manifest["upstream"] == {"rules": {"fingerprint": mined["fingerprint"],
@@ -1038,6 +1065,177 @@ class TestInputsOfAnotherDataset:
         result, _requests = self.run(runner, "prompt", paths["prompt"], synthetic_dir, out)
         assert (result.exit_code, result.output) == (1, f"error: {manifest}: {message}\n")
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def seed3(tmp_path_factory):
+    """The dataset of `synth --seed 3`, with 37 test queries, and the rule
+    bank `mine` writes for it by default."""
+    root = tmp_path_factory.mktemp("seed3")
+    data, rules = root / "data", root / "rules.json"
+    for args in (["synth", "--out", str(data), "--seed", "3"],
+                 ["mine", "--dataset-dir", str(data), "--out", str(rules)]):
+        run_ok(CliRunner(), args)
+    return data, rules
+
+
+class TestManifestDescribesItsFile:
+    """A manifest records the sha256 of the file beside it, and a command
+    refuses an input whose manifest records other bytes or none, before it
+    reads a row."""
+
+    def test_half_written_retrieve_refused(self, runner, monkeypatch, seed3, tmp_path):
+        """A retrieve whose manifest write fails leaves its histories beside
+        the manifest of the run before; `prompt` would cap them under that
+        run's retrieval config."""
+        data, rules = seed3
+        histories = tmp_path / "h.jsonl"
+        retrieve = ["retrieve", "--dataset-dir", str(data), "--rules", str(rules),
+                    "--out", str(histories)]
+        run_ok(runner, [*retrieve, "--window", "30", "--stepwise"])
+        write_json = cli.write_json
+
+        def full_disk(path, payload):
+            if path.endswith(".manifest.json"):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            write_json(path, payload)
+
+        monkeypatch.setattr(cli, "write_json", full_disk)
+        result = runner.invoke(main, retrieve)
+        assert (result.exit_code, result.output) == (
+            2, "error: [Errno 28] No space left on device\n")
+        monkeypatch.undo()
+        manifest = tmp_path / "h.jsonl.manifest.json"
+        recorded = json.loads(manifest.read_text())
+        assert recorded["config"]["retrieval"]["window"] == 30
+        assert recorded["config"]["retrieval"]["stepwise"] is True
+        out = tmp_path / "p.jsonl"
+        result = runner.invoke(main, ["prompt", "--dataset-dir", str(data), "--histories",
+                                      str(histories), "--max-facts", "10", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        digest = hashlib.sha256(histories.read_bytes()).hexdigest()
+        assert (result.exit_code, result.output) == (
+            1, f"error: {manifest}: describes a file of sha256 {recorded['sha256']}, "
+               f"but {histories} has sha256 {digest}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stale", ["replaced", "no-sha256"])
+    @pytest.mark.parametrize("kind", ["rules", "histories", "prompts"])
+    def test_manifest_of_other_bytes_refused(self, runner, seed3, tmp_path, kind, stale):
+        """The file was replaced by another run's, its manifest left behind,
+        or its manifest records no sha256."""
+        data, _rules = seed3
+        common = ["--dataset-dir", str(data)]
+        rules, histories, prompts = tmp_path / "r.json", tmp_path / "h.jsonl", tmp_path / "p.jsonl"
+        other, out = tmp_path / "other", tmp_path / "out"
+        # (the file, the command writing it, an option that writes other bytes,
+        # the command reading it)
+        path, writer, option, reader = {
+            "rules": (rules, ["mine", *common], ["--min-body-support", "5000"],
+                      ["retrieve", *common, "--rules", str(rules)]),
+            "histories": (histories, ["retrieve", *common, "--rules", str(rules)],
+                          ["--window", "30", "--stepwise"],
+                          ["prompt", *common, "--histories", str(histories)]),
+            "prompts": (prompts, ["prompt", *common, "--histories", str(histories)],
+                        ["--max-facts", "10"],
+                        ["infer", *common, "--prompts", str(prompts),
+                         "--endpoint", "http://127.0.0.1:9/", "--retries", "0"]),
+        }[kind]
+        run_ok(runner, ["mine", *common, "--out", str(rules)])
+        run_ok(runner, ["retrieve", *common, "--rules", str(rules), "--out", str(histories)])
+        run_ok(runner, ["prompt", *common, "--histories", str(histories),
+                        "--out", str(prompts)])
+        manifest = path.with_name(path.name + ".manifest.json")
+        recorded = json.loads(manifest.read_text())
+        if stale == "replaced":
+            run_ok(runner, [*writer, *option, "--out", str(other)])
+            assert other.read_bytes() != path.read_bytes()
+            shutil.copy(other, path)
+        else:
+            del recorded["sha256"]
+            manifest.write_text(json.dumps(recorded))
+        result = runner.invoke(main, [*reader, "--out", str(out)])
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert (result.exit_code, result.output) == (
+            1, f"error: {manifest}: describes a file of sha256 {recorded.get('sha256')}, "
+               f"but {path} has sha256 {digest}\n")
+        assert not out.exists()
+
+
+class TestMissingInput:
+    @pytest.mark.parametrize("command, option, name", [
+        ("retrieve", "--rules", "nope.json"), ("eval", "--rules", "nope.json"),
+        ("prompt", "--histories", "nope.jsonl"), ("infer", "--prompts", "nope.jsonl"),
+        ("retrieve", "--config", "nope.cfg"), ("retrieve", "--rules", "dir"),
+    ], ids=["retrieve-rules", "eval-rules", "prompt-histories", "infer-prompts",
+            "config", "rules-directory"])
+    def test_missing_input_file_is_validation_error(self, runner, synthetic_dir, mined_rules,
+                                                    tmp_path, command, option, name):
+        """An input file that is not there exits 1, as a dataset's missing
+        split file does, and so does a directory given for a file."""
+        path = tmp_path / name
+        if name == "dir":
+            path.mkdir()
+        out = tmp_path / "out"
+        # the command's other inputs; the option given last takes effect
+        args = {"retrieve": ["--rules", str(mined_rules), "--out", str(out)],
+                "eval": ["--rules", str(mined_rules), "--out-dir", str(out)],
+                "prompt": ["--out", str(out)],
+                "infer": ["--endpoint", "http://127.0.0.1:9/", "--out", str(out)]}[command]
+        result = runner.invoke(main, [command, "--dataset-dir", str(synthetic_dir), *args,
+                                      option, str(path)])
+        message = (f"{path}: a directory, not a file" if name == "dir"
+                   else f"missing input file {path}")
+        assert (result.exit_code, result.output) == (1, f"error: {message}\n")
+        assert not out.exists()
+
+
+class TestGenerativeRoundTrip:
+    """`eval --predictor llm` against an endpoint that answers each prompt
+    with the oracle's ranking for its query, written as a model would, gives
+    the oracle's records: completions go through the real client and
+    `parse_predictions` unchanged."""
+
+    @pytest.mark.parametrize("fmt", ["index", "lexical"])
+    def test_oracle_answers_round_trip(self, runner, seed3, tmp_path, fmt):
+        data, rules = seed3
+        dataset = load_dataset(str(data))
+        kg, bank = dataset.union_kg(), RuleBank.load(str(rules))
+        retrieval_cfg, prompt_cfg = RetrievalConfig(), PromptConfig(format=fmt)
+        names = kg.display_names[0]
+        answers = {}
+        for query in queries_from_split(dataset, "test"):
+            history = select_history(retrieve(kg, bank, query, retrieval_cfg), prompt_cfg,
+                                     retrieval_cfg)
+            prompt = build_prompt(history, prompt_cfg, kg)
+            # `index.name]`, with a fresh index for an entity outside the prompt,
+            # or `name]`
+            fresh = itertools.count(len(prompt.index_map))
+            answers[prompt.text] = [
+                f"{prompt.index_map.get(entity, next(fresh))}.{names[entity]}]"
+                if fmt == "index" else f"{names[entity]}]"
+                for entity in rule_score_predict(history, bank).ranked
+            ]
+        stub = StubEndpoint(responder=lambda payload: answers[payload["prompt"]])
+        args = ["eval", "--dataset-dir", str(data), "--rules", str(rules), "--format", fmt]
+        try:
+            generated = run_ok(runner, [*args, "--predictor", "llm", "--endpoint", stub.url,
+                                        "--out-dir", str(tmp_path / "llm")]).output
+        finally:
+            stub.close()
+        assert stub.attempts == 37
+        oracle = run_ok(runner, [*args, "--out-dir", str(tmp_path / "oracle")]).output
+
+        def records(run):
+            rows = [json.loads(line) for line in (tmp_path / run / "records.jsonl").open()]
+            for row in rows:
+                del row["fingerprint"]
+            return rows
+
+        assert len(records("oracle")) == 37
+        assert records("llm") == records("oracle")
+        assert generated == oracle
+        assert "n_unparsed\t0\n" in generated
 
 
 class TestOneFactCap:
@@ -1372,6 +1570,7 @@ class TestTextInputs:
             run_ok(runner, writer)
         text = path.read_bytes()
         path.write_bytes(text.replace(b"\n", b"\xff\n", 1))
+        record_sha256(path)
         result = runner.invoke(main, args)
         # no traceback: the command ends through sys.exit
         assert isinstance(result.exception, SystemExit), result.exception

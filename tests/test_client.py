@@ -42,11 +42,16 @@ class StubEndpoint:
     `script` maps request ordinal (per server, 0-based) to one of:
     ok | drop | delay | malformed | error-payload | http-500. Anything beyond
     the script acts as "ok". Every request payload is kept in `payloads`.
+    An "ok" request gets `sequences`, or, with a `responder`, the sequences
+    it returns for the request's payload; either is cut to the payload's
+    `num_sequences`.
     """
 
-    def __init__(self, script=(), sequences=("0.France]",), delay=1.0, hold=0.0):
+    def __init__(self, script=(), sequences=("0.France]",), delay=1.0, hold=0.0,
+                 responder=None):
         self.script = list(script)
         self.sequences = list(sequences)
+        self.responder = responder
         self.delay = delay
         self.hold = hold
         self.attempts = 0
@@ -91,7 +96,8 @@ class StubEndpoint:
                         self.send_response(500)
                     else:
                         n = payload.get("num_sequences", 1)
-                        body = json.dumps({"sequences": stub.sequences[:n]}).encode()
+                        sequences = stub.responder(payload) if stub.responder else stub.sequences
+                        body = json.dumps({"sequences": sequences[:n]}).encode()
                         self.send_response(200)
                     self.send_header("Content-Type", "application/json")
                     self.send_header("Content-Length", str(len(body)))

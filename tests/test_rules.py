@@ -22,11 +22,16 @@ from tkgrag.rules import (
     estimate_confidence,
     learn_rules,
     sample_walk,
-    transition_weights,
 )
 from tkgrag.synthetic import BODY_RELATION, HEAD_RELATION
 
-from conftest import edges_of, make_kg, reference_confidence, reference_learn_rules
+from conftest import (
+    edges_of,
+    make_kg,
+    reference_confidence,
+    reference_learn_rules,
+    transition_weights,
+)
 
 
 def per_grounding_confidence(kg, head_relation, body_relation, grounding_cap, rng):
