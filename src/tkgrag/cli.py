@@ -2,19 +2,20 @@
 
 Every subcommand maps to one module entry point, and every one that writes
 artifacts records a manifest next to them through `_write_manifest`. Exit
-codes: 0 ok, 1 validation failure, 2 runtime failure, 3 transport failure.
+codes, decided by `_exit_code` alone: 0 ok, 1 validation failure (a usage
+error among them), 2 runtime failure, 3 transport failure.
 """
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 import os
 import sys
 import typing
+from contextlib import contextmanager, suppress
 from datetime import datetime, timezone
-from typing import Optional
+from typing import Iterator, Optional
 
 import click
 
@@ -37,6 +38,7 @@ from .files import (
     open_input,
     parse_json,
     read_jsonl,
+    typed,
     write_json,
     write_jsonl,
 )
@@ -60,26 +62,6 @@ from .retrieval import (
 )
 from .rules import MiningParams, RuleBank, learn_rules
 from .synthetic import SyntheticSpec, write_synthetic_dataset
-
-
-def _abort(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
-def guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ValueError as exc:  # ConfigError and DatasetFormatError among them
-            _abort(1, str(exc))
-        except TransportError as exc:
-            _abort(3, str(exc))
-        except (ClientError, OSError) as exc:
-            _abort(2, str(exc))
-
-    return wrapper
 
 
 def _stack(*options):
@@ -147,12 +129,13 @@ def _one_of(option: str, value, allowed):
 
 
 def _comma_list(option: str, text: str, kind: type = str, allowed=None) -> list:
-    """The items of a comma-separated option as `kind`, each given once and,
-    when `allowed` is given, each one of it (`_one_of`)."""
+    """The items of a comma-separated option as `kind`, an int of 64 bits as
+    the codec reads it (`typed`), each given once and, when `allowed` is
+    given, each one of it (`_one_of`)."""
     values = []
     for item in (s.strip() for s in text.split(",")):
         try:
-            value = kind(item)
+            value = typed(kind, kind(item), option)
         except ValueError:
             raise ValueError(f"{option}: expected {kind.__name__}, got {item!r}") from None
         if allowed is not None:
@@ -211,15 +194,15 @@ def _file_digest(path: str) -> str:
 def _read_manifest(path: str) -> Optional[dict]:
     """The manifest next to the input file `path`, or None when there is
     none, so hand-made inputs stay allowed. ValueError naming the manifest
-    when it is not JSON or repeats a key."""
+    when it is a directory (`open_input`), is not JSON or repeats a key."""
     manifest_path = path + ".manifest.json"
     if not os.path.exists(manifest_path):
         return None
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
+    with open_input(manifest_path, "r", encoding="utf-8") as fh:
+        try:
             return parse_json(fh.read())
-    except ValueError as exc:
-        raise ValueError(f"{manifest_path}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{manifest_path}: {exc}") from None
 
 
 def _check_describes(path: str, manifest: dict, digest: str) -> None:
@@ -336,7 +319,48 @@ def _write_manifest(path: str, command: str, config: RunConfig, inputs: dict, op
     })
 
 
-@click.group()
+@contextmanager
+def _staged(out: str) -> Iterator[str]:
+    """A path beside `out` for the block to write a command's file to, and
+    then its manifest, `out`.manifest.json. The file moves to `out` only
+    after the block: a run stopped before its manifest is written leaves
+    `out` and its manifest as they were, and one stopped after it leaves a
+    manifest that `_check_describes` finds describes other bytes."""
+    staged = f"{out}.{os.getpid()}.tmp"
+    try:
+        yield staged
+        os.replace(staged, out)
+    finally:
+        with suppress(FileNotFoundError):
+            os.unlink(staged)
+
+
+def _exit_code(step, *args):
+    """`step(*args)`, each failure ended by its exit code: a click usage error
+    keeps click's text and exits 1; else one `error: <message>` line, and 1 for
+    a ValueError, 3 for a TransportError, 2 for another ClientError or OSError."""
+    try:
+        return step(*args)
+    except click.UsageError as exc:
+        exc.exit_code = 1
+        raise
+    except (ValueError, ClientError, OSError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1 if isinstance(exc, ValueError) else 3 if isinstance(exc, TransportError) else 2)
+
+
+class _Pipeline(click.Group):
+    """The command group, whose own arguments and every subcommand, which
+    `invoke` parses and runs, pass through `_exit_code`."""
+
+    def parse_args(self, ctx, args):
+        return _exit_code(super().parse_args, ctx, args)
+
+    def invoke(self, ctx):
+        return _exit_code(super().invoke, ctx)
+
+
+@click.group(cls=_Pipeline)
 def main():
     """Temporal knowledge graph forecasting pipeline."""
 
@@ -351,7 +375,6 @@ def main():
 @click.option("--t-span", type=int, default=None)
 @click.option("--planted-entities", type=int, default=None)
 @click.option("--seed", type=int, default=None)
-@guarded
 def synth(out, **fields):
     """Generate a synthetic dataset with one planted temporal implication."""
     spec = SyntheticSpec(**{k: v for k, v in fields.items() if v is not None})
@@ -372,16 +395,16 @@ def synth(out, **fields):
 @click.option("--mine-splits", default="train", show_default=True,
               help="Comma-separated splits the mining graph merges.")
 @click.option("--out", default="rules.json", show_default=True)
-@guarded
 def mine(workers, mine_splits, out, **options):
     """Mine temporal rules from the training split."""
     splits = _comma_list("--mine-splits", mine_splits, allowed=SPLIT_FILES)
     config = _config(options, mining=MiningParams)
     dataset, dataset_digest = _load_data(config)
     bank = learn_rules(dataset.union_kg(splits), config.mining, workers=workers)
-    bank.save(out)
-    _write_manifest(out + ".manifest.json", "mine", config, {"dataset": dataset_digest},
-                    {"mine_splits": splits}, n_rules=len(bank), sha256=_file_digest(out))
+    with _staged(out) as path:
+        bank.save(path)
+        _write_manifest(out + ".manifest.json", "mine", config, {"dataset": dataset_digest},
+                        {"mine_splits": splits}, n_rules=len(bank), sha256=_file_digest(path))
     click.echo(f"mined {len(bank)} rules -> {out}")
 
 
@@ -393,7 +416,6 @@ def mine(workers, mine_splits, out, **options):
               help="Comma-separated splits the retrieval graph merges.")
 @_section_options(RetrievalConfig)
 @click.option("--out", default="histories.jsonl", show_default=True)
-@guarded
 def retrieve_cmd(rules_path, split, retrieval_splits, out, **options):
     """Retrieve rule-guided histories for a split's queries."""
     _one_of("--split", split, SPLIT_FILES)
@@ -403,14 +425,15 @@ def retrieve_cmd(rules_path, split, retrieval_splits, out, **options):
     bank, rules_digest, upstream = _load_rules(rules_path, dataset)
     kg = dataset.union_kg(splits)
     queries = queries_from_split(dataset, split)
-    count = write_jsonl(out, (
-        history_to_dict(retrieval.retrieve(kg, bank, query, config.retrieval))
-        for query in queries
-    ))
-    _write_manifest(out + ".manifest.json", "retrieve", config,
-                    {"dataset": dataset_digest, "rules": rules_digest},
-                    {"split": split, "retrieval_splits": splits}, n_queries=len(queries),
-                    sha256=_file_digest(out), upstream=upstream)
+    with _staged(out) as path:
+        count = write_jsonl(path, (
+            history_to_dict(retrieval.retrieve(kg, bank, query, config.retrieval))
+            for query in queries
+        ))
+        _write_manifest(out + ".manifest.json", "retrieve", config,
+                        {"dataset": dataset_digest, "rules": rules_digest},
+                        {"split": split, "retrieval_splits": splits}, n_queries=len(queries),
+                        sha256=_file_digest(path), upstream=upstream)
     click.echo(f"retrieved {count} histories -> {out}")
 
 
@@ -419,7 +442,6 @@ def retrieve_cmd(rules_path, split, retrieval_splits, out, **options):
 @click.option("--histories", "histories_path", required=True)
 @_section_options(PromptConfig)
 @click.option("--out", default="prompts.jsonl", show_default=True)
-@guarded
 def prompt_cmd(histories_path, out, **options):
     """Render retrieved histories into prompts."""
     config = _config(options, prompt=PromptConfig)
@@ -435,14 +457,15 @@ def prompt_cmd(histories_path, out, **options):
             RetrievalConfig, section, f"{histories_path}.manifest.json: config.retrieval",
             closed=True))
     kg = dataset.train
-    count = write_jsonl(out, (
-        {"query": json_fields(history.query),
-         **json_fields(build_prompt(select_history(history, config.prompt, config.retrieval),
-                                    config.prompt, kg))}
-        for history in read_jsonl(histories_path, lambda row: history_from_dict(row, kg))
-    ))
-    _write_manifest(out + ".manifest.json", "prompt", config, inputs, {}, n_prompts=count,
-                    sha256=_file_digest(out))
+    with _staged(out) as path:
+        count = write_jsonl(path, (
+            {"query": json_fields(history.query),
+             **json_fields(build_prompt(select_history(history, config.prompt, config.retrieval),
+                                        config.prompt, kg))}
+            for history in read_jsonl(histories_path, lambda row: history_from_dict(row, kg))
+        ))
+        _write_manifest(out + ".manifest.json", "prompt", config, inputs, {}, n_prompts=count,
+                        sha256=_file_digest(path))
     click.echo(f"rendered {count} prompts -> {out}")
 
 
@@ -454,17 +477,17 @@ def prompt_cmd(histories_path, out, **options):
 @_section_options(RetrievalConfig)
 @_section_options(PromptConfig)
 @click.option("--out", default="finetune.jsonl", show_default=True)
-@guarded
 def export(rules_path, k, seed, out, **options):
     """Export an instruction-tuning dataset sampled from the training split."""
     config = _config(options, seed=seed, retrieval=RetrievalConfig, prompt=PromptConfig)
     dataset, dataset_digest = _load_data(config)
     bank, rules_digest, upstream = _load_rules(rules_path, dataset)
-    counts = export_finetune_set(dataset, bank, k, config.retrieval, config.prompt,
-                                 config.seed, out)
-    _write_manifest(out + ".manifest.json", "export", config,
-                    {"dataset": dataset_digest, "rules": rules_digest}, {"k": k}, **counts,
-                    sha256=_file_digest(out), upstream=upstream)
+    with _staged(out) as path:
+        counts = export_finetune_set(dataset, bank, k, config.retrieval, config.prompt,
+                                     config.seed, path)
+        _write_manifest(out + ".manifest.json", "export", config,
+                        {"dataset": dataset_digest, "rules": rules_digest}, {"k": k}, **counts,
+                        sha256=_file_digest(path), upstream=upstream)
     click.echo(f"exported {counts['n_samples']} samples -> {out}")
 
 
@@ -474,7 +497,6 @@ def export(rules_path, k, seed, out, **options):
 @click.option("--endpoint", default=None, help="Completion endpoint URL (or TKGRAG_ENDPOINT).")
 @_section_options(GenParams)
 @click.option("--out", default="predictions.jsonl", show_default=True)
-@guarded
 def infer(prompts_path, endpoint, out, **options):
     """Send rendered prompts to the completion endpoint and parse predictions."""
     config = _config(options, endpoint=endpoint, generation=GenParams)
@@ -501,9 +523,10 @@ def infer(prompts_path, endpoint, out, **options):
             for (query, _prompt), prediction in zip(chunk, parsed):
                 yield {"query": json_fields(query), **json_fields(prediction)}
 
-    write_jsonl(out, predicted())
-    _write_manifest(out + ".manifest.json", "infer", config, inputs, {}, n_prompts=len(rows),
-                    sha256=_file_digest(out))
+    with _staged(out) as path:
+        write_jsonl(path, predicted())
+        _write_manifest(out + ".manifest.json", "infer", config, inputs, {},
+                        n_prompts=len(rows), sha256=_file_digest(path))
     click.echo(f"parsed predictions for {len(rows)} prompts -> {out}")
 
 
@@ -516,7 +539,6 @@ def infer(prompts_path, endpoint, out, **options):
 @_section_options(PromptConfig)
 @_section_options(GenParams)
 @click.option("--out-dir", default="runs/eval", show_default=True)
-@guarded
 def eval_cmd(seeds, out_dir, **options):
     """Run time-aware filtered Hits@1/3/10 evaluation on a split."""
     seed_list = _comma_list("--seeds", seeds, int) if seeds else [None]
@@ -564,7 +586,6 @@ def eval_cmd(seeds, out_dir, **options):
 @_section_options(RetrievalConfig)
 @_section_options(GenParams)
 @click.option("--out-dir", default="runs/ablation", show_default=True)
-@guarded
 def ablate(orders, lengths, formats, out_dir, **options):
     """Evaluate a grid of prompt order, history length, and format configs."""
     grid = {"orders": _comma_list("--orders", orders, allowed=ORDERS),

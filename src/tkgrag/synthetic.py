@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .files import atomic_directory, create_text
+from .files import atomic_directory, create_text, typed
 from .kg import DATASET_FILES, GROUND_TRUTH_FILE, Dataset, TemporalKG, write_dataset_files
 
 BODY_RELATION = 0  # "precursor"
@@ -41,6 +42,11 @@ class SyntheticSpec:
     seed: int = 7
 
     def __post_init__(self):
+        hints = typing.get_type_hints(SyntheticSpec)
+        for field in fields(self):
+            value = typed(hints[field.name], getattr(self, field.name), field.name)
+            if hints[field.name] is int and value < 0:
+                raise ValueError(f"{field.name}: expected an int >= 0, got {value!r}")
         if not 0.0 <= self.follow_prob <= 1.0:
             raise ValueError("follow_prob must be in [0, 1]")
         if self.planted_entities < 2 or self.planted_entities > self.n_entities:

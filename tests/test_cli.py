@@ -83,6 +83,21 @@ class TestSynthAndMine:
         assert (out / "notes.txt").read_text() == "keep me\n"
         assert os.listdir(tmp_path) == ["work"]
 
+    @pytest.mark.parametrize("args, message", [
+        (["--entities", "100000000000000000000"],
+         "n_entities: expected int, got 100000000000000000000"),
+        (["--body-events", "-5", "--noise-events", "-5"],
+         "n_body_events: expected an int >= 0, got -5"),
+        (["--noise-events", "-5"], "n_noise_events: expected an int >= 0, got -5"),
+        (["--seed", "-1"], "seed: expected an int >= 0, got -1"),
+    ], ids=["entities-beyond-64-bits", "negative-events", "negative-noise", "negative-seed"])
+    def test_synth_refuses_a_spec_it_cannot_build(self, runner, tmp_path, args, message):
+        """A count or seed that is negative or beyond 64 bits exits 1 naming
+        its field, before any event is drawn."""
+        result = runner.invoke(main, ["synth", "--out", str(tmp_path / "data"), *args])
+        assert (result.exit_code, result.output) == (1, f"error: {message}\n")
+        assert os.listdir(tmp_path) == []
+
     def test_mine_writes_rules_and_manifest(self, runner, synthetic_dir, tmp_path):
         rules = tmp_path / "rules.json"
         result = run_ok(runner, [
@@ -266,6 +281,23 @@ class TestPipelineCommands:
 
 
 class TestValidationAndExitCodes:
+    @pytest.mark.parametrize("args", [
+        [], ["--bogus"], ["bogus"], ["eval"], ["mine", "--walks", "x"],
+        ["prompt", "--format", "x"], ["eval", "--predictor", "foo"],
+    ], ids=["bare", "unknown-option", "unknown-command", "eval-without-rules",
+            "walks-not-int", "format-not-a-choice", "predictor-not-a-choice"])
+    def test_usage_error_is_validation_error(self, runner, args):
+        """A command line click cannot parse exits 1 with click's text: the
+        usage line and the error, or the help for bare `tkgrag`."""
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        lines = result.stderr.splitlines()
+        assert lines[0].startswith("Usage: ")
+        if args:
+            assert lines[-1].startswith("Error: ")
+        else:
+            assert result.stderr == run_ok(runner, ["--help"]).stdout
+
     def test_missing_dataset_dir_is_validation_error(self, runner, mined_rules):
         result = runner.invoke(main, ["eval", "--rules", str(mined_rules)])
         assert result.exit_code == 1
@@ -1079,45 +1111,123 @@ def seed3(tmp_path_factory):
     return data, rules
 
 
+@pytest.fixture
+def manifest_disk_full(monkeypatch):
+    """`manifest_disk_full()` makes every manifest write through
+    `cli.write_json` fail with ENOSPC, as a disk that fills up after the
+    command's own file was written."""
+    write_json = cli.write_json
+
+    def full_disk(path, payload):
+        if path.endswith(".manifest.json"):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write_json(path, payload)
+
+    return lambda: monkeypatch.setattr(cli, "write_json", full_disk)
+
+
 class TestManifestDescribesItsFile:
     """A manifest records the sha256 of the file beside it, and a command
     refuses an input whose manifest records other bytes or none, before it
     reads a row."""
 
     def test_half_written_retrieve_refused(self, runner, monkeypatch, seed3, tmp_path):
-        """A retrieve whose manifest write fails leaves its histories beside
-        the manifest of the run before; `prompt` would cap them under that
-        run's retrieval config."""
+        """A retrieve stopped after its manifest is written but before its
+        histories move into place leaves the histories of the run before
+        beside the new manifest; `prompt` would cap them under the new run's
+        retrieval config."""
         data, rules = seed3
         histories = tmp_path / "h.jsonl"
         retrieve = ["retrieve", "--dataset-dir", str(data), "--rules", str(rules),
                     "--out", str(histories)]
         run_ok(runner, [*retrieve, "--window", "30", "--stepwise"])
-        write_json = cli.write_json
+        before = histories.read_bytes()
+        replace = os.replace
 
-        def full_disk(path, payload):
-            if path.endswith(".manifest.json"):
-                raise OSError(errno.ENOSPC, "No space left on device")
-            write_json(path, payload)
+        def stopped(src, dst):
+            if dst == str(histories):
+                raise OSError(errno.EIO, "Input/output error")
+            replace(src, dst)
 
-        monkeypatch.setattr(cli, "write_json", full_disk)
+        monkeypatch.setattr(os, "replace", stopped)
         result = runner.invoke(main, retrieve)
-        assert (result.exit_code, result.output) == (
-            2, "error: [Errno 28] No space left on device\n")
+        assert (result.exit_code, result.output) == (2, "error: [Errno 5] Input/output error\n")
         monkeypatch.undo()
+        assert histories.read_bytes() == before
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
         manifest = tmp_path / "h.jsonl.manifest.json"
         recorded = json.loads(manifest.read_text())
-        assert recorded["config"]["retrieval"]["window"] == 30
-        assert recorded["config"]["retrieval"]["stepwise"] is True
+        assert recorded["config"]["retrieval"]["window"] is None
+        assert recorded["config"]["retrieval"]["stepwise"] is False
         out = tmp_path / "p.jsonl"
         result = runner.invoke(main, ["prompt", "--dataset-dir", str(data), "--histories",
                                       str(histories), "--max-facts", "10", "--out", str(out)])
         assert result.exit_code == 1, result.output
-        digest = hashlib.sha256(histories.read_bytes()).hexdigest()
+        digest = hashlib.sha256(before).hexdigest()
         assert (result.exit_code, result.output) == (
             1, f"error: {manifest}: describes a file of sha256 {recorded['sha256']}, "
                f"but {histories} has sha256 {digest}\n")
         assert not out.exists()
+
+    def test_first_retrieve_without_manifest_leaves_no_histories(self, runner,
+                                                                  manifest_disk_full, seed3,
+                                                                  tmp_path):
+        """A first retrieve whose manifest write fails leaves no histories,
+        which `prompt` would read as hand-made and cap under the default
+        retrieval config instead of the stepwise one they were retrieved
+        with."""
+        data, rules = seed3
+        first = tmp_path / "first.jsonl"
+        manifest_disk_full()
+        result = runner.invoke(main, ["retrieve", "--dataset-dir", str(data), "--rules",
+                                      str(rules), "--window", "5", "--stepwise",
+                                      "--out", str(first)])
+        assert (result.exit_code, result.output) == (
+            2, "error: [Errno 28] No space left on device\n")
+        assert os.listdir(tmp_path) == []
+        out = tmp_path / "p.jsonl"
+        result = runner.invoke(main, ["prompt", "--dataset-dir", str(data), "--histories",
+                                      str(first), "--max-facts", "3", "--out", str(out)])
+        assert (result.exit_code, result.output) == (1, f"error: missing input file {first}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["mine", "retrieve", "prompt", "infer", "export"])
+    def test_failed_manifest_write_keeps_the_old_pair(self, runner, manifest_disk_full, seed3,
+                                                      tmp_path, command):
+        """A run whose manifest cannot be written keeps the file and the
+        manifest of the run before, each byte for byte, where its own file
+        would hold other bytes."""
+        data, rules = seed3
+        common = ["--dataset-dir", str(data)]
+        histories, prompts, out = tmp_path / "h.jsonl", tmp_path / "p.jsonl", tmp_path / "out"
+        run_ok(runner, ["retrieve", *common, "--rules", str(rules), "--out", str(histories)])
+        run_ok(runner, ["prompt", *common, "--histories", str(histories),
+                        "--out", str(prompts)])
+        fewer = tmp_path / "fewer.jsonl"  # hand-made, so without a manifest
+        fewer.write_text("".join(prompts.read_text().splitlines(keepends=True)[:5]))
+        stub = StubEndpoint(sequences=["0.e01]"])
+        args, other = {
+            "mine": (["mine", *common], ["--walks", "50"]),
+            "retrieve": (["retrieve", *common, "--rules", str(rules)], ["--window", "5"]),
+            "prompt": (["prompt", *common, "--histories", str(histories)],
+                       ["--max-facts", "3"]),
+            "infer": (["infer", *common, "--prompts", str(prompts), "--endpoint", stub.url],
+                      ["--prompts", str(fewer)]),
+            "export": (["export", *common, "--rules", str(rules), "--k", "4"],
+                       ["--seed", "2"]),
+        }[command]
+        try:
+            run_ok(runner, [*args, "--out", str(out)])
+            manifest = tmp_path / "out.manifest.json"
+            before = out.read_bytes(), manifest.read_bytes()
+            manifest_disk_full()
+            result = runner.invoke(main, [*args, *other, "--out", str(out)])
+        finally:
+            stub.close()
+        assert (result.exit_code, result.output) == (
+            2, "error: [Errno 28] No space left on device\n")
+        assert (out.read_bytes(), manifest.read_bytes()) == before
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
 
     @pytest.mark.parametrize("stale", ["replaced", "no-sha256"])
     @pytest.mark.parametrize("kind", ["rules", "histories", "prompts"])
@@ -1187,6 +1297,28 @@ class TestMissingInput:
         message = (f"{path}: a directory, not a file" if name == "dir"
                    else f"missing input file {path}")
         assert (result.exit_code, result.output) == (1, f"error: {message}\n")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("kind", ["rules", "histories"])
+    def test_manifest_directory_is_validation_error(self, runner, seed3, tmp_path, kind):
+        """A directory where an input's manifest belongs exits 1 naming the
+        manifest once, as a directory given for an input file does."""
+        data, rules = seed3
+        common = ["--dataset-dir", str(data)]
+        bank, histories = tmp_path / "r.json", tmp_path / "h.jsonl"
+        shutil.copy(rules, bank)
+        run_ok(runner, ["retrieve", *common, "--rules", str(bank), "--out", str(histories)])
+        path, reader = {"rules": (bank, ["retrieve", *common, "--rules", str(bank)]),
+                        "histories": (histories, ["prompt", *common,
+                                                  "--histories", str(histories)])}[kind]
+        manifest = tmp_path / f"{path.name}.manifest.json"
+        manifest.unlink(missing_ok=True)
+        manifest.mkdir()
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*reader, "--out", str(out)])
+        assert (result.exit_code, result.output) == (
+            1, f"error: {manifest}: a directory, not a file\n")
         assert not out.exists()
 
 
@@ -1449,7 +1581,10 @@ class TestCommaLists:
         ("ablate", "--lengths", "10,x", "--lengths: expected int, got 'x'"),
         ("ablate", "--lengths", "10,10", "--lengths: 10 is given twice"),
         ("ablate", "--orders", "ascending, ascending", "--orders: ascending is given twice"),
-    ], ids=["seeds-not-int", "seeds-twice", "lengths-not-int", "lengths-twice", "orders-twice"])
+        ("eval", "--seeds", "100000000000000000000",
+         "--seeds: expected int, got '100000000000000000000'"),
+    ], ids=["seeds-not-int", "seeds-twice", "lengths-not-int", "lengths-twice", "orders-twice",
+            "seeds-beyond-64-bits"])
     def test_bad_comma_list_named(self, runner, synthetic_dir, mined_rules, tmp_path,
                                   command, option, value, message):
         result = runner.invoke(main, [
