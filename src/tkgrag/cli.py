@@ -13,9 +13,8 @@ import json
 import os
 import sys
 import typing
-from contextlib import contextmanager, suppress
 from datetime import datetime, timezone
-from typing import Iterator, Optional
+from typing import Optional
 
 import click
 
@@ -32,12 +31,14 @@ from .evaluation import (
     run_eval,
 )
 from .files import (
-    atomic_write,
+    atomic_directory,
+    create_text,
     fields_of,
     json_fields,
     open_input,
     parse_json,
     read_jsonl,
+    staged,
     typed,
     write_json,
     write_jsonl,
@@ -319,22 +320,6 @@ def _write_manifest(path: str, command: str, config: RunConfig, inputs: dict, op
     })
 
 
-@contextmanager
-def _staged(out: str) -> Iterator[str]:
-    """A path beside `out` for the block to write a command's file to, and
-    then its manifest, `out`.manifest.json. The file moves to `out` only
-    after the block: a run stopped before its manifest is written leaves
-    `out` and its manifest as they were, and one stopped after it leaves a
-    manifest that `_check_describes` finds describes other bytes."""
-    staged = f"{out}.{os.getpid()}.tmp"
-    try:
-        yield staged
-        os.replace(staged, out)
-    finally:
-        with suppress(FileNotFoundError):
-            os.unlink(staged)
-
-
 def _exit_code(step, *args):
     """`step(*args)`, each failure ended by its exit code: a click usage error
     keeps click's text and exits 1; else one `error: <message>` line, and 1 for
@@ -400,8 +385,8 @@ def mine(workers, mine_splits, out, **options):
     splits = _comma_list("--mine-splits", mine_splits, allowed=SPLIT_FILES)
     config = _config(options, mining=MiningParams)
     dataset, dataset_digest = _load_data(config)
-    bank = learn_rules(dataset.union_kg(splits), config.mining, workers=workers)
-    with _staged(out) as path:
+    with staged(out) as path:
+        bank = learn_rules(dataset.union_kg(splits), config.mining, workers=workers)
         bank.save(path)
         _write_manifest(out + ".manifest.json", "mine", config, {"dataset": dataset_digest},
                         {"mine_splits": splits}, n_rules=len(bank), sha256=_file_digest(path))
@@ -425,7 +410,7 @@ def retrieve_cmd(rules_path, split, retrieval_splits, out, **options):
     bank, rules_digest, upstream = _load_rules(rules_path, dataset)
     kg = dataset.union_kg(splits)
     queries = queries_from_split(dataset, split)
-    with _staged(out) as path:
+    with staged(out) as path:
         count = write_jsonl(path, (
             history_to_dict(retrieval.retrieve(kg, bank, query, config.retrieval))
             for query in queries
@@ -457,7 +442,7 @@ def prompt_cmd(histories_path, out, **options):
             RetrievalConfig, section, f"{histories_path}.manifest.json: config.retrieval",
             closed=True))
     kg = dataset.train
-    with _staged(out) as path:
+    with staged(out) as path:
         count = write_jsonl(path, (
             {"query": json_fields(history.query),
              **json_fields(build_prompt(select_history(history, config.prompt, config.retrieval),
@@ -482,7 +467,7 @@ def export(rules_path, k, seed, out, **options):
     config = _config(options, seed=seed, retrieval=RetrievalConfig, prompt=PromptConfig)
     dataset, dataset_digest = _load_data(config)
     bank, rules_digest, upstream = _load_rules(rules_path, dataset)
-    with _staged(out) as path:
+    with staged(out) as path:
         counts = export_finetune_set(dataset, bank, k, config.retrieval, config.prompt,
                                      config.seed, path)
         _write_manifest(out + ".manifest.json", "export", config,
@@ -523,7 +508,7 @@ def infer(prompts_path, endpoint, out, **options):
             for (query, _prompt), prediction in zip(chunk, parsed):
                 yield {"query": json_fields(query), **json_fields(prediction)}
 
-    with _staged(out) as path:
+    with staged(out) as path:
         write_jsonl(path, predicted())
         _write_manifest(out + ".manifest.json", "infer", config, inputs, {},
                         n_prompts=len(rows), sha256=_file_digest(path))
@@ -593,27 +578,28 @@ def ablate(orders, lengths, formats, out_dir, **options):
             "formats": _comma_list("--formats", formats, allowed=FORMATS)}
     config, manifest, upstream, kg, bank, queries, filter_index, engine = _load_eval(options)
     manifest["options"].update(grid)
-    cells = ablation_run(
-        kg, bank, queries,
-        orders=grid["orders"],
-        history_lengths=grid["lengths"],
-        formats=grid["formats"],
-        predictor=engine,
-        retrieval_cfg=config.retrieval,
-        filter_index=filter_index,
-        base_prompt_cfg=config.prompt,
-        fingerprint=_fingerprint(config, **manifest),
-    )
-    summary = ablation_summary(cells)
-    with atomic_write(os.path.join(out_dir, "summary.tsv")) as fh:
-        fh.write(summary)
-    write_json(os.path.join(out_dir, "reports.json"), [
-        {"order": c.order, "history_length": c.history_length, "format": c.format,
-         "report": c.report.as_dict()}
-        for c in cells
-    ])
-    _write_manifest(os.path.join(out_dir, "manifest.json"), "ablate", config, **manifest,
-                    n_cells=len(cells), upstream=upstream)
+    with atomic_directory(out_dir, ("summary.tsv", "reports.json", "manifest.json")) as staging:
+        cells = ablation_run(
+            kg, bank, queries,
+            orders=grid["orders"],
+            history_lengths=grid["lengths"],
+            formats=grid["formats"],
+            predictor=engine,
+            retrieval_cfg=config.retrieval,
+            filter_index=filter_index,
+            base_prompt_cfg=config.prompt,
+            fingerprint=_fingerprint(config, **manifest),
+        )
+        summary = ablation_summary(cells)
+        with create_text(os.path.join(staging, "summary.tsv")) as fh:
+            fh.write(summary)
+        write_json(os.path.join(staging, "reports.json"), [
+            {"order": c.order, "history_length": c.history_length, "format": c.format,
+             "report": c.report.as_dict()}
+            for c in cells
+        ])
+        _write_manifest(os.path.join(staging, "manifest.json"), "ablate", config, **manifest,
+                        n_cells=len(cells), upstream=upstream)
     click.echo(summary, nl=False)
 
 

@@ -19,7 +19,7 @@ from .client import (
     parse_predictions,
     rule_score_predict,
 )
-from .files import fields_of, json_fields, jsonl_rows, write_json
+from .files import fields_of, json_fields, jsonl_rows, make_directory, write_json
 from .kg import Dataset, TemporalKG
 from .prompts import Prompt, PromptConfig, build_prompt, select_history
 from .retrieval import (
@@ -248,7 +248,7 @@ def run_eval(
     journal_path = os.path.join(out_dir, "records.jsonl") if out_dir else None
     completed: dict[int, EvalRecord] = {}
     if journal_path:
-        os.makedirs(out_dir, exist_ok=True)
+        make_directory(out_dir)
         completed = _load_journal(journal_path, fingerprint, queries)
 
     pending = [i for i in range(len(queries)) if i not in completed]

@@ -131,22 +131,32 @@ def _distinct_keys(pairs: list) -> dict:
 
 
 @contextmanager
-def atomic_write(path: str) -> Iterator[TextIO]:
-    """Text file handle whose contents replace `path` only when the block
-    completes. It writes a temp file in the same directory and moves it into
-    place with os.replace; on any failure the temp file is removed and `path`
-    keeps its previous contents. The parent directory is created if
-    missing."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+def staged(path: str) -> Iterator[str]:
+    """A temp path beside `path` for the block to write a file to, moved to
+    `path` with os.replace only when the block completes; on any failure it
+    is removed and `path` keeps its previous contents. A command writes its
+    file here, then its manifest, so a run stopped before the move leaves a
+    manifest that describes other bytes. ValueError "<path>: a directory,
+    not a file" before the block; the parent directory is made if missing."""
+    if os.path.isdir(path):
+        raise ValueError(f"{path}: a directory, not a file")
+    make_directory(os.path.dirname(path) or ".")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+@contextmanager
+def atomic_write(path: str) -> Iterator[TextIO]:
+    """Text file handle on the path `staged` hands out, so its contents
+    replace `path` only when the block completes."""
+    with staged(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 def write_json(path: str, payload) -> None:
@@ -223,6 +233,18 @@ def open_input(path: str, mode: str = "rb", encoding: Optional[str] = None) -> I
         raise ValueError(f"{path}: a directory, not a file") from None
 
 
+def make_directory(path: str) -> None:
+    """The directory `path` and its missing parents, made as needed;
+    ValueError "<path>: a file, not a directory" naming `path`, or the
+    parent of it, that is a file."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        while path and not os.path.exists(path):
+            path = os.path.dirname(path)
+        raise ValueError(f"{path}: a file, not a directory") from None
+
+
 def create_text(path: str) -> TextIO:
     """A new text file at `path`, for filling the directory that
     `atomic_directory` hands out (which makes the whole set atomic)."""
@@ -235,29 +257,30 @@ def atomic_directory(path: str, replaceable: Collection[str]) -> Iterator[str]:
     directory `path` only when the block completes.
 
     `path` may be absent, empty, or hold only files named in `replaceable`;
-    anything else raises ValueError before any work, and the directory is
-    left as it is. A symlink is resolved, so its target is replaced and the
-    link stays. The block fills a sibling temp directory. Then an existing
-    `path` is moved aside, the temp directory renamed into place and the old
-    one removed last. On any failure the temp directory is removed and
-    `path` keeps its previous contents, or stays absent.
+    anything else, a file at `path` included, raises ValueError before any
+    work, and `path` is left as it is. A symlink is resolved, so its target
+    is replaced and the link stays. The block fills a sibling temp
+    directory. Then an existing `path` is moved aside, the temp directory
+    renamed into place and the old one removed last. On any failure the
+    temp directory is removed and `path` keeps its previous contents, or
+    stays absent.
     """
     path = os.path.realpath(path)
     if os.path.exists(path):
         if not os.path.isdir(path):
-            raise NotADirectoryError(f"not a directory: {path}")
+            raise ValueError(f"{path}: a file, not a directory")
         foreign = sorted(
             entry.name for entry in os.scandir(path)
             if entry.name not in replaceable or not entry.is_file(follow_symlinks=False)
         )
         if foreign:
             raise ValueError(
-                f"{path} holds files that are not part of a dataset "
-                f"({', '.join(foreign[:5])}{', ...' if len(foreign) > 5 else ''}); "
+                f"{path} may hold only {', '.join(sorted(replaceable))}, but holds "
+                f"{', '.join(foreign[:5])}{', ...' if len(foreign) > 5 else ''}; "
                 "not replacing it"
             )
     tmp, old = f"{path}.{os.getpid()}.tmp", f"{path}.{os.getpid()}.old"
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    make_directory(os.path.dirname(path))
     os.mkdir(tmp)
     moved = False
     try:

@@ -74,8 +74,9 @@ def generate_events(spec: SyntheticSpec) -> list[tuple[int, int, int, int]]:
         for j in range(spec.planted_entities)
         if i < j
     ]
-    noise_entities = list(range(spec.planted_entities, spec.n_entities))
-    noise_pairs = [(a, b) for a in noise_entities for b in noise_entities if a != b]
+    # the ordered pairs of distinct noise entities, drawn by index (`noise_pair`)
+    n_noise = spec.n_entities - spec.planted_entities
+    n_noise_pairs = n_noise * (n_noise - 1)
 
     horizon = spec.body_horizon
     delay_max = spec.t_span - horizon
@@ -118,22 +119,29 @@ def generate_events(spec: SyntheticSpec) -> list[tuple[int, int, int, int]]:
                 events.add((subject, HEAD_RELATION, obj, start + window + delay))
 
     # noise events on a disjoint entity block, inside the body horizon
-    if spec.n_noise_relations and noise_pairs:
+    if spec.n_noise_relations and n_noise_pairs:
         groups: dict[tuple[int, int], int] = {}
         for _ in range(spec.n_noise_events):
             key = (
-                int(rng.integers(len(noise_pairs))),
+                int(rng.integers(n_noise_pairs)),
                 int(rng.integers(spec.n_noise_relations)),
             )
             groups[key] = groups.get(key, 0) + 1
         for (noise_index, rel_index), count in sorted(groups.items()):
-            subject, obj = noise_pairs[noise_index]
+            subject, obj = noise_pair(noise_index, n_noise, spec.planted_entities)
             relation = 2 + rel_index
             times = rng.choice(horizon, size=min(count, horizon), replace=False)
             for t in times:
                 events.add((subject, relation, obj, int(t)))
 
     return sorted(events, key=lambda e: (e[3], e[0], e[1], e[2]))
+
+
+def noise_pair(index: int, n_noise: int, first: int) -> tuple[int, int]:
+    """The `index`-th of the ordered pairs (a, b), a != b, of the `n_noise`
+    entities from id `first` on, listed by a and then by b."""
+    a, b = divmod(index, n_noise - 1)
+    return first + a, first + b + (b >= a)
 
 
 def split_by_time(
@@ -156,25 +164,25 @@ def split_by_time(
 def write_synthetic_dataset(directory: str, spec: SyntheticSpec = SyntheticSpec()) -> dict:
     """Write the canonical dataset layout plus a ground-truth sidecar, and
     return the sidecar payload. The directory is replaced as a whole, as
-    `save_dataset` replaces it."""
-    events = generate_events(spec)
-    splits = split_by_time(events, spec.train_boundary, spec.body_horizon)
-    if not splits["train"] or not splits["test"]:
-        raise ValueError("degenerate split; enlarge t_span or event counts")
-
-    entities = [f"e{idx:02d}" for idx in range(spec.n_entities)]
-    relations = ["precursor", "outcome"] + [
-        f"noise_{i}" for i in range(spec.n_noise_relations)
-    ]
-    graphs = {name: TemporalKG(entities, relations, rows) for name, rows in splits.items()}
-    ground_truth = {
-        "spec": asdict(spec),
-        "body_relation": BODY_RELATION,
-        "head_relation": HEAD_RELATION,
-        "n_events": len(events),
-        "split_sizes": {name: len(rows) for name, rows in splits.items()},
-    }
+    `save_dataset` replaces it, and checked before any event is drawn."""
     with atomic_directory(directory, DATASET_FILES) as staging:
+        events = generate_events(spec)
+        splits = split_by_time(events, spec.train_boundary, spec.body_horizon)
+        if not splits["train"] or not splits["test"]:
+            raise ValueError("degenerate split; enlarge t_span or event counts")
+
+        entities = [f"e{idx:02d}" for idx in range(spec.n_entities)]
+        relations = ["precursor", "outcome"] + [
+            f"noise_{i}" for i in range(spec.n_noise_relations)
+        ]
+        graphs = {name: TemporalKG(entities, relations, rows) for name, rows in splits.items()}
+        ground_truth = {
+            "spec": asdict(spec),
+            "body_relation": BODY_RELATION,
+            "head_relation": HEAD_RELATION,
+            "n_events": len(events),
+            "split_sizes": {name: len(rows) for name, rows in splits.items()},
+        }
         write_dataset_files(
             Dataset(entities, relations, len(relations), graphs, time_gap=1, time_origin=0),
             staging,

@@ -2,7 +2,10 @@
 index-free reference implementations used as oracles."""
 from __future__ import annotations
 
+import builtins
 import errno
+import math
+import os
 import random
 from collections import defaultdict
 
@@ -111,6 +114,88 @@ def disk_full(monkeypatch):
         )
 
     return arm
+
+
+class FaultyFile(FullDisk):
+    """File handle opened for writing under a `write_faults` directory: it
+    takes `room` characters as `FullDisk` does, and each flush, the one at
+    close included, is a fault point."""
+
+    def __init__(self, fh, room, point):
+        super().__init__(fh, room)
+        self.point = point
+
+    def __getattr__(self, name):  # truncate, seek, name and the rest
+        return getattr(self.fh, name)
+
+    def flush(self) -> None:
+        self.point("flush", self.fh.name)
+        self.fh.flush()
+
+    def close(self) -> None:
+        try:
+            self.flush()
+        finally:
+            self.fh.close()
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+
+class WriteFaults:
+    """The fault points of the writes under one directory, in the order a
+    run meets them: each open for writing, each flush (the one at close
+    included), and each os.rename or os.replace from or to a path under it.
+    `arm(root)` counts them afresh in `points`, as (kind, path); with
+    `fail=n` the n-th point, counting from 0, also raises EIO, once, and with
+    `room=k` each file opened for writing there takes k characters, then
+    fails with ENOSPC (`FullDisk`). `disarm()` stops both."""
+
+    def __init__(self, monkeypatch):
+        self.root, self.fail, self.room, self.points = None, None, math.inf, []
+        opener = builtins.open
+
+        def open_for_write(file, mode="r", *args, **kwargs):
+            if not set(mode) & set("wax+") or not self._under(file):
+                return opener(file, mode, *args, **kwargs)
+            self._point("open", file)
+            return FaultyFile(opener(file, mode, *args, **kwargs), self.room, self._point)
+
+        def move(kind, original):
+            def moved(src, dst, *args, **kwargs):
+                if self._under(src) or self._under(dst):
+                    self._point(kind, dst)
+                return original(src, dst, *args, **kwargs)
+            return moved
+
+        monkeypatch.setattr(builtins, "open", open_for_write)
+        monkeypatch.setattr(os, "rename", move("rename", os.rename))
+        monkeypatch.setattr(os, "replace", move("replace", os.replace))
+
+    def arm(self, root, fail=None, room=math.inf) -> list:
+        self.root, self.fail, self.room, self.points = os.path.realpath(root), fail, room, []
+        return self.points
+
+    def disarm(self) -> None:
+        self.root, self.fail, self.room = None, None, math.inf
+
+    def _under(self, path) -> bool:
+        return (self.root is not None and isinstance(path, (str, os.PathLike))
+                and os.path.realpath(path).startswith(self.root + os.sep))
+
+    def _point(self, kind: str, path) -> None:
+        if self.root is None:
+            return
+        self.points.append((kind, os.fspath(path)))
+        if len(self.points) - 1 == self.fail:
+            raise OSError(errno.EIO, "Input/output error")
+
+
+@pytest.fixture
+def write_faults(monkeypatch):
+    """A `WriteFaults`, disarmed: it counts and fails the writes under the
+    directory given to its `arm`."""
+    return WriteFaults(monkeypatch)
 
 
 # -- index-free references ----------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import tkgrag
-from tkgrag import cli
+from tkgrag import cli, evaluation, retrieval, synthetic
 from tkgrag.cli import main
 from tkgrag.client import rule_score_predict
 from tkgrag.config import build_run_config, stable_hash
@@ -278,6 +278,23 @@ class TestPipelineCommands:
         assert len(summary.strip().split("\n")) == 1 + 4
         reports = json.loads((out_dir / "reports.json").read_text())
         assert len(reports) == 4
+
+    def test_ablate_refuses_a_directory_with_other_files(self, runner, monkeypatch,
+                                                         synthetic_dir, mined_rules, tmp_path):
+        """An out-dir that holds an eval run's files is left as it is, and no
+        cell is run: `ablate` replaces its out-dir whole."""
+        out_dir = tmp_path / "run"
+        args = ["--dataset-dir", str(synthetic_dir), "--rules", str(mined_rules),
+                "--out-dir", str(out_dir)]
+        run_ok(runner, ["eval", *args])
+        before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        monkeypatch.setattr(cli, "ablation_run", None)
+        result = runner.invoke(main, ["ablate", *args])
+        assert (result.exit_code, result.output) == (
+            1, f"error: {os.path.realpath(out_dir)} may hold only manifest.json, reports.json, summary.tsv, "
+               "but holds records.jsonl, report.json; not replacing it\n")
+        assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
+        assert os.listdir(tmp_path) == ["run"]
 
 
 class TestValidationAndExitCodes:
@@ -1320,6 +1337,55 @@ class TestMissingInput:
         assert (result.exit_code, result.output) == (
             1, f"error: {manifest}: a directory, not a file\n")
         assert not out.exists()
+
+
+class TestOutputOfTheWrongKind:
+    @pytest.mark.parametrize("command", ["synth", "mine", "retrieve", "prompt", "export",
+                                         "infer", "eval", "ablate"])
+    def test_output_of_the_wrong_kind_refused_before_any_work(self, runner, monkeypatch,
+                                                              seed3, tmp_path, command):
+        """A directory given for an output file, or a file for an output
+        directory, exits 1 naming it before any work: nothing is written, and
+        nothing is mined, retrieved, rendered, drawn or sent."""
+        data, rules = seed3
+        common = ["--dataset-dir", str(data)]
+        histories, prompts = tmp_path / "h.jsonl", tmp_path / "p.jsonl"
+        run_ok(runner, ["retrieve", *common, "--rules", str(rules), "--out", str(histories)])
+        run_ok(runner, ["prompt", *common, "--histories", str(histories),
+                        "--out", str(prompts)])
+        args = {
+            "synth": ["synth", "--seed", "3", "--out"],
+            "mine": ["mine", *common, "--out"],
+            "retrieve": ["retrieve", *common, "--rules", str(rules), "--out"],
+            "prompt": ["prompt", *common, "--histories", str(histories), "--out"],
+            "export": ["export", *common, "--rules", str(rules), "--k", "4", "--out"],
+            "infer": ["infer", *common, "--prompts", str(prompts),
+                      "--endpoint", "http://127.0.0.1:9/", "--out"],
+            "eval": ["eval", *common, "--rules", str(rules), "--out-dir"],
+            "ablate": ["ablate", *common, "--rules", str(rules), "--out-dir"],
+        }[command]
+        out = tmp_path / "out"
+        if command in ("synth", "eval", "ablate"):
+            out.write_text("keep me\n")
+            message = f"{out}: a file, not a directory"
+        else:
+            (out / "inner").mkdir(parents=True)
+            message = f"{out}: a directory, not a file"
+        before = sorted(path for path in tmp_path.rglob("*"))
+        work = {"synth": (synthetic, "generate_events"), "mine": (cli, "learn_rules"),
+                "retrieve": (retrieval, "retrieve"), "prompt": (cli, "build_prompt"),
+                "export": (cli, "export_finetune_set"),
+                "infer": (cli.LLMPredictor, "predict_prompts"),
+                "eval": (evaluation, "_forecast"), "ablate": (evaluation, "_forecast")}[command]
+
+        def worked(*args, **kwargs):
+            raise AssertionError(f"{work[1]} ran")
+
+        monkeypatch.setattr(*work, worked)
+        result = runner.invoke(main, [*args, str(out)])
+        assert (result.exit_code, result.output) == (1, f"error: {message}\n")
+        assert sorted(path for path in tmp_path.rglob("*")) == before
+        assert out.is_dir() or out.read_text() == "keep me\n"
 
 
 class TestGenerativeRoundTrip:
