@@ -32,6 +32,7 @@ from .evaluation import (
 )
 from .files import (
     atomic_directory,
+    claim,
     create_text,
     fields_of,
     json_fields,
@@ -385,6 +386,7 @@ def mine(workers, mine_splits, out, **options):
     splits = _comma_list("--mine-splits", mine_splits, allowed=SPLIT_FILES)
     config = _config(options, mining=MiningParams)
     dataset, dataset_digest = _load_data(config)
+    claim(out + ".manifest.json")
     with staged(out) as path:
         bank = learn_rules(dataset.union_kg(splits), config.mining, workers=workers)
         bank.save(path)
@@ -410,6 +412,7 @@ def retrieve_cmd(rules_path, split, retrieval_splits, out, **options):
     bank, rules_digest, upstream = _load_rules(rules_path, dataset)
     kg = dataset.union_kg(splits)
     queries = queries_from_split(dataset, split)
+    claim(out + ".manifest.json")
     with staged(out) as path:
         count = write_jsonl(path, (
             history_to_dict(retrieval.retrieve(kg, bank, query, config.retrieval))
@@ -442,6 +445,7 @@ def prompt_cmd(histories_path, out, **options):
             RetrievalConfig, section, f"{histories_path}.manifest.json: config.retrieval",
             closed=True))
     kg = dataset.train
+    claim(out + ".manifest.json")
     with staged(out) as path:
         count = write_jsonl(path, (
             {"query": json_fields(history.query),
@@ -467,6 +471,7 @@ def export(rules_path, k, seed, out, **options):
     config = _config(options, seed=seed, retrieval=RetrievalConfig, prompt=PromptConfig)
     dataset, dataset_digest = _load_data(config)
     bank, rules_digest, upstream = _load_rules(rules_path, dataset)
+    claim(out + ".manifest.json")
     with staged(out) as path:
         counts = export_finetune_set(dataset, bank, k, config.retrieval, config.prompt,
                                      config.seed, path)
@@ -508,6 +513,7 @@ def infer(prompts_path, endpoint, out, **options):
             for (query, _prompt), prediction in zip(chunk, parsed):
                 yield {"query": json_fields(query), **json_fields(prediction)}
 
+    claim(out + ".manifest.json")
     with staged(out) as path:
         write_jsonl(path, predicted())
         _write_manifest(out + ".manifest.json", "infer", config, inputs, {},
@@ -527,24 +533,28 @@ def infer(prompts_path, endpoint, out, **options):
 def eval_cmd(seeds, out_dir, **options):
     """Run time-aware filtered Hits@1/3/10 evaluation on a split."""
     seed_list = _comma_list("--seeds", seeds, int) if seeds else [None]
+    run_dirs = [out_dir] if len(seed_list) == 1 else [
+        os.path.join(out_dir, f"seed-{seed}") for seed in seed_list]
+    outputs = [os.path.join(run_dir, name) for run_dir in run_dirs
+               for name in ("records.jsonl", "report.json", "manifest.json")]
+    claim(*outputs, *([os.path.join(out_dir, "summary.json")] if len(seed_list) > 1 else []))
     config, manifest, upstream, kg, bank, queries, filter_index, engine = _load_eval(
         options, prompt=PromptConfig
     )
     reports = []
-    for seed in seed_list:
+    for seed, run_dir in zip(seed_list, run_dirs):
         run_config = config if seed is None else dataclasses.replace(config, seed=seed)
-        run_engine = engine
+        run_engine, run_manifest = engine, manifest
         if isinstance(engine, LLMPredictor):
             run_engine = dataclasses.replace(engine, seed=seed)
-        run_dir = out_dir if len(seed_list) == 1 else os.path.join(
-            out_dir, f"seed-{run_config.seed}"
-        )
+            if seed is not None:  # sent with every request, so it shapes the records
+                run_manifest = {**manifest, "options": {**manifest["options"], "seed": seed}}
         report, _records = run_eval(
             kg, bank, queries, run_engine, run_config.retrieval, run_config.prompt, filter_index,
-            out_dir=run_dir, fingerprint=_fingerprint(run_config, **manifest),
+            out_dir=run_dir, fingerprint=_fingerprint(run_config, **run_manifest),
         )
-        _write_manifest(os.path.join(run_dir, "manifest.json"), "eval", run_config, **manifest,
-                        upstream=upstream)
+        _write_manifest(os.path.join(run_dir, "manifest.json"), "eval", run_config,
+                        **run_manifest, upstream=upstream)
         reports.append(report)
 
     hits = {}

@@ -3,9 +3,10 @@
 Wire contract: POST JSON {"prompt", "max_new_tokens", "num_sequences",
 "temperature"} to the endpoint, plus an integer "seed" when the run has one;
 it answers {"sequences": [...]} in rank order or {"error": "..."}. Transport
-failures (connection errors, timeouts) are retried with exponential backoff
-up to the retry budget; endpoint-reported errors and malformed responses are
-surfaced immediately as distinct exceptions.
+failures (connection errors, timeouts, a response cut off mid-body) are
+retried with exponential backoff up to the retry budget; endpoint-reported
+errors and malformed responses are surfaced immediately as distinct
+exceptions.
 """
 from __future__ import annotations
 
@@ -118,7 +119,8 @@ def generate(
             time.sleep(params.backoff * (2 ** (attempt - 1)))
         try:
             response = requests.post(endpoint, json=payload, timeout=params.timeout)
-        except (requests.ConnectionError, requests.Timeout) as exc:
+        except (requests.ConnectionError, requests.Timeout,
+                requests.exceptions.ChunkedEncodingError) as exc:
             last_exc = exc
             continue
         try:

@@ -7,8 +7,8 @@ penalize the gold's rank.
 """
 from __future__ import annotations
 
-import json
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Protocol, Sequence
 
@@ -19,7 +19,7 @@ from .client import (
     parse_predictions,
     rule_score_predict,
 )
-from .files import fields_of, json_fields, jsonl_rows, make_directory, write_json
+from .files import fields_of, journal, json_fields, write_json
 from .kg import Dataset, TemporalKG
 from .prompts import Prompt, PromptConfig, build_prompt, select_history
 from .retrieval import (
@@ -189,41 +189,26 @@ def _forecast(
         yield chunk, by_cell
 
 
-def _load_journal(path: str, fingerprint: str, queries: Sequence[Query]) -> dict[int, EvalRecord]:
-    """Records of an earlier run over `queries`, by index. A record is
-    complete once its newline is written; a final line without one is what a
-    killed append leaves behind, so it is cut off the file (its query runs
-    again) and the next append starts on a fresh line. Any other bad line
-    raises: a row must be written under `fingerprint` and carry an index
-    into `queries`, that query, and the rank of its gold among its
-    predictions."""
-    def parse(payload: dict) -> tuple[int, EvalRecord]:
-        record, index = fields_of(EvalRecord, payload), payload["index"]
-        if record.fingerprint != fingerprint:
-            raise ValueError(f"fingerprint: the journal was written under fingerprint "
-                             f"{record.fingerprint!r}, current is {fingerprint!r}")
-        if type(index) is not int or not 0 <= index < len(queries):
-            raise ValueError(f"index: expected an int in [0, {len(queries)}), got {index!r}")
-        if record.query != queries[index]:
-            raise ValueError(f"query: expected {json_fields(queries[index])}, "
-                             f"got {payload['query']!r}")
-        rank = _gold_rank(record.query, record.predictions)
-        if record.rank != rank:
-            raise ValueError(f"rank: expected {rank!r}, got {record.rank!r}")
-        if record.n_skipped < 0:
-            raise ValueError(f"n_skipped: expected an int >= 0, got {record.n_skipped!r}")
-        return index, record
-
-    if not os.path.exists(path):
-        return {}
-    with open(path, "rb") as fh:
-        data = fh.read()
-    complete = data[: data.rfind(b"\n") + 1]
-    completed = dict(jsonl_rows(enumerate(complete.splitlines(), 1), path, parse))
-    if len(complete) < len(data):
-        with open(path, "rb+") as fh:
-            fh.truncate(len(complete))
-    return completed
+def _journal_row(fingerprint: str, queries: Sequence[Query],
+                 payload: dict) -> tuple[int, EvalRecord]:
+    """A journal row of an earlier run over `queries` as (index, record): it
+    must be written under `fingerprint` and carry an index into `queries`,
+    that query, and the rank of its gold among its predictions."""
+    record, index = fields_of(EvalRecord, payload), payload["index"]
+    if record.fingerprint != fingerprint:
+        raise ValueError(f"fingerprint: the journal was written under fingerprint "
+                         f"{record.fingerprint!r}, current is {fingerprint!r}")
+    if type(index) is not int or not 0 <= index < len(queries):
+        raise ValueError(f"index: expected an int in [0, {len(queries)}), got {index!r}")
+    if record.query != queries[index]:
+        raise ValueError(f"query: expected {json_fields(queries[index])}, "
+                         f"got {payload['query']!r}")
+    rank = _gold_rank(record.query, record.predictions)
+    if record.rank != rank:
+        raise ValueError(f"rank: expected {rank!r}, got {record.rank!r}")
+    if record.n_skipped < 0:
+        raise ValueError(f"n_skipped: expected an int >= 0, got {record.n_skipped!r}")
+    return index, record
 
 
 def run_eval(
@@ -245,27 +230,16 @@ def run_eval(
     """
     _check_queries(queries)
 
-    journal_path = os.path.join(out_dir, "records.jsonl") if out_dir else None
-    completed: dict[int, EvalRecord] = {}
-    if journal_path:
-        make_directory(out_dir)
-        completed = _load_journal(journal_path, fingerprint, queries)
-
-    pending = [i for i in range(len(queries)) if i not in completed]
-    journal = open(journal_path, "a", encoding="utf-8") if journal_path else None
-    try:
-        cell = (prompt_cfg, fingerprint)
-        for chunk, (records,) in _forecast(kg, bank, queries, pending, [cell], predictor,
-                                           retrieval_cfg, filter_index):
-            for i, record in zip(chunk, records):
-                completed[i] = record
-                if journal:
-                    journal.write(json.dumps({"index": i, **record.as_dict()}) + "\n")
-            if journal:
-                journal.flush()
-    finally:
-        if journal:
-            journal.close()
+    journaled = (journal(os.path.join(out_dir, "records.jsonl"),
+                         lambda row: _journal_row(fingerprint, queries, row))
+                 if out_dir else nullcontext(([], lambda rows: None)))
+    with journaled as (rows, append):
+        completed = dict(rows)
+        pending = [i for i in range(len(queries)) if i not in completed]
+        for chunk, (records,) in _forecast(kg, bank, queries, pending, [(prompt_cfg, fingerprint)],
+                                           predictor, retrieval_cfg, filter_index):
+            completed.update(zip(chunk, records))
+            append({"index": i, **record.as_dict()} for i, record in zip(chunk, records))
 
     records = [completed[i] for i in range(len(queries))]
     report = report_from_records(records, fingerprint)

@@ -1,6 +1,6 @@
-"""Artifact files and directories that are either the old version or the
-whole new one, the one reader and writer of every JSON artifact, and the
-one codec between JSON values and the dataclasses they hold."""
+"""The one module that touches the disk: artifact files and directories
+that are the old version or the whole new one, the eval journal, the reader
+and writer of every JSON artifact, and the one codec of their rows."""
 from __future__ import annotations
 
 import dataclasses
@@ -136,10 +136,9 @@ def staged(path: str) -> Iterator[str]:
     `path` with os.replace only when the block completes; on any failure it
     is removed and `path` keeps its previous contents. A command writes its
     file here, then its manifest, so a run stopped before the move leaves a
-    manifest that describes other bytes. ValueError "<path>: a directory,
-    not a file" before the block; the parent directory is made if missing."""
-    if os.path.isdir(path):
-        raise ValueError(f"{path}: a directory, not a file")
+    manifest that describes other bytes. `path` is claimed (`claim`) before
+    the block, and its parent directory made if missing."""
+    claim(path)
     make_directory(os.path.dirname(path) or ".")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -199,6 +198,31 @@ def jsonl_rows(lines: Iterable[tuple], path: str, parse: Callable[[dict], T]) ->
         yield item
 
 
+@contextmanager
+def journal(path: str, parse: Callable[[dict], T]) -> Iterator[tuple[list[T], Callable]]:
+    """The rows of the JSON-lines journal at `path` (`jsonl_rows` with
+    `parse`), made with its directory if missing, and an `append(rows)`
+    writing a line per row, flushed once per call. A row is kept once its
+    newline is written: a final line without one, which a killed append
+    leaves, is cut off once every complete line has parsed."""
+    make_directory(os.path.dirname(path) or ".")
+    rows = []
+    if os.path.exists(path):
+        with open_input(path) as fh:
+            data = fh.read()
+        complete = data[: data.rfind(b"\n") + 1]
+        rows = list(jsonl_rows(enumerate(complete.splitlines(), 1), path, parse))
+        if len(complete) < len(data):
+            with open(path, "rb+") as fh:
+                fh.truncate(len(complete))
+    with open(path, "a", encoding="utf-8") as fh:
+        def append(new: Iterable[dict]) -> None:
+            fh.write("".join(json.dumps(row) + "\n" for row in new))
+            fh.flush()
+
+        yield rows, append
+
+
 def read_jsonl(path: str, parse: Callable[[dict], T]) -> Iterator[T]:
     """The rows of the JSON-lines file at `path`, read by `text_lines` and
     parsed one at a time as `jsonl_rows` does."""
@@ -233,6 +257,26 @@ def open_input(path: str, mode: str = "rb", encoding: Optional[str] = None) -> I
         raise ValueError(f"{path}: a directory, not a file") from None
 
 
+def _nearest_existing(path: str) -> str:
+    """`path`, or its nearest ancestor that exists ("" for none)."""
+    while path and not os.path.exists(path):
+        path = os.path.dirname(path)
+    return path
+
+
+def claim(*paths: str) -> None:
+    """Check, making nothing, that a file can be written at each of `paths`,
+    so a command refuses a path of the wrong kind before any work:
+    ValueError "<path>: a directory, not a file", or "<dir>: a file, not a
+    directory" naming the nearest existing ancestor when it is a file."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise ValueError(f"{path}: a directory, not a file")
+        parent = _nearest_existing(os.path.dirname(path))
+        if parent and not os.path.isdir(parent):
+            raise ValueError(f"{parent}: a file, not a directory")
+
+
 def make_directory(path: str) -> None:
     """The directory `path` and its missing parents, made as needed;
     ValueError "<path>: a file, not a directory" naming `path`, or the
@@ -240,9 +284,7 @@ def make_directory(path: str) -> None:
     try:
         os.makedirs(path, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
-        while path and not os.path.exists(path):
-            path = os.path.dirname(path)
-        raise ValueError(f"{path}: a file, not a directory") from None
+        raise ValueError(f"{_nearest_existing(path)}: a file, not a directory") from None
 
 
 def create_text(path: str) -> TextIO:

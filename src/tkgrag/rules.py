@@ -16,7 +16,7 @@ from typing import ClassVar, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .files import atomic_write, fields_of, json_fields, parse_json, typed
+from .files import atomic_write, fields_of, json_fields, open_input, parse_json, typed
 from .kg import Quadruple, TemporalKG, check_ids
 
 
@@ -179,13 +179,13 @@ class RuleBank:
     @classmethod
     def load(cls, path: str, n_relations: Optional[int] = None,
              data: Optional[bytes] = None) -> "RuleBank":
-        """`from_json` of the file at `path`, read as UTF-8 text, its errors
-        prefixed with the path; `data`, when given, is the file's bytes as
-        the caller already read them."""
+        """`from_json` of the file at `path` (`open_input`), read as UTF-8
+        text, its errors prefixed with the path; `data`, when given, is the
+        file's bytes as the caller already read them."""
+        if data is None:
+            with open_input(path) as fh:
+                data = fh.read()
         try:
-            if data is None:
-                with open(path, "rb") as fh:
-                    data = fh.read()
             return cls.from_json(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read(),
                                  n_relations)
         except ValueError as exc:

@@ -615,6 +615,27 @@ class TestValidationAndExitCodes:
         ])
         assert result.exit_code == 3
 
+    def test_truncated_responses_exit_3(self, runner, synthetic_dir, mined_rules, tmp_path):
+        """A response cut off mid-body is a transport failure: retried, then
+        exit 3, not a runtime failure after one attempt."""
+        histories, prompts = tmp_path / "h.jsonl", tmp_path / "p.jsonl"
+        run_ok(runner, ["retrieve", "--dataset-dir", str(synthetic_dir),
+                        "--rules", str(mined_rules), "--out", str(histories)])
+        run_ok(runner, ["prompt", "--dataset-dir", str(synthetic_dir),
+                        "--histories", str(histories), "--out", str(prompts)])
+        stub = StubEndpoint(script=["truncated"] * 100)
+        try:
+            result = runner.invoke(main, [
+                "infer", "--dataset-dir", str(synthetic_dir), "--prompts", str(prompts),
+                "--endpoint", stub.url, "--in-flight", "1", "--retries", "2",
+                "--backoff", "0.01", "--out", str(tmp_path / "x.jsonl"),
+            ])
+        finally:
+            stub.close()
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith("error: request failed after 3 attempts: ")
+        assert stub.attempts == 3
+
     def test_infer_stops_within_the_chunk_that_fails(self, runner, synthetic_dir,
                                                      mined_rules, tmp_path):
         """100 prompts against an endpoint that fails from request 21 and is
@@ -1340,13 +1361,30 @@ class TestMissingInput:
 
 
 class TestOutputOfTheWrongKind:
-    @pytest.mark.parametrize("command", ["synth", "mine", "retrieve", "prompt", "export",
-                                         "infer", "eval", "ablate"])
+    # case: (command, the path of the wrong kind, as a suffix of the output
+    # path given, and whether a directory belongs there)
+    CASES = {
+        "synth": ("synth", "", True), "mine": ("mine", "", False),
+        "retrieve": ("retrieve", "", False), "prompt": ("prompt", "", False),
+        "export": ("export", "", False), "infer": ("infer", "", False),
+        "eval": ("eval", "", True), "ablate": ("ablate", "", True),
+        **{f"{command}-manifest": (command, ".manifest.json", False)
+           for command in ("mine", "retrieve", "prompt", "export", "infer")},
+        **{f"eval-{name}": ("eval", f"/{name}", False)
+           for name in ("records.jsonl", "report.json", "manifest.json")},
+        "eval-seeds-summary.json": ("eval-seeds", "/summary.json", False),
+        "eval-seeds-seed-2": ("eval-seeds", "/seed-2", True),
+    }
+
+    @pytest.mark.parametrize("command", list(CASES))
     def test_output_of_the_wrong_kind_refused_before_any_work(self, runner, monkeypatch,
                                                               seed3, tmp_path, command):
         """A directory given for an output file, or a file for an output
         directory, exits 1 naming it before any work: nothing is written, and
-        nothing is mined, retrieved, rendered, drawn or sent."""
+        nothing is mined, retrieved, rendered, drawn or sent. That holds for
+        the files a command writes beside or under its output too: a
+        manifest, the eval journal, report and summary, a seed's run."""
+        command, suffix, wants_directory = self.CASES[command]
         data, rules = seed3
         common = ["--dataset-dir", str(data)]
         histories, prompts = tmp_path / "h.jsonl", tmp_path / "p.jsonl"
@@ -1362,21 +1400,26 @@ class TestOutputOfTheWrongKind:
             "infer": ["infer", *common, "--prompts", str(prompts),
                       "--endpoint", "http://127.0.0.1:9/", "--out"],
             "eval": ["eval", *common, "--rules", str(rules), "--out-dir"],
+            "eval-seeds": ["eval", *common, "--rules", str(rules), "--seeds", "1,2",
+                           "--out-dir"],
             "ablate": ["ablate", *common, "--rules", str(rules), "--out-dir"],
         }[command]
         out = tmp_path / "out"
-        if command in ("synth", "eval", "ablate"):
-            out.write_text("keep me\n")
-            message = f"{out}: a file, not a directory"
+        blocked = tmp_path / f"out{suffix}"
+        if wants_directory:
+            blocked.parent.mkdir(exist_ok=True)
+            blocked.write_text("keep me\n")
+            message = f"{blocked}: a file, not a directory"
         else:
-            (out / "inner").mkdir(parents=True)
-            message = f"{out}: a directory, not a file"
+            (blocked / "inner").mkdir(parents=True)
+            message = f"{blocked}: a directory, not a file"
         before = sorted(path for path in tmp_path.rglob("*"))
         work = {"synth": (synthetic, "generate_events"), "mine": (cli, "learn_rules"),
                 "retrieve": (retrieval, "retrieve"), "prompt": (cli, "build_prompt"),
                 "export": (cli, "export_finetune_set"),
                 "infer": (cli.LLMPredictor, "predict_prompts"),
-                "eval": (evaluation, "_forecast"), "ablate": (evaluation, "_forecast")}[command]
+                "eval": (evaluation, "_forecast"), "eval-seeds": (evaluation, "_forecast"),
+                "ablate": (evaluation, "_forecast")}[command]
 
         def worked(*args, **kwargs):
             raise AssertionError(f"{work[1]} ran")
@@ -1385,7 +1428,7 @@ class TestOutputOfTheWrongKind:
         result = runner.invoke(main, [*args, str(out)])
         assert (result.exit_code, result.output) == (1, f"error: {message}\n")
         assert sorted(path for path in tmp_path.rglob("*")) == before
-        assert out.is_dir() or out.read_text() == "keep me\n"
+        assert blocked.is_dir() or blocked.read_text() == "keep me\n"
 
 
 class TestGenerativeRoundTrip:
@@ -1547,6 +1590,29 @@ class TestResumeInputs:
         result = runner.invoke(main, args)
         assert result.exit_code == 1, result.output
         assert "was written under fingerprint" in result.output
+
+    def test_request_seed_joins_the_fingerprint(self, runner, seed3, tmp_path):
+        """`eval --seeds 1` sends a seed with every request and `eval` none,
+        under one config: a journal of either is not resumed by the other,
+        before any request."""
+        data, rules = seed3
+        out_dir = tmp_path / "run"
+        stub = StubEndpoint(sequences=["0.e01]"])
+        args = ["eval", "--dataset-dir", str(data), "--rules", str(rules), "--predictor",
+                "llm", "--endpoint", stub.url, "--num-sequences", "1",
+                "--out-dir", str(out_dir)]
+        try:
+            run_ok(runner, args)
+            journal = out_dir / "records.jsonl"
+            journal.write_text("".join(journal.read_text().splitlines(keepends=True)[:10]))
+            sent = stub.attempts
+            result = runner.invoke(main, [*args, "--seeds", "1"])
+        finally:
+            stub.close()
+        assert result.exit_code == 1, result.output
+        assert "was written under fingerprint" in result.output
+        assert stub.attempts == sent == 37
+        assert "seed" not in stub.payloads[0]
 
     @pytest.mark.parametrize("command", ["eval", "retrieve"])
     def test_rules_digest_is_of_the_bank_parsed(self, runner, monkeypatch, synthetic_dir,

@@ -40,8 +40,10 @@ class StubEndpoint:
     """Local HTTP endpoint with programmable failure behaviors.
 
     `script` maps request ordinal (per server, 0-based) to one of:
-    ok | drop | delay | malformed | error-payload | http-500. Anything beyond
-    the script acts as "ok". Every request payload is kept in `payloads`.
+    ok | drop | delay | malformed | error-payload | http-500 | truncated
+    (the "ok" response, cut off after 5 bytes of its body as the connection
+    closes). Anything beyond the script acts as "ok". Every request payload
+    is kept in `payloads`.
     An "ok" request gets `sequences`, or, with a `responder`, the sequences
     it returns for the request's payload; either is cut to the payload's
     `num_sequences`.
@@ -102,7 +104,7 @@ class StubEndpoint:
                     self.send_header("Content-Type", "application/json")
                     self.send_header("Content-Length", str(len(body)))
                     self.end_headers()
-                    self.wfile.write(body)
+                    self.wfile.write(body[:5] if behavior == "truncated" else body)
                 finally:
                     with stub._lock:
                         stub.active -= 1
@@ -159,6 +161,23 @@ class TestGenerate:
         try:
             assert generate("p", fast_params, stub.url) == ["0.France]"] * 1
             assert stub.attempts == 2
+        finally:
+            stub.close()
+
+    def test_truncated_response_is_retried(self, fast_params):
+        stub = StubEndpoint(script=["truncated", "ok"])
+        try:
+            assert generate("p", fast_params, stub.url) == ["0.France]"]
+            assert stub.attempts == 2
+        finally:
+            stub.close()
+
+    def test_truncated_responses_exhaust_retry_budget(self, fast_params):
+        stub = StubEndpoint(script=["truncated"] * 10)
+        try:
+            with pytest.raises(TransportError, match="3 attempts.*IncompleteRead"):
+                generate("p", fast_params, stub.url)
+            assert stub.attempts == 1 + fast_params.retries
         finally:
             stub.close()
 
