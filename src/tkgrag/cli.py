@@ -13,8 +13,9 @@ import json
 import os
 import sys
 import typing
+from contextlib import contextmanager, nullcontext
 from datetime import datetime, timezone
-from typing import Optional
+from typing import IO, Iterator, Optional
 
 import click
 
@@ -99,7 +100,6 @@ _eval_options = _stack(
 )
 
 _FLAG_NAMES = {"max_history": "--history-len"}
-_CHOICES = {"format": FORMATS, "order": ORDERS}
 
 
 def _section_options(cls):
@@ -111,11 +111,12 @@ def _section_options(cls):
     def decorate(fn):
         for field in dataclasses.fields(cls):
             flag = _FLAG_NAMES.get(field.name, "--" + field.name.replace("_", "-"))
-            kind = (typing.get_args(hints[field.name]) or (hints[field.name],))[0]
+            hint = hints[field.name]
+            kind = (typing.get_args(hint) or (hint,))[0]
             if kind is bool:
                 flag += f"/--no-{flag[2:]}"
-            elif field.name in _CHOICES:
-                kind = click.Choice(_CHOICES[field.name])
+            elif typing.get_origin(hint) is typing.Literal:
+                kind = click.Choice(typing.get_args(hint))
             fn = click.option(flag, field.name, type=kind, default=None)(fn)
         return fn
 
@@ -184,10 +185,11 @@ def _load_data(config: RunConfig) -> tuple[Dataset, str]:
     return dataset, digest.hexdigest()
 
 
-def _file_digest(path: str) -> str:
-    """sha256 of the bytes of the file at `path`, read in fixed-size blocks."""
+def _file_digest(file) -> str:
+    """sha256 of the bytes of `file`, a path or a binary file open at its
+    start, read in fixed-size blocks."""
     digest = hashlib.sha256()
-    with open_input(path) as fh:
+    with open_input(file) if isinstance(file, str) else nullcontext(file) as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()
@@ -242,23 +244,30 @@ def _load_rules(path: str, dataset: Dataset) -> tuple[RuleBank, str, dict]:
     raise ValueError(f"{path}.manifest.json: expected a string fingerprint and inputs.dataset")
 
 
-def _built_from(path: str, dataset_digest: str) -> tuple[str, Optional[dict]]:
-    """The sha256 of the histories or prompts file at `path` and its
-    manifest (`_read_manifest`). ValueError naming the manifest when it
-    records another dataset under inputs.dataset than the loaded one, whose
-    digest is `dataset_digest`, or describes other bytes (`_check_describes`)."""
+@contextmanager
+def _built_from(path: str, dataset_digest: str) -> Iterator[tuple[IO[bytes], str, Optional[dict]]]:
+    """The histories or prompts file at `path`, opened once for the block
+    to parse (`read_jsonl`) after it was hashed, so a file replaced during
+    the run cannot lend the run its digest, as for `rules.json`; its
+    sha256; and its manifest (`_read_manifest`). ValueError naming the
+    manifest when it records another dataset under inputs.dataset than the
+    loaded one, whose digest is `dataset_digest`, or describes other bytes
+    (`_check_describes`)."""
     manifest_path = path + ".manifest.json"
-    digest, manifest = _file_digest(path), _read_manifest(path)
-    if manifest is not None:
-        try:
-            recorded = manifest["inputs"]["dataset"]
-        except (LookupError, TypeError):
-            raise ValueError(f"{manifest_path}: no dataset digest under inputs.dataset") from None
-        if recorded != dataset_digest:
-            raise ValueError(f"{path}: built from dataset {recorded} (see {manifest_path}), "
-                             f"but the loaded dataset is {dataset_digest}")
-        _check_describes(path, manifest, digest)
-    return digest, manifest
+    with open_input(path) as fh:
+        digest, manifest = _file_digest(fh), _read_manifest(path)
+        fh.seek(0)
+        if manifest is not None:
+            try:
+                recorded = manifest["inputs"]["dataset"]
+            except (LookupError, TypeError):
+                raise ValueError(f"{manifest_path}: no dataset digest under inputs.dataset"
+                                 ) from None
+            if recorded != dataset_digest:
+                raise ValueError(f"{path}: built from dataset {recorded} (see {manifest_path}), "
+                                 f"but the loaded dataset is {dataset_digest}")
+            _check_describes(path, manifest, digest)
+        yield fh, digest, manifest
 
 
 def _load_eval(options: dict, **sections):
@@ -296,11 +305,21 @@ def _load_eval(options: dict, **sections):
     return config, manifest, upstream, kg, bank, queries, filter_index, engine
 
 
+# deployment settings: where the dataset lies (its content is an input
+# digest) and how requests travel, which leave the artifacts as they are
+_UNFINGERPRINTED = (("dataset", "dir"), ("generation", "timeout"), ("generation", "retries"),
+                    ("generation", "backoff"), ("generation", "in_flight"))
+
+
 def _fingerprint(config: RunConfig, inputs: dict, options: dict) -> str:
-    """A run's fingerprint: the hash of its config, its input digests and
-    the command's `options` outside the config that shape its artifacts
-    (such as `--split`). A journal resumes only under the same fingerprint."""
-    return stable_hash({"config": config.as_dict(), "inputs": inputs, "options": options})
+    """A run's fingerprint: the hash of its config but its deployment
+    settings, its input digests and the command's `options` outside the
+    config that shape its artifacts (such as `--split`). A journal resumes
+    only under the same fingerprint."""
+    settings = config.as_dict()
+    for section, name in _UNFINGERPRINTED:
+        del settings[section][name]
+    return stable_hash({"config": settings, "inputs": inputs, "options": options})
 
 
 def _write_manifest(path: str, command: str, config: RunConfig, inputs: dict, options: dict,
@@ -434,27 +453,28 @@ def prompt_cmd(histories_path, out, **options):
     """Render retrieved histories into prompts."""
     config = _config(options, prompt=PromptConfig)
     dataset, dataset_digest = _load_data(config)
-    histories_digest, manifest = _built_from(histories_path, dataset_digest)
-    inputs = {"dataset": dataset_digest, "histories": histories_digest}
-    # the fact cap replays the retrieval config the histories were retrieved
-    # with; without a manifest, the config file's
-    if manifest is not None:
-        section = manifest.get("config")
-        section = section.get("retrieval") if type(section) is dict else None
-        config = dataclasses.replace(config, retrieval=fields_of(
-            RetrievalConfig, section, f"{histories_path}.manifest.json: config.retrieval",
-            closed=True))
-    kg = dataset.train
-    claim(out + ".manifest.json")
-    with staged(out) as path:
-        count = write_jsonl(path, (
-            {"query": json_fields(history.query),
-             **json_fields(build_prompt(select_history(history, config.prompt, config.retrieval),
-                                        config.prompt, kg))}
-            for history in read_jsonl(histories_path, lambda row: history_from_dict(row, kg))
-        ))
-        _write_manifest(out + ".manifest.json", "prompt", config, inputs, {}, n_prompts=count,
-                        sha256=_file_digest(path))
+    with _built_from(histories_path, dataset_digest) as (histories, digest, manifest):
+        inputs = {"dataset": dataset_digest, "histories": digest}
+        # the fact cap replays the retrieval config the histories were
+        # retrieved with; without a manifest, the config file's
+        if manifest is not None:
+            section = manifest.get("config")
+            section = section.get("retrieval") if type(section) is dict else None
+            config = dataclasses.replace(config, retrieval=fields_of(
+                RetrievalConfig, section, f"{histories_path}.manifest.json: config.retrieval",
+                closed=True))
+        kg = dataset.train
+        claim(out + ".manifest.json")
+        with staged(out) as path:
+            count = write_jsonl(path, (
+                {"query": json_fields(history.query),
+                 **json_fields(build_prompt(select_history(history, config.prompt,
+                                                           config.retrieval), config.prompt, kg))}
+                for history in read_jsonl(histories_path, lambda row: history_from_dict(row, kg),
+                                          histories)
+            ))
+            _write_manifest(out + ".manifest.json", "prompt", config, inputs, {},
+                            n_prompts=count, sha256=_file_digest(path))
     click.echo(f"rendered {count} prompts -> {out}")
 
 
@@ -491,18 +511,23 @@ def infer(prompts_path, endpoint, out, **options):
     """Send rendered prompts to the completion endpoint and parse predictions."""
     config = _config(options, endpoint=endpoint, generation=GenParams)
     dataset, dataset_digest = _load_data(config)
-    prompts_digest, _manifest = _built_from(prompts_path, dataset_digest)
-    inputs = {"dataset": dataset_digest, "prompts": prompts_digest}
     kg = dataset.train
-    predictor = LLMPredictor(kg, resolve_endpoint(config.endpoint), config.generation)
 
     def parse(row: dict) -> tuple[Query, Prompt]:
         query, prompt = fields_of(Query, row["query"], "query"), fields_of(Prompt, row)
         check_query_ids(query, kg)
         check_ids("index_map", list(prompt.index_map), len(kg.entities))
+        entities = {}
+        for entity, index in prompt.index_map.items():  # an answer's index names one entity
+            if entities.setdefault(index, entity) != entity:
+                raise ValueError(f"index_map: index {index} is given to entities "
+                                 f"{entities[index]} and {entity}")
         return query, prompt
 
-    rows = list(read_jsonl(prompts_path, parse))
+    with _built_from(prompts_path, dataset_digest) as (prompts, digest, _manifest):
+        inputs = {"dataset": dataset_digest, "prompts": digest}
+        predictor = LLMPredictor(kg, resolve_endpoint(config.endpoint), config.generation)
+        rows = list(read_jsonl(prompts_path, parse, prompts))
 
     def predicted():
         """One request batch of at most `CHUNK_SIZE` prompts at a time, so a

@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence
 
+from .files import NonNegative, Positive, check_fields
 from .kg import TemporalKG
 from .prompts import Prompt
 from .retrieval import RetrievedHistory
@@ -46,23 +47,16 @@ class EndpointError(ClientError):
 
 @dataclass(frozen=True)
 class GenParams:
-    max_new_tokens: int = 128
-    num_sequences: int = 10
+    max_new_tokens: Positive = 128
+    num_sequences: Positive = 10
     temperature: float = 0.0
     timeout: float = 30.0
-    retries: int = 2
+    retries: NonNegative = 2
     backoff: float = 0.25
-    in_flight: int = 8
+    in_flight: Positive = 8
 
     def __post_init__(self):
-        if self.num_sequences < 1:
-            raise ValueError("num_sequences must be >= 1")
-        if self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-        if self.in_flight < 1:
-            raise ValueError("in_flight must be >= 1")
+        check_fields(self)
         if not 0 < self.timeout <= threading.TIMEOUT_MAX:
             raise ValueError(f"timeout must be in (0, {threading.TIMEOUT_MAX}], "
                              f"got {self.timeout!r}")

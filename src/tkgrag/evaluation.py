@@ -19,7 +19,7 @@ from .client import (
     parse_predictions,
     rule_score_predict,
 )
-from .files import fields_of, journal, json_fields, write_json
+from .files import NonNegative, fields_of, journal, json_fields, write_json
 from .kg import Dataset, TemporalKG
 from .prompts import Prompt, PromptConfig, build_prompt, select_history
 from .retrieval import (
@@ -64,7 +64,7 @@ class EvalRecord:
     query: Query
     predictions: tuple[int, ...]
     rank: Optional[int]
-    n_skipped: int = 0
+    n_skipped: NonNegative = 0
     fingerprint: str = ""
 
     def as_dict(self) -> dict:
@@ -206,8 +206,6 @@ def _journal_row(fingerprint: str, queries: Sequence[Query],
     rank = _gold_rank(record.query, record.predictions)
     if record.rank != rank:
         raise ValueError(f"rank: expected {rank!r}, got {record.rank!r}")
-    if record.n_skipped < 0:
-        raise ValueError(f"n_skipped: expected an int >= 0, got {record.n_skipped!r}")
     return index, record
 
 

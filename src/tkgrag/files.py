@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import io
 import json
 import os
 import re
@@ -12,10 +13,12 @@ import shutil
 import types
 import typing
 from contextlib import contextmanager, suppress
-from typing import IO, Callable, Collection, Iterable, Iterator, Optional, TextIO, TypeVar
+from typing import IO, Annotated, Callable, Collection, Iterable, Iterator, Literal, Optional, TextIO, TypeVar
 
 T = TypeVar("T")
 INT64 = range(-2**63, 2**63)  # the values of a 64-bit signed integer
+NonNegative = Annotated[int, 0]  # an int of at least 0, as `typed` reads it
+Positive = Annotated[int, 1]
 _INT_KEY = re.compile(r"-?(0|[1-9][0-9]*)")
 
 
@@ -24,7 +27,7 @@ def _schema(cls) -> tuple:
     """(field, JSON key, annotation as `_options`, default or MISSING) of each
     field of the dataclass `cls`; its `json_keys` maps a field to a JSON key
     of another name."""
-    hints, keys = typing.get_type_hints(cls), getattr(cls, "json_keys", {})
+    hints, keys = typing.get_type_hints(cls, include_extras=True), getattr(cls, "json_keys", {})
     return tuple((f.name, keys.get(f.name, f.name), _options(hints[f.name]),
                   f.default if f.default_factory is dataclasses.MISSING else f.default_factory())
                  for f in dataclasses.fields(cls))
@@ -42,10 +45,33 @@ def _options(kind) -> tuple:
 def typed(kind, value, field: str):
     """The JSON value `value` as a value of annotation `kind`, or ValueError
     "<field>: expected <kind>, got <value!r>". An int is a JSON integer of
-    64 bits and not a bool, a float also takes an int, an Optional also
-    takes None, a tuple[X, ...] is a list, a dict[int, X] an object with
-    integer-string keys, and a dataclass an object (see `fields_of`)."""
+    64 bits and not a bool, an Annotated[int, n] one of at least n ("<field>:
+    expected an int >= n, got ..."), a Literal one of its arguments, a float
+    also takes an int, an Optional also takes None, a tuple[X, ...] is a
+    list, a dict[int, X] an object with integer-string keys, and a dataclass
+    an object (see `fields_of`)."""
     return _typed(_options(kind), value, field)
+
+
+def check_fields(obj) -> None:
+    """`typed` of each field of the dataclass `obj`, so a config built in
+    code meets its annotations as one read from JSON does: its
+    `__post_init__`."""
+    for name, _key, options, _default in _schema(type(obj)):
+        _typed(options, getattr(obj, name), name)
+
+
+def _name(kind) -> str:
+    """How a refusal names the annotation `kind`: a bounded int as int, a
+    Literal as "one of <its arguments>"."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is Annotated:
+        return _name(args[0])
+    if origin is Literal:
+        return f"one of {', '.join(map(str, args))}"
+    if origin:
+        return f"{origin.__name__}[{', '.join('...' if a is ... else _name(a) for a in args)}]"
+    return "None" if kind is type(None) else kind.__name__
 
 
 def _typed(options: tuple, value, field: str):
@@ -55,6 +81,14 @@ def _typed(options: tuple, value, field: str):
                 return value
         elif option is float:
             if type(value) is float or type(value) is int:
+                return value
+        elif origin is Annotated:  # an int of at least args[1]
+            if type(value) is int and value in INT64:
+                if value < args[1]:
+                    raise ValueError(f"{field}: expected an int >= {args[1]}, got {value!r}")
+                return value
+        elif origin is Literal:
+            if any(type(value) is type(choice) and value == choice for choice in args):
                 return value
         elif type(value) is option:  # str, bool, None
             return value
@@ -69,8 +103,7 @@ def _typed(options: tuple, value, field: str):
                         for key, item in value.items()}
         elif dataclasses.is_dataclass(option):
             return fields_of(option, value, field)
-    wanted = " or ".join("None" if option is type(None) else str(option) if origin
-                         else option.__name__ for option, origin, _args in options)
+    wanted = " or ".join(_name(option) for option, _origin, _args in options)
     raise ValueError(f"{field}: expected {wanted}, got {value!r}")
 
 
@@ -223,19 +256,24 @@ def journal(path: str, parse: Callable[[dict], T]) -> Iterator[tuple[list[T], Ca
         yield rows, append
 
 
-def read_jsonl(path: str, parse: Callable[[dict], T]) -> Iterator[T]:
-    """The rows of the JSON-lines file at `path`, read by `text_lines` and
-    parsed one at a time as `jsonl_rows` does."""
-    return jsonl_rows(text_lines(path), path, parse)
+def read_jsonl(path: str, parse: Callable[[dict], T], fh: Optional[IO[bytes]] = None
+               ) -> Iterator[T]:
+    """The rows of the JSON-lines file at `path`, read by `text_lines` (from
+    `fh` when given) and parsed one at a time as `jsonl_rows` does."""
+    return jsonl_rows(text_lines(path, fh=fh), path, parse)
 
 
-def text_lines(path: str, error: type[ValueError] = ValueError) -> Iterator[tuple[int, str]]:
+def text_lines(path: str, error: type[ValueError] = ValueError,
+               fh: Optional[IO[bytes]] = None) -> Iterator[tuple[int, str]]:
     """(line number, line) of each line of the UTF-8 text file at `path`,
+    or of `fh`, that file already open in binary mode (closed at the end),
     counting from 1, each line without its newline; CRLF and CR end a line
     as LF does. A line holding bytes that are not UTF-8 raises `error`
     "<path>:<line>: ..." in its turn."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for number, line in enumerate(fh, 1):
+    text = (io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape") if fh
+            else open(path, encoding="utf-8", errors="surrogateescape"))
+    with text:
+        for number, line in enumerate(text, 1):
             if not line.isascii():
                 try:
                     line.encode("utf-8", "surrogateescape").decode("utf-8")

@@ -9,7 +9,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .files import INT64, atomic_directory, create_text, text_lines
+from .files import INT64, Positive, atomic_directory, check_fields, create_text, text_lines
 
 INVERSE_PREFIX = "inv_"
 SPLIT_FILES = {"train": "train.txt", "valid": "valid.txt", "test": "test.txt"}
@@ -248,12 +248,10 @@ class DatasetSpec:
     """A dataset directory and how to interpret it."""
 
     dir: str = ""
-    time_gap: int = 1
+    time_gap: Positive = 1
     inverse: bool = True
 
-    def __post_init__(self):
-        if self.time_gap < 1:
-            raise ValueError("time_gap must be >= 1")
+    __post_init__ = check_fields
 
 
 class Dataset:

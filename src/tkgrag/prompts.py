@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Literal, Optional, get_args
 
 import numpy as np
 
-from .files import json_fields, write_jsonl
+from .files import NonNegative, Positive, check_fields, json_fields, write_jsonl
 from .kg import Dataset, TemporalKG
 from .retrieval import (
     RetrievalConfig,
@@ -30,28 +30,21 @@ DEFAULT_INSTRUCTION = (
     "Respond with index.object only."
 )
 
-FORMATS = ("index", "lexical")
-ORDERS = ("ascending", "descending", "random", "timestamps-removed")
+Format = Literal["index", "lexical"]
+Order = Literal["ascending", "descending", "random", "timestamps-removed"]
+FORMATS, ORDERS = get_args(Format), get_args(Order)
 
 
 @dataclass(frozen=True)
 class PromptConfig:
-    format: str = "index"
-    order: str = "ascending"
+    format: Format = "index"
+    order: Order = "ascending"
     order_seed: int = 0
-    max_facts: Optional[int] = None
+    max_facts: Optional[NonNegative] = None
     instruction: str = DEFAULT_INSTRUCTION
-    char_budget: int = 12000
+    char_budget: Positive = 12000
 
-    def __post_init__(self):
-        if self.format not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}")
-        if self.order not in ORDERS:
-            raise ValueError(f"order must be one of {ORDERS}")
-        if self.max_facts is not None and self.max_facts < 0:
-            raise ValueError("max_facts must be >= 0")
-        if self.char_budget < 1:
-            raise ValueError("char_budget must be >= 1")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -60,7 +53,7 @@ class Prompt:
     empty for lexical). text always ends with query_prefix."""
 
     text: str
-    index_map: dict[int, int] = field(default_factory=dict)
+    index_map: dict[int, NonNegative] = field(default_factory=dict)
     query_prefix: str = ""
     format: str = "index"
 

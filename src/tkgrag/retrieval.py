@@ -14,7 +14,7 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .files import json_fields, typed
+from .files import NonNegative, Positive, check_fields, json_fields, typed
 from .kg import Dataset, Quadruple, TemporalKG, check_ids
 from .rules import Provenance, RuleBank
 
@@ -38,18 +38,12 @@ class RetrievalConfig:
     """window=None means the whole strict past of the query; top_rules=None
     uses every rule the bank holds for the query relation."""
 
-    window: Optional[int] = None
-    top_rules: Optional[int] = None
-    max_history: int = 50
+    window: Optional[Positive] = None
+    top_rules: Optional[NonNegative] = None
+    max_history: Positive = 50
     stepwise: bool = False
 
-    def __post_init__(self):
-        if self.window is not None and self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.top_rules is not None and self.top_rules < 0:
-            raise ValueError("top_rules must be >= 0")
-        if self.max_history < 1:
-            raise ValueError("max_history must be >= 1")
+    __post_init__ = check_fields
 
 
 class RetrievedHistory:

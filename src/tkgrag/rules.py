@@ -12,31 +12,23 @@ import io
 import json
 import os
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple, Optional, Sequence
+from typing import ClassVar, Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .files import atomic_write, fields_of, json_fields, open_input, parse_json, typed
+from .files import Positive, atomic_write, check_fields, fields_of, json_fields, open_input, parse_json, typed
 from .kg import Quadruple, TemporalKG, check_ids
 
 
 @dataclass(frozen=True)
 class MiningParams:
-    num_walks: int = 200
-    rule_length: int = 1
-    min_body_support: int = 2
-    grounding_cap: int = 100_000
+    num_walks: Positive = 200
+    rule_length: Literal[1] = 1  # only length-1 rules are mined
+    min_body_support: Positive = 2
+    grounding_cap: Positive = 100_000
     seed: int = 0
 
-    def __post_init__(self):
-        if self.num_walks < 1:
-            raise ValueError("num_walks must be >= 1")
-        if self.rule_length != 1:
-            raise ValueError("only rule_length = 1 is supported")
-        if self.min_body_support < 1:
-            raise ValueError("min_body_support must be >= 1")
-        if self.grounding_cap < 1:
-            raise ValueError("grounding_cap must be >= 1")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)

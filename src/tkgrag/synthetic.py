@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import json
 import os
-import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .files import atomic_directory, create_text, typed
+from .files import NonNegative, atomic_directory, check_fields, create_text
 from .kg import DATASET_FILES, GROUND_TRUTH_FILE, Dataset, TemporalKG, write_dataset_files
 
 BODY_RELATION = 0  # "precursor"
@@ -32,21 +31,17 @@ LAST_SLOT_GAP = 6  # extra precursors in a subject's most recent episode
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    n_entities: int = 20
-    n_noise_relations: int = 3
-    n_body_events: int = 2000
-    n_noise_events: int = 600
+    n_entities: NonNegative = 20
+    n_noise_relations: NonNegative = 3
+    n_body_events: NonNegative = 2000
+    n_noise_events: NonNegative = 600
     follow_prob: float = 0.8
-    t_span: int = 560
-    planted_entities: int = 17  # entities hosting the planted pattern
-    seed: int = 7
+    t_span: NonNegative = 560
+    planted_entities: NonNegative = 17  # entities hosting the planted pattern
+    seed: NonNegative = 7
 
     def __post_init__(self):
-        hints = typing.get_type_hints(SyntheticSpec)
-        for field in fields(self):
-            value = typed(hints[field.name], getattr(self, field.name), field.name)
-            if hints[field.name] is int and value < 0:
-                raise ValueError(f"{field.name}: expected an int >= 0, got {value!r}")
+        check_fields(self)
         if not 0.0 <= self.follow_prob <= 1.0:
             raise ValueError("follow_prob must be in [0, 1]")
         if self.planted_entities < 2 or self.planted_entities > self.n_entities:

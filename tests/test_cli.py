@@ -492,6 +492,9 @@ class TestValidationAndExitCodes:
         ("infer", {"index_map": {"999999": 0}},
          "index_map: id 999999 is outside the vocabulary of 20"),
         ("infer", {"index_map": {"-5": 7}}, "index_map: id -5 is outside the vocabulary of 20"),
+        ("infer", {"index_map": {"15": 0, "12": 0, "3": 1}},
+         "index_map: index 0 is given to entities 15 and 12"),
+        ("infer", {"index_map": {"15": -1}}, "index_map.15: expected an int >= 0, got -1"),
         ("infer", "query", "missing field 'query'"),
         ("infer", {"query": None}, "query: expected Query, got None"),
         ("infer", {"query": {"s": "x"}}, "query.s: expected int, got 'x'"),
@@ -502,6 +505,7 @@ class TestValidationAndExitCodes:
         ("eval", "rank", "missing field 'rank'"),
     ], ids=["prompt-not-json", "prompt-no-facts", "prompt-list", "infer-no-text", "infer-list",
             "infer-bad-index-map", "infer-index-map-past-vocab", "infer-negative-index-map-key",
+            "infer-repeated-index", "infer-negative-index",
             "infer-no-query", "infer-null-query", "infer-string-query-subject",
             "infer-query-relation-past-vocab", "infer-negative-gold", "eval-no-rank"])
     def test_malformed_jsonl_row_names_path_and_line(
@@ -1115,7 +1119,7 @@ class TestInputsOfAnotherDataset:
         (None, "config.retrieval: expected RetrievalConfig, got None"),
         ([], "config.retrieval: expected RetrievalConfig, got []"),
         ({"window": "5"}, "config.retrieval.window: expected int or None, got '5'"),
-        ({"window": 0}, "config.retrieval: window must be >= 1"),
+        ({"window": 0}, "config.retrieval.window: expected an int >= 1, got 0"),
         ({"depth": 2}, "config.retrieval: RetrievalConfig.__init__() got an unexpected "
                        "keyword argument 'depth'"),
     ], ids=["missing", "not-an-object", "wrong-type", "out-of-range", "unknown-field"])
@@ -1614,6 +1618,39 @@ class TestResumeInputs:
         assert stub.attempts == sent == 37
         assert "seed" not in stub.payloads[0]
 
+    def test_deployment_settings_leave_the_fingerprint(self, runner, seed3, tmp_path):
+        """Where the dataset lies and how requests travel leave the answers
+        as they are, so a journal cut short resumes under another timeout,
+        retry budget, backoff, in-flight cap and spelling of the dataset
+        path, sending only the missing requests; a setting that can change
+        the answers still refuses it, before any request."""
+        data, rules = seed3
+        out_dir = tmp_path / "run"
+        stub = StubEndpoint(sequences=["0.e01]"])
+        args = ["eval", "--rules", str(rules), "--predictor", "llm", "--endpoint", stub.url,
+                "--num-sequences", "1", "--out-dir", str(out_dir)]
+        journal, report = out_dir / "records.jsonl", out_dir / "report.json"
+        try:
+            run_ok(runner, [*args, "--dataset-dir", str(data)])
+            clean = journal.read_bytes(), report.read_bytes()
+            journal.write_text("".join(journal.read_text().splitlines(keepends=True)[:10]))
+            run_ok(runner, [*args, "--dataset-dir", os.path.relpath(data), "--timeout", "60",
+                            "--retries", "5", "--backoff", "0.5", "--in-flight", "2"])
+            assert stub.attempts == 37 + 27
+            assert (journal.read_bytes(), report.read_bytes()) == clean
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            assert manifest["config"]["generation"]["timeout"] == 60
+            assert manifest["config"]["dataset"]["dir"] == os.path.relpath(data)
+
+            journal.write_text("".join(journal.read_text().splitlines(keepends=True)[:10]))
+            result = runner.invoke(main, [*args, "--dataset-dir", str(data),
+                                          "--num-sequences", "2"])
+        finally:
+            stub.close()
+        assert result.exit_code == 1, result.output
+        assert "was written under fingerprint" in result.output
+        assert stub.attempts == 37 + 27
+
     @pytest.mark.parametrize("command", ["eval", "retrieve"])
     def test_rules_digest_is_of_the_bank_parsed(self, runner, monkeypatch, synthetic_dir,
                                                 mined_rules, tmp_path, command):
@@ -1645,6 +1682,54 @@ class TestResumeInputs:
             result = runner.invoke(main, args)
             assert result.exit_code == 1, result.output
             assert "was written under fingerprint" in result.output
+
+    @pytest.mark.parametrize("command", ["prompt", "infer"])
+    def test_input_digest_is_of_the_file_parsed(self, runner, monkeypatch, seed3, tmp_path,
+                                                 command):
+        """A histories or prompts file replaced after the command hashed it
+        is not parsed: the command parses the file it opened and hashed, so
+        its output and manifest are a clean run's, and its requests carry
+        the prompts of the file hashed."""
+        data, rules = seed3
+        dataset = ["--dataset-dir", str(data)]
+        histories, prompts = tmp_path / "h.jsonl", tmp_path / "p.jsonl"
+        other_histories, other_prompts = tmp_path / "oh.jsonl", tmp_path / "op.jsonl"
+        for args in (["retrieve", "--rules", str(rules), "--out", str(histories)],
+                     ["retrieve", "--rules", str(rules), "--window", "5", "--stepwise",
+                      "--out", str(other_histories)],
+                     ["prompt", "--histories", str(histories), "--out", str(prompts)],
+                     ["prompt", "--histories", str(histories), "--format", "lexical",
+                      "--out", str(other_prompts)]):
+            run_ok(runner, [*args, *dataset])
+        path, other, option = {"prompt": (histories, other_histories, "--histories"),
+                               "infer": (prompts, other_prompts, "--prompts")}[command]
+        assert path.read_bytes() != other.read_bytes()
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        stub = StubEndpoint(sequences=["0.e01]"])
+
+        def run(out):
+            endpoint = ["--endpoint", stub.url] if command == "infer" else []
+            run_ok(runner, [command, *dataset, option, str(path), *endpoint, "--out", str(out)])
+            return out.read_bytes(), strip_created_at(f"{out}.manifest.json")
+
+        def swapped(call):
+            def swap(*args):
+                shutil.copy(other, tmp_path / "swap")
+                os.replace(tmp_path / "swap", path)
+                return call(*args)
+            return swap
+
+        try:
+            clean = run(tmp_path / "clean.jsonl")
+            sent = [payload["prompt"] for payload in stub.payloads]
+            name = {"prompt": "claim", "infer": "LLMPredictor"}[command]
+            monkeypatch.setattr(cli, name, swapped(getattr(cli, name)))
+            assert run(tmp_path / "out.jsonl") == clean
+        finally:
+            stub.close()
+        assert clean[1]["inputs"]["histories" if command == "prompt" else "prompts"] == digest
+        assert path.read_bytes() == other.read_bytes()
+        assert sorted(payload["prompt"] for payload in stub.payloads) == sorted(sent * 2)
 
     @pytest.mark.parametrize("option", [
         ["--retrieval-splits", "train", "--filter-splits", "train"],

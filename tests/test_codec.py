@@ -1,17 +1,21 @@
 """The typed JSON codec of `tkgrag.files`: `typed`, `fields_of` and
 `json_fields`."""
+import dataclasses
 import json
 import re
-from typing import Optional
+import typing
+from typing import Annotated, Literal, Optional
 
 import pytest
 
 from tkgrag.client import PredictionList
+from tkgrag.config import ConfigError, RunConfig, build_run_config
 from tkgrag.evaluation import EvalRecord
 from tkgrag.files import fields_of, json_fields, typed
 from tkgrag.prompts import Prompt
 from tkgrag.retrieval import Query
 from tkgrag.rules import Provenance, TemporalRule
+from tkgrag.synthetic import SyntheticSpec
 
 
 @pytest.mark.parametrize("obj", [
@@ -92,3 +96,57 @@ def test_closed_object_rejects_other_keys():
     assert fields_of(Query, {"s": 1, "r": 0, "t": 2, "x": 0}) == Query(1, 0, 2)
     with pytest.raises(ValueError, match="^q: .*unexpected keyword argument 'x'$"):
         fields_of(Query, {"s": 1, "r": 0, "t": 2, "x": 0}, "q", closed=True)
+
+
+# Every field of every config section, with the section's name in a config
+# file (None for `SyntheticSpec`, which `synth` builds from its flags) and
+# the field's annotation without its Optional.
+SECTIONS = [(name, kind) for name, kind in typing.get_type_hints(RunConfig).items()
+            if dataclasses.is_dataclass(kind)]
+FIELDS = []
+for section, cls in [*SECTIONS, (None, SyntheticSpec)]:
+    for name, hint in typing.get_type_hints(cls, include_extras=True).items():
+        optional = typing.get_origin(hint) is typing.Union
+        kind = typing.get_args(hint)[0] if optional else hint
+        FIELDS.append(pytest.param(section, cls, name, kind, optional,
+                                   id=f"{cls.__name__}.{name}"))
+
+
+def fields_where(test):
+    return [param for param in FIELDS if test(param.values[3])]
+
+
+def refused_everywhere(section, cls, name, value, message):
+    """`value` for field `name` is refused with `message` when `cls` is
+    built in code, and, for a config section, from a config file and from
+    a flag (an override), each naming the section."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(**{name: value})
+    if section is not None:
+        for payload, overrides in (({section: {name: value}}, None), ({}, {section: {name: value}})):
+            with pytest.raises(ConfigError, match=f"^{re.escape(f'{section}.{message}')}$"):
+                build_run_config(payload, overrides)
+
+
+@pytest.mark.parametrize("section, cls, name, kind, optional",
+                         fields_where(lambda kind: typing.get_origin(kind) is Annotated))
+def test_bound_refused_in_one_form(section, cls, name, kind, optional):
+    least = typing.get_args(kind)[1]
+    refused_everywhere(section, cls, name, least - 1,
+                       f"{name}: expected an int >= {least}, got {least - 1}")
+
+
+@pytest.mark.parametrize("section, cls, name, kind, optional",
+                         fields_where(lambda kind: typing.get_origin(kind) is Literal))
+def test_choice_refused_in_one_form(section, cls, name, kind, optional):
+    choices = ", ".join(map(str, typing.get_args(kind)))
+    refused_everywhere(section, cls, name, "other", f"{name}: expected one of {choices}, got 'other'")
+
+
+@pytest.mark.parametrize("section, cls, name, kind, optional", fields_where(
+    lambda kind: kind is int or typing.get_args(kind)[:1] == (int,)))
+@pytest.mark.parametrize("value", [2.5, True])
+def test_int_field_refuses_float_and_bool(section, cls, name, kind, optional, value):
+    wanted = "int or None" if optional else "int"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name}: expected {wanted}, got {value}')}$"):
+        cls(**{name: value})
