@@ -13,9 +13,9 @@ import json
 import os
 import sys
 import typing
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from datetime import datetime, timezone
-from typing import IO, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import click
 
@@ -32,7 +32,9 @@ from .evaluation import (
     run_eval,
 )
 from .files import (
+    HashedReader,
     atomic_directory,
+    atomic_write,
     claim,
     create_text,
     fields_of,
@@ -40,7 +42,6 @@ from .files import (
     open_input,
     parse_json,
     read_jsonl,
-    staged,
     typed,
     write_json,
     write_jsonl,
@@ -185,28 +186,22 @@ def _load_data(config: RunConfig) -> tuple[Dataset, str]:
     return dataset, digest.hexdigest()
 
 
-def _file_digest(file) -> str:
-    """sha256 of the bytes of `file`, a path or a binary file open at its
-    start, read in fixed-size blocks."""
-    digest = hashlib.sha256()
-    with open_input(file) if isinstance(file, str) else nullcontext(file) as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def _read_manifest(path: str) -> Optional[dict]:
     """The manifest next to the input file `path`, or None when there is
     none, so hand-made inputs stay allowed. ValueError naming the manifest
-    when it is a directory (`open_input`), is not JSON or repeats a key."""
+    when it is a directory (`open_input`), is not JSON, repeats a key or is
+    not an object."""
     manifest_path = path + ".manifest.json"
     if not os.path.exists(manifest_path):
         return None
     with open_input(manifest_path, "r", encoding="utf-8") as fh:
         try:
-            return parse_json(fh.read())
+            manifest = parse_json(fh.read())
         except ValueError as exc:
             raise ValueError(f"{manifest_path}: {exc}") from None
+    if type(manifest) is not dict:
+        raise ValueError(f"{manifest_path}: expected a JSON object, got {manifest!r}")
+    return manifest
 
 
 def _check_describes(path: str, manifest: dict, digest: str) -> None:
@@ -244,30 +239,32 @@ def _load_rules(path: str, dataset: Dataset) -> tuple[RuleBank, str, dict]:
     raise ValueError(f"{path}.manifest.json: expected a string fingerprint and inputs.dataset")
 
 
-@contextmanager
-def _built_from(path: str, dataset_digest: str) -> Iterator[tuple[IO[bytes], str, Optional[dict]]]:
-    """The histories or prompts file at `path`, opened once for the block
-    to parse (`read_jsonl`) after it was hashed, so a file replaced during
-    the run cannot lend the run its digest, as for `rules.json`; its
-    sha256; and its manifest (`_read_manifest`). ValueError naming the
-    manifest when it records another dataset under inputs.dataset than the
-    loaded one, whose digest is `dataset_digest`, or describes other bytes
-    (`_check_describes`)."""
-    manifest_path = path + ".manifest.json"
-    with open_input(path) as fh:
-        digest, manifest = _file_digest(fh), _read_manifest(path)
-        fh.seek(0)
+def _built_from(path: str, dataset_digest: str, parse: Callable, inputs: dict, key: str) -> tuple:
+    """The manifest (`_read_manifest`) of the histories or prompts file at
+    `path`, refused when it records another dataset under inputs.dataset
+    than the loaded one, of digest `dataset_digest`; and the file's rows as
+    `parse` reads them (`read_jsonl`), opened at once and hashed as read, so
+    a file replaced or rewritten during the run cannot lend the run its
+    digest: after the last row, `inputs[key]` is its sha256, which the
+    manifest must record (`_check_describes`)."""
+    manifest_path, manifest = path + ".manifest.json", _read_manifest(path)
+    if manifest is not None:
+        try:
+            recorded = manifest["inputs"]["dataset"]
+        except (LookupError, TypeError):
+            raise ValueError(f"{manifest_path}: no dataset digest under inputs.dataset") from None
+        if recorded != dataset_digest:
+            raise ValueError(f"{path}: built from dataset {recorded} (see {manifest_path}), "
+                             f"but the loaded dataset is {dataset_digest}")
+    fh = HashedReader(open_input(path))
+
+    def rows() -> Iterator:
+        yield from read_jsonl(path, parse, fh)
+        inputs[key] = fh.sha256.hexdigest()
         if manifest is not None:
-            try:
-                recorded = manifest["inputs"]["dataset"]
-            except (LookupError, TypeError):
-                raise ValueError(f"{manifest_path}: no dataset digest under inputs.dataset"
-                                 ) from None
-            if recorded != dataset_digest:
-                raise ValueError(f"{path}: built from dataset {recorded} (see {manifest_path}), "
-                                 f"but the loaded dataset is {dataset_digest}")
-            _check_describes(path, manifest, digest)
-        yield fh, digest, manifest
+            _check_describes(path, manifest, inputs[key])
+
+    return manifest, rows()
 
 
 def _load_eval(options: dict, **sections):
@@ -340,6 +337,20 @@ def _write_manifest(path: str, command: str, config: RunConfig, inputs: dict, op
     })
 
 
+@contextmanager
+def _published(out: str, command: str, config: RunConfig, inputs: dict, options: dict, **lineage):
+    """A text handle on the file a command writes at `out` (`atomic_write`),
+    and a dict for its counts; when the block completes, the manifest beside
+    the file (`_write_manifest`, claimed first) records the counts, the
+    sha256 of the bytes written and the rule bank's `lineage`, then the file
+    moves into place."""
+    manifest, counts = out + ".manifest.json", {}
+    claim(manifest)
+    with atomic_write(out, lambda sha256: _write_manifest(manifest, command, config, inputs,
+                      options, **counts, sha256=sha256, **lineage)) as fh:
+        yield fh, counts
+
+
 def _exit_code(step, *args):
     """`step(*args)`, each failure ended by its exit code: a click usage error
     keeps click's text and exits 1; else one `error: <message>` line, and 1 for
@@ -405,12 +416,11 @@ def mine(workers, mine_splits, out, **options):
     splits = _comma_list("--mine-splits", mine_splits, allowed=SPLIT_FILES)
     config = _config(options, mining=MiningParams)
     dataset, dataset_digest = _load_data(config)
-    claim(out + ".manifest.json")
-    with staged(out) as path:
+    with _published(out, "mine", config, {"dataset": dataset_digest},
+                    {"mine_splits": splits}) as (fh, counts):
         bank = learn_rules(dataset.union_kg(splits), config.mining, workers=workers)
-        bank.save(path)
-        _write_manifest(out + ".manifest.json", "mine", config, {"dataset": dataset_digest},
-                        {"mine_splits": splits}, n_rules=len(bank), sha256=_file_digest(path))
+        fh.write(bank.to_json() + "\n")
+        counts["n_rules"] = len(bank)
     click.echo(f"mined {len(bank)} rules -> {out}")
 
 
@@ -431,17 +441,14 @@ def retrieve_cmd(rules_path, split, retrieval_splits, out, **options):
     bank, rules_digest, upstream = _load_rules(rules_path, dataset)
     kg = dataset.union_kg(splits)
     queries = queries_from_split(dataset, split)
-    claim(out + ".manifest.json")
-    with staged(out) as path:
-        count = write_jsonl(path, (
+    with _published(out, "retrieve", config, {"dataset": dataset_digest, "rules": rules_digest},
+                    {"split": split, "retrieval_splits": splits}, upstream=upstream
+                    ) as (fh, counts):
+        counts["n_queries"] = write_jsonl(fh, (
             history_to_dict(retrieval.retrieve(kg, bank, query, config.retrieval))
             for query in queries
         ))
-        _write_manifest(out + ".manifest.json", "retrieve", config,
-                        {"dataset": dataset_digest, "rules": rules_digest},
-                        {"split": split, "retrieval_splits": splits}, n_queries=len(queries),
-                        sha256=_file_digest(path), upstream=upstream)
-    click.echo(f"retrieved {count} histories -> {out}")
+    click.echo(f"retrieved {counts['n_queries']} histories -> {out}")
 
 
 @main.command(name="prompt")
@@ -453,29 +460,25 @@ def prompt_cmd(histories_path, out, **options):
     """Render retrieved histories into prompts."""
     config = _config(options, prompt=PromptConfig)
     dataset, dataset_digest = _load_data(config)
-    with _built_from(histories_path, dataset_digest) as (histories, digest, manifest):
-        inputs = {"dataset": dataset_digest, "histories": digest}
-        # the fact cap replays the retrieval config the histories were
-        # retrieved with; without a manifest, the config file's
-        if manifest is not None:
-            section = manifest.get("config")
-            section = section.get("retrieval") if type(section) is dict else None
-            config = dataclasses.replace(config, retrieval=fields_of(
-                RetrievalConfig, section, f"{histories_path}.manifest.json: config.retrieval",
-                closed=True))
-        kg = dataset.train
-        claim(out + ".manifest.json")
-        with staged(out) as path:
-            count = write_jsonl(path, (
-                {"query": json_fields(history.query),
-                 **json_fields(build_prompt(select_history(history, config.prompt,
-                                                           config.retrieval), config.prompt, kg))}
-                for history in read_jsonl(histories_path, lambda row: history_from_dict(row, kg),
-                                          histories)
-            ))
-            _write_manifest(out + ".manifest.json", "prompt", config, inputs, {},
-                            n_prompts=count, sha256=_file_digest(path))
-    click.echo(f"rendered {count} prompts -> {out}")
+    kg, inputs = dataset.train, {"dataset": dataset_digest}
+    manifest, histories = _built_from(histories_path, dataset_digest,
+                                      lambda row: history_from_dict(row, kg), inputs, "histories")
+    # the fact cap replays the retrieval config the histories were retrieved
+    # with; without a manifest, the config file's
+    if manifest is not None:
+        section = manifest.get("config")
+        section = section.get("retrieval") if type(section) is dict else None
+        config = dataclasses.replace(config, retrieval=fields_of(
+            RetrievalConfig, section, f"{histories_path}.manifest.json: config.retrieval",
+            closed=True))
+    with _published(out, "prompt", config, inputs, {}) as (fh, counts):
+        counts["n_prompts"] = write_jsonl(fh, (
+            {"query": json_fields(history.query),
+             **json_fields(build_prompt(select_history(history, config.prompt, config.retrieval),
+                                        config.prompt, kg))}
+            for history in histories
+        ))
+    click.echo(f"rendered {counts['n_prompts']} prompts -> {out}")
 
 
 @main.command()
@@ -491,13 +494,10 @@ def export(rules_path, k, seed, out, **options):
     config = _config(options, seed=seed, retrieval=RetrievalConfig, prompt=PromptConfig)
     dataset, dataset_digest = _load_data(config)
     bank, rules_digest, upstream = _load_rules(rules_path, dataset)
-    claim(out + ".manifest.json")
-    with staged(out) as path:
-        counts = export_finetune_set(dataset, bank, k, config.retrieval, config.prompt,
-                                     config.seed, path)
-        _write_manifest(out + ".manifest.json", "export", config,
-                        {"dataset": dataset_digest, "rules": rules_digest}, {"k": k}, **counts,
-                        sha256=_file_digest(path), upstream=upstream)
+    with _published(out, "export", config, {"dataset": dataset_digest, "rules": rules_digest},
+                    {"k": k}, upstream=upstream) as (fh, counts):
+        counts.update(export_finetune_set(dataset, bank, k, config.retrieval, config.prompt,
+                                          config.seed, fh))
     click.echo(f"exported {counts['n_samples']} samples -> {out}")
 
 
@@ -524,10 +524,10 @@ def infer(prompts_path, endpoint, out, **options):
                                  f"{entities[index]} and {entity}")
         return query, prompt
 
-    with _built_from(prompts_path, dataset_digest) as (prompts, digest, _manifest):
-        inputs = {"dataset": dataset_digest, "prompts": digest}
-        predictor = LLMPredictor(kg, resolve_endpoint(config.endpoint), config.generation)
-        rows = list(read_jsonl(prompts_path, parse, prompts))
+    inputs = {"dataset": dataset_digest}
+    _manifest, prompts = _built_from(prompts_path, dataset_digest, parse, inputs, "prompts")
+    predictor = LLMPredictor(kg, resolve_endpoint(config.endpoint), config.generation)
+    rows = list(prompts)
 
     def predicted():
         """One request batch of at most `CHUNK_SIZE` prompts at a time, so a
@@ -538,11 +538,9 @@ def infer(prompts_path, endpoint, out, **options):
             for (query, _prompt), prediction in zip(chunk, parsed):
                 yield {"query": json_fields(query), **json_fields(prediction)}
 
-    claim(out + ".manifest.json")
-    with staged(out) as path:
-        write_jsonl(path, predicted())
-        _write_manifest(out + ".manifest.json", "infer", config, inputs, {},
-                        n_prompts=len(rows), sha256=_file_digest(path))
+    with _published(out, "infer", config, inputs, {}) as (fh, counts):
+        write_jsonl(fh, predicted())
+        counts["n_prompts"] = len(rows)
     click.echo(f"parsed predictions for {len(rows)} prompts -> {out}")
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import io
 import json
 import os
@@ -163,32 +164,62 @@ def _distinct_keys(pairs: list) -> dict:
     return payload
 
 
+class HashedText:
+    """A text handle on the binary file `fh`: `write` encodes its text as
+    UTF-8 once, and `sha256` hashes the bytes written (`sha256.hexdigest()`)."""
+
+    def __init__(self, fh: IO[bytes]):
+        self.fh, self.sha256 = fh, hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        data = text.encode("utf-8")
+        self.sha256.update(data)
+        return self.fh.write(data)
+
+
+class HashedReader(io.RawIOBase):
+    """The binary file `fh`, read through this raw stream (closed with it),
+    and the sha256 of the bytes read (`sha256.hexdigest()`)."""
+
+    def __init__(self, fh: IO[bytes]):
+        self.fh, self.sha256 = fh, hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self.fh.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:count])
+        return count
+
+    def close(self) -> None:
+        self.fh.close()
+        super().close()
+
+
 @contextmanager
-def staged(path: str) -> Iterator[str]:
-    """A temp path beside `path` for the block to write a file to, moved to
-    `path` with os.replace only when the block completes; on any failure it
-    is removed and `path` keeps its previous contents. A command writes its
-    file here, then its manifest, so a run stopped before the move leaves a
-    manifest that describes other bytes. `path` is claimed (`claim`) before
-    the block, and its parent directory made if missing."""
+def atomic_write(path: str, describe: Optional[Callable] = None) -> Iterator[HashedText]:
+    """A text handle (`HashedText`) on a temp file beside `path` that
+    replaces `path` with os.replace only when the block completes, after
+    `describe(sha256)` of the bytes written, when given, has run; on any
+    failure the temp file is removed and `path` keeps its previous contents.
+    A command describes its file by the manifest beside it, so a run stopped
+    before the move leaves a manifest that describes other bytes. `path` is
+    claimed (`claim`) before the block, and its parent directory made."""
     claim(path)
     make_directory(os.path.dirname(path) or ".")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        yield tmp
+        with open(tmp, "wb") as fh:
+            hashed = HashedText(fh)
+            yield hashed
+        if describe is not None:
+            describe(hashed.sha256.hexdigest())
         os.replace(tmp, path)
     except BaseException:
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
-
-
-@contextmanager
-def atomic_write(path: str) -> Iterator[TextIO]:
-    """Text file handle on the path `staged` hands out, so its contents
-    replace `path` only when the block completes."""
-    with staged(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        yield fh
 
 
 def write_json(path: str, payload) -> None:
@@ -198,14 +229,13 @@ def write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def write_jsonl(path: str, rows: Iterable[dict]) -> int:
-    """One JSON object per row and line, written atomically as the rows
-    arrive; returns the number of rows."""
+def write_jsonl(fh: IO[str], rows: Iterable[dict]) -> int:
+    """One JSON object per row and line, written to the text handle `fh` as
+    the rows arrive; returns the number of rows."""
     count = 0
-    with atomic_write(path) as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
-            count += 1
+    for row in rows:
+        fh.write(json.dumps(row) + "\n")
+        count += 1
     return count
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Literal, Optional, get_args
+from typing import IO, Literal, Optional, get_args
 
 import numpy as np
 
@@ -167,11 +167,11 @@ def export_finetune_set(
     retrieval_cfg: RetrievalConfig,
     prompt_cfg: PromptConfig,
     seed: int,
-    out_path: str,
+    out: IO[str],
 ) -> dict:
     """Write k instruction samples drawn from the training split as JSON lines
-    and return {"n_samples", "over_char_budget"}: how many were written and
-    how many exceed the prompt's character budget.
+    to the text handle `out` and return {"n_samples", "over_char_budget"}:
+    how many were written and how many exceed the prompt's character budget.
 
     Retrieval for each sampled query runs against the training split only and
     sees nothing at or after the query's own time step.
@@ -192,5 +192,5 @@ def export_finetune_set(
                 over_budget += 1
             yield json_fields(sample)
 
-    n_samples = write_jsonl(out_path, samples())
+    n_samples = write_jsonl(out, samples())
     return {"n_samples": n_samples, "over_char_budget": over_budget}

@@ -280,19 +280,20 @@ def test_08_export_fidelity(synthetic_dataset, synthetic_bank, tmp_path):
     with criterion(8, "K-shot exports are exact, deterministic, and leak-free"):
         for k in (16, 512, 1024):
             out = tmp_path / f"finetune-{k}.jsonl"
-            manifest = export_finetune_set(
-                synthetic_dataset, synthetic_bank, k,
-                RetrievalConfig(), PromptConfig(), seed=1, out_path=str(out),
-            )
+            with open(out, "w", encoding="utf-8") as fh:
+                manifest = export_finetune_set(
+                    synthetic_dataset, synthetic_bank, k,
+                    RetrievalConfig(), PromptConfig(), seed=1, out=fh,
+                )
             rows = [json.loads(line) for line in open(out, encoding="utf-8")]
             assert len(rows) == k == manifest["n_samples"]
             for row in rows:
                 assert set(row) == {"instruction", "input", "output"} and row["output"]
             assert audit_no_leakage(out) == k
             again = tmp_path / f"again-{k}.jsonl"
-            export_finetune_set(synthetic_dataset, synthetic_bank, k,
-                                RetrievalConfig(), PromptConfig(), seed=1,
-                                out_path=str(again))
+            with open(again, "w", encoding="utf-8") as fh:
+                export_finetune_set(synthetic_dataset, synthetic_bank, k,
+                                    RetrievalConfig(), PromptConfig(), seed=1, out=fh)
             assert out.read_bytes() == again.read_bytes()
 
 

@@ -1052,7 +1052,22 @@ class TestInputsOfAnotherDataset:
         result, _requests = self.run(runner, "prompt", paths["prompt"], synthetic_dir,
                                      tmp_path / "out.jsonl")
         assert (result.exit_code, result.output) == (
-            1, f"error: {manifest}: no dataset digest under inputs.dataset\n")
+            1, f"error: {manifest}: expected a JSON object, got []\n")
+
+    @pytest.mark.parametrize("command", ["prompt", "infer"])
+    def test_null_manifest_refused(self, runner, built, synthetic_dir, command, tmp_path):
+        """A manifest holding `null` is not a missing one: `prompt` would cap
+        the histories under the config file's retrieval config instead of
+        the one they were retrieved with."""
+        paths, _renamed = built
+        manifest = paths[command].with_name(paths[command].name + ".manifest.json")
+        manifest.write_text("null")
+        out = tmp_path / "out.jsonl"
+        result, requests = self.run(runner, command, paths[command], synthetic_dir, out)
+        assert (result.exit_code, result.output) == (
+            1, f"error: {manifest}: expected a JSON object, got None\n")
+        assert requests == 0
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["prompt", "infer"])
     def test_manifest_with_a_repeated_key_refused(self, runner, built, synthetic_dir,
@@ -1097,8 +1112,8 @@ class TestInputsOfAnotherDataset:
     @pytest.mark.parametrize("command", ["retrieve", "export", "eval", "ablate"])
     @pytest.mark.parametrize("text", [
         "{", '{"fingerprint": "f", "fingerprint": "g"}', "[]", '{"fingerprint": "f"}',
-        '{"fingerprint": 1, "inputs": {"dataset": "d"}}',
-    ], ids=["not-json", "repeated-key", "not-an-object", "no-dataset", "not-a-string"])
+        '{"fingerprint": 1, "inputs": {"dataset": "d"}}', "null",
+    ], ids=["not-json", "repeated-key", "not-an-object", "no-dataset", "not-a-string", "null"])
     def test_malformed_mine_manifest_refused(self, runner, mined_rules, synthetic_dir,
                                              tmp_path, command, text):
         rules = tmp_path / "rules.json"
@@ -1170,8 +1185,8 @@ def manifest_disk_full(monkeypatch):
 
 class TestManifestDescribesItsFile:
     """A manifest records the sha256 of the file beside it, and a command
-    refuses an input whose manifest records other bytes or none, before it
-    reads a row."""
+    refuses an input whose manifest records other bytes or none, before its
+    output moves or a request is sent."""
 
     def test_half_written_retrieve_refused(self, runner, monkeypatch, seed3, tmp_path):
         """A retrieve stopped after its manifest is written but before its
@@ -1730,6 +1745,54 @@ class TestResumeInputs:
         assert clean[1]["inputs"]["histories" if command == "prompt" else "prompts"] == digest
         assert path.read_bytes() == other.read_bytes()
         assert sorted(payload["prompt"] for payload in stub.payloads) == sorted(sent * 2)
+
+    @pytest.mark.parametrize("command", ["prompt", "infer"])
+    def test_input_rewritten_in_place_refused(self, runner, monkeypatch, seed3, tmp_path,
+                                              command):
+        """A histories or prompts file rewritten in place (same inode) after
+        the command opened it is parsed from its new bytes, which its
+        manifest does not describe: the digest checked is of the bytes
+        parsed, so the run exits 1, leaving no output and sending no
+        request."""
+        data, rules = seed3
+        dataset = ["--dataset-dir", str(data)]
+        histories, prompts = tmp_path / "h.jsonl", tmp_path / "p.jsonl"
+        other_histories, other_prompts = tmp_path / "oh.jsonl", tmp_path / "op.jsonl"
+        for args in (["retrieve", "--rules", str(rules), "--out", str(histories)],
+                     ["retrieve", "--rules", str(rules), "--window", "5", "--stepwise",
+                      "--out", str(other_histories)],
+                     ["prompt", "--histories", str(histories), "--out", str(prompts)],
+                     ["prompt", "--histories", str(histories), "--format", "lexical",
+                      "--out", str(other_prompts)]):
+            run_ok(runner, [*args, *dataset])
+        path, other, option = {"prompt": (histories, other_histories, "--histories"),
+                               "infer": (prompts, other_prompts, "--prompts")}[command]
+        recorded = json.loads(path.with_name(path.name + ".manifest.json").read_text())["sha256"]
+        inode = path.stat().st_ino
+
+        def rewritten(call):
+            def rewrite(*args):
+                shutil.copyfile(other, path)
+                return call(*args)
+            return rewrite
+
+        name = {"prompt": "claim", "infer": "LLMPredictor"}[command]
+        monkeypatch.setattr(cli, name, rewritten(getattr(cli, name)))
+        stub = StubEndpoint(sequences=["0.e01]"])
+        out = tmp_path / "out.jsonl"
+        endpoint = ["--endpoint", stub.url] if command == "infer" else []
+        try:
+            result = runner.invoke(main, [command, *dataset, option, str(path), *endpoint,
+                                          "--out", str(out)])
+        finally:
+            stub.close()
+        assert path.stat().st_ino == inode
+        digest = hashlib.sha256(other.read_bytes()).hexdigest()
+        assert (result.exit_code, result.output) == (
+            1, f"error: {path}.manifest.json: describes a file of sha256 {recorded}, "
+               f"but {path} has sha256 {digest}\n")
+        assert stub.attempts == 0
+        assert not [name for name in os.listdir(tmp_path) if name.startswith("out.jsonl")]
 
     @pytest.mark.parametrize("option", [
         ["--retrieval-splits", "train", "--filter-splits", "train"],

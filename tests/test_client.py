@@ -28,9 +28,12 @@ from golden_fixture import golden_kg
 class _StubServer(ThreadingHTTPServer):
     """Handler threads are joined by `server_close`, so none outlives its
     test; a client that hung up early (a "delay" past its timeout) is not
-    reported, since its broken pipe is expected."""
+    reported, since its broken pipe is expected. Its listen backlog takes a
+    burst of connections without the client's connect waiting on a
+    retransmitted SYN."""
 
     daemon_threads = False
+    request_queue_size = 64
 
     def handle_error(self, request, client_address):
         pass

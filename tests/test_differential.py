@@ -177,7 +177,8 @@ def test_pipeline_matches_the_references(tmp_path):
         # the K-shot export, retrieved from the training split alone
         train_queries = queries_of(rows["train"])
         k, seed = int(rng.integers(1, len(train_queries) + 1)), int(rng.integers(100))
-        counts = export_finetune_set(dataset, bank, k, retrieval_cfg, prompt_cfg, seed, out)
+        with open(out, "w", encoding="utf-8") as fh:
+            counts = export_finetune_set(dataset, bank, k, retrieval_cfg, prompt_cfg, seed, fh)
         train_quads = edges(rows, ("train",), n_base, inverse)
         names = [name.replace(" ", "_") for name in dataset.entities]
         want_rows, over_budget = [], 0

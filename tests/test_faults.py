@@ -7,10 +7,12 @@ EIO, and once more on a disk that fills up after a few characters. After
 each fault the run exits 2, each output set it leaves is the old set, the
 new set, absent, or refused by its consumer, and a clean rerun (which
 resumes a partial eval journal) reproduces the clean run's bytes, manifests
-compared without `created_at`.
+compared without `created_at`. A file and its manifest are each opened for
+writing once and moved once, and neither is read back.
 """
 from __future__ import annotations
 
+import builtins
 import json
 import os
 import shutil
@@ -20,6 +22,7 @@ from click.testing import CliRunner
 
 from tkgrag import cli
 from tkgrag.cli import main
+from tkgrag.config import build_run_config
 
 from test_client import StubEndpoint
 
@@ -60,9 +63,9 @@ ROOMS = (8,)  # characters a file takes before the disk is full
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """The commands' inputs on `synth --seed 3`, the digest of its dataset,
-    and a scripted endpoint; the prompts files `few` and `others` are
-    hand-made, five prompts each."""
+    """The commands' inputs on `synth --seed 3`, its dataset and the
+    dataset's digest, and a scripted endpoint; the prompts files `few` and
+    `others` are hand-made, five prompts each."""
     root = tmp_path_factory.mktemp("inputs")
     data = root / "data"
     paths = {name: str(root / name) for name in ("rules", "histories", "prompts", "few",
@@ -78,11 +81,10 @@ def inputs(tmp_path_factory):
     for name, part in (("few", rows[:5]), ("others", rows[5:10])):
         with open(paths[name], "w", encoding="utf-8") as fh:
             fh.writelines(part)
-    with open(paths["histories"] + ".manifest.json", encoding="utf-8") as fh:
-        digest = json.load(fh)["inputs"]["dataset"]
+    loaded = cli._load_data(build_run_config({"dataset": {"dir": str(data)}}))
     stub = StubEndpoint(responder=lambda payload: [f"{len(payload['prompt']) % 5}.e01]",
                                                    "0.e02]"])
-    yield {"data": common, "url": stub.url, **paths}, digest
+    yield {"data": common, "url": stub.url, **paths}, loaded
     stub.close()
 
 
@@ -110,7 +112,7 @@ def part(files: dict, prefixes) -> dict:
 @pytest.mark.parametrize("earlier", [False, True], ids=["first-run", "over-earlier-run"])
 @pytest.mark.parametrize("command", list(CASES))
 def test_every_write_fault(inputs, write_faults, tmp_path, command, earlier):
-    (values, digest), (args, other, sets) = inputs, CASES[command]
+    (values, (dataset, digest)), (args, other, sets) = inputs, CASES[command]
     out, template = tmp_path / "out", tmp_path / "template"
     fill = {**values, "out": str(out)}
     args = [word for arg in args for word in (fill[arg[1:-1]] if arg == "{data}"
@@ -157,9 +159,44 @@ def test_every_write_fault(inputs, write_faults, tmp_path, command, earlier):
                 completed.append(where)
                 continue
             assert kind == DESCRIBED, (where, sorted(state))
-            with pytest.raises(ValueError), cli._built_from(str(out / prefixes[0]), digest):
-                pass
+            path = str(out / prefixes[0])
+            with pytest.raises(ValueError):  # by the output's own consumer
+                if path.endswith(".jsonl"):
+                    list(cli._built_from(path, digest, dict, {}, "rows")[1])
+                else:
+                    cli._load_rules(path, dataset)
         if left != before:
             run(args)
             assert snapshot(out) == new, where
     assert completed or JOURNAL not in [kind for _prefixes, kind in sets]
+
+
+@pytest.mark.parametrize("command", ["mine", "retrieve", "prompt", "export", "infer"])
+def test_one_stage_per_output(inputs, write_faults, monkeypatch, tmp_path, command):
+    """A file and its manifest are each written once, to one temp file
+    beside their final names, and moved into place once; neither is read
+    back to be hashed."""
+    values, (args, _other, sets) = inputs[0], CASES[command]
+    out = tmp_path / "out"
+    out.mkdir()
+    fill = {**values, "out": str(out)}
+    args = [word for arg in args for word in (fill[arg[1:-1]] if arg == "{data}"
+                                               else [arg.format(**fill)])]
+    reads, opener = [], builtins.open
+
+    def spied(file, mode="r", *rest, **kwargs):
+        if not set(mode) & set("wax+"):
+            reads.append(os.fspath(file))
+        return opener(file, mode, *rest, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spied)
+    points = write_faults.arm(out)
+    result = CliRunner().invoke(main, args)
+    write_faults.disarm()
+    assert result.exit_code == 0, result.output
+    target, pid = str(out / sets[0][0][0]), os.getpid()
+    assert [path for kind, path in points if kind == "open"] == [
+        f"{target}.{pid}.tmp", f"{target}.manifest.json.{pid}.tmp"]
+    assert [path for kind, path in points if kind in ("rename", "replace")] == [
+        f"{target}.manifest.json", target]
+    assert not [path for path in reads if ".tmp" in path]

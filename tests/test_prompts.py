@@ -208,10 +208,11 @@ class TestExport:
     @pytest.mark.parametrize("k", [1, 16, 64])
     def test_exact_sample_count(self, synthetic_dataset, synthetic_bank, tmp_path, k):
         out = tmp_path / "finetune.jsonl"
-        manifest = export_finetune_set(
-            synthetic_dataset, synthetic_bank, k,
-            RetrievalConfig(), PromptConfig(), seed=1, out_path=str(out),
-        )
+        with open(out, "w", encoding="utf-8") as fh:
+            manifest = export_finetune_set(
+                synthetic_dataset, synthetic_bank, k,
+                RetrievalConfig(), PromptConfig(), seed=1, out=fh,
+            )
         rows = [json.loads(line) for line in open(out, encoding="utf-8")]
         assert len(rows) == k == manifest["n_samples"]
         for row in rows:
@@ -220,36 +221,35 @@ class TestExport:
 
     def test_deterministic_per_seed(self, synthetic_dataset, synthetic_bank, tmp_path):
         a, b, c = (tmp_path / name for name in ("a.jsonl", "b.jsonl", "c.jsonl"))
-        for path in (a, b):
-            export_finetune_set(synthetic_dataset, synthetic_bank, 16,
-                                RetrievalConfig(), PromptConfig(), seed=5,
-                                out_path=str(path))
-        export_finetune_set(synthetic_dataset, synthetic_bank, 16,
-                            RetrievalConfig(), PromptConfig(), seed=6, out_path=str(c))
+        for path, seed in ((a, 5), (b, 5), (c, 6)):
+            with open(path, "w", encoding="utf-8") as fh:
+                export_finetune_set(synthetic_dataset, synthetic_bank, 16,
+                                    RetrievalConfig(), PromptConfig(), seed=seed, out=fh)
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
 
     def test_no_future_leakage(self, synthetic_dataset, synthetic_bank, tmp_path):
         out = tmp_path / "finetune.jsonl"
-        export_finetune_set(synthetic_dataset, synthetic_bank, 64,
-                            RetrievalConfig(), PromptConfig(), seed=2, out_path=str(out))
+        with open(out, "w", encoding="utf-8") as fh:
+            export_finetune_set(synthetic_dataset, synthetic_bank, 64,
+                                RetrievalConfig(), PromptConfig(), seed=2, out=fh)
         assert audit_no_leakage(out) == 64
 
     def test_manifest_records_configs(self, synthetic_dataset, synthetic_bank, tmp_path):
         """The export writes its samples only and returns their counts; the
         config that shaped them is in the `export` command's manifest."""
         out = tmp_path / "finetune.jsonl"
-        counts = export_finetune_set(synthetic_dataset, synthetic_bank, 4,
-                                     RetrievalConfig(max_history=20), PromptConfig(), seed=9,
-                                     out_path=str(out))
+        with open(out, "w", encoding="utf-8") as fh:
+            counts = export_finetune_set(synthetic_dataset, synthetic_bank, 4,
+                                         RetrievalConfig(max_history=20), PromptConfig(), seed=9,
+                                         out=fh)
         assert counts == {"n_samples": 4, "over_char_budget": 0}
         assert [path.name for path in tmp_path.iterdir()] == ["finetune.jsonl"]
 
     def test_k_out_of_range(self, synthetic_dataset, synthetic_bank, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError), open(tmp_path / "x.jsonl", "w", encoding="utf-8") as fh:
             export_finetune_set(synthetic_dataset, synthetic_bank, 10**7,
-                                RetrievalConfig(), PromptConfig(), seed=1,
-                                out_path=str(tmp_path / "x.jsonl"))
+                                RetrievalConfig(), PromptConfig(), seed=1, out=fh)
 
     def test_single_quadruple_train_set(self, tmp_path):
         from tkgrag.kg import DatasetSpec, load_dataset
@@ -262,8 +262,9 @@ class TestExport:
         dataset = load_dataset(str(data_dir), DatasetSpec(inverse=False))
         bank = RuleBank({}, MiningParams())
         out = tmp_path / "one.jsonl"
-        export_finetune_set(dataset, bank, 1, RetrievalConfig(), PromptConfig(),
-                            seed=0, out_path=str(out))
+        with open(out, "w", encoding="utf-8") as fh:
+            export_finetune_set(dataset, bank, 1, RetrievalConfig(), PromptConfig(),
+                                seed=0, out=fh)
         row = json.loads(out.read_text())
         # query at t = 0: empty history, input is just the query line
         assert row["input"] == "\n0:[0, 0,"

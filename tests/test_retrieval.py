@@ -295,7 +295,8 @@ class TestQueriesAndIO:
         queries = queries_from_split(synthetic_dataset, "test")[:10]
         histories = [retrieve(kg, synthetic_bank, query) for query in queries]
         path = str(tmp_path / "histories.jsonl")
-        assert write_jsonl(path, map(history_to_dict, histories)) == len(histories)
+        with open(path, "w", encoding="utf-8") as fh:
+            assert write_jsonl(fh, map(history_to_dict, histories)) == len(histories)
         read = read_jsonl(path, lambda row: history_from_dict(row, kg))
         assert list(map(history_key, read)) == list(map(history_key, histories))
 
@@ -303,7 +304,8 @@ class TestQueriesAndIO:
         kg = synthetic_dataset.union_kg()
         query = queries_from_split(synthetic_dataset, "test")[0]
         path = tmp_path / "histories.jsonl"
-        write_jsonl(str(path), [history_to_dict(retrieve(kg, synthetic_bank, query))])
+        with open(path, "w", encoding="utf-8") as fh:
+            write_jsonl(fh, [history_to_dict(retrieve(kg, synthetic_bank, query))])
         row = json.loads(path.read_text())
         assert {"query", "facts"} <= set(row)
         for fact in row["facts"]:
