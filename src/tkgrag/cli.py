@@ -461,8 +461,10 @@ def prompt_cmd(histories_path, out, **options):
     config = _config(options, prompt=PromptConfig)
     dataset, dataset_digest = _load_data(config)
     kg, inputs = dataset.train, {"dataset": dataset_digest}
+    decoded: dict = {}  # each distinct provenance of the file, decoded once
     manifest, histories = _built_from(histories_path, dataset_digest,
-                                      lambda row: history_from_dict(row, kg), inputs, "histories")
+                                      lambda row: history_from_dict(row, kg, decoded), inputs,
+                                      "histories")
     # the fact cap replays the retrieval config the histories were retrieved
     # with; without a manifest, the config file's
     if manifest is not None:

@@ -19,6 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence
 
+import numpy as np
+
 from .files import NonNegative, Positive, check_fields
 from .kg import TemporalKG
 from .prompts import Prompt
@@ -230,33 +232,54 @@ def _resolve(
 
 
 def rule_score_predict(history: RetrievedHistory, bank: RuleBank) -> PredictionList:
-    """Deterministic endpoint-free predictor used as the evaluation oracle.
+    """The oracle's ranking of one history: `rule_scores([history], bank)[0]`."""
+    return rule_scores([history], bank)[0]
+
+
+def rule_scores(histories: Sequence[RetrievedHistory], bank: RuleBank) -> list[PredictionList]:
+    """Deterministic endpoint-free predictor used as the evaluation oracle,
+    one ranking per history.
 
     Each history fact about an object contributes the confidence of the rule
     linking its relation to the query relation, plus 1.0 when it carries the
-    query relation itself. Ties break toward the candidate with the most
-    recent supporting fact, then the lower entity id.
+    query relation itself (the head's `HeadPlan.weights`); facts of weight 0
+    count for nothing. Candidates rank by total weight, ties toward the one
+    with the most recent supporting fact, then the lower entity id.
 
-    Reads the history's query and its `rel`, `obj` and `ts` columns; each
-    object's weights are summed in history order.
+    The chunk is scored at once from its concatenated `rel`, `obj` and `ts`
+    columns. A stable sort by (history, object) keeps each object's facts in
+    history order, so `np.bincount` adds their weights in the order a running
+    sum over the history would; the latest support is the group's maximum t,
+    as a history need not ascend in t.
     """
-    confidence_by_body = bank.plan_for(history.query.relation).confidence_by_body
-    relations = history.rel.tolist()
-    weight_of = {}
-    for relation in set(relations):
-        weight_of[relation] = confidence_by_body.get(relation, 0.0)
-        if relation == history.query.relation:
-            weight_of[relation] += 1.0
-    scores: dict[int, float] = {}
-    last_support: dict[int, int] = {}
-    for relation, obj, t in zip(relations, history.obj.tolist(), history.ts.tolist()):
-        weight = weight_of[relation]
-        if weight <= 0.0:
-            continue
-        scores[obj] = scores.get(obj, 0.0) + weight
-        if last_support.get(obj, -1) < t:
-            last_support[obj] = t
-    ranked = sorted(
-        scores, key=lambda obj: (-scores[obj], -last_support[obj], obj)
-    )[:MAX_RANKED]
-    return PredictionList(ranked=tuple(ranked))
+    if not histories:
+        return []
+    rows = [bank.plan_for(history.query.relation).weights for history in histories]
+    query = np.repeat(np.arange(len(histories)), [len(history) for history in histories])
+    rel = np.concatenate([history.rel for history in histories])
+    # every history's row end to end; a relation past its row reads the last 0
+    sizes = np.array([len(row) for row in rows])
+    flat = np.concatenate([*rows, [0.0]])
+    weight = flat[np.where(rel < sizes[query], (sizes.cumsum() - sizes)[query] + rel, -1)]
+    kept = weight > 0
+    obj = np.concatenate([history.obj for history in histories])[kept]
+    ts = np.concatenate([history.ts for history in histories])[kept]
+    # one (history, object) key per fact (ids are >= 0), grouped by a stable sort
+    width = obj.max(initial=0) + 1
+    key = query[kept] * width + obj
+    order = key.argsort(kind="stable")
+    key, ts, weight = key[order], ts[order], weight[kept][order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    starts = new.nonzero()[0]
+    score = np.bincount(new.cumsum() - 1, weight)
+    latest = np.maximum.reduceat(ts, starts) if len(starts) else ts
+    query, obj = np.divmod(key[starts], width)
+    # objects ascend within each history, and the sort keeps their order
+    ranked = np.lexsort((-latest, -score, query))
+    # the first MAX_RANKED candidates of each history
+    per_query = np.bincount(query, minlength=len(histories))
+    first = per_query.cumsum() - per_query
+    objects = obj[ranked[np.arange(len(ranked)) - first[query[ranked]] < MAX_RANKED]].tolist()
+    bounds = [0, *np.minimum(per_query, MAX_RANKED).cumsum().tolist()]
+    return [PredictionList(ranked=tuple(objects[a:b])) for a, b in zip(bounds, bounds[1:])]

@@ -17,7 +17,7 @@ from .client import (
     PredictionList,
     generate_batch,
     parse_predictions,
-    rule_score_predict,
+    rule_scores,
 )
 from .files import NonNegative, fields_of, journal, json_fields, write_json
 from .kg import Dataset, TemporalKG
@@ -124,7 +124,7 @@ class OraclePredictor:
         self.bank = bank
 
     def predict_batch(self, items) -> list[PredictionList]:
-        return [rule_score_predict(history, self.bank) for history, _prompt in items]
+        return rule_scores([history for history, _prompt in items], self.bank)
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ class TemporalKG:
         num_base_relations: Optional[int] = None,
     ):
         """`quads` holds (subject, relation, object, t) rows: tuples, or an
-        (n, 4) integer array."""
+        (n, 4) integer array; rows of another width raise ValueError."""
         self.entities = list(entities)
         self.relations = list(relations)
         # With inverse augmentation the table doubles; base relations keep ids
@@ -73,7 +73,12 @@ class TemporalKG:
 
         if not isinstance(quads, np.ndarray):
             quads = list(quads)
-        arr = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
+        arr = np.asarray(quads, dtype=np.int64)
+        if arr.size == 0:
+            arr = arr.reshape(0, 4)
+        elif arr.ndim != 2 or arr.shape[1] != 4:
+            raise ValueError(f"quads: expected (subject, relation, object, t) rows, "
+                             f"got an array of shape {arr.shape}")
         arr = arr[np.lexsort((arr[:, 2], arr[:, 1], arr[:, 0], arr[:, 3]))]
         fresh = np.ones(len(arr), dtype=bool)
         fresh[1:] = (arr[1:] != arr[:-1]).any(axis=1)

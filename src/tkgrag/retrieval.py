@@ -166,20 +166,23 @@ def history_to_dict(history: RetrievedHistory) -> dict:
     return {"query": json_fields(history.query), "facts": facts}
 
 
-def history_from_dict(payload: dict, kg: TemporalKG) -> RetrievedHistory:
+def history_from_dict(payload: dict, kg: TemporalKG,
+                      decoded: Optional[dict] = None) -> RetrievedHistory:
     """The history `history_to_dict` wrote. A missing field raises KeyError,
     a malformed one ValueError naming it (`files.typed`): ids and time steps
     must be JSON integers, facts must lie before the query, and entity and
     relation ids must lie in the vocabulary of `kg`. Each distinct
-    provenance is read once."""
+    provenance is decoded once, into `decoded` when given: a reader passes
+    one dict for the histories of a file, so each is decoded once per file."""
     rows = typed(list, payload["facts"], "facts")
+    decoded = {} if decoded is None else decoded
     code_of, sources, codes = {}, [], []
     for row in rows:
         try:  # JSON 1, 1.0 and true are equal in Python, so the key holds the types
             prov = row["provenance"]
             code = code_of[(*prov.items(), *map(type, prov.values()))]
         except (AttributeError, KeyError, TypeError):  # new, or not well formed
-            code = _new_source(row, len(codes), code_of, sources)
+            code = _new_source(row, len(codes), code_of, sources, decoded)
         codes.append(code)
     query = typed(Query, payload["query"], "query")
     sub, rel, obj, ts = (_id_column([row[name] for row in rows], f"facts.{name}")
@@ -197,20 +200,26 @@ def history_from_dict(payload: dict, kg: TemporalKG) -> RetrievedHistory:
     )
 
 
-def _new_source(fact, at: int, code_of: dict, sources: list) -> int:
+def _new_source(fact, at: int, code_of: dict, sources: list, decoded: dict) -> int:
     """The code of the provenance of `fact`, the `at`-th fact, when
-    `code_of` lacks it: a new `Provenance` joins `sources`. A fact or
-    provenance that is not a JSON object, or a provenance holding a list or
-    an object, raises ValueError naming it; a missing provenance,
-    KeyError."""
+    `code_of` lacks it: its `Provenance`, from `decoded` or decoded into it,
+    joins `sources`. A fact or provenance that is not a JSON object, or a
+    provenance holding a list or an object, raises ValueError naming it; a
+    missing provenance, KeyError."""
     if type(fact) is not dict:
         raise ValueError(f"facts[{at}]: expected an object, got {fact!r}")
     prov = fact["provenance"]
-    source = typed(Provenance, prov, "facts.provenance")
     try:
-        code_of[(*prov.items(), *map(type, prov.values()))] = len(sources)
-    except TypeError:  # unhashable
-        raise ValueError(f"facts.provenance: expected JSON scalar values, got {prov!r}") from None
+        key = (*prov.items(), *map(type, prov.values()))
+        source = decoded.get(key)
+    except (AttributeError, TypeError):  # not an object, or unhashable
+        key = source = None
+    if source is None:
+        source = typed(Provenance, prov, "facts.provenance")
+        if key is None:
+            raise ValueError(f"facts.provenance: expected JSON scalar values, got {prov!r}")
+        decoded[key] = source
+    code_of[key] = len(sources)
     sources.append(source)
     return len(sources) - 1
 

@@ -79,15 +79,16 @@ class HeadPlan(NamedTuple):
     0 for the head and each body's 1-based rank in the bank. Since ranks
     ascend, the first `searchsorted(ranks, k, "right")` entries are the head
     and the bodies of the top k rules. `provenance` holds, parallel to them,
-    the `Provenance` that retrieval gives their facts. `confidence_by_body`
-    maps every body, the head included when it is one, to its rule's
-    confidence.
+    the `Provenance` that retrieval gives their facts. `weights`, indexed by
+    relation id, is the oracle's weight of a fact: its rule's confidence for
+    every body, the head included when it is one, plus 1.0 for the head;
+    read-only, 0 elsewhere and as long as the largest of those ids + 1.
     """
 
     relations: np.ndarray
     ranks: np.ndarray
     provenance: tuple[Provenance, ...]
-    confidence_by_body: dict[int, float]
+    weights: np.ndarray
 
 
 class RuleBank:
@@ -118,12 +119,17 @@ class RuleBank:
                       for rank, rule in enumerate(rules, start=1)
                       if rule.body_relation != head_relation]
             provenance = (Provenance(rank=0), *ranked)
+            weights = np.zeros(max([head_relation, *(r.body_relation for r in rules)]) + 1)
+            for rule in rules:
+                weights[rule.body_relation] = rule.confidence
+            weights[head_relation] += 1.0
+            weights.flags.writeable = False
             plan = self._plans[head_relation] = HeadPlan(
                 relations=np.array([head_relation] + [p.body_relation for p in ranked],
                                    dtype=np.int64),
                 ranks=np.array([p.rank for p in provenance], dtype=np.int64),
                 provenance=provenance,
-                confidence_by_body={rule.body_relation: rule.confidence for rule in rules},
+                weights=weights,
             )
         return plan
 

@@ -180,6 +180,27 @@ class TestPipelineCommands:
         finally:
             stub.close()
 
+    def test_prompt_decodes_each_provenance_once(self, runner, synthetic_dir, mined_rules,
+                                                 tmp_path, monkeypatch):
+        histories = tmp_path / "h.jsonl"
+        run_ok(runner, ["retrieve", "--dataset-dir", str(synthetic_dir),
+                        "--rules", str(mined_rules), "--out", str(histories)])
+        rows = [json.loads(line) for line in open(histories)]
+        distinct = {json.dumps(fact["provenance"]) for row in rows for fact in row["facts"]}
+        assert len(rows) > len(distinct) > 1
+        decodes = []
+        typed = retrieval.typed
+
+        def counting(kind, value, field):
+            if kind is retrieval.Provenance:
+                decodes.append(value)
+            return typed(kind, value, field)
+
+        monkeypatch.setattr(retrieval, "typed", counting)
+        run_ok(runner, ["prompt", "--dataset-dir", str(synthetic_dir),
+                        "--histories", str(histories), "--out", str(tmp_path / "p.jsonl")])
+        assert len(decodes) == len(distinct)
+
     def test_infer_uses_endpoint_env(self, runner, synthetic_dir, mined_rules, tmp_path):
         histories = tmp_path / "h.jsonl"
         run_ok(runner, ["retrieve", "--dataset-dir", str(synthetic_dir),

@@ -4,6 +4,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 
 from tkgrag.client import (
@@ -15,7 +16,9 @@ from tkgrag.client import (
     generate_batch,
     parse_predictions,
     rule_score_predict,
+    rule_scores,
 )
+from tkgrag.evaluation import OraclePredictor
 from tkgrag.kg import Quadruple
 from tkgrag.prompts import Prompt
 from tkgrag.retrieval import Provenance, Query, retrieve, queries_from_split
@@ -405,6 +408,50 @@ class TestRuleScorePredict:
             history = retrieve(kg, synthetic_bank, query)
             got = rule_score_predict(history, synthetic_bank)
             assert list(got.ranked) == reference_rule_scores(history, synthetic_bank)
+
+
+
+class TestRuleScores:
+    """The chunk oracle against `reference_rule_scores`, history by history,
+    on random chunks of hand-made histories."""
+
+    # (head, body, body_support, rule_support): head 0 is its own body;
+    # head 1's confidences 0.1, 0.2 and 0.3 sum to other floats in other
+    # orders; head 2 has no rules; relations 4 to 6 are in no rule, and 6 is
+    # past every head's weights
+    RULES = ((0, 1, 5, 1), (0, 0, 4, 1), (0, 2, 4, 3),
+             (1, 1, 10, 1), (1, 2, 10, 2), (1, 3, 10, 3), (3, 0, 2, 1))
+
+    def bank(self):
+        by_head = {}
+        for head, body, support, hits in self.RULES:
+            rule = TemporalRule(head, body, support, hits, hits / support)
+            by_head.setdefault(head, []).append(rule)
+        return RuleBank(by_head, MiningParams())
+
+    def random_history(self, rng):
+        """A few objects over three time steps in random order, so objects
+        repeat and scores and latest supports tie; a fifth are empty."""
+        n = int(rng.integers(1, 25)) if rng.random() > 0.2 else 0
+        n_objects = int(rng.integers(1, 16))
+        facts = [(0, int(rng.integers(7)), int(rng.integers(n_objects)), int(rng.integers(3)))
+                 for _ in range(n)]
+        return history_of(Query(0, int(rng.integers(4)), 3), facts, [Provenance(0)] * n)
+
+    def test_chunks_match_the_reference(self):
+        rng = np.random.default_rng(34)
+        bank = self.bank()
+        oracle = OraclePredictor(bank)
+        for _ in range(300):
+            histories = [self.random_history(rng) for _ in range(int(rng.integers(1, 33)))]
+            predictions = oracle.predict_batch([(history, None) for history in histories])
+            assert len(predictions) == len(histories)
+            for history, prediction in zip(histories, predictions):
+                assert list(prediction.ranked) == reference_rule_scores(history, bank), \
+                    (history.query, history.facts)
+
+    def test_no_histories(self):
+        assert rule_scores([], self.bank()) == []
 
 
 class TestGenParams:

@@ -431,6 +431,24 @@ class TestCheckIds:
         assert str(info.value) == f"facts.s: id {bad} is outside the vocabulary of 5"
 
 
+class TestQuadShape:
+    @pytest.mark.parametrize("quads, shape", [
+        ([(0, 1, 2), (3, 0, 1), (2, 3, 0), (1, 2, 3)], "(4, 3)"),
+        ([(0, 1, 2, 3, 1, 0, 3, 2)], "(1, 8)"),
+        (np.arange(8), "(8,)"),
+    ])
+    def test_rows_not_of_four_refused(self, quads, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got an array of shape {shape}")):
+            TemporalKG(["a", "b", "c", "d"], ["p", "q", "r", "s"], quads)
+
+    @pytest.mark.parametrize("quads", [[], (), np.empty((0, 4), dtype=np.int64),
+                                       [(0, 1, 2, 3), (3, 0, 1, 2)],
+                                       np.array([[0, 1, 2, 3], [3, 0, 1, 2]])])
+    def test_empty_and_rows_of_four_load(self, quads):
+        kg = TemporalKG(["a", "b", "c", "d"], ["p", "q", "r", "s"], quads)
+        assert edges_of(kg) == [Quadruple(3, 0, 1, 2), Quadruple(0, 1, 2, 3)][:len(quads)]
+
+
 class TestIndicesAgainstReference:
     SEEDS = range(200)
 

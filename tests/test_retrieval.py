@@ -275,9 +275,10 @@ class TestHeadPlan:
         plan = bank.plan_for(0)
         assert plan.relations.tolist() == [0, 2, 1]
         assert plan.ranks.tolist() == [0, 1, 3]
-        assert plan.confidence_by_body == {2: 0.9, 0: 0.7, 1: 0.5}
+        assert plan.weights.tolist() == [0.7 + 1.0, 0.5, 0.9]
         assert bank.plan_for(0) is plan
         assert bank.plan_for(4).relations.tolist() == [4]
+        assert bank.plan_for(4).weights.tolist() == [0, 0, 0, 0, 1.0]
 
 
 class TestQueriesAndIO:
