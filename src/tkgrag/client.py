@@ -278,8 +278,7 @@ def rule_scores(histories: Sequence[RetrievedHistory], bank: RuleBank) -> list[P
     # objects ascend within each history, and the sort keeps their order
     ranked = np.lexsort((-latest, -score, query))
     # the first MAX_RANKED candidates of each history
-    per_query = np.bincount(query, minlength=len(histories))
-    first = per_query.cumsum() - per_query
-    objects = obj[ranked[np.arange(len(ranked)) - first[query[ranked]] < MAX_RANKED]].tolist()
-    bounds = [0, *np.minimum(per_query, MAX_RANKED).cumsum().tolist()]
-    return [PredictionList(ranked=tuple(objects[a:b])) for a, b in zip(bounds, bounds[1:])]
+    objects = obj[ranked].tolist()
+    ends = np.bincount(query, minlength=len(histories)).cumsum().tolist()
+    return [PredictionList(ranked=tuple(objects[a:min(b, a + MAX_RANKED)]))
+            for a, b in zip([0, *ends[:-1]], ends)]

@@ -166,16 +166,14 @@ def history_to_dict(history: RetrievedHistory) -> dict:
     return {"query": json_fields(history.query), "facts": facts}
 
 
-def history_from_dict(payload: dict, kg: TemporalKG,
-                      decoded: Optional[dict] = None) -> RetrievedHistory:
+def history_from_dict(payload: dict, kg: TemporalKG, decoded: dict) -> RetrievedHistory:
     """The history `history_to_dict` wrote. A missing field raises KeyError,
     a malformed one ValueError naming it (`files.typed`): ids and time steps
     must be JSON integers, facts must lie before the query, and entity and
-    relation ids must lie in the vocabulary of `kg`. Each distinct
-    provenance is decoded once, into `decoded` when given: a reader passes
+    relation ids must lie in the vocabulary of `kg`. `decoded` holds the
+    provenances decoded so far, and each new one joins it: a reader passes
     one dict for the histories of a file, so each is decoded once per file."""
     rows = typed(list, payload["facts"], "facts")
-    decoded = {} if decoded is None else decoded
     code_of, sources, codes = {}, [], []
     for row in rows:
         try:  # JSON 1, 1.0 and true are equal in Python, so the key holds the types

@@ -204,7 +204,7 @@ class TestBruteForceEquivalence:
             for history in histories:
                 case = (trial, cfg, history_key(history))
                 row = json.loads(json.dumps(history_to_dict(history)))
-                assert history_key(history_from_dict(row, kg)) == history_key(history), case
+                assert history_key(history_from_dict(row, kg, {})) == history_key(history), case
                 assert list(rule_score_predict(history, bank).ranked) == \
                     reference_rule_scores(history, bank), case
                 for cap in {0, 1, max(len(history) - 1, 0), len(history), len(history) + 3}:
@@ -298,7 +298,7 @@ class TestQueriesAndIO:
         path = str(tmp_path / "histories.jsonl")
         with open(path, "w", encoding="utf-8") as fh:
             assert write_jsonl(fh, map(history_to_dict, histories)) == len(histories)
-        read = read_jsonl(path, lambda row: history_from_dict(row, kg))
+        read = read_jsonl(path, lambda row: history_from_dict(row, kg, {}))
         assert list(map(history_key, read)) == list(map(history_key, histories))
 
     def test_history_jsonl_carries_provenance(self, synthetic_dataset, synthetic_bank, tmp_path):
@@ -316,7 +316,7 @@ class TestQueriesAndIO:
         kg = make_kg([(0, 0, 1, 1), (1, 0, 2, 2)])
         fact = {"s": 1, "r": 0, "o": 2, "t": 2, "provenance": {"kind": "rule-head", "rank": 0}}
         for facts in ([], [fact]):
-            history = history_from_dict({"query": {"s": 1, "r": 0, "t": 3}, "facts": facts}, kg)
+            history = history_from_dict({"query": {"s": 1, "r": 0, "t": 3}, "facts": facts}, kg, {})
             columns = (history.sub, history.rel, history.obj, history.ts)
             assert [column.dtype for column in columns] == [np.int64] * 4
             assert [column.tolist() for column in columns] == [[fact[k]] * len(facts)

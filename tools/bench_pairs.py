@@ -3,21 +3,23 @@
 
     python3 tools/bench_pairs.py --base HEAD --label oracle-chunk --pairs 10
 
-Run from the root of a git checkout. The base commit's committed files are
+Run it anywhere in a git checkout. The base commit's committed files are
 extracted with `git archive` into a temporary directory (no network, and the
 repository's worktree list is left alone); the working tree is the change,
-uncommitted edits included. For each workload, each pair runs
+uncommitted edits included. For each of the benchmark's two workloads, each
+pair runs
 
-    python3 perfbench/run.py --workload W --seconds S --trace 0
+    python3 perfbench/run.py --workload W --seconds 40 --trace 0
 
 once in each tree, one process at a time, the base first in pairs 1, 3,
-5, ... and the change first in the others. A run that does not end with `"correct": true`
-stops the script with its output. After every pair, `BENCH_<label>.json`
-is rewritten with each pair's `run_s`, `setup_s` and `peak_rss_mb`, each
-side's median and quartiles, and how many pairs the change won; every
-metric is lower-is-better. `gain_shown` applies the claim rule: the change
-wins at least nine tenths of the pairs (ties count for neither side) and
-its median beats the base's by more than the base's interquartile range.
+5, ... and the change first in the others. A run that does not end with
+`"correct": true` stops the script with its output. After every pair,
+`BENCH_<label>.json` at the root of the repository is rewritten with each
+pair's `run_s`, `setup_s` and `peak_rss_mb`, each side's median and
+quartiles, and how many pairs the change won; every metric is
+lower-is-better. `gain_shown` applies the claim rule: the change wins at
+least nine tenths of the pairs (ties count for neither side) and its median
+beats the base's by more than the base's interquartile range.
 """
 from __future__ import annotations
 
@@ -33,6 +35,8 @@ from pathlib import Path
 
 METRICS = ("run_s", "setup_s", "peak_rss_mb")
 SIDES = ("base", "change")
+WORKLOADS = ("desk-forecast", "cli-files")
+SECONDS = 40
 
 
 def git(*args: str) -> str:
@@ -47,15 +51,17 @@ def extract(commit: str, into: Path) -> None:
                        stdout=archive)
         archive.seek(0)
         with tarfile.open(fileobj=archive) as tar:
-            tar.extractall(into, filter="data")
+            # `filter` exists from Python 3.10.12, 3.11.4 and 3.12 on
+            safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+            tar.extractall(into, **safe)
 
 
-def bench(tree: Path, workload: str, seconds: float) -> dict:
+def bench(tree: Path, workload: str) -> dict:
     """One benchmark run in `tree`: its metrics and its `# ` report line."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seconds", str(seconds), "--trace", "0"]
+               "--seconds", str(SECONDS), "--trace", "0"]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True,
-                          timeout=10 * seconds + 600)
+                          timeout=10 * SECONDS + 600)
     lines = done.stdout.splitlines()
     try:
         result = json.loads(lines[-1])
@@ -104,22 +110,19 @@ def main(argv=None) -> int:
     parser.add_argument("--base", default="HEAD", help="the commit to compare against")
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=40.0)
-    parser.add_argument("--workloads", default="desk-forecast,cli-files")
-    parser.add_argument("--out-dir", default=".", help="where BENCH_<label>.json goes")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
 
-    change = Path.cwd()
-    out = Path(args.out_dir) / f"BENCH_{args.label}.json"
+    change = Path(git("rev-parse", "--show-toplevel"))
+    out = change / f"BENCH_{args.label}.json"
     base_commit = git("rev-parse", args.base)
     payload = {
         "label": args.label,
         "base": base_commit,
         "change": f"working tree on {git('rev-parse', 'HEAD')}",
-        "command": "perfbench/run.py --workload W --seconds S --trace 0",
-        "seconds": args.seconds,
+        "command": f"perfbench/run.py --workload W --seconds {SECONDS} --trace 0",
+        "seconds": SECONDS,
         "nproc": os.cpu_count(),
         "workloads": {},
     }
@@ -127,11 +130,11 @@ def main(argv=None) -> int:
         base = Path(tmp)
         extract(base_commit, base)
         trees = {"base": base, "change": change}
-        for workload in args.workloads.split(","):
+        for workload in WORKLOADS:
             entry = payload["workloads"][workload] = {"pairs": []}
             for i in range(args.pairs):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
-                runs = {side: bench(trees[side], workload, args.seconds) for side in order}
+                runs = {side: bench(trees[side], workload) for side in order}
                 entry["pairs"].append({"first": order[0],
                                        **{side: runs[side]["metrics"] for side in SIDES}})
                 for side in SIDES:
